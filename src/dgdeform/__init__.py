@@ -8,6 +8,7 @@ an equality, not an approximation.
 
 from .cochain import (
     Cochain,
+    CoboundarySolver,
     CohomologyResult,
     Complex,
     Infeasible,
@@ -56,6 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cochain",
+    "CoboundarySolver",
     "CohomologyResult",
     "Complex",
     "DeformationReport",

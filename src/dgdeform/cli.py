@@ -24,7 +24,13 @@ def _parse_field(text: str) -> FieldSpec:
     if text == "Q":
         return QQ
     if text.startswith("GF:"):
-        return GF(int(text[3:]))
+        try:
+            return GF(int(text[3:]))
+        except ValueError:
+            click.echo(f"error: field modulus must be an integer, got {text[3:]!r}", err=True)
+        except DgmError as exc:
+            click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
     raise click.UsageError(f"field must be 'Q' or 'GF:<p>', got {text!r}")
 
 
@@ -128,6 +134,9 @@ def deform_cmd(file, n, strategy):
 def trivialize_cmd(file, n):
     """Gauge FILE's deformation toward the trivial one."""
     cx, _, lifts = _load_complex(file)
+    if not lifts:
+        click.echo("error: file has no deformation block", err=True)
+        sys.exit(2)
     try:
         d_t = MapSeries.deformation(cx, lifts[:n], order=n)
         report = trivialize(d_t)

@@ -18,13 +18,15 @@ from .errors import (
     BadDegree,
     DegreeMismatch,
     MalformedCochain,
+    ModuleMismatch,
     NotACocycle,
     NotADifferential,
+    PostconditionFailed,
 )
 from .field import Scalar
 from .gmap import GradedMap
 from .graded import GradedModule
-from .linalg import LinearSolution, nullspace_sparse, rank_sparse, solve_sparse
+from .linalg import LinearSolution, _System
 
 
 @dataclass(frozen=True)
@@ -69,13 +71,7 @@ class Cochain:
 
     def coboundary(self) -> "Cochain":
         """delta(f) = d_M f - (-1)^p f d_V, a (p+1)-cochain."""
-        # raising the cochain degree by 1 pins both differentials to degree -1
-        for d in (self.source.d, self.target.d):
-            if d and d.degree != -1:
-                raise BadDegree(
-                    "the coboundary operator needs degree -1 differentials; "
-                    f"got degree {d.degree}"
-                )
+        _check_differentials(self.source, self.target)
         df = self.target.d.compose(self.mapping)
         fd = self.mapping.compose(self.source.d)
         m = df + fd if self.p % 2 else df - fd
@@ -116,6 +112,16 @@ class Cochain:
         return f"Cochain(p={self.p}, {self.mapping.render()})"
 
 
+def _check_differentials(source: Complex, target: Complex) -> None:
+    # raising the cochain degree by 1 pins both differentials to degree -1
+    for d in (source.d, target.d):
+        if d and d.degree != -1:
+            raise BadDegree(
+                "the coboundary operator needs degree -1 differentials; "
+                f"got degree {d.degree}"
+            )
+
+
 def coboundary(f: Cochain) -> Cochain:
     return f.coboundary()
 
@@ -148,29 +154,35 @@ def _cochain_from_coords(
     return Cochain(p, m, source, target)
 
 
-def _coords_of(mapping: GradedMap, basis: list[tuple[int, int]]) -> dict[int, Scalar]:
-    index = {pair: c for c, pair in enumerate(basis)}
-    return {index[(j, i)]: coeff for j, i, coeff in mapping.entries()}
-
-
 def _delta_matrix(source: Complex, target: Complex, p: int):
     """Rows of the matrix of delta^p in the canonical cochain bases.
 
     Returns (domain basis of C^p, codomain basis of C^{p+1}, rows), where
     rows[r][c] is the coefficient of codomain pair r in delta of domain pair c.
+    The entries come straight from the differentials: with E_ij sending x_j
+    to y_i,
+
+        delta(E_ij) = sum_k d_M[k,i] E_kj - (-1)^p sum_l d_V[j,l] E_il.
+
+    The two sums never meet on one pair, since d has no diagonal entries.
     """
     dom = cochain_basis(source.module, target.module, p)
     cod = cochain_basis(source.module, target.module, p + 1)
+    if dom:
+        if source.field != target.field:
+            raise ModuleMismatch("source and target complexes have different fields")
+        _check_differentials(source, target)
     cod_index = {pair: r for r, pair in enumerate(cod)}
+    d_m = {i: col.terms for i, col in target.d.columns.items()}  # i -> {k: d_M[k,i]}
+    d_v: dict[int, list[tuple[int, Scalar]]] = {}  # j -> [(l, -(-1)^p d_V[j,l])]
+    for l, j, coeff in source.d.entries():
+        d_v.setdefault(j, []).append((l, coeff if p % 2 else -coeff))
     rows: list[dict[int, Scalar]] = [{} for _ in cod]
     for c, (j, i) in enumerate(dom):
-        e = GradedMap.elementary(
-            source.module, target.module.name_of(i), source.module.name_of(j),
-            target=target.module,
-        )
-        delta_e = Cochain(p, e, source, target).coboundary().mapping
-        for jj, ii, coeff in delta_e.entries():
-            rows[cod_index[(jj, ii)]][c] = coeff
+        for k, coeff in d_m.get(i, {}).items():
+            rows[cod_index[j, k]][c] = coeff
+        for l, coeff in d_v.get(j, ()):
+            rows[cod_index[l, i]][c] = coeff
     return dom, cod, rows
 
 
@@ -195,12 +207,12 @@ def cohomology(source: Complex, target: Complex | None = None, p: int = 0) -> Co
     target = target if target is not None else source
     field = source.field
     dom_p, _, rows_p = _delta_matrix(source, target, p)
-    dom_prev, _, rows_prev = _delta_matrix(source, target, p - 1)
+    _, _, rows_prev = _delta_matrix(source, target, p - 1)
 
-    rank_p = rank_sparse(rows_p, len(dom_p), field)
-    dim_cocycles = len(dom_p) - rank_p
-    dim_coboundaries = rank_sparse(rows_prev, len(dom_prev), field)
-    dim_h = dim_cocycles - dim_coboundaries
+    # one reduction of delta^p gives both its rank and its kernel basis
+    delta_p = _System(rows_p, len(dom_p), field)
+    delta_p.reduce()
+    dim_cocycles = len(dom_p) - len(delta_p.pivots)
 
     # image of delta^{p-1} in C^p coordinates: column c is delta of domain pair c
     cols: dict[int, dict[int, Scalar]] = {}
@@ -236,15 +248,20 @@ def cohomology(source: Complex, target: Complex | None = None, p: int = 0) -> Co
 
     for c in sorted(cols):
         _insert(cols[c])
+    dim_coboundaries = len(echelon)  # the rank of delta^{p-1}
+    dim_h = dim_cocycles - dim_coboundaries
 
     representatives = []
-    for vec in nullspace_sparse(rows_p, len(dom_p), field):
+    for vec in delta_p.nullspace():
         if len(representatives) == dim_h:
             break
         probe = dict(vec)
         if _insert(probe):
             representatives.append(_cochain_from_coords(p, dom_p, vec, source, target))
-    assert len(representatives) == dim_h
+    if len(representatives) != dim_h:
+        raise PostconditionFailed(
+            f"found {len(representatives)} representatives for a {dim_h}-dimensional H^{p}"
+        )
     return CohomologyResult(p, dim_cocycles, dim_coboundaries, dim_h, representatives)
 
 
@@ -282,32 +299,58 @@ class Infeasible:
     witness: InfeasibilityWitness
 
 
-def solve_coboundary(g: Cochain) -> Solved | Infeasible:
-    """Find f with delta(f) = g exactly, or certify that none exists.
+class CoboundarySolver:
+    """Solves delta(f) = g for p-cochains f on one pair of complexes.
 
-    The solution is the canonical reduced-row-echelon particular solution
-    (free variables zero) in the canonical cochain basis.  g must be a
-    cocycle; non-cocycles are rejected outright.
+    delta^p is assembled and reduced once, keeping the row transform T; each
+    ``solve`` is then T applied to g plus a read-off, so a ladder of solves
+    on one complex pays for a single elimination.  Pivots depend only on
+    delta^p, so every solution and witness equals the one-shot result.
     """
-    if not g.is_cocycle():
-        raise NotACocycle("right-hand side is not a cocycle")
-    p = g.p - 1
-    field = g.source.field
-    dom, cod, rows = _delta_matrix(g.source, g.target, p)
-    g_coords = _coords_of(g.mapping, cod)
-    rhs = [g_coords.get(r, field.zero) for r in range(len(cod))]
-    outcome = solve_sparse(rows, rhs, len(dom), field)
-    if isinstance(outcome, LinearSolution):
-        f = _cochain_from_coords(p, dom, outcome.values, g.source, g.target)
-        assert f.coboundary() == g
-        return Solved(f)
-    combo = []
-    for r in sorted(outcome.combination):
-        j, i = cod[r]
-        combo.append(
-            (g.source.module.name_of(j), g.target.module.name_of(i), outcome.combination[r])
-        )
-    return Infeasible(InfeasibilityWitness(combo, outcome.residual))
+
+    def __init__(self, source: Complex, target: Complex, p: int):
+        self.source = source
+        self.target = target
+        self.p = p
+        self.dom, self.cod, rows = _delta_matrix(source, target, p)
+        self._cod_index = {pair: r for r, pair in enumerate(self.cod)}
+        self._system = _System(rows, len(self.dom), source.field, trace=True)
+        self._system.reduce()
+
+    def solve(self, g: Cochain) -> Solved | Infeasible:
+        """Find f with delta(f) = g exactly, or certify that none exists.
+
+        The solution is the canonical reduced-row-echelon particular solution
+        (free variables zero) in the canonical cochain basis.  g must be a
+        cocycle; non-cocycles are rejected outright.
+        """
+        if g.p != self.p + 1 or g.source != self.source or g.target != self.target:
+            raise MalformedCochain(
+                f"this solver takes {self.p + 1}-cochains on its own complexes"
+            )
+        if not g.is_cocycle():
+            raise NotACocycle("right-hand side is not a cocycle")
+        rhs = {self._cod_index[j, i]: coeff for j, i, coeff in g.mapping.entries()}
+        outcome = self._system.solve(rhs)
+        if isinstance(outcome, LinearSolution):
+            f = _cochain_from_coords(self.p, self.dom, outcome.values, self.source, self.target)
+            if f.coboundary() != g:
+                raise PostconditionFailed("the solver's answer f does not satisfy delta(f) = g")
+            return Solved(f)
+        combo = []
+        for r in sorted(outcome.combination):
+            j, i = self.cod[r]
+            combo.append(
+                (self.source.module.name_of(j), self.target.module.name_of(i),
+                 outcome.combination[r])
+            )
+        return Infeasible(InfeasibilityWitness(combo, outcome.residual))
+
+
+def solve_coboundary(g: Cochain) -> Solved | Infeasible:
+    """Find f with delta(f) = g exactly, or certify that none exists; see
+    :meth:`CoboundarySolver.solve`."""
+    return CoboundarySolver(g.source, g.target, g.p - 1).solve(g)
 
 
 def noncobounding_certificate(d: GradedMap, g: Cochain | GradedMap) -> bool:

@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .cochain import (
     Cochain,
+    CoboundarySolver,
     Complex,
     Infeasible,
     InfeasibilityWitness,
@@ -225,8 +226,14 @@ def extend_step(cx: Complex, lifts: Sequence[GradedMap]) -> NextLift | Obstructi
     checks = check_relations(cx, lifts)
     if not all(checks):
         raise RelationsViolated(f"relation fails at order {checks.index(False)}")
+    return _rung(cx, lifts, CoboundarySolver(cx, cx, 1))
+
+
+def _rung(cx: Complex, lifts: Sequence[GradedMap],
+          solver: CoboundarySolver) -> NextLift | ObstructionHit:
+    """extend_step on lifts already known to satisfy the relations."""
     o_n = obstruction(cx, lifts)
-    outcome = solve_coboundary(o_n)
+    outcome = solver.solve(o_n)
     if isinstance(outcome, Solved):
         return NextLift(outcome.cochain.mapping)
     return ObstructionHit(
@@ -309,8 +316,12 @@ def deform_to_order(
         checks = check_relations(cx, chain)
         if not all(checks):
             raise RelationsViolated(f"supplied lifts fail the relation at order {checks.index(False)}")
+    # every rung solves against delta^1 of cx: reduce it once, and only if a
+    # rung runs; each solved lift passes delta(f) = g, so the relations on the
+    # prefix are checked once, in the report
+    solver = CoboundarySolver(cx, cx, 1) if len(chain) < order else None
     while len(chain) < order:
-        step = extend_step(cx, chain)
+        step = _rung(cx, chain, solver)
         if isinstance(step, ObstructionHit):
             return DeformationReport(
                 cx=cx,
@@ -388,13 +399,15 @@ def trivialize(d_t: MapSeries, order: int | None = None) -> TrivializationReport
     current = d_t
     stages: list[GradedMap] = []
     composed = MapSeries.identity(d_t.module, n)
+    solver = None  # delta^0 of cx, reduced at the first stage that solves
     for r in range(1, n + 1):
         c = current.coeffs[r]
         if c.is_zero():
             stages.append(GradedMap.zero(d_t.module, degree=0))
             continue
-        rhs = Cochain(1, -c, cx)
-        outcome = solve_coboundary(rhs)
+        if solver is None:
+            solver = CoboundarySolver(cx, cx, 0)
+        outcome = solver.solve(Cochain(1, -c, cx))
         if isinstance(outcome, Infeasible):
             return TrivializationReport(
                 order=n,

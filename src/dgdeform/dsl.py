@@ -190,10 +190,8 @@ class _Parser:
             ptok = self.expect("INT", "a prime modulus")
             try:
                 return FieldSpec(int(ptok.text))
-            except NonPrimeModulus:
-                raise NonPrimeModulus(
-                    f"line {ptok.line}, col {ptok.col}: modulus {ptok.text} is not prime"
-                ) from None
+            except NonPrimeModulus as exc:
+                raise type(exc)(f"line {ptok.line}, col {ptok.col}: {exc}") from None
         raise ParseError(f"unknown field {tok.text!r}", tok.line, tok.col)
 
     def module_decl(self, field: FieldSpec) -> GradedModule:

@@ -27,6 +27,10 @@ class NonPrimeModulus(DgmError):
     pass
 
 
+class ModulusTooLarge(NonPrimeModulus):
+    """The modulus lies beyond the range where primality is decided exactly."""
+
+
 # -- graded modules and vectors --------------------------------------------
 
 class ModuleMismatch(DgmError):
@@ -75,6 +79,10 @@ class MalformedCochain(DgmError):
 
 class NotACocycle(DgmError):
     pass
+
+
+class PostconditionFailed(DgmError):
+    """A computed answer failed its own exact re-verification."""
 
 
 # -- series and deformations -------------------------------------------------

@@ -14,21 +14,39 @@ from .errors import (
     DenominatorDivisibleByP,
     DivisionByZero,
     FieldMismatch,
+    ModulusTooLarge,
     NonPrimeModulus,
     ZeroDenominator,
 )
 
+#: the first 13 primes, used as Miller-Rabin bases
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: below this bound Miller-Rabin with _MR_BASES decides primality exactly
+#: (Sorenson and Webster, 2015)
+MAX_MODULUS = 3317044064679887385961981
+
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < MAX_MODULUS."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -39,7 +57,11 @@ class FieldSpec:
     modulus: int | None = None
 
     def __post_init__(self):
-        if self.modulus is not None and not _is_prime(self.modulus):
+        if self.modulus is None:
+            return
+        if self.modulus >= MAX_MODULUS:
+            raise ModulusTooLarge(f"moduli must be below {MAX_MODULUS}")
+        if not _is_prime(self.modulus):
             raise NonPrimeModulus(f"modulus {self.modulus} is not prime")
 
     @property

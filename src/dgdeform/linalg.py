@@ -34,22 +34,23 @@ def _scale_row(row: Row, c: Scalar) -> None:
 
 
 class _System:
-    """Mutable elimination state for one linear system."""
+    """Elimination state for one sparse matrix.
 
-    def __init__(self, rows: list[Row], ncols: int, field: FieldSpec,
-                 rhs: list[Scalar] | None = None, trace: bool = False):
+    With ``trace`` the row transform T is kept: after ``reduce``, reduced
+    row r is sum_i T[r][i] * (original row i).  Applying T to a right side
+    gives the right side the elimination would have carried along, so one
+    reduction serves any number of right sides.
+    """
+
+    def __init__(self, rows: list[Row], ncols: int, field: FieldSpec, trace: bool = False):
         self.field = field
         self.ncols = ncols
         self.rows = [dict(r) for r in rows]
-        self.rhs = list(rhs) if rhs is not None else None
         self.trace = [{i: field.one} for i in range(len(rows))] if trace else None
         self.pivots: list[tuple[int, int]] = []  # (column, row position)
 
     def _combine(self, dst: int, c: Scalar, src: int) -> None:
         _axpy(self.rows[dst], c, self.rows[src])
-        if self.rhs is not None:
-            s = self.rhs[dst] + c * self.rhs[src]
-            self.rhs[dst] = s
         if self.trace is not None:
             _axpy(self.trace[dst], c, self.trace[src])
 
@@ -57,8 +58,6 @@ class _System:
         if a == b:
             return
         self.rows[a], self.rows[b] = self.rows[b], self.rows[a]
-        if self.rhs is not None:
-            self.rhs[a], self.rhs[b] = self.rhs[b], self.rhs[a]
         if self.trace is not None:
             self.trace[a], self.trace[b] = self.trace[b], self.trace[a]
 
@@ -72,8 +71,6 @@ class _System:
             self._swap(npiv, pivot)
             inv = self.rows[npiv][col].inv()
             _scale_row(self.rows[npiv], inv)
-            if self.rhs is not None:
-                self.rhs[npiv] = self.rhs[npiv] * inv
             if self.trace is not None:
                 _scale_row(self.trace[npiv], inv)
             for r in range(nrows):
@@ -81,9 +78,39 @@ class _System:
                     self._combine(r, -self.rows[r][col], npiv)
             self.pivots.append((col, npiv))
 
-    def free_columns(self) -> list[int]:
+    def nullspace(self) -> list[Row]:
+        """A canonical basis of the kernel, one vector per free column, in
+        increasing free-column order."""
+        one = self.field.one
         pivcols = {c for c, _ in self.pivots}
-        return [c for c in range(self.ncols) if c not in pivcols]
+        basis = []
+        for f in (c for c in range(self.ncols) if c not in pivcols):
+            vec: Row = {f: one}
+            for col, r in self.pivots:
+                c = self.rows[r].get(f)
+                if c:
+                    vec[col] = -c
+            basis.append(vec)
+        return basis
+
+    def solve(self, rhs: Row) -> LinearSolution | LinearInfeasibility:
+        """Solve against the sparse right side ``rhs`` (equation -> value)
+        after a traced ``reduce``: the reduced right side is T * rhs."""
+        zero = self.field.zero
+        reduced = []
+        for t in self.trace:
+            s = zero
+            for i, b in rhs.items():
+                c = t.get(i)
+                if c is not None:
+                    s = s + c * b
+            reduced.append(s)
+        bad = [r for r in range(len(self.pivots), len(self.rows)) if reduced[r]]
+        if bad:
+            # canonical witness: the inconsistent row combining the earliest equations
+            r = min(bad, key=lambda r: sorted(self.trace[r]))
+            return LinearInfeasibility(dict(self.trace[r]), reduced[r])
+        return LinearSolution({col: reduced[r] for col, r in self.pivots if reduced[r]})
 
 
 @dataclass
@@ -106,19 +133,9 @@ class LinearInfeasibility:
 def solve_sparse(rows: list[Row], rhs: list[Scalar], ncols: int,
                  field: FieldSpec) -> LinearSolution | LinearInfeasibility:
     """Solve the sparse system rows * x = rhs exactly."""
-    sys = _System(rows, ncols, field, rhs=rhs, trace=True)
+    sys = _System(rows, ncols, field, trace=True)
     sys.reduce()
-    npiv = len(sys.pivots)
-    bad = [r for r in range(npiv, len(sys.rows)) if sys.rhs[r]]
-    if bad:
-        # canonical witness: the inconsistent row combining the earliest equations
-        r = min(bad, key=lambda r: sorted(sys.trace[r]))
-        return LinearInfeasibility(dict(sys.trace[r]), sys.rhs[r])
-    values = {}
-    for col, r in sys.pivots:
-        if sys.rhs[r]:
-            values[col] = sys.rhs[r]
-    return LinearSolution(values)
+    return sys.solve({i: b for i, b in enumerate(rhs) if b})
 
 
 def rank_sparse(rows: list[Row], ncols: int, field: FieldSpec) -> int:
@@ -132,13 +149,4 @@ def nullspace_sparse(rows: list[Row], ncols: int, field: FieldSpec) -> list[Row]
     increasing free-column order."""
     sys = _System(rows, ncols, field)
     sys.reduce()
-    one = field.one
-    basis = []
-    for f in sys.free_columns():
-        vec: Row = {f: one}
-        for col, r in sys.pivots:
-            c = sys.rows[r].get(f)
-            if c:
-                vec[col] = -c
-        basis.append(vec)
-    return basis
+    return sys.nullspace()

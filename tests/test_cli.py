@@ -112,9 +112,11 @@ def test_trivialize_family_stuck(runner, tmp_path):
 
 
 def test_trivialize_trivial_case(runner, tmp_path):
+    # d_t = d + t d is gauge trivial: d = delta(y2 d/d y2)
     path = tmp_path / "tiny.dgm"
     path.write_text(
         "field Q\nmodule V {\n  basis y1 : 1, y2 : 2;\n}\nmap d degree -1 {\n  y2 -> y1;\n}\n"
+        "map d1 degree -1 {\n  y2 -> y1;\n}\ndeformation {\n  order 1 : d1;\n}\n"
     )
     result = runner.invoke(main, ["trivialize", str(path), "--order", "3"])
     assert result.exit_code == 0
@@ -150,6 +152,29 @@ def test_verify_paper_gf_field(runner):
 def test_verify_paper_bad_field_usage(runner):
     result = runner.invoke(main, ["verify-paper", "--n", "2", "--field", "R"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["verify-paper", "--n", "2"],
+    ["paper-family", "--n", "2", "--out", "-"],
+])
+@pytest.mark.parametrize("field", ["GF:4", "GF:1", "GF:x", "GF:", "GF:3317044064679887385961981"])
+def test_bad_field_modulus_exits_2(runner, command, field):
+    result = runner.invoke(main, [*command, "--field", field])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+
+
+def test_trivialize_needs_deformation_block(runner, tmp_path):
+    path = tmp_path / "nodef.dgm"
+    path.write_text("field Q\nmodule V { basis x1 : 1, x3 : 2; }\nmap d degree -1 { x3 -> x1; }\n")
+    result = runner.invoke(main, ["trivialize", str(path), "--order", "2"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: file has no deformation block\n"
 
 
 def test_output_is_deterministic(runner, tmp_path):

@@ -20,8 +20,22 @@ from dgdeform import (
     noncobounding_certificate,
     solve_coboundary,
 )
-from dgdeform.errors import MalformedCochain, NotACocycle, NotADifferential
-from conftest import oracle_cohomology_dims, random_cochain, random_complex
+from dgdeform import linalg
+from dgdeform.cochain import CoboundarySolver, _delta_matrix
+from dgdeform.errors import (
+    MalformedCochain,
+    NotACocycle,
+    NotADifferential,
+    PostconditionFailed,
+)
+from conftest import (
+    dense_rank,
+    oracle_cohomology_dims,
+    random_cochain,
+    random_cocycle,
+    random_complex,
+    raw_d_coefficients,
+)
 
 FIELDS = [QQ, GF(2), GF(5)]
 
@@ -113,6 +127,31 @@ def test_coboundary_rejects_raising_differentials():
         f.coboundary()
 
 
+def _random_pair(rng, field):
+    v = random_complex(rng, field, rng.randint(1, 9), name="V")
+    m = random_complex(rng, field, rng.randint(1, 9), name="M")
+    return v, m
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_delta_matrix_columns_match_composition(field):
+    # independent of the entrywise formula: each column is delta of one
+    # elementary cochain, computed by composing graded maps
+    rng = random.Random(61)
+    for _ in range(12):
+        v, m = _random_pair(rng, field)
+        for p in range(-2, 4):
+            dom, cod, rows = _delta_matrix(v, m, p)
+            cod_index = {pair: r for r, pair in enumerate(cod)}
+            for c, (j, i) in enumerate(dom):
+                e = GradedMap.elementary(
+                    v.module, m.module.name_of(i), v.module.name_of(j), target=m.module
+                )
+                delta_e = Cochain(p, e, v, m).coboundary().mapping
+                expected = {cod_index[jj, ii]: coeff for jj, ii, coeff in delta_e.entries()}
+                assert {r: row[c] for r, row in enumerate(rows) if c in row} == expected
+
+
 # -- cohomology ---------------------------------------------------------------
 
 
@@ -165,6 +204,45 @@ def test_cohomology_representatives_are_independent_cocycles():
         assert len(res.representatives) == res.dim_h
         for rep in res.representatives:
             assert rep.is_cocycle()
+
+
+def _homology_dims(cx):
+    """h_q of a complex from dense ranks of d's per-degree blocks."""
+    module, q = cx.module, cx.field.modulus
+    dcoef = raw_d_coefficients(cx)
+
+    def rank_from(deg):  # rank of d: V_deg -> V_{deg-1}
+        src = [j for j in range(module.dim) if module.degree_of(j) == deg]
+        tgt = [i for i in range(module.dim) if module.degree_of(i) == deg - 1]
+        return dense_rank([[dcoef.get((i, j), 0) for j in src] for i in tgt], q)
+
+    return {
+        deg: len(module.degree_component(deg)) - rank_from(deg) - rank_from(deg + 1)
+        for deg in module.degrees()
+    }
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_cohomology_of_pairs_matches_kunneth(field):
+    # H^p(Hom(V, M)) = sum over q of Hom(H_q V, H_{q-p} M) over a field
+    rng = random.Random(67)
+    for _ in range(10):
+        v, m = _random_pair(rng, field)
+        h_v, h_m = _homology_dims(v), _homology_dims(m)
+        for p in range(-2, 4):
+            res = cohomology(v, m, p)
+            assert res.dim_h == sum(h * h_m.get(q - p, 0) for q, h in h_v.items())
+            assert len(res.representatives) == res.dim_h
+            for rep in res.representatives:
+                assert rep.is_cocycle()
+
+
+def test_cohomology_postcondition_is_a_real_check(monkeypatch):
+    m = GradedModule("U", QQ, [("a", 0), ("b", 1)])
+    cx = Complex(m, GradedMap.zero(m, degree=-1))
+    monkeypatch.setattr(linalg._System, "nullspace", lambda self: [])
+    with pytest.raises(PostconditionFailed):
+        cohomology(cx, cx, 0)
 
 
 # -- solving ----------------------------------------------------------------------
@@ -249,3 +327,37 @@ def test_certificate_implies_infeasible_on_any_truncation():
         g = Cochain(2, GradedMap.from_entries(cx.module, -2, [("x8", "x4", -1)]), cx)
         assert noncobounding_certificate(cx.d, g)
         assert isinstance(solve_coboundary(g), Infeasible)
+
+
+def test_solver_postcondition_is_a_real_check(monkeypatch):
+    # a solver that answers f = 0 for a nonzero coboundary must be caught
+    cx = base_complex(5, QQ)
+    g = Cochain(2, GradedMap.from_entries(cx.module, -2, [("x6", "x1", -1)]), cx)
+    solver = CoboundarySolver(cx, cx, 1)
+    monkeypatch.setattr(linalg._System, "solve", lambda self, rhs: linalg.LinearSolution({}))
+    with pytest.raises(PostconditionFailed):
+        solve_coboundary(g)
+    with pytest.raises(PostconditionFailed):
+        solver.solve(g)
+
+
+def test_reused_solver_matches_one_shot_solves():
+    rng = random.Random(71)
+    for field in FIELDS:
+        for _ in range(6):
+            cx = random_complex(rng, field, rng.randint(3, 10))
+            p = rng.choice([0, 1])
+            solver = CoboundarySolver(cx, cx, p)
+            for _ in range(4):
+                g = Cochain(p + 1, random_cocycle(rng, cx, p + 1), cx)
+                assert solver.solve(g) == solve_coboundary(g)
+
+
+def test_solver_rejects_foreign_cochains():
+    cx = base_complex(5, QQ)
+    solver = CoboundarySolver(cx, cx, 1)
+    with pytest.raises(MalformedCochain):
+        solver.solve(Cochain(1, GradedMap.zero(cx.module, degree=-1), cx))
+    other = base_complex(6, QQ)
+    with pytest.raises(MalformedCochain):
+        solver.solve(Cochain(2, GradedMap.zero(other.module, degree=-2), other))

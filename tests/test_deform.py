@@ -26,6 +26,7 @@ from dgdeform import (
     series_mul,
     trivialize,
 )
+from dgdeform import linalg
 from dgdeform.deform import NextLift, ObstructionHit
 from dgdeform.errors import (
     ConstantTermNotIdentity,
@@ -422,3 +423,41 @@ def test_first_order_rejects_non_cocycle(poly4):
     bad = GradedMap.from_entries(cx.module, -1, [("x7", "x5", 1)])
     with pytest.raises(InfinitesimalNotCocycle):
         first_order_triviality(cx, bad)
+
+
+def _count_reductions(monkeypatch):
+    calls = []
+    reduce = linalg._System.reduce
+
+    def counting(self):
+        calls.append(self.ncols)
+        reduce(self)
+
+    monkeypatch.setattr(linalg._System, "reduce", counting)
+    return calls
+
+
+def test_canonical_ladder_reduces_delta_once(monkeypatch):
+    spec = FamilySpec(6, "infinite")
+    cx = base_complex(spec.truncation, QQ)
+    lifts = family_lifts(spec)
+    calls = _count_reductions(monkeypatch)
+    report = deform_to_order(cx, lifts[0], 6)
+    assert report.extended and len(report.lifts) == 6
+    assert all(report.relation_checks)
+    assert len(calls) == 1
+    # with every lift supplied no rung runs, so nothing is reduced
+    calls.clear()
+    assert deform_to_order(cx, lifts[0], 6, lifts=lifts[1:]).extended
+    assert calls == []
+
+
+def test_trivialize_reduces_delta_at_most_once(monkeypatch):
+    cx = base_complex(4, QQ)
+    phi = GradedMap.from_entries(cx.module, 0, [("x4", "x3", 1), ("x1", "x2", 1)])
+    factor = MapSeries.gauge_factor(phi, 1, 3)
+    d_t = gauge_transform(MapSeries.deformation(cx, [], order=3), factor)
+    calls = _count_reductions(monkeypatch)
+    report = trivialize(d_t)
+    assert report.trivialized
+    assert len(calls) == 1

@@ -1,6 +1,7 @@
 """Text format: parsing, semantic checks, canonical printing, round trips."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +47,19 @@ def test_parse_degree_mismatch_positioned():
 def test_parse_non_prime_modulus():
     with pytest.raises(NonPrimeModulus) as err:
         parse(MINIMAL.replace("field Q", "field GF 6"))
+    assert "line 1" in str(err.value)
+
+
+def test_parse_large_prime_modulus():
+    start = time.perf_counter()
+    doc = parse(MINIMAL.replace("field Q", "field GF 2305843009213693951"))
+    assert doc.field.modulus == 2**61 - 1
+    assert time.perf_counter() - start < 0.5
+
+
+def test_parse_modulus_beyond_exact_range():
+    with pytest.raises(NonPrimeModulus) as err:
+        parse(MINIMAL.replace("field Q", "field GF 3317044064679887385961981"))
     assert "line 1" in str(err.value)
 
 

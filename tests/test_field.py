@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: construction, canonical forms, field axioms."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,11 @@ from dgdeform.errors import (
     DenominatorDivisibleByP,
     DivisionByZero,
     FieldMismatch,
+    ModulusTooLarge,
     NonPrimeModulus,
     ZeroDenominator,
 )
+from dgdeform.field import MAX_MODULUS, _is_prime
 
 
 def test_make_reduces_fractions():
@@ -40,6 +43,44 @@ def test_non_prime_modulus_rejected():
         GF(6)
     with pytest.raises(NonPrimeModulus):
         GF(1)
+
+
+def test_primality_matches_trial_division_below_5000():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(5000) if _is_prime(n)] == [n for n in range(5000) if trial(n)]
+
+
+def test_large_prime_moduli_are_fast():
+    start = time.perf_counter()
+    for q in (2**31 - 1, 10**9 + 7, 2**61 - 1, 2**64 - 59):
+        assert GF(q).modulus == q
+    with pytest.raises(NonPrimeModulus):
+        GF(2**61 + 1)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("n", [
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+    5394826801, 232250619601, 9746347772161,  # Carmichael numbers
+    3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,  # strong pseudoprime to the prime bases up to 23
+    318665857834031151167461,  # strong pseudoprime to the prime bases up to 37
+])
+def test_carmichael_and_strong_pseudoprimes_rejected(n):
+    start = time.perf_counter()
+    with pytest.raises(NonPrimeModulus):
+        GF(n)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_moduli_beyond_the_exact_range_rejected():
+    for n in (MAX_MODULUS, MAX_MODULUS + 2, 2**127 - 1, 2**20000 + 1):
+        with pytest.raises(ModulusTooLarge) as err:
+            GF(n)
+        assert isinstance(err.value, NonPrimeModulus)
+        assert "\n" not in str(err.value)
 
 
 def test_add_rationals():
