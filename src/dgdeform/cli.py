@@ -36,11 +36,8 @@ def _parse_field(text: str) -> FieldSpec:
 
 def _load(path: str) -> dsl.Document:
     try:
-        return dsl.parse(Path(path).read_text())
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except DgmError as exc:
+        return dsl.parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, DgmError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 

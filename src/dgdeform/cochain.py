@@ -207,57 +207,30 @@ def cohomology(source: Complex, target: Complex | None = None, p: int = 0) -> Co
     target = target if target is not None else source
     field = source.field
     dom_p, _, rows_p = _delta_matrix(source, target, p)
-    _, _, rows_prev = _delta_matrix(source, target, p - 1)
+    dom_prev, _, rows_prev = _delta_matrix(source, target, p - 1)
 
     # one reduction of delta^p gives both its rank and its kernel basis
     delta_p = _System(rows_p, len(dom_p), field)
     delta_p.reduce()
     dim_cocycles = len(dom_p) - len(delta_p.pivots)
+    kernel = delta_p.nullspace()
 
-    # image of delta^{p-1} in C^p coordinates: column c is delta of domain pair c
-    cols: dict[int, dict[int, Scalar]] = {}
-    for r, row in enumerate(rows_prev):
-        for c, coeff in row.items():
-            cols.setdefault(c, {})[r] = coeff
-
-    echelon: list[dict[int, Scalar]] = []  # rows with distinct leading columns
-
-    def _reduce(vec: dict[int, Scalar]) -> dict[int, Scalar]:
-        vec = dict(vec)
-        for row in echelon:
-            lead = min(row)
-            c = vec.get(lead)
-            if c:
-                for k, v in row.items():
-                    s = vec.get(k, field.zero) - c * v
-                    if s:
-                        vec[k] = s
-                    else:
-                        vec.pop(k, None)
-        return vec
-
-    def _insert(vec: dict[int, Scalar]) -> bool:
-        vec = _reduce(vec)
-        if not vec:
-            return False
-        lead = min(vec)
-        inv = vec[lead].inv()
-        echelon.append({k: v * inv for k, v in vec.items()})
-        echelon.sort(key=min)
-        return True
-
-    for c in sorted(cols):
-        _insert(cols[c])
-    dim_coboundaries = len(echelon)  # the rank of delta^{p-1}
+    # columns [delta^{p-1} | kernel basis] in C^p coordinates: the pivot
+    # columns of its reduction are the greedy choice of independent columns,
+    # so the rank of delta^{p-1} first, then the kernel vectors that stay
+    # independent modulo the image, in canonical order
+    offset = len(dom_prev)
+    for k, vec in enumerate(kernel):
+        for r, coeff in vec.items():
+            rows_prev[r][offset + k] = coeff
+    image = _System(rows_prev, offset + len(kernel), field)
+    image.reduce()
+    dim_coboundaries = sum(1 for c, _ in image.pivots if c < offset)
     dim_h = dim_cocycles - dim_coboundaries
-
-    representatives = []
-    for vec in delta_p.nullspace():
-        if len(representatives) == dim_h:
-            break
-        probe = dict(vec)
-        if _insert(probe):
-            representatives.append(_cochain_from_coords(p, dom_p, vec, source, target))
+    representatives = [
+        _cochain_from_coords(p, dom_p, kernel[c - offset], source, target)
+        for c, _ in image.pivots if c >= offset
+    ]
     if len(representatives) != dim_h:
         raise PostconditionFailed(
             f"found {len(representatives)} representatives for a {dim_h}-dimensional H^{p}"

@@ -97,9 +97,9 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit() also accepts '²'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("INT", text[i:j], line, col))
             col += j - i
@@ -116,6 +116,15 @@ def _tokenize(text: str) -> list[_Token]:
         raise ParseError(f"unexpected character {ch!r}", line, col)
     tokens.append(_Token("EOF", "", line, col))
     return tokens
+
+
+def _int(tok: _Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError:  # past the interpreter's int digit limit
+        raise ParseError(
+            f"integer literal of {len(tok.text)} digits is too long", tok.line, tok.col
+        ) from None
 
 
 # -- parser ----------------------------------------------------------------------
@@ -156,7 +165,7 @@ class _Parser:
             tok = self.expect("INT", "an integer")
         elif tok.kind != "INT":
             raise ParseError(f"expected an integer, found {tok.text!r}", tok.line, tok.col)
-        value = int(tok.text)
+        value = _int(tok)
         return -value if neg else value
 
     def document(self) -> Document:
@@ -189,7 +198,7 @@ class _Parser:
         if tok.text == "GF":
             ptok = self.expect("INT", "a prime modulus")
             try:
-                return FieldSpec(int(ptok.text))
+                return FieldSpec(_int(ptok))
             except NonPrimeModulus as exc:
                 raise type(exc)(f"line {ptok.line}, col {ptok.col}: {exc}") from None
         raise ParseError(f"unknown field {tok.text!r}", tok.line, tok.col)
@@ -225,11 +234,11 @@ class _Parser:
             raise ParseError(
                 f"expected a coefficient or basis name, found {tok.text!r}", tok.line, tok.col
             )
-        num = int(tok.text)
+        num = _int(tok)
         den = 1
         if self.peek().kind == "/":
             self.next()
-            den = int(self.expect("INT", "a denominator").text)
+            den = _int(self.expect("INT", "a denominator"))
         self.expect("*")
         try:
             coeff = field.scalar(num, den)
@@ -304,7 +313,7 @@ class _Parser:
         while self.peek().kind != "}":
             otok = self.expect_keyword("order")
             ktok = self.expect("INT", "an order")
-            k = int(ktok.text)
+            k = _int(ktok)
             if k < 1:
                 raise ParseError("orders start at 1", ktok.line, ktok.col)
             if k in orders:

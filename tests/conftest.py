@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from dgdeform import GF, QQ, Complex, FieldSpec, GradedMap, GradedModule
+from dgdeform import GF, QQ, Complex, FieldSpec, GradedMap, GradedModule, linalg
 from dgdeform.cochain import _delta_matrix, cochain_basis
 from dgdeform.linalg import nullspace_sparse
 
@@ -111,6 +111,19 @@ def oracle_cohomology_dims(cx: Complex, p: int) -> tuple[int, int, int]:
     cocycles = len(pairs_p) - dense_rank(mat_p, q)
     coboundaries = dense_rank(mat_prev, q)
     return cocycles, coboundaries, cocycles - coboundaries
+
+
+def count_reductions(monkeypatch) -> list[int]:
+    """Record the column count of every ``_System.reduce`` from now on."""
+    calls = []
+    reduce = linalg._System.reduce
+
+    def counting(self):
+        calls.append(self.ncols)
+        reduce(self)
+
+    monkeypatch.setattr(linalg._System, "reduce", counting)
+    return calls
 
 
 # -- random instances -----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from dgdeform.cli import main
 
@@ -190,3 +191,61 @@ def test_output_is_deterministic(runner, tmp_path):
         runner.invoke(main, ["paper-family", "--n", "4", "--variant", "infinite", "--out", str(p)])
         files.add(p.read_bytes())
     assert len(files) == 1
+
+
+@pytest.mark.parametrize("command, extra", [("check", []), ("cohomology", ["--p", "0"])])
+def test_non_utf8_file_exits_2(runner, tmp_path, command, extra):
+    path = tmp_path / "latin1.dgm"
+    path.write_bytes(b"field Q\xff\n")
+    result = runner.invoke(main, [command, str(path), *extra])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+
+
+# -- hostile input ------------------------------------------------------------------
+
+_SPLICES = st.one_of(
+    st.sampled_from(["\u00b2", "\x00", "-", "/", ";", "{", "}", " "]).map(str.encode),
+    # around the interpreter's 4300-digit int conversion limit
+    st.sampled_from([1, 4300, 4301, 6000]).map(lambda n: b"7" * n),
+    st.text(max_size=4).map(str.encode),
+)
+
+
+@st.composite
+def _mutations(draw, base: bytes):
+    data = bytearray(base)
+    for _ in range(draw(st.integers(1, 4))):
+        # half the splices land where an integer literal starts
+        starts = [k for k in range(1, len(data)) if data[k - 1] == 32 and 48 <= data[k] <= 57]
+        i = draw(st.one_of(st.integers(0, len(data)), st.sampled_from(starts or [0])))
+        j = draw(st.integers(i, min(len(data), i + 4)))
+        data[i:j] = draw(_SPLICES)
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def family_bytes():
+    result = CliRunner().invoke(
+        main, ["paper-family", "--n", "3", "--variant", "obstructed", "--out", "-"]
+    )
+    assert result.exit_code == 0
+    return result.stdout.encode()
+
+
+@pytest.fixture(scope="module")
+def hostile_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile") / "input.dgm"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_check_survives_hostile_bytes(family_bytes, hostile_path, data):
+    raw = data.draw(st.one_of(st.binary(max_size=200), _mutations(family_bytes)))
+    hostile_path.write_bytes(raw)
+    result = CliRunner().invoke(main, ["check", str(hostile_path)])
+    assert result.exit_code in (0, 1, 2)
+    assert result.exception is None or isinstance(result.exception, SystemExit)

@@ -26,7 +26,6 @@ from dgdeform import (
     series_mul,
     trivialize,
 )
-from dgdeform import linalg
 from dgdeform.deform import NextLift, ObstructionHit
 from dgdeform.errors import (
     ConstantTermNotIdentity,
@@ -35,7 +34,7 @@ from dgdeform.errors import (
     RelationsViolated,
     TruncationMismatch,
 )
-from conftest import random_cochain, random_cocycle, random_complex
+from conftest import count_reductions, random_cochain, random_cocycle, random_complex
 
 
 @pytest.fixture
@@ -425,23 +424,11 @@ def test_first_order_rejects_non_cocycle(poly4):
         first_order_triviality(cx, bad)
 
 
-def _count_reductions(monkeypatch):
-    calls = []
-    reduce = linalg._System.reduce
-
-    def counting(self):
-        calls.append(self.ncols)
-        reduce(self)
-
-    monkeypatch.setattr(linalg._System, "reduce", counting)
-    return calls
-
-
 def test_canonical_ladder_reduces_delta_once(monkeypatch):
     spec = FamilySpec(6, "infinite")
     cx = base_complex(spec.truncation, QQ)
     lifts = family_lifts(spec)
-    calls = _count_reductions(monkeypatch)
+    calls = count_reductions(monkeypatch)
     report = deform_to_order(cx, lifts[0], 6)
     assert report.extended and len(report.lifts) == 6
     assert all(report.relation_checks)
@@ -457,7 +444,7 @@ def test_trivialize_reduces_delta_at_most_once(monkeypatch):
     phi = GradedMap.from_entries(cx.module, 0, [("x4", "x3", 1), ("x1", "x2", 1)])
     factor = MapSeries.gauge_factor(phi, 1, 3)
     d_t = gauge_transform(MapSeries.deformation(cx, [], order=3), factor)
-    calls = _count_reductions(monkeypatch)
+    calls = count_reductions(monkeypatch)
     report = trivialize(d_t)
     assert report.trivialized
     assert len(calls) == 1

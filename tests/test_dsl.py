@@ -63,6 +63,31 @@ def test_parse_modulus_beyond_exact_range():
     assert "line 1" in str(err.value)
 
 
+HUGE = "7" * 5000  # past the interpreter's 4300-digit int conversion limit
+
+
+@pytest.mark.parametrize("text, line", [
+    (MINIMAL.replace("x3 -> x1;", f"x3 -> {HUGE}*x1;"), 6),
+    (MINIMAL.replace("x3 -> x1;", f"x3 -> 2/{HUGE}*x1;"), 6),
+    (MINIMAL.replace("x3 : 2", f"x3 : {HUGE}"), 3),
+    (MINIMAL.replace("degree -1", f"degree -{HUGE}"), 5),
+    (MINIMAL.replace("field Q", f"field GF {HUGE}"), 1),
+    (MINIMAL + f"deformation {{ order {HUGE} : d; }}\n", 8),
+], ids=["coefficient", "denominator", "basis-degree", "map-degree", "modulus", "order"])
+def test_parse_overlong_integer_is_a_parse_error(text, line):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert "5000 digits" in str(err.value)
+
+
+def test_parse_non_ascii_digit_is_an_unexpected_character():
+    with pytest.raises(ParseError) as err:
+        parse(MINIMAL.replace("field Q", "field GF ²"))
+    assert (err.value.line, err.value.col) == (1, 10)
+    assert "unexpected character" in str(err.value)
+
+
 def test_parse_unknown_basis_name():
     with pytest.raises(UnknownBasisName) as err:
         parse(MINIMAL.replace("x3 -> x1;", "x9 -> x1;"))
