@@ -98,8 +98,10 @@ def obstruction_cmd(file, k):
         sys.exit(2)
     from .gmap import GradedMap
 
-    padded = list(lifts) + [GradedMap.zero(cx.module, degree=-1)] * max(0, k - len(lifts))
-    o_k = obstruction(cx, padded[:k])
+    # O_k = -sum d_i d_{k-i+1} has no nonzero term once k >= 2 * len(lifts)
+    m = min(k, 2 * len(lifts))
+    padded = list(lifts) + [GradedMap.zero(cx.module, degree=-1)] * (m - len(lifts))
+    o_k = obstruction(cx, padded[:m])
     click.echo(f"O_{k} = {o_k.render()}")
 
 
@@ -173,7 +175,11 @@ def paper_family_cmd(n, variant, truncation, field_text, out_path):
     if out_path == "-":
         click.echo(text, nl=False)
     else:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
 
 
 @main.command(name="verify-paper")

@@ -13,6 +13,7 @@ basis of elementary operators, ordered lexicographically by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     BadDegree,
@@ -133,23 +134,22 @@ def is_cocycle(f: Cochain) -> bool:
 def cochain_basis(v: GradedModule, m: GradedModule, p: int) -> list[tuple[int, int]]:
     """Canonical basis of C^p(V;M): pairs (source index j, target index i)
     with |x_i| = |x_j| - p, lexicographic in (j, i)."""
-    pairs = []
-    for j in range(v.dim):
-        want = v.degree_of(j) - p
-        for i in range(m.dim):
-            if m.degree_of(i) == want:
-                pairs.append((j, i))
-    return pairs
+    by_degree: dict[int, list[int]] = {}
+    for i in range(m.dim):
+        by_degree.setdefault(m.degree_of(i), []).append(i)
+    return [(j, i) for j in range(v.dim) for i in by_degree.get(v.degree_of(j) - p, ())]
 
 
 def _cochain_from_coords(
-    p: int, basis: list[tuple[int, int]], coords: dict[int, Scalar],
+    p: int, basis: list[tuple[int, int]], coords: dict[int, Fraction | int],
     source: Complex, target: Complex,
 ) -> Cochain:
+    """The p-cochain with raw coordinates ``coords`` in ``basis``."""
+    field = source.field
     entries = []
-    for c, coeff in coords.items():
+    for c, value in coords.items():
         j, i = basis[c]
-        entries.append((source.module.name_of(j), target.module.name_of(i), coeff))
+        entries.append((source.module.name_of(j), target.module.name_of(i), Scalar(field, value)))
     m = GradedMap.from_entries(source.module, -p, entries, target=target.module)
     return Cochain(p, m, source, target)
 
@@ -158,7 +158,8 @@ def _delta_matrix(source: Complex, target: Complex, p: int):
     """Rows of the matrix of delta^p in the canonical cochain bases.
 
     Returns (domain basis of C^p, codomain basis of C^{p+1}, rows), where
-    rows[r][c] is the coefficient of codomain pair r in delta of domain pair c.
+    rows[r][c] is the raw coefficient (see :mod:`linalg`) of codomain pair r
+    in delta of domain pair c.
     The entries come straight from the differentials: with E_ij sending x_j
     to y_i,
 
@@ -173,11 +174,13 @@ def _delta_matrix(source: Complex, target: Complex, p: int):
             raise ModuleMismatch("source and target complexes have different fields")
         _check_differentials(source, target)
     cod_index = {pair: r for r, pair in enumerate(cod)}
-    d_m = {i: col.terms for i, col in target.d.columns.items()}  # i -> {k: d_M[k,i]}
-    d_v: dict[int, list[tuple[int, Scalar]]] = {}  # j -> [(l, -(-1)^p d_V[j,l])]
+    d_m = {  # i -> {k: d_M[k,i]}
+        i: {k: c.value for k, c in col.terms.items()} for i, col in target.d.columns.items()
+    }
+    d_v: dict[int, list[tuple[int, Fraction | int]]] = {}  # j -> [(l, -(-1)^p d_V[j,l])]
     for l, j, coeff in source.d.entries():
-        d_v.setdefault(j, []).append((l, coeff if p % 2 else -coeff))
-    rows: list[dict[int, Scalar]] = [{} for _ in cod]
+        d_v.setdefault(j, []).append((l, (coeff if p % 2 else -coeff).value))
+    rows: list[dict[int, Fraction | int]] = [{} for _ in cod]
     for c, (j, i) in enumerate(dom):
         for k, coeff in d_m.get(i, {}).items():
             rows[cod_index[j, k]][c] = coeff
@@ -218,13 +221,14 @@ def cohomology(source: Complex, target: Complex | None = None, p: int = 0) -> Co
     # columns [delta^{p-1} | kernel basis] in C^p coordinates: the pivot
     # columns of its reduction are the greedy choice of independent columns,
     # so the rank of delta^{p-1} first, then the kernel vectors that stay
-    # independent modulo the image, in canonical order
+    # independent modulo the image, in canonical order; an echelon form has
+    # the pivot columns of the RREF, and nothing else is read
     offset = len(dom_prev)
     for k, vec in enumerate(kernel):
         for r, coeff in vec.items():
             rows_prev[r][offset + k] = coeff
     image = _System(rows_prev, offset + len(kernel), field)
-    image.reduce()
+    image.reduce(echelon=True)
     dim_coboundaries = sum(1 for c, _ in image.pivots if c < offset)
     dim_h = dim_cocycles - dim_coboundaries
     representatives = [
@@ -303,21 +307,22 @@ class CoboundarySolver:
             )
         if not g.is_cocycle():
             raise NotACocycle("right-hand side is not a cocycle")
-        rhs = {self._cod_index[j, i]: coeff for j, i, coeff in g.mapping.entries()}
+        rhs = {self._cod_index[j, i]: coeff.value for j, i, coeff in g.mapping.entries()}
         outcome = self._system.solve(rhs)
         if isinstance(outcome, LinearSolution):
             f = _cochain_from_coords(self.p, self.dom, outcome.values, self.source, self.target)
             if f.coboundary() != g:
                 raise PostconditionFailed("the solver's answer f does not satisfy delta(f) = g")
             return Solved(f)
+        field = self.source.field
         combo = []
         for r in sorted(outcome.combination):
             j, i = self.cod[r]
             combo.append(
                 (self.source.module.name_of(j), self.target.module.name_of(i),
-                 outcome.combination[r])
+                 Scalar(field, outcome.combination[r]))
             )
-        return Infeasible(InfeasibilityWitness(combo, outcome.residual))
+        return Infeasible(InfeasibilityWitness(combo, Scalar(field, outcome.residual)))
 
 
 def solve_coboundary(g: Cochain) -> Solved | Infeasible:

@@ -1,36 +1,40 @@
-"""Sparse exact Gaussian elimination over a FieldSpec.
+"""Sparse exact Gaussian elimination over a FieldSpec, on raw field values.
 
-Rows are dicts column-index -> nonzero Scalar.  Elimination processes columns
-in increasing order and always picks the first remaining row with a nonzero
-entry as the pivot, so every result is deterministic for a fixed equation
-order.  Full reduced row echelon form is computed (pivots normalized to 1 and
-cleared above and below), which makes the particular solution with free
+Rows are dicts column-index -> nonzero raw value: a ``Fraction`` over the
+rationals, an ``int`` in [0, p) over GF(p), never a ``Scalar``.  Input rows
+must hold such canonical values, and every row, kernel vector, solution and
+witness this module returns holds them too; callers wrap them in ``Scalar``
+where they leave the library's internals.  The field's normalization and
+inverse are bound once per system.
+
+Elimination processes columns in increasing order and always picks the first
+remaining row with a nonzero entry as the pivot, so every result is
+deterministic for a fixed equation order.  An index from each column to the
+rows holding it finds that pivot and the rows to clear without scanning the
+others.  Full reduced row echelon form is computed (pivots normalized to 1
+and cleared above and below), which makes the particular solution with free
 variables set to zero canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .field import FieldSpec, Scalar
+from .field import FieldSpec
 
-Row = dict[int, Scalar]
+Row = dict[int, "Fraction | int"]
 
 
-def _axpy(dst: Row, c: Scalar, src: Row) -> None:
+def _axpy(dst: Row, c, src: Row, norm) -> None:
     """dst += c * src, dropping entries that cancel to zero."""
     for k, v in src.items():
         s = dst.get(k)
-        s = c * v if s is None else s + c * v
+        s = norm(c * v if s is None else s + c * v)
         if s:
             dst[k] = s
         else:
             dst.pop(k, None)
-
-
-def _scale_row(row: Row, c: Scalar) -> None:
-    for k in row:
-        row[k] = row[k] * c
 
 
 class _System:
@@ -43,68 +47,87 @@ class _System:
     """
 
     def __init__(self, rows: list[Row], ncols: int, field: FieldSpec, trace: bool = False):
-        self.field = field
+        p = field.modulus
+        if p is None:
+            self.one, self.norm, self.inv = Fraction(1), lambda x: x, lambda x: 1 / x
+        else:
+            self.one, self.norm, self.inv = 1, lambda x: x % p, lambda x: pow(x, -1, p)
         self.ncols = ncols
         self.rows = [dict(r) for r in rows]
-        self.trace = [{i: field.one} for i in range(len(rows))] if trace else None
+        self.trace = [{i: self.one} for i in range(len(rows))] if trace else None
         self.pivots: list[tuple[int, int]] = []  # (column, row position)
 
-    def _combine(self, dst: int, c: Scalar, src: int) -> None:
-        _axpy(self.rows[dst], c, self.rows[src])
-        if self.trace is not None:
-            _axpy(self.trace[dst], c, self.trace[src])
-
-    def _swap(self, a: int, b: int) -> None:
-        if a == b:
-            return
-        self.rows[a], self.rows[b] = self.rows[b], self.rows[a]
-        if self.trace is not None:
-            self.trace[a], self.trace[b] = self.trace[b], self.trace[a]
-
-    def reduce(self) -> None:
-        nrows = len(self.rows)
-        for col in range(self.ncols):
+    def reduce(self, echelon: bool = False) -> None:
+        """Reduce to RREF; with ``echelon`` rows above a pivot are left
+        uncleared, which gives the same pivots in fewer operations."""
+        rows, trace, norm = self.rows, self.trace, self.norm
+        where: dict[int, set[int]] = {}  # column -> positions of the rows holding it
+        for r, row in enumerate(rows):
+            for k in row:
+                where.setdefault(k, set()).add(r)
+        # fill-in lands only on columns the pivot row holds, so no column joins later
+        for col in sorted(where):
             npiv = len(self.pivots)
-            pivot = next((r for r in range(npiv, nrows) if col in self.rows[r]), None)
+            holders = where[col]
+            pivot = min((r for r in holders if r >= npiv), default=None)
             if pivot is None:
                 continue
-            self._swap(npiv, pivot)
-            inv = self.rows[npiv][col].inv()
-            _scale_row(self.rows[npiv], inv)
-            if self.trace is not None:
-                _scale_row(self.trace[npiv], inv)
-            for r in range(nrows):
-                if r != npiv and col in self.rows[r]:
-                    self._combine(r, -self.rows[r][col], npiv)
+            if pivot != npiv:
+                for k in rows[npiv].keys() ^ rows[pivot].keys():  # held by one of the two
+                    where[k] ^= {npiv, pivot}
+                rows[npiv], rows[pivot] = rows[pivot], rows[npiv]
+                if trace is not None:
+                    trace[npiv], trace[pivot] = trace[pivot], trace[npiv]
+            prow = rows[npiv]
+            inv = self.inv(prow[col])
+            for k in prow:
+                prow[k] = norm(prow[k] * inv)
+            if trace is not None:
+                t = trace[npiv]
+                for k in t:
+                    t[k] = norm(t[k] * inv)
+            for r in [r for r in holders if r > npiv or (r < npiv and not echelon)]:
+                row = rows[r]
+                c = -row[col]
+                for k, v in prow.items():
+                    s = row.get(k)
+                    if s is None:
+                        row[k] = norm(c * v)  # a product of nonzeros is nonzero
+                        where[k].add(r)
+                        continue
+                    s = norm(s + c * v)
+                    if s:
+                        row[k] = s
+                    else:
+                        del row[k]
+                        where[k].discard(r)
+                if trace is not None:
+                    _axpy(trace[r], c, trace[npiv], norm)
             self.pivots.append((col, npiv))
 
     def nullspace(self) -> list[Row]:
         """A canonical basis of the kernel, one vector per free column, in
-        increasing free-column order."""
-        one = self.field.one
+        increasing free-column order; each vector is {f: 1, then the pivot
+        columns in pivot order}.  Needs a full (not echelon) ``reduce``."""
         pivcols = {c for c, _ in self.pivots}
-        basis = []
-        for f in (c for c in range(self.ncols) if c not in pivcols):
-            vec: Row = {f: one}
-            for col, r in self.pivots:
-                c = self.rows[r].get(f)
-                if c:
-                    vec[col] = -c
-            basis.append(vec)
-        return basis
+        basis = {f: {f: self.one} for f in range(self.ncols) if f not in pivcols}
+        for col, r in self.pivots:
+            for f, c in self.rows[r].items():
+                if f in basis:
+                    basis[f][col] = self.norm(-c)
+        return list(basis.values())
 
     def solve(self, rhs: Row) -> LinearSolution | LinearInfeasibility:
         """Solve against the sparse right side ``rhs`` (equation -> value)
         after a traced ``reduce``: the reduced right side is T * rhs."""
-        zero = self.field.zero
         reduced = []
         for t in self.trace:
-            s = zero
+            s = 0
             for i, b in rhs.items():
                 c = t.get(i)
                 if c is not None:
-                    s = s + c * b
-            reduced.append(s)
+                    s += c * b
+            reduced.append(self.norm(s))
         bad = [r for r in range(len(self.pivots), len(self.rows)) if reduced[r]]
         if bad:
             # canonical witness: the inconsistent row combining the earliest equations
@@ -115,30 +138,31 @@ class _System:
 
 @dataclass
 class LinearSolution:
-    """A particular solution; free variables are zero."""
+    """A particular solution; free variables are zero.  Raw values."""
 
-    values: dict[int, Scalar]
+    values: dict[int, Fraction | int]
 
 
 @dataclass
 class LinearInfeasibility:
     """A row combination proving inconsistency: the functional given by
     ``combination`` annihilates every equation's left side but evaluates to
-    the nonzero ``residual`` on the right side."""
+    the nonzero ``residual`` on the right side.  Raw values."""
 
-    combination: dict[int, Scalar]
-    residual: Scalar
+    combination: dict[int, Fraction | int]
+    residual: Fraction | int
 
 
-def solve_sparse(rows: list[Row], rhs: list[Scalar], ncols: int,
+def solve_sparse(rows: list[Row], rhs: list, ncols: int,
                  field: FieldSpec) -> LinearSolution | LinearInfeasibility:
-    """Solve the sparse system rows * x = rhs exactly."""
+    """Solve the sparse system rows * x = rhs exactly; raw values in and out."""
     sys = _System(rows, ncols, field, trace=True)
     sys.reduce()
     return sys.solve({i: b for i, b in enumerate(rhs) if b})
 
 
 def rank_sparse(rows: list[Row], ncols: int, field: FieldSpec) -> int:
+    """The rank of the sparse matrix ``rows`` of raw values."""
     sys = _System(rows, ncols, field)
     sys.reduce()
     return len(sys.pivots)
@@ -146,7 +170,7 @@ def rank_sparse(rows: list[Row], ncols: int, field: FieldSpec) -> int:
 
 def nullspace_sparse(rows: list[Row], ncols: int, field: FieldSpec) -> list[Row]:
     """A canonical basis of the kernel, one vector per free column, in
-    increasing free-column order."""
+    increasing free-column order; raw values in and out."""
     sys = _System(rows, ncols, field)
     sys.reduce()
     return sys.nullspace()

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from dgdeform import GF, QQ, Complex, FieldSpec, GradedMap, GradedModule, linalg
+from dgdeform import GF, QQ, Complex, FieldSpec, GradedMap, GradedModule, Scalar, linalg
 from dgdeform.cochain import _delta_matrix, cochain_basis
 from dgdeform.linalg import nullspace_sparse
 
@@ -118,9 +118,9 @@ def count_reductions(monkeypatch) -> list[int]:
     calls = []
     reduce = linalg._System.reduce
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         calls.append(self.ncols)
-        reduce(self)
+        reduce(self, *args, **kwargs)
 
     monkeypatch.setattr(linalg._System, "reduce", counting)
     return calls
@@ -191,7 +191,7 @@ def random_cocycle(rng: random.Random, cx: Complex, p: int = 1):
             continue
         for col, v in vec.items():
             j, i = dom[col]
-            entries.append((cx.module.name_of(j), cx.module.name_of(i), c * v))
+            entries.append((cx.module.name_of(j), cx.module.name_of(i), c * Scalar(cx.field, v)))
     return GradedMap.from_entries(cx.module, -p, entries)
 
 

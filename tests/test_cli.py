@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, exit codes, deterministic output."""
 
+import time
+
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
@@ -72,6 +74,30 @@ def test_obstruction_output(runner, tmp_path):
     result = runner.invoke(main, ["obstruction", str(path), "--order", "2"])
     assert result.exit_code == 0
     assert result.output == "O_2 = -x4 d/d x8\n"
+
+
+def test_obstruction_of_huge_order_is_zero_and_fast(runner, tmp_path):
+    # three lifts: O_k has no nonzero term once k >= 6
+    path = _family_file(runner, tmp_path, 3, "obstructed")
+    assert runner.invoke(main, ["obstruction", str(path), "--order", "5"]).output == (
+        "O_5 = x9 d/d x14\n"
+    )
+    assert runner.invoke(main, ["obstruction", str(path), "--order", "7"]).output == "O_7 = 0\n"
+    start = time.perf_counter()
+    result = runner.invoke(main, ["obstruction", str(path), "--order", "1000000000"])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 0
+    assert result.output == "O_1000000000 = 0\n"
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_paper_family_unwritable_out_exits_2(runner, tmp_path, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "f.dgm"
+    result = runner.invoke(main, ["paper-family", "--n", "2", "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_obstruction_needs_deformation_block(runner, tmp_path):

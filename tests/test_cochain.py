@@ -148,7 +148,7 @@ def test_delta_matrix_columns_match_composition(field):
                     v.module, m.module.name_of(i), v.module.name_of(j), target=m.module
                 )
                 delta_e = Cochain(p, e, v, m).coboundary().mapping
-                expected = {cod_index[jj, ii]: coeff for jj, ii, coeff in delta_e.entries()}
+                expected = {cod_index[jj, ii]: coeff.value for jj, ii, coeff in delta_e.entries()}
                 assert {r: row[c] for r, row in enumerate(rows) if c in row} == expected
 
 
