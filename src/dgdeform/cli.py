@@ -20,6 +20,13 @@ from .errors import DgmError, NotADifferential
 from .field import GF, QQ, FieldSpec
 
 
+def _echo(message: str, err: bool = False, nl: bool = True) -> None:
+    # an explicit stream: for a default stream click caches a wrapper that
+    # keeps the stream alive, so each in-process run with its own captured
+    # stdout and stderr (tests, embedding callers) would leak both
+    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
+
+
 def _parse_field(text: str) -> FieldSpec:
     if text == "Q":
         return QQ
@@ -27,9 +34,9 @@ def _parse_field(text: str) -> FieldSpec:
         try:
             return GF(int(text[3:]))
         except ValueError:
-            click.echo(f"error: field modulus must be an integer, got {text[3:]!r}", err=True)
+            _echo(f"error: field modulus must be an integer, got {text[3:]!r}", err=True)
         except DgmError as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
         sys.exit(2)
     raise click.UsageError(f"field must be 'Q' or 'GF:<p>', got {text!r}")
 
@@ -38,7 +45,7 @@ def _load(path: str) -> dsl.Document:
     try:
         return dsl.parse(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, DgmError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(2)
 
 
@@ -47,10 +54,10 @@ def _load_complex(path: str):
     try:
         return dsl.load_complex(doc)
     except NotADifferential as exc:
-        click.echo(f"check failed: {exc}", err=True)
+        _echo(f"check failed: {exc}", err=True)
         sys.exit(1)
     except DgmError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(2)
 
 
@@ -64,7 +71,7 @@ def main():
 def check(file):
     """Parse FILE, validate it, and confirm d^2 = 0."""
     cx, maps, lifts = _load_complex(file)
-    click.echo(
+    _echo(
         f"ok: module {cx.module.name} over {cx.field}, dim {cx.module.dim}, "
         f"{len(maps)} maps, {len(lifts)} deformation orders; d^2 = 0"
     )
@@ -79,9 +86,9 @@ def cohomology_cmd(file, ps):
     cx, _, _ = _load_complex(file)
     for p in ps:
         result = compute_cohomology(cx, cx, p)
-        click.echo(f"H^{p} dim={result.dim_h}")
+        _echo(f"H^{p} dim={result.dim_h}")
         for rep in result.representatives:
-            click.echo(f"  {rep.render()}")
+            _echo(f"  {rep.render()}")
 
 
 @main.command(name="obstruction")
@@ -91,10 +98,10 @@ def obstruction_cmd(file, k):
     """Print O_k for FILE's deformation block."""
     cx, _, lifts = _load_complex(file)
     if not lifts:
-        click.echo("error: file has no deformation block", err=True)
+        _echo("error: file has no deformation block", err=True)
         sys.exit(2)
     if k < 1:
-        click.echo("error: order must be >= 1", err=True)
+        _echo("error: order must be >= 1", err=True)
         sys.exit(2)
     from .gmap import GradedMap
 
@@ -102,7 +109,7 @@ def obstruction_cmd(file, k):
     m = min(k, 2 * len(lifts))
     padded = list(lifts) + [GradedMap.zero(cx.module, degree=-1)] * (m - len(lifts))
     o_k = obstruction(cx, padded[:m])
-    click.echo(f"O_{k} = {o_k.render()}")
+    _echo(f"O_{k} = {o_k.render()}")
 
 
 @main.command(name="deform")
@@ -115,15 +122,15 @@ def deform_cmd(file, n, strategy):
     """Extend FILE's infinitesimal deformation to the requested order."""
     cx, _, lifts = _load_complex(file)
     if not lifts:
-        click.echo("error: file has no deformation block", err=True)
+        _echo("error: file has no deformation block", err=True)
         sys.exit(2)
     supplied = lifts[1:n] if strategy == "file" else None
     try:
         report = deform_to_order(cx, lifts[0], n, lifts=supplied)
     except DgmError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(2)
-    click.echo(report.render())
+    _echo(report.render())
     sys.exit(0 if report.extended else 1)
 
 
@@ -134,15 +141,15 @@ def trivialize_cmd(file, n):
     """Gauge FILE's deformation toward the trivial one."""
     cx, _, lifts = _load_complex(file)
     if not lifts:
-        click.echo("error: file has no deformation block", err=True)
+        _echo("error: file has no deformation block", err=True)
         sys.exit(2)
     try:
         d_t = MapSeries.deformation(cx, lifts[:n], order=n)
         report = trivialize(d_t)
     except DgmError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(2)
-    click.echo(report.render())
+    _echo(report.render())
     sys.exit(0 if report.trivialized else 1)
 
 
@@ -164,7 +171,7 @@ def paper_family_cmd(n, variant, truncation, field_text, out_path):
         cx = family.base_complex(spec.truncation, field)
         lifts = family.family_lifts(spec)
     except DgmError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(2)
     maps = {"d": cx.d}
     names = []
@@ -173,12 +180,12 @@ def paper_family_cmd(n, variant, truncation, field_text, out_path):
         names.append(f"d{k}")
     text = dsl.render(dsl.Document(field, cx.module, maps, names))
     if out_path == "-":
-        click.echo(text, nl=False)
+        _echo(text, nl=False)
     else:
         try:
             Path(out_path).write_text(text)
         except OSError as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(2)
 
 
@@ -202,12 +209,12 @@ def verify_paper_cmd(n, variant, field_texts):
             if variant in ("infinite", "all"):
                 reports.append(family.verify_infinite(n, field=field))
     except DgmError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(2)
     for report in reports:
-        click.echo(report.render())
+        _echo(report.render())
     ok = all(r.ok for r in reports)
-    click.echo("all checks passed" if ok else "some checks FAILED")
+    _echo("all checks passed" if ok else "some checks FAILED")
     sys.exit(0 if ok else 1)
 
 

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .field import Scalar
 from .gmap import GradedMap
-from .graded import GradedModule
+from .graded import GradedModule, Vector
 from .linalg import LinearSolution, _System
 
 
@@ -145,13 +145,12 @@ def _cochain_from_coords(
     source: Complex, target: Complex,
 ) -> Cochain:
     """The p-cochain with raw coordinates ``coords`` in ``basis``."""
-    field = source.field
-    entries = []
+    cols: dict[int, dict[int, Fraction | int]] = {}
     for c, value in coords.items():
         j, i = basis[c]
-        entries.append((source.module.name_of(j), target.module.name_of(i), Scalar(field, value)))
-    m = GradedMap.from_entries(source.module, -p, entries, target=target.module)
-    return Cochain(p, m, source, target)
+        cols.setdefault(j, {})[i] = value
+    columns = {j: Vector._of(target.module, terms) for j, terms in cols.items()}
+    return Cochain(p, GradedMap(source.module, target.module, -p, columns), source, target)
 
 
 def _delta_matrix(source: Complex, target: Complex, p: int):
@@ -174,15 +173,15 @@ def _delta_matrix(source: Complex, target: Complex, p: int):
             raise ModuleMismatch("source and target complexes have different fields")
         _check_differentials(source, target)
     cod_index = {pair: r for r, pair in enumerate(cod)}
-    d_m = {  # i -> {k: d_M[k,i]}
-        i: {k: c.value for k, c in col.terms.items()} for i, col in target.d.columns.items()
-    }
+    d_m = target.d.columns  # i -> column {k: d_M[k,i]}
+    norm = source.field.norm
     d_v: dict[int, list[tuple[int, Fraction | int]]] = {}  # j -> [(l, -(-1)^p d_V[j,l])]
-    for l, j, coeff in source.d.entries():
-        d_v.setdefault(j, []).append((l, (coeff if p % 2 else -coeff).value))
+    for l, col in source.d.columns.items():
+        for j, coeff in col.terms.items():
+            d_v.setdefault(j, []).append((l, coeff if p % 2 else norm(-coeff)))
     rows: list[dict[int, Fraction | int]] = [{} for _ in cod]
     for c, (j, i) in enumerate(dom):
-        for k, coeff in d_m.get(i, {}).items():
+        for k, coeff in d_m[i].terms.items() if i in d_m else ():
             rows[cod_index[j, k]][c] = coeff
         for l, coeff in d_v.get(j, ()):
             rows[cod_index[l, i]][c] = coeff
@@ -307,7 +306,10 @@ class CoboundarySolver:
             )
         if not g.is_cocycle():
             raise NotACocycle("right-hand side is not a cocycle")
-        rhs = {self._cod_index[j, i]: coeff.value for j, i, coeff in g.mapping.entries()}
+        rhs = {
+            self._cod_index[j, i]: coeff
+            for j, col in g.mapping.columns.items() for i, coeff in col.terms.items()
+        }
         outcome = self._system.solve(rhs)
         if isinstance(outcome, LinearSolution):
             f = _cochain_from_coords(self.p, self.dom, outcome.values, self.source, self.target)

@@ -143,16 +143,16 @@ def series_mul(a: MapSeries, b: MapSeries) -> MapSeries:
         raise ModuleMismatch("series live over different modules")
     if a.order != b.order:
         raise TruncationMismatch(f"truncation orders differ: {a.order} vs {b.order}")
-    module = a.module
-    deg = a.degree + b.degree
-    out = []
-    for k in range(a.order + 1):
-        acc = GradedMap.zero(module, degree=deg)
-        for i in range(k + 1):
-            ai, bj = a.coeffs[i], b.coeffs[k - i]
-            if ai and bj:
-                acc = acc + ai.compose(bj)
-        out.append(acc)
+    # only pairs of nonzero coefficients contribute; for each k they are
+    # summed in increasing i, and one zero map stands for every empty sum
+    out = [GradedMap.zero(a.module, degree=a.degree + b.degree)] * (a.order + 1)
+    nonzero_b = [(j, bj) for j, bj in enumerate(b.coeffs) if bj]
+    for i, ai in enumerate(a.coeffs):
+        if ai:
+            for j, bj in nonzero_b:
+                if i + j > a.order:
+                    break
+                out[i + j] = out[i + j] + ai.compose(bj)
     return MapSeries(out)
 
 

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .field import FieldSpec, Scalar
 from .gmap import GradedMap
-from .graded import GradedModule
+from .graded import GradedModule, _render_sum
 
 
 @dataclass
@@ -344,17 +344,6 @@ def parse(text: str) -> Document:
 # -- printer ------------------------------------------------------------------------
 
 
-def _render_term(module: GradedModule, i: int, coeff: Scalar, lead: bool) -> str:
-    sign = "-" if coeff.is_negative else "+"
-    mag = abs(coeff)
-    body = module.name_of(i)
-    if mag != module.field.one:
-        body = f"{mag}*{body}"
-    if lead:
-        return body if sign == "+" else f"-{body}"
-    return f" {sign} {body}"
-
-
 def render(doc: Document) -> str:
     """Canonical text for a document; parse(render(doc)) == doc."""
     out = []
@@ -373,10 +362,7 @@ def render(doc: Document) -> str:
         out.append(f"map {name} degree {gmap.degree} {{")
         for j in sorted(gmap.columns):
             col = gmap.columns[j]
-            terms = "".join(
-                _render_term(doc.module, i, col.terms[i], lead=(pos == 0))
-                for pos, i in enumerate(sorted(col.terms))
-            )
+            terms = _render_sum((col.terms[i], doc.module.name_of(i)) for i in sorted(col.terms))
             out.append(f"  {doc.module.name_of(j)} -> {terms};")
         out.append("}")
     if doc.deformation:

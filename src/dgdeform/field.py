@@ -3,12 +3,18 @@
 Scalars are stored in canonical form (reduced fraction with positive
 denominator, or residue in [0, p)), so two scalars are equal exactly when
 their stored representations coincide.  There is no floating point anywhere.
+
+Inside the library, vectors, maps and matrices hold these canonical values
+raw, without the ``Scalar`` wrapper: a ``Fraction`` over the rationals, an
+``int`` in [0, p) over GF(p).  ``FieldSpec.norm`` brings a raw sum or
+product back to canonical form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DenominatorDivisibleByP,
@@ -50,6 +56,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _identity(x):
+    return x
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """The ground field: the rationals when ``modulus`` is None, else GF(p)."""
@@ -81,13 +91,26 @@ class FieldSpec:
             )
         return Scalar(self, num * pow(den, p - 2, p) % p)
 
-    @property
+    @cached_property
     def zero(self) -> "Scalar":
         return self.scalar(0)
 
-    @property
+    @cached_property
     def one(self) -> "Scalar":
         return self.scalar(1)
+
+    @cached_property
+    def norm(self):
+        """Canonical form of a raw sum or product: identity over Q, x % p over GF(p)."""
+        return _identity if self.modulus is None else self.modulus.__rmod__
+
+    def _raw(self, c: "Scalar | int") -> Fraction | int:
+        """The raw value of a coefficient given as a Scalar of this field or an int."""
+        if not isinstance(c, Scalar):
+            return self.scalar(c).value
+        if c.field is not self and c.field != self:
+            raise FieldMismatch(f"coefficient field {c.field} != {self}")
+        return c.value
 
     def from_string(self, text: str) -> "Scalar":
         """Parse ``a`` or ``a/b`` with an optional leading minus."""

@@ -4,6 +4,10 @@ Maps are stored column-wise in elementary-operator coordinates: the column at
 a source basis element x_j is its image vector in the target module.  Every
 stored column is homogeneous of degree |x_j| + map degree, and zero columns
 are never stored, so equality of maps is equality of normal forms.
+
+Columns hold raw field values (see :mod:`field`); the arithmetic binds the
+field's ``norm`` once per call, and ``compose`` multiplies column by column
+without building intermediate vectors.  ``entries`` yields ``Scalar``s.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .errors import (
     ZeroCoefficient,
 )
 from .field import Scalar
-from .graded import GradedModule, Vector
+from .graded import GradedModule, Vector, _render_sum
 
 
 class GradedMap:
@@ -40,16 +44,18 @@ class GradedMap:
         self.target = target
         self.degree = degree
         self.columns = {}
+        basis = target.basis
         for j, v in columns.items():
-            if v.module != target:
+            if v.module is not target and v.module != target:
                 raise ModuleMismatch(f"column {source.name_of(j)} lies outside the target module")
             if v.is_zero():
                 continue
             want = source.degree_of(j) + degree
-            if v.degree() != want:
-                raise DegreeMismatch(
-                    f"column {source.name_of(j)} must be homogeneous of degree {want}"
-                )
+            for i in v.terms:
+                if basis[i][1] != want:
+                    raise DegreeMismatch(
+                        f"column {source.name_of(j)} must be homogeneous of degree {want}"
+                    )
             self.columns[j] = v
 
     # -- constructors -------------------------------------------------------
@@ -60,8 +66,8 @@ class GradedMap:
 
     @classmethod
     def identity(cls, module: GradedModule) -> "GradedMap":
-        one = module.field.one
-        cols = {i: Vector(module, {i: one}) for i in range(module.dim)}
+        one = module.field.one.value
+        cols = {i: Vector._of(module, {i: one}) for i in range(module.dim)}
         return cls(module, module, 0, cols)
 
     @classmethod
@@ -75,14 +81,13 @@ class GradedMap:
     ) -> "GradedMap":
         """The map sending x_j to coeff * x_i and every other generator to 0."""
         target = target if target is not None else module
-        if not isinstance(coeff, Scalar):
-            coeff = module.field.scalar(coeff)
+        coeff = module.field._raw(coeff)
         if not coeff:
             raise ZeroCoefficient("elementary operator needs a nonzero coefficient")
         ti = target.index_of(i)
         sj = module.index_of(j)
         degree = target.degree_of(ti) - module.degree_of(sj)
-        return cls(module, target, degree, {sj: Vector(target, {ti: coeff})})
+        return cls(module, target, degree, {sj: Vector._of(target, {ti: coeff})})
 
     @classmethod
     def from_entries(
@@ -94,19 +99,14 @@ class GradedMap:
     ) -> "GradedMap":
         """Build a map from (source name, target name, coefficient) triples."""
         target = target if target is not None else source
-        cols: dict[int, dict[int, Scalar]] = {}
-        zero = target.field.zero
+        raw, norm = source.field._raw, source.field.norm
+        cols: dict[int, dict] = {}
         for src, tgt, c in entries:
             j = source.index_of(src)
             i = target.index_of(tgt)
-            if not isinstance(c, Scalar):
-                c = source.field.scalar(c)
-            s = cols.setdefault(j, {}).get(i, zero) + c
-            if s:
-                cols[j][i] = s
-            else:
-                cols[j].pop(i, None)
-        return cls(source, target, degree, {j: Vector(target, t) for j, t in cols.items()})
+            col = cols.setdefault(j, {})
+            col[i] = norm(col[i] + raw(c)) if i in col else raw(c)
+        return cls(source, target, degree, {j: Vector._of(target, t) for j, t in cols.items()})
 
     # -- structure -----------------------------------------------------------
 
@@ -119,10 +119,11 @@ class GradedMap:
     def entries(self) -> Iterator[tuple[int, int, Scalar]]:
         """Nonzero entries as (source index, target index, coefficient),
         sorted by (source declaration index, target declaration index)."""
+        field = self.target.field
         for j in sorted(self.columns):
             col = self.columns[j]
             for i in sorted(col.terms):
-                yield j, i, col.terms[i]
+                yield j, i, Scalar(field, col.terms[i])
 
     def column(self, name: str) -> Vector:
         return self.columns.get(self.source.index_of(name), self.target.zero_vector())
@@ -145,22 +146,22 @@ class GradedMap:
 
     # -- algebra ----------------------------------------------------------------
 
+    def _image(self, terms: dict, norm) -> dict:
+        """Raw terms of the image of the source vector with raw ``terms``."""
+        acc: dict = {}
+        columns = self.columns
+        for j, c in terms.items():
+            col = columns.get(j)
+            if col is not None:
+                for i, a in col.terms.items():
+                    s = acc.get(i)
+                    acc[i] = c * a if s is None else s + c * a
+        return dict(zip(acc, map(norm, acc.values())))
+
     def apply(self, v: Vector) -> Vector:
         if v.module != self.source:
             raise ModuleMismatch("vector does not live in the source module")
-        zero = self.target.field.zero
-        terms: dict[int, Scalar] = {}
-        for j, c in v.terms.items():
-            col = self.columns.get(j)
-            if col is None:
-                continue
-            for i, a in col.terms.items():
-                s = terms.get(i, zero) + c * a
-                if s:
-                    terms[i] = s
-                else:
-                    terms.pop(i, None)
-        return Vector(self.target, terms)
+        return Vector._of(self.target, self._image(v.terms, self.target.field.norm))
 
     def __call__(self, v: Vector) -> Vector:
         return self.apply(v)
@@ -174,11 +175,10 @@ class GradedMap:
                 f"cannot compose: inner map lands in {other.target.name}, "
                 f"outer map starts at {self.source.name}"
             )
-        cols = {}
-        for j, v in other.columns.items():
-            w = self.apply(v)
-            if w:
-                cols[j] = w
+        norm = self.target.field.norm
+        cols = {
+            j: Vector._of(self.target, self._image(v.terms, norm)) for j, v in other.columns.items()
+        }
         return GradedMap(other.source, self.target, self.degree + other.degree, cols)
 
     def __matmul__(self, other):
@@ -219,12 +219,9 @@ class GradedMap:
         return self + (-other)
 
     def scale(self, c: Scalar | int) -> "GradedMap":
-        if not isinstance(c, Scalar):
-            c = self.source.field.scalar(c)
-        if not c:
-            return GradedMap.zero(self.source, self.target, self.degree)
+        c = self.source.field._raw(c)
         return GradedMap(
-            self.source, self.target, self.degree, {j: v.scale(c) for j, v in self.columns.items()}
+            self.source, self.target, self.degree, {j: v._scaled(c) for j, v in self.columns.items()}
         )
 
     def __rmul__(self, c):
@@ -247,22 +244,10 @@ class GradedMap:
     def render(self) -> str:
         """Canonical text: terms ``c*x_i d/d x_j`` sorted by (source, target)
         declaration index; coefficient 1 omitted, -1 as a leading minus."""
-        if not self.columns:
-            return "0"
-        one = self.target.field.one
-        parts = []
-        for j, i, c in self.entries():
-            sign = "-" if c.is_negative else "+"
-            mag = abs(c)
-            body = f"{self.target.name_of(i)} d/d {self.source.name_of(j)}"
-            if mag != one:
-                body = f"{mag}*{body}"
-            parts.append((sign, body))
-        first_sign, first = parts[0]
-        out = (first_sign if first_sign == "-" else "") + first
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _render_sum(
+            (col.terms[i], f"{self.target.name_of(i)} d/d {self.source.name_of(j)}")
+            for j, col in sorted(self.columns.items()) for i in sorted(col.terms)
+        )
 
     def __str__(self):
         return self.render()

@@ -2,6 +2,9 @@
 
 A module is a truncation of a locally finite graded module; the declaration
 order of the basis is the canonical order used by every deterministic output.
+
+A vector's ``terms`` map basis indices to raw, nonzero field values (see
+:mod:`field`); ``Vector.coefficient`` returns a ``Scalar``.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
-    FieldMismatch,
     ModuleMismatch,
     UnknownBasisName,
     UnknownName,
@@ -30,6 +32,22 @@ class _MixedDegree:
 
 
 MIXED = _MixedDegree()
+
+
+def _render_sum(terms) -> str:
+    """Canonical text of a sum of (raw coefficient, body) terms: coefficient 1
+    omitted, -1 as a minus sign, "0" when there are no terms."""
+    out = ""
+    for c, body in terms:
+        # GF(p) values lie in [0, p), so only rationals are ever negative
+        mag = -c if c < 0 else c
+        if mag != 1:
+            body = f"{mag}*{body}"
+        if out:
+            out += f" - {body}" if c < 0 else f" + {body}"
+        else:
+            out = f"-{body}" if c < 0 else body
+    return out or "0"
 
 
 @dataclass(frozen=True)
@@ -51,6 +69,15 @@ class GradedModule:
             raise UnknownName(f"{self.name!r} is not a valid module name")
         if len({n for n, _ in self.basis}) != len(self.basis):
             raise UnknownBasisName(f"duplicate basis names in module {self.name}")
+
+    def __eq__(self, other) -> bool:
+        # maps and vectors compare their modules on every operation, and the
+        # two sides are nearly always the same object
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.field, self.basis) == (other.name, other.field, other.basis)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -88,32 +115,34 @@ class GradedModule:
 
     def vector(self, coeffs: dict[str, Scalar | int]) -> "Vector":
         """Build a vector from a name -> coefficient mapping."""
-        terms: dict[int, Scalar] = {}
-        for name, c in coeffs.items():
-            i = self.index_of(name)
-            if not isinstance(c, Scalar):
-                c = self.field.scalar(c)
-            elif c.field != self.field:
-                raise FieldMismatch(f"coefficient field {c.field} != module field {self.field}")
-            if c:
-                terms[i] = terms[i] + c if i in terms else c
-        return Vector(self, terms)
+        return Vector(self, {self.index_of(name): c for name, c in coeffs.items()})
 
     def basis_vector(self, name: str) -> "Vector":
-        return Vector(self, {self.index_of(name): self.field.one})
+        return Vector._of(self, {self.index_of(name): self.field.one.value})
 
     def zero_vector(self) -> "Vector":
-        return Vector(self, {})
+        return Vector._of(self, {})
 
 
 class Vector:
-    """A sparse element of a graded module; zero coefficients are never stored."""
+    """A sparse element of a graded module.  The constructor takes Scalars of
+    the module's field or ints; ``terms`` maps basis index -> raw field value,
+    and zero coefficients are never stored."""
 
     __slots__ = ("module", "terms")
 
-    def __init__(self, module: GradedModule, terms: dict[int, Scalar]):
+    def __init__(self, module: GradedModule, terms: dict[int, Scalar | int]):
+        raw = module.field._raw
         self.module = module
-        self.terms = {i: c for i, c in terms.items() if c}
+        self.terms = {i: v for i, c in terms.items() if (v := raw(c))}
+
+    @classmethod
+    def _of(cls, module: GradedModule, terms: dict) -> "Vector":
+        """The vector with raw values ``terms``, zeros dropped."""
+        v = object.__new__(cls)
+        v.module = module
+        v.terms = {i: c for i, c in terms.items() if c}
+        return v
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -122,7 +151,8 @@ class Vector:
         return bool(self.terms)
 
     def coefficient(self, name: str) -> Scalar:
-        return self.terms.get(self.module.index_of(name), self.module.field.zero)
+        c = self.terms.get(self.module.index_of(name))
+        return self.module.field.zero if c is None else Scalar(self.module.field, c)
 
     def degree(self):
         """The common degree of the terms, MIXED if inhomogeneous."""
@@ -138,27 +168,24 @@ class Vector:
     def __add__(self, other: "Vector") -> "Vector":
         self._check(other)
         terms = dict(self.terms)
-        zero = self.module.field.zero
+        norm = self.module.field.norm
         for i, c in other.terms.items():
-            s = terms.get(i, zero) + c
-            if s:
-                terms[i] = s
-            else:
-                terms.pop(i, None)
-        return Vector(self.module, terms)
+            terms[i] = norm(terms[i] + c) if i in terms else c
+        return Vector._of(self.module, terms)
 
     def __neg__(self) -> "Vector":
-        return Vector(self.module, {i: -c for i, c in self.terms.items()})
+        norm = self.module.field.norm
+        return Vector._of(self.module, {i: norm(-c) for i, c in self.terms.items()})
 
     def __sub__(self, other: "Vector") -> "Vector":
         return self + (-other)
 
+    def _scaled(self, c) -> "Vector":
+        norm = self.module.field.norm
+        return Vector._of(self.module, {i: norm(c * v) for i, v in self.terms.items()})
+
     def scale(self, c: Scalar | int) -> "Vector":
-        if not isinstance(c, Scalar):
-            c = self.module.field.scalar(c)
-        if not c:
-            return Vector(self.module, {})
-        return Vector(self.module, {i: c * v for i, v in self.terms.items()})
+        return self._scaled(self.module.field._raw(c))
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -173,21 +200,7 @@ class Vector:
     __hash__ = None
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for i in sorted(self.terms):
-            c = self.terms[i]
-            name = self.module.name_of(i)
-            sign = "-" if c.is_negative else "+"
-            mag = abs(c)
-            body = name if mag == self.module.field.one else f"{mag}*{name}"
-            parts.append((sign, body))
-        first_sign, first = parts[0]
-        out = (first_sign if first_sign == "-" else "") + first
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _render_sum((self.terms[i], self.module.name_of(i)) for i in sorted(self.terms))
 
     def __str__(self):
         return self.render()

@@ -3,9 +3,10 @@
 Rows are dicts column-index -> nonzero raw value: a ``Fraction`` over the
 rationals, an ``int`` in [0, p) over GF(p), never a ``Scalar``.  Input rows
 must hold such canonical values, and every row, kernel vector, solution and
-witness this module returns holds them too; callers wrap them in ``Scalar``
-where they leave the library's internals.  The field's normalization and
-inverse are bound once per system.
+witness this module returns holds them too, as do the library's vectors and
+maps; ``Scalar`` appears only at the public boundary (map entries, vector
+coefficients, witnesses).  The field's normalization and inverse are bound
+once per system.
 
 Elimination processes columns in increasing order and always picks the first
 remaining row with a nonzero entry as the pivot, so every result is
@@ -48,10 +49,8 @@ class _System:
 
     def __init__(self, rows: list[Row], ncols: int, field: FieldSpec, trace: bool = False):
         p = field.modulus
-        if p is None:
-            self.one, self.norm, self.inv = Fraction(1), lambda x: x, lambda x: 1 / x
-        else:
-            self.one, self.norm, self.inv = 1, lambda x: x % p, lambda x: pow(x, -1, p)
+        self.one, self.norm = field.one.value, field.norm
+        self.inv = (lambda x: 1 / x) if p is None else (lambda x: pow(x, -1, p))
         self.ncols = ncols
         self.rows = [dict(r) for r in rows]
         self.trace = [{i: self.one} for i in range(len(rows))] if trace else None

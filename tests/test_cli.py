@@ -1,6 +1,10 @@
 """Command-line surface: subcommands, exit codes, deterministic output."""
 
+import gc
+import io
 import time
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from click.testing import CliRunner
@@ -138,6 +142,17 @@ def test_trivialize_family_stuck(runner, tmp_path):
     assert "definitive non-triviality: yes" in result.output
 
 
+def test_trivialize_huge_order_is_stuck_at_once(runner, tmp_path):
+    # the answer is known at stage 1; the up-front d_t o d_t = 0 check must
+    # not walk all order^2 pairs of coefficients
+    path = _family_file(runner, tmp_path, 3, "polynomial")
+    start = time.perf_counter()
+    result = runner.invoke(main, ["trivialize", str(path), "--order", "100000"])
+    assert time.perf_counter() - start < 5.0
+    assert result.exit_code == 1
+    assert result.stdout.splitlines()[0] == "status: stuck at order 1"
+
+
 def test_trivialize_trivial_case(runner, tmp_path):
     # d_t = d + t d is gauge trivial: d = delta(y2 d/d y2)
     path = tmp_path / "tiny.dgm"
@@ -217,6 +232,25 @@ def test_output_is_deterministic(runner, tmp_path):
         runner.invoke(main, ["paper-family", "--n", "4", "--variant", "infinite", "--out", str(p)])
         files.add(p.read_bytes())
     assert len(files) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["verify-paper", "--n", "2", "--variant", "obstructed"],
+    ["verify-paper", "--n", "2", "--field", "GF:4"],
+])
+def test_in_process_runs_release_their_streams(args):
+    # a caller that captures each run's stdout and stderr, as an embedding
+    # program or a benchmark does, must get both streams back
+    refs = []
+    for _ in range(3):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit):
+            main.main(args=args, prog_name="dgdeform")
+        assert out.getvalue() or err.getvalue()
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
 
 
 @pytest.mark.parametrize("command, extra", [("check", []), ("cohomology", ["--p", "0"])])

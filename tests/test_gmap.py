@@ -1,16 +1,21 @@
 """Graded maps: elementary operators, composition, application, rendering."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dgdeform import GF, QQ, FamilySpec, GradedMap, GradedModule, base_complex, family_lifts
+from dgdeform import (
+    GF, QQ, FamilySpec, GradedMap, GradedModule, Scalar, Vector, base_complex, family_lifts,
+)
 from dgdeform.deform import obstruction
 from dgdeform.errors import (
     BadDegree,
     CompositionMismatch,
     DegreeMismatch,
+    FieldMismatch,
     ModuleMismatch,
     NotEndomorphism,
     ZeroCoefficient,
@@ -151,3 +156,146 @@ def test_render_canonical(m5):
     assert m.render() == "1/2*x1 d/d x6 - x4 d/d x8"
     big = GradedMap.from_entries(base_complex(7, QQ).module, -2, [("x14", "x10", -1)])
     assert big.render() == "-x10 d/d x14"
+
+
+# -- coefficients from another field ----------------------------------------------------
+
+
+def test_foreign_scalar_coefficients_are_rejected():
+    v_q = GradedModule("V", QQ, [("a", 0), ("b", 0)])
+    three = GF(5).scalar(3)
+    with pytest.raises(FieldMismatch):
+        GradedMap.elementary(v_q, "b", "a", three)
+    with pytest.raises(FieldMismatch):
+        GradedMap.from_entries(v_q, 0, [("a", "b", three)])
+    with pytest.raises(FieldMismatch):
+        GradedMap.identity(v_q).scale(three)
+    with pytest.raises(FieldMismatch):
+        v_q.basis_vector("a").scale(three)
+    with pytest.raises(FieldMismatch):
+        v_q.vector({"a": three})
+    with pytest.raises(FieldMismatch):
+        Vector(v_q, {0: three})
+    assert Vector(v_q, {0: QQ.scalar(2), 1: 0}) == v_q.vector({"a": 2})
+    m = GradedMap.elementary(v_q, "b", "a", QQ.scalar(3))
+    assert (m + m).render() == "6*b d/d a"
+    assert next((m + m).entries())[2] == QQ.scalar(6)
+
+
+# -- raw values against a Scalar oracle -----------------------------------------------
+#
+# The oracle keeps maps as {(source index, target index): Scalar} and vectors
+# as {index: Scalar}, and computes with Scalar arithmetic only.
+
+
+_FIELDS = [QQ, GF(2), GF(5)]
+_MODULES = st.tuples(st.sampled_from(_FIELDS), st.lists(st.integers(0, 2), min_size=1, max_size=5))
+#: (source index, target index, numerator, kind); see _coeff
+_TRIPLES = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-6, 6), st.integers(0, 2)),
+    max_size=10,
+)
+
+
+def _coeff(field, num, kind):
+    """A plain int, or a Scalar of the field with denominator 1 or 3; zero included."""
+    return num if kind == 0 else field.scalar(num, 1 if kind == 1 else 3)
+
+
+def _scalar(field, c):
+    return c if isinstance(c, Scalar) else field.scalar(c)
+
+
+def _entry_list(module, degree, triples):
+    """The (source, target, coefficient) triples that fit a map of this degree."""
+    return [
+        (module.name_of(j), module.name_of(i), _coeff(module.field, num, kind))
+        for j, i, num, kind in triples
+        if max(i, j) < module.dim and module.degree_of(i) == module.degree_of(j) + degree
+    ]
+
+
+def _nonzero(terms):
+    return {k: c for k, c in terms.items() if c}
+
+
+def _oracle_map(module, entries):
+    field, acc = module.field, {}
+    for src, tgt, c in entries:
+        key = (module.index_of(src), module.index_of(tgt))
+        acc[key] = acc.get(key, field.zero) + _scalar(field, c)
+    return _nonzero(acc)
+
+
+def _oracle_add(f, g):
+    acc = dict(f)
+    for k, c in g.items():
+        acc[k] = acc[k] + c if k in acc else c
+    return _nonzero(acc)
+
+
+def _assert_raw(field, terms):
+    assert terms
+    for c in terms.values():
+        if field.modulus is None:
+            assert type(c) is Fraction and c != 0
+        else:
+            assert type(c) is int and 1 <= c < field.modulus
+
+
+def _entries(m):
+    """Entries of a library map, after checking how it stores them."""
+    for col in m.columns.values():
+        _assert_raw(m.target.field, col.terms)
+    return {(j, i): c for j, i, c in m.entries()}
+
+
+def _vector(u):
+    """Nonzero coefficients of a library vector, after checking how it stores them."""
+    if u:
+        _assert_raw(u.module.field, u.terms)
+    coeffs = {i: u.coefficient(u.module.name_of(i)) for i in range(u.module.dim)}
+    assert all(isinstance(x, Scalar) for x in coeffs.values())
+    return _nonzero(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_raw_map_arithmetic_matches_scalar_oracle(data):
+    field, degrees = data.draw(_MODULES)
+    module = GradedModule("M", field, [(f"e{k}", d) for k, d in enumerate(degrees)])
+    deg_f, deg_g = data.draw(st.integers(-1, 1)), data.draw(st.integers(-1, 1))
+    ef, eg, eh = (_entry_list(module, d, data.draw(_TRIPLES)) for d in (deg_f, deg_g, deg_f))
+    f, g, h = (GradedMap.from_entries(module, d, e) for d, e in ((deg_f, ef), (deg_g, eg), (deg_f, eh)))
+    of, og, oh = (_oracle_map(module, e) for e in (ef, eg, eh))
+    assert (_entries(f), _entries(g), _entries(h)) == (of, og, oh)
+
+    assert _entries(f + h) == _oracle_add(of, oh)
+    assert _entries(-f) == {k: -c for k, c in of.items()}
+    assert _entries(f - h) == _oracle_add(of, {k: -c for k, c in oh.items()})
+    c = _coeff(field, *data.draw(st.tuples(st.integers(-6, 6), st.integers(0, 2))))
+    assert _entries(f.scale(c)) == _nonzero({k: _scalar(field, c) * a for k, a in of.items()})
+
+    composed = {}
+    for (j, i), b in og.items():
+        for (i2, k), a in of.items():
+            if i2 == i:
+                composed[j, k] = composed.get((j, k), field.zero) + b * a
+    assert _entries(f.compose(g)) == _nonzero(composed)
+
+    coeffs = {
+        module.name_of(j): _coeff(field, num, kind)
+        for j, _, num, kind in data.draw(_TRIPLES) if j < module.dim
+    }
+    v = module.vector(coeffs)
+    ov = _nonzero({module.index_of(n): _scalar(field, x) for n, x in coeffs.items()})
+    image = {}
+    for (j, i), a in of.items():
+        if j in ov:
+            image[i] = image.get(i, field.zero) + ov[j] * a
+    w = f.apply(v)
+    assert _vector(v) == ov
+    assert _vector(w) == _nonzero(image)
+    assert _vector(v + w) == _oracle_add(ov, _nonzero(image))
+    assert _vector(-v) == {i: -x for i, x in ov.items()}
+    assert _vector(v.scale(c)) == _nonzero({i: _scalar(field, c) * x for i, x in ov.items()})
