@@ -26,7 +26,7 @@ from .errors import (
 )
 from .field import Scalar
 from .gmap import GradedMap
-from .graded import GradedModule, Vector
+from .graded import GradedModule
 from .linalg import LinearSolution, _System
 
 
@@ -149,8 +149,7 @@ def _cochain_from_coords(
     for c, value in coords.items():
         j, i = basis[c]
         cols.setdefault(j, {})[i] = value
-    columns = {j: Vector._of(target.module, terms) for j, terms in cols.items()}
-    return Cochain(p, GradedMap(source.module, target.module, -p, columns), source, target)
+    return Cochain(p, GradedMap(source.module, target.module, -p, cols), source, target)
 
 
 def _delta_matrix(source: Complex, target: Complex, p: int):
@@ -177,11 +176,11 @@ def _delta_matrix(source: Complex, target: Complex, p: int):
     norm = source.field.norm
     d_v: dict[int, list[tuple[int, Fraction | int]]] = {}  # j -> [(l, -(-1)^p d_V[j,l])]
     for l, col in source.d.columns.items():
-        for j, coeff in col.terms.items():
+        for j, coeff in col.items():
             d_v.setdefault(j, []).append((l, coeff if p % 2 else norm(-coeff)))
     rows: list[dict[int, Fraction | int]] = [{} for _ in cod]
     for c, (j, i) in enumerate(dom):
-        for k, coeff in d_m[i].terms.items() if i in d_m else ():
+        for k, coeff in d_m[i].items() if i in d_m else ():
             rows[cod_index[j, k]][c] = coeff
         for l, coeff in d_v.get(j, ()):
             rows[cod_index[l, i]][c] = coeff
@@ -308,7 +307,7 @@ class CoboundarySolver:
             raise NotACocycle("right-hand side is not a cocycle")
         rhs = {
             self._cod_index[j, i]: coeff
-            for j, col in g.mapping.columns.items() for i, coeff in col.terms.items()
+            for j, col in g.mapping.columns.items() for i, coeff in col.items()
         }
         outcome = self._system.solve(rhs)
         if isinstance(outcome, LinearSolution):

@@ -162,11 +162,13 @@ def series_inverse(a: MapSeries) -> MapSeries:
     if a.coeffs[0] != GradedMap.identity(module):
         raise ConstantTermNotIdentity("series inverse needs constant coefficient Id")
     inv = [GradedMap.identity(module)]
+    # only nonzero a_i contribute; for each k they are summed in increasing i
+    nonzero_a = [(i, ai) for i, ai in enumerate(a.coeffs) if i and ai]
     for k in range(1, a.order + 1):
         acc = GradedMap.zero(module, degree=a.degree)
-        for i in range(1, k + 1):
-            if a.coeffs[i] and inv[k - i]:
-                acc = acc + a.coeffs[i].compose(inv[k - i])
+        for i, ai in nonzero_a:
+            if i <= k and inv[k - i]:
+                acc = acc + ai.compose(inv[k - i])
         inv.append(-acc)
     return MapSeries(inv)
 

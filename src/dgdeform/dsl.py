@@ -21,7 +21,6 @@ from dataclasses import dataclass, field as dc_field
 
 from .cochain import Complex
 from .errors import (
-    DegreeMismatch,
     DenominatorDivisibleByP,
     MissingDifferential,
     NonPrimeModulus,
@@ -252,30 +251,28 @@ class _Parser:
         self.expect_keyword("degree")
         degree = self.signed_int()
         self.expect("{")
-        columns: dict[str, dict[str, Scalar]] = {}
+        # repeated terms are summed by from_entries
+        entries: list[tuple[str, str, Scalar]] = []
+        seen: set[str] = set()
         while self.peek().kind != "}":
             src = self.expect("IDENT", "a source basis name")
-            if src.text in columns:
+            if src.text in seen:
                 raise ParseError(f"duplicate column for {src.text!r}", src.line, src.col)
-            self._resolve(module, src)
+            seen.add(src.text)
+            want = module.degree_of(self._resolve(module, src)) + degree
             self.expect("ARROW", "'->'")
-            terms: dict[str, Scalar] = {}
             sign = 1
             while True:
                 if self.peek().kind == "-":
                     self.next()
                     sign = -sign
                 coeff, dst = self.scalar_or_name(module.field)
-                j = self._resolve(module, src)
-                i = self._resolve(module, dst)
-                if module.degree_of(i) != module.degree_of(j) + degree:
+                if module.degree_of(self._resolve(module, dst)) != want:
                     raise ParseError(
                         f"entry {src.text} -> {dst.text} violates degree {degree}",
                         dst.line, dst.col,
                     )
-                c = coeff if sign > 0 else -coeff
-                prior = terms.get(dst.text)
-                terms[dst.text] = c if prior is None else prior + c
+                entries.append((src.text, dst.text, coeff if sign > 0 else -coeff))
                 tok = self.next()
                 if tok.kind == ";":
                     break
@@ -287,16 +284,8 @@ class _Parser:
                     raise ParseError(
                         f"expected '+', '-' or ';', found {tok.text!r}", tok.line, tok.col
                     )
-            columns[src.text] = terms
         self.expect("}")
-        entries = [
-            (src, dst, c) for src, terms in columns.items() for dst, c in terms.items()
-        ]
-        try:
-            gmap = GradedMap.from_entries(module, degree, entries)
-        except DegreeMismatch as exc:  # unreachable: entry degrees checked above
-            raise ParseError(str(exc), name.line, name.col) from None
-        return name.text, gmap, name
+        return name.text, GradedMap.from_entries(module, degree, entries), name
 
     def _resolve(self, module: GradedModule, tok: _Token) -> int:
         try:
@@ -362,7 +351,7 @@ def render(doc: Document) -> str:
         out.append(f"map {name} degree {gmap.degree} {{")
         for j in sorted(gmap.columns):
             col = gmap.columns[j]
-            terms = _render_sum((col.terms[i], doc.module.name_of(i)) for i in sorted(col.terms))
+            terms = _render_sum((col[i], doc.module.name_of(i)) for i in sorted(col))
             out.append(f"  {doc.module.name_of(j)} -> {terms};")
         out.append("}")
     if doc.deformation:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from operator import truediv
 
 from .errors import (
     DenominatorDivisibleByP,
@@ -89,7 +90,7 @@ class FieldSpec:
             raise DenominatorDivisibleByP(
                 f"denominator {den} is divisible by the modulus {p}"
             )
-        return Scalar(self, num * pow(den, p - 2, p) % p)
+        return Scalar(self, num * self.inv(den) % p)
 
     @cached_property
     def zero(self) -> "Scalar":
@@ -103,6 +104,12 @@ class FieldSpec:
     def norm(self):
         """Canonical form of a raw sum or product: identity over Q, x % p over GF(p)."""
         return _identity if self.modulus is None else self.modulus.__rmod__
+
+    @cached_property
+    def inv(self):
+        """Inverse of a nonzero raw value: 1/x over Q, x^-1 mod p over GF(p)."""
+        p = self.modulus
+        return partial(truediv, 1) if p is None else partial(pow, exp=-1, mod=p)
 
     def _raw(self, c: "Scalar | int") -> Fraction | int:
         """The raw value of a coefficient given as a Scalar of this field or an int."""
@@ -183,10 +190,7 @@ class Scalar:
     def inv(self) -> "Scalar":
         if not self:
             raise DivisionByZero("inverse of zero")
-        p = self.field.modulus
-        if p is None:
-            return Scalar(self.field, 1 / self.value)
-        return Scalar(self.field, pow(self.value, p - 2, p))
+        return Scalar(self.field, self.field.inv(self.value))
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -1,17 +1,20 @@
 """Degree-homogeneous linear maps between graded modules.
 
 Maps are stored column-wise in elementary-operator coordinates: the column at
-a source basis element x_j is its image vector in the target module.  Every
-stored column is homogeneous of degree |x_j| + map degree, and zero columns
-are never stored, so equality of maps is equality of normal forms.
+a source basis element x_j is a plain dict {target index i: raw value} of its
+image in the target module.  Every stored column is homogeneous of degree
+|x_j| + map degree, and empty columns and zero values are never stored, so
+equality of maps is equality of normal forms.
 
-Columns hold raw field values (see :mod:`field`); the arithmetic binds the
-field's ``norm`` once per call, and ``compose`` multiplies column by column
-without building intermediate vectors.  ``entries`` yields ``Scalar``s.
+Column values are raw field values (see :mod:`field`); the arithmetic binds
+the field's ``norm`` once per call and reads and writes the dicts directly.
+Only ``apply`` and ``column`` wrap a result in a ``Vector``, and ``entries``
+yields ``Scalar``s.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -23,7 +26,7 @@ from .errors import (
     ZeroCoefficient,
 )
 from .field import Scalar
-from .graded import GradedModule, Vector, _render_sum
+from .graded import GradedModule, Vector, _add_terms, _render_sum, _scale_terms
 
 
 class GradedMap:
@@ -36,7 +39,7 @@ class GradedMap:
         source: GradedModule,
         target: GradedModule,
         degree: int,
-        columns: dict[int, Vector],
+        columns: dict[int, dict[int, Fraction | int]],
     ):
         if source.field != target.field:
             raise ModuleMismatch("source and target modules have different fields")
@@ -45,18 +48,16 @@ class GradedMap:
         self.degree = degree
         self.columns = {}
         basis = target.basis
-        for j, v in columns.items():
-            if v.module is not target and v.module != target:
-                raise ModuleMismatch(f"column {source.name_of(j)} lies outside the target module")
-            if v.is_zero():
+        for j, col in columns.items():
+            if not col:
                 continue
             want = source.degree_of(j) + degree
-            for i in v.terms:
+            for i in col:
                 if basis[i][1] != want:
                     raise DegreeMismatch(
                         f"column {source.name_of(j)} must be homogeneous of degree {want}"
                     )
-            self.columns[j] = v
+            self.columns[j] = col
 
     # -- constructors -------------------------------------------------------
 
@@ -67,8 +68,7 @@ class GradedMap:
     @classmethod
     def identity(cls, module: GradedModule) -> "GradedMap":
         one = module.field.one.value
-        cols = {i: Vector._of(module, {i: one}) for i in range(module.dim)}
-        return cls(module, module, 0, cols)
+        return cls(module, module, 0, {i: {i: one} for i in range(module.dim)})
 
     @classmethod
     def elementary(
@@ -87,7 +87,7 @@ class GradedMap:
         ti = target.index_of(i)
         sj = module.index_of(j)
         degree = target.degree_of(ti) - module.degree_of(sj)
-        return cls(module, target, degree, {sj: Vector._of(target, {ti: coeff})})
+        return cls(module, target, degree, {sj: {ti: coeff}})
 
     @classmethod
     def from_entries(
@@ -102,11 +102,11 @@ class GradedMap:
         raw, norm = source.field._raw, source.field.norm
         cols: dict[int, dict] = {}
         for src, tgt, c in entries:
-            j = source.index_of(src)
+            col = cols.setdefault(source.index_of(src), {})
             i = target.index_of(tgt)
-            col = cols.setdefault(j, {})
             col[i] = norm(col[i] + raw(c)) if i in col else raw(c)
-        return cls(source, target, degree, {j: Vector._of(target, t) for j, t in cols.items()})
+        cols = {j: {i: c for i, c in t.items() if c} for j, t in cols.items()}
+        return cls(source, target, degree, cols)
 
     # -- structure -----------------------------------------------------------
 
@@ -122,11 +122,11 @@ class GradedMap:
         field = self.target.field
         for j in sorted(self.columns):
             col = self.columns[j]
-            for i in sorted(col.terms):
-                yield j, i, Scalar(field, col.terms[i])
+            for i in sorted(col):
+                yield j, i, Scalar(field, col[i])
 
     def column(self, name: str) -> Vector:
-        return self.columns.get(self.source.index_of(name), self.target.zero_vector())
+        return Vector._of(self.target, self.columns.get(self.source.index_of(name), {}))
 
     def block_support(self) -> set[int]:
         """Source degrees p for which some column from V_p is nonzero."""
@@ -147,16 +147,16 @@ class GradedMap:
     # -- algebra ----------------------------------------------------------------
 
     def _image(self, terms: dict, norm) -> dict:
-        """Raw terms of the image of the source vector with raw ``terms``."""
+        """Raw terms, zeros dropped, of the image of the vector with raw ``terms``."""
         acc: dict = {}
         columns = self.columns
         for j, c in terms.items():
             col = columns.get(j)
             if col is not None:
-                for i, a in col.terms.items():
+                for i, a in col.items():
                     s = acc.get(i)
                     acc[i] = c * a if s is None else s + c * a
-        return dict(zip(acc, map(norm, acc.values())))
+        return {i: v for i, s in acc.items() if (v := norm(s))}
 
     def apply(self, v: Vector) -> Vector:
         if v.module != self.source:
@@ -176,9 +176,7 @@ class GradedMap:
                 f"outer map starts at {self.source.name}"
             )
         norm = self.target.field.norm
-        cols = {
-            j: Vector._of(self.target, self._image(v.terms, norm)) for j, v in other.columns.items()
-        }
+        cols = {j: self._image(col, norm) for j, col in other.columns.items()}
         return GradedMap(other.source, self.target, self.degree + other.degree, cols)
 
     def __matmul__(self, other):
@@ -199,19 +197,18 @@ class GradedMap:
         if self.source != other.source or self.target != other.target:
             raise ModuleMismatch("cannot add maps between different modules")
         degree = self._merged_degree(other)
+        norm = self.target.field.norm
         cols = dict(self.columns)
-        for j, v in other.columns.items():
-            w = cols[j] + v if j in cols else v
-            if w:
-                cols[j] = w
-            else:
-                cols.pop(j, None)
+        for j, col in other.columns.items():
+            cols[j] = _add_terms(cols[j], col, norm) if j in cols else col
         return GradedMap(self.source, self.target, degree, cols)
 
+    def _scaled(self, c, norm) -> "GradedMap":
+        cols = {j: _scale_terms(col, c, norm) for j, col in self.columns.items()}
+        return GradedMap(self.source, self.target, self.degree, cols)
+
     def __neg__(self) -> "GradedMap":
-        return GradedMap(
-            self.source, self.target, self.degree, {j: -v for j, v in self.columns.items()}
-        )
+        return self._scaled(-1, self.target.field.norm)
 
     def __sub__(self, other):
         if not isinstance(other, GradedMap):
@@ -219,10 +216,8 @@ class GradedMap:
         return self + (-other)
 
     def scale(self, c: Scalar | int) -> "GradedMap":
-        c = self.source.field._raw(c)
-        return GradedMap(
-            self.source, self.target, self.degree, {j: v._scaled(c) for j, v in self.columns.items()}
-        )
+        field = self.source.field
+        return self._scaled(field._raw(c), field.norm)
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -245,8 +240,8 @@ class GradedMap:
         """Canonical text: terms ``c*x_i d/d x_j`` sorted by (source, target)
         declaration index; coefficient 1 omitted, -1 as a leading minus."""
         return _render_sum(
-            (col.terms[i], f"{self.target.name_of(i)} d/d {self.source.name_of(j)}")
-            for j, col in sorted(self.columns.items()) for i in sorted(col.terms)
+            (col[i], f"{self.target.name_of(i)} d/d {self.source.name_of(j)}")
+            for j, col in sorted(self.columns.items()) for i in sorted(col)
         )
 
     def __str__(self):

@@ -4,7 +4,9 @@ A module is a truncation of a locally finite graded module; the declaration
 order of the basis is the canonical order used by every deterministic output.
 
 A vector's ``terms`` map basis indices to raw, nonzero field values (see
-:mod:`field`); ``Vector.coefficient`` returns a ``Scalar``.
+:mod:`field`); ``Vector.coefficient`` returns a ``Scalar``.  A ``GradedMap``
+column is such a dict, unwrapped: ``_add_terms`` and ``_scale_terms`` are the
+one sum and scale of both.
 """
 
 from __future__ import annotations
@@ -48,6 +50,23 @@ def _render_sum(terms) -> str:
         else:
             out = f"-{body}" if c < 0 else body
     return out or "0"
+
+
+def _add_terms(a: dict, b: dict, norm) -> dict:
+    """Raw terms of a + b, with entries that cancel dropped."""
+    out = dict(a)
+    for i, c in b.items():
+        s = norm(out[i] + c) if i in out else c
+        if s:
+            out[i] = s
+        else:
+            del out[i]
+    return out
+
+
+def _scale_terms(terms: dict, c, norm) -> dict:
+    """Raw terms of c * terms for a raw value or int c, zeros dropped."""
+    return {i: v for i, x in terms.items() if (v := norm(c * x))}
 
 
 @dataclass(frozen=True)
@@ -138,10 +157,10 @@ class Vector:
 
     @classmethod
     def _of(cls, module: GradedModule, terms: dict) -> "Vector":
-        """The vector with raw values ``terms``, zeros dropped."""
+        """The vector with the raw, nonzero values ``terms``."""
         v = object.__new__(cls)
         v.module = module
-        v.terms = {i: c for i, c in terms.items() if c}
+        v.terms = terms
         return v
 
     def is_zero(self) -> bool:
@@ -167,25 +186,17 @@ class Vector:
 
     def __add__(self, other: "Vector") -> "Vector":
         self._check(other)
-        terms = dict(self.terms)
-        norm = self.module.field.norm
-        for i, c in other.terms.items():
-            terms[i] = norm(terms[i] + c) if i in terms else c
-        return Vector._of(self.module, terms)
+        return Vector._of(self.module, _add_terms(self.terms, other.terms, self.module.field.norm))
 
     def __neg__(self) -> "Vector":
-        norm = self.module.field.norm
-        return Vector._of(self.module, {i: norm(-c) for i, c in self.terms.items()})
+        return Vector._of(self.module, _scale_terms(self.terms, -1, self.module.field.norm))
 
     def __sub__(self, other: "Vector") -> "Vector":
         return self + (-other)
 
-    def _scaled(self, c) -> "Vector":
-        norm = self.module.field.norm
-        return Vector._of(self.module, {i: norm(c * v) for i, v in self.terms.items()})
-
     def scale(self, c: Scalar | int) -> "Vector":
-        return self._scaled(self.module.field._raw(c))
+        field = self.module.field
+        return Vector._of(self.module, _scale_terms(self.terms, field._raw(c), field.norm))
 
     def __rmul__(self, c):
         return self.scale(c)

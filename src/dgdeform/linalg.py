@@ -48,9 +48,7 @@ class _System:
     """
 
     def __init__(self, rows: list[Row], ncols: int, field: FieldSpec, trace: bool = False):
-        p = field.modulus
-        self.one, self.norm = field.one.value, field.norm
-        self.inv = (lambda x: 1 / x) if p is None else (lambda x: pow(x, -1, p))
+        self.one, self.norm, self.inv = field.one.value, field.norm, field.inv
         self.ncols = ncols
         self.rows = [dict(r) for r in rows]
         self.trace = [{i: self.one} for i in range(len(rows))] if trace else None

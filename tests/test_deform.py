@@ -1,6 +1,7 @@
 """Obstruction ladder, inductive extension, series algebra, trivialization."""
 
 import random
+import time
 
 import pytest
 
@@ -8,8 +9,10 @@ from dgdeform import (
     GF,
     QQ,
     Cochain,
+    Complex,
     FamilySpec,
     GradedMap,
+    GradedModule,
     Infeasible,
     MapSeries,
     Solved,
@@ -361,6 +364,19 @@ def test_trivialize_trivial_deformation(poly4):
     assert report.trivialized
     assert all(phi.is_zero() for phi in report.stages)
     assert report.residual == d_t
+
+
+def test_trivialize_long_order_is_fast():
+    # each gauge factor Id - t^r phi has one nonzero coefficient of positive
+    # order, so inverting it must not cost order^2 map tests
+    module = GradedModule("V", QQ, [("a", 1), ("b", 0)])
+    d = GradedMap.from_entries(module, -1, [("a", "b", 1)])
+    d_t = MapSeries.deformation(Complex(module, d), [d], 20_000)
+    start = time.perf_counter()
+    report = trivialize(d_t)
+    elapsed = time.perf_counter() - start
+    assert report.trivialized and len(report.stages) == 20_000
+    assert elapsed < 3
 
 
 def test_trivialize_when_h1_vanishes():

@@ -118,6 +118,28 @@ def test_spec_grammar_plus_negative_coefficient_accepted():
     assert doc.maps["d"] == GradedMap.elementary(doc.module, "x1", "x3")
 
 
+def test_repeated_terms_are_summed():
+    doc = parse(MINIMAL.replace("x3 -> x1;", "x3 -> x1 + 2*x1;"))
+    assert doc.maps["d"] == GradedMap.elementary(doc.module, "x1", "x3", 3)
+    assert "x3 -> 3*x1;" in render(doc)
+
+
+def test_cancelling_terms_leave_no_column():
+    doc = parse(MINIMAL.replace("x3 -> x1;", "x3 -> x1 - x1;"))
+    assert doc.maps["d"].columns == {}
+    assert "map d degree -1 { }" in render(doc)
+    gf2 = MINIMAL.replace("field Q", "field GF 2").replace("x3 -> x1;", "x3 -> x1 + x1;")
+    assert parse(gf2).maps["d"].columns == {}
+
+
+@pytest.mark.parametrize("first", ["x3 -> x1;", "x3 -> x1 - x1;"])
+def test_duplicate_source_column_positioned(first):
+    with pytest.raises(ParseError) as err:
+        parse(MINIMAL.replace("x3 -> x1;", first + "\n  x3 -> x1;"))
+    assert (err.value.line, err.value.col) == (7, 3)
+    assert "duplicate column for 'x3'" in str(err.value)
+
+
 def test_minus_join_and_bare_negation_accepted():
     base = """\
 field Q

@@ -100,7 +100,7 @@ def test_support_separation(n):
         assert all(index(j) % 2 == 0 for j in m.columns)  # sources in S
     for m in lifts[1:]:
         for v in m.columns.values():
-            assert all(index(i) % 2 == 1 for i in v.terms)  # image in S-perp
+            assert all(index(i) % 2 == 1 for i in v)  # image in S-perp
     for a in lifts[1:]:
         for b in lifts[1:]:
             assert a.compose(b).is_zero()

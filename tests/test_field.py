@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: construction, canonical forms, field axioms."""
 
+import pickle
 import time
 from fractions import Fraction
 
@@ -89,6 +90,24 @@ def test_add_rationals():
 
 def test_inverse_mod_p():
     assert GF(7).scalar(3).inv() == GF(7).scalar(5)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_field_inverse_of_every_unit(p):
+    F = GF(p)
+    for x in range(1, p):
+        assert x * F.inv(x) % p == 1
+        assert F.scalar(x).inv() == F.scalar(1, x)
+        assert F.scalar(x).inv() * F.scalar(x) == F.one
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+
+
+def test_field_pickles_after_cached_operations():
+    F = GF(5)
+    assert (F.norm(7), F.inv(2)) == (2, 3)
+    G = pickle.loads(pickle.dumps(F))
+    assert G == F
+    assert (G.norm(7), G.inv(2)) == (2, 3)
 
 
 def test_inverse_of_zero_rejected():

@@ -88,6 +88,15 @@ def test_is_differential(m5):
         GradedMap.elementary(m5, "x1", "x5").is_differential()  # degree -2
 
 
+def test_constructor_takes_raw_column_dicts(m5):
+    x1, x3, x4 = (m5.index_of(n) for n in ("x1", "x3", "x4"))
+    f = GradedMap(m5, m5, -1, {x3: {x1: Fraction(1)}, x4: {}})
+    assert f.columns == {x3: {x1: Fraction(1)}}  # the empty column is dropped
+    assert f == GradedMap.elementary(m5, "x1", "x3")
+    with pytest.raises(DegreeMismatch):
+        GradedMap(m5, m5, -1, {x3: {x1: Fraction(1), x4: Fraction(1)}})
+
+
 def test_block_support():
     cx = base_complex(9, QQ)
     assert cx.d.block_support() == {2, 5, 8}
@@ -246,7 +255,7 @@ def _assert_raw(field, terms):
 def _entries(m):
     """Entries of a library map, after checking how it stores them."""
     for col in m.columns.values():
-        _assert_raw(m.target.field, col.terms)
+        _assert_raw(m.target.field, col)
     return {(j, i): c for j, i, c in m.entries()}
 
 
