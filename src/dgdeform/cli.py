@@ -84,8 +84,12 @@ def check(file):
 def cohomology_cmd(file, ps):
     """Cohomology dimensions and representatives of FILE's complex."""
     cx, _, _ = _load_complex(file)
-    for p in ps:
-        result = compute_cohomology(cx, cx, p)
+    try:
+        results = [compute_cohomology(cx, cx, p) for p in ps]
+    except DgmError as exc:
+        _echo(f"error: {exc}", err=True)
+        sys.exit(2)
+    for p, result in zip(ps, results):
         _echo(f"H^{p} dim={result.dim_h}")
         for rep in result.representatives:
             _echo(f"  {rep.render()}")
@@ -108,7 +112,11 @@ def obstruction_cmd(file, k):
     # O_k = -sum d_i d_{k-i+1} has no nonzero term once k >= 2 * len(lifts)
     m = min(k, 2 * len(lifts))
     padded = list(lifts) + [GradedMap.zero(cx.module, degree=-1)] * (m - len(lifts))
-    o_k = obstruction(cx, padded[:m])
+    try:
+        o_k = obstruction(cx, padded[:m])
+    except DgmError as exc:
+        _echo(f"error: {exc}", err=True)
+        sys.exit(2)
     _echo(f"O_{k} = {o_k.render()}")
 
 

@@ -1,12 +1,12 @@
 """Sparse exact Gaussian elimination over a FieldSpec, on raw field values.
 
-Rows are dicts column-index -> nonzero raw value: a ``Fraction`` over the
-rationals, an ``int`` in [0, p) over GF(p), never a ``Scalar``.  Input rows
-must hold such canonical values, and every row, kernel vector, solution and
-witness this module returns holds them too, as do the library's vectors and
-maps; ``Scalar`` appears only at the public boundary (map entries, vector
-coefficients, witnesses).  The field's normalization and inverse are bound
-once per system.
+Rows come in and go out as dicts column-index -> nonzero raw value: a
+``Fraction`` over the rationals, an ``int`` in [0, p) over GF(p), never a
+``Scalar``.  Input rows must hold such canonical values, and every row, kernel
+vector, solution and witness this module returns holds them too, as do the
+library's vectors and maps; ``Scalar`` appears only at the public boundary
+(map entries, vector coefficients, witnesses).  The field's normalization and
+inverse are bound once per system.
 
 Elimination processes columns in increasing order and always picks the first
 remaining row with a nonzero entry as the pivot, so every result is
@@ -15,27 +15,39 @@ rows holding it finds that pivot and the rows to clear without scanning the
 others.  Full reduced row echelon form is computed (pivots normalized to 1
 and cleared above and below), which makes the particular solution with free
 variables set to zero canonical.
+
+Inside ``reduce`` no ``Fraction`` arithmetic runs.  Row r is held as integers
+``n_r`` over one positive row denominator ``D_r``, and its trace row as
+integers ``t_r`` over the same ``D_r``.  A pivot row is normalized by taking
+its pivot value ``a`` as its denominator.  Clearing an entry ``b`` of row r
+against it is a cross-multiplication: with ``g = gcd(a, b)``,
+``n_r <- (a/g)*n_r - (b/g)*n_p`` and the same for ``t_r``, with
+``D_r <- (a/g)*D_r``; then the content ``gcd(D_r, n_r, t_r)`` is divided
+out.  When ``reduce`` returns, each stored entry becomes one
+``Fraction(v, D_r)``.  Over GF(p) the pivot row is scaled to 1, so ``a`` is 1,
+every ``D_r`` stays 1 and the same loop is plain modular elimination.  The
+row operations and their order do not depend on the representation, so the
+results are exactly those of elimination in ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .field import FieldSpec
 
 Row = dict[int, "Fraction | int"]
+_ONE = Fraction(1)
 
 
-def _axpy(dst: Row, c, src: Row, norm) -> None:
-    """dst += c * src, dropping entries that cancel to zero."""
-    for k, v in src.items():
-        s = dst.get(k)
-        s = norm(c * v if s is None else s + c * v)
-        if s:
-            dst[k] = s
-        else:
-            dst.pop(k, None)
+def _fractions(row: dict[int, int], d: int) -> Row:
+    """The integer row ``row`` over the denominator ``d`` as Fractions; the
+    many entries 1 (rows of T an elimination never touched) share one."""
+    if d == 1:
+        return {k: _ONE if v == 1 else Fraction(v) for k, v in row.items()}
+    return {k: Fraction(v, d) for k, v in row.items()}
 
 
 class _System:
@@ -49,15 +61,25 @@ class _System:
 
     def __init__(self, rows: list[Row], ncols: int, field: FieldSpec, trace: bool = False):
         self.one, self.norm, self.inv = field.one.value, field.norm, field.inv
+        self.rational = field.modulus is None
         self.ncols = ncols
         self.rows = [dict(r) for r in rows]
-        self.trace = [{i: self.one} for i in range(len(rows))] if trace else None
+        self.trace = [{i: 1} for i in range(len(rows))] if trace else None
         self.pivots: list[tuple[int, int]] = []  # (column, row position)
+        self._tcols: dict[int, list[tuple[int, Fraction | int]]] | None = None
 
     def reduce(self, echelon: bool = False) -> None:
         """Reduce to RREF; with ``echelon`` rows above a pivot are left
         uncleared, which gives the same pivots in fewer operations."""
-        rows, trace, norm = self.rows, self.trace, self.norm
+        rows, trace, norm, rational = self.rows, self.trace, self.norm, self.rational
+        dens = [1] * len(rows)  # row r is rows[r] / dens[r], its trace trace[r] / dens[r]
+        if rational:
+            for r, row in enumerate(rows):
+                if row:
+                    d = dens[r] = lcm(*[v.denominator for v in row.values()])
+                    rows[r] = {k: v.numerator * (d // v.denominator) for k, v in row.items()}
+                    if trace is not None:
+                        trace[r][r] = d
         where: dict[int, set[int]] = {}  # column -> positions of the rows holding it
         for r, row in enumerate(rows):
             for k in row:
@@ -73,19 +95,39 @@ class _System:
                 for k in rows[npiv].keys() ^ rows[pivot].keys():  # held by one of the two
                     where[k] ^= {npiv, pivot}
                 rows[npiv], rows[pivot] = rows[pivot], rows[npiv]
+                dens[npiv], dens[pivot] = dens[pivot], dens[npiv]
                 if trace is not None:
                     trace[npiv], trace[pivot] = trace[pivot], trace[npiv]
             prow = rows[npiv]
-            inv = self.inv(prow[col])
-            for k in prow:
-                prow[k] = norm(prow[k] * inv)
-            if trace is not None:
-                t = trace[npiv]
-                for k in t:
-                    t[k] = norm(t[k] * inv)
+            ptrace = trace[npiv] if trace is not None else None
+            a = prow[col]
+            if not rational:  # scale the pivot to 1
+                inv = self.inv(a)
+                for k in prow:
+                    prow[k] = norm(prow[k] * inv)
+                if ptrace is not None:
+                    for k in ptrace:
+                        ptrace[k] = norm(ptrace[k] * inv)
+                a = 1
+            else:  # the pivot value, content divided out, is the row denominator
+                g = gcd(*prow.values(), *(ptrace.values() if ptrace is not None else ()))
+                if a < 0:
+                    g = -g
+                if g != 1:
+                    prow = rows[npiv] = {k: v // g for k, v in prow.items()}
+                    if ptrace is not None:
+                        ptrace = trace[npiv] = {k: v // g for k, v in ptrace.items()}
+                a = dens[npiv] = prow[col]
             for r in [r for r in holders if r > npiv or (r < npiv and not echelon)]:
                 row = rows[r]
                 c = -row[col]
+                m = 1
+                if a != 1:  # cross-multiply, with the common factor of a and b taken out
+                    g = gcd(a, c)
+                    m, c = a // g, c // g
+                    if m != 1:
+                        row = rows[r] = {k: m * v for k, v in row.items()}
+                        dens[r] *= m
                 for k, v in prow.items():
                     s = row.get(k)
                     if s is None:
@@ -98,9 +140,32 @@ class _System:
                     else:
                         del row[k]
                         where[k].discard(r)
-                if trace is not None:
-                    _axpy(trace[r], c, trace[npiv], norm)
+                if ptrace is not None:
+                    t = trace[r]
+                    if m != 1:
+                        t = trace[r] = {k: m * v for k, v in t.items()}
+                    for k, v in ptrace.items():
+                        s = t.get(k)
+                        s = norm(c * v if s is None else s + c * v)
+                        if s:
+                            t[k] = s
+                        else:
+                            t.pop(k, None)
+                d = dens[r]
+                if d != 1:  # divide the content out
+                    g = gcd(d, *row.values(), *(t.values() if ptrace is not None else ()))
+                    if g != 1:
+                        dens[r] = d // g
+                        rows[r] = {k: v // g for k, v in row.items()}
+                        if ptrace is not None:
+                            trace[r] = {k: v // g for k, v in t.items()}
             self.pivots.append((col, npiv))
+        if rational:
+            for r, d in enumerate(dens):
+                if rows[r]:
+                    rows[r] = _fractions(rows[r], d)
+                if trace is not None:
+                    trace[r] = _fractions(trace[r], d)
 
     def nullspace(self) -> list[Row]:
         """A canonical basis of the kernel, one vector per free column, in
@@ -116,21 +181,28 @@ class _System:
 
     def solve(self, rhs: Row) -> LinearSolution | LinearInfeasibility:
         """Solve against the sparse right side ``rhs`` (equation -> value)
-        after a traced ``reduce``: the reduced right side is T * rhs."""
-        reduced = []
-        for t in self.trace:
-            s = 0
-            for i, b in rhs.items():
-                c = t.get(i)
-                if c is not None:
-                    s += c * b
-            reduced.append(self.norm(s))
-        bad = [r for r in range(len(self.pivots), len(self.rows)) if reduced[r]]
+        after a traced ``reduce``: the reduced right side is T * rhs.
+
+        The first call indexes T by column (equation -> [(row, T[row][eq])]),
+        so each right-side entry touches only the rows of T that hold it."""
+        if self._tcols is None:
+            self._tcols = {}
+            for r, t in enumerate(self.trace):
+                for i, c in t.items():
+                    self._tcols.setdefault(i, []).append((r, c))
+        sums: dict[int, Fraction | int] = {}
+        for i, b in rhs.items():
+            for r, c in self._tcols.get(i, ()):
+                s = sums.get(r)
+                sums[r] = c * b if s is None else s + c * b
+        norm = self.norm
+        reduced = {r: v for r, s in sums.items() if (v := norm(s))}
+        bad = sorted(r for r in reduced if r >= len(self.pivots))
         if bad:
             # canonical witness: the inconsistent row combining the earliest equations
             r = min(bad, key=lambda r: sorted(self.trace[r]))
             return LinearInfeasibility(dict(self.trace[r]), reduced[r])
-        return LinearSolution({col: reduced[r] for col, r in self.pivots if reduced[r]})
+        return LinearSolution({col: reduced[r] for col, r in self.pivots if r in reduced})
 
 
 @dataclass

@@ -265,6 +265,36 @@ def test_non_utf8_file_exits_2(runner, tmp_path, command, extra):
     assert result.stderr.count("\n") == 1
 
 
+_UP_DIFFERENTIAL = (
+    "field Q\nmodule V {\n  basis a : 1, b : 0;\n}\nmap d degree 1 {\n  b -> a;\n}\n"
+)
+_DEGREE_0_LIFT = (
+    "field Q\nmodule V {\n  basis x1 : 1, x3 : 2;\n}\nmap d degree -1 {\n  x3 -> x1;\n}\n"
+    "map d1 degree 0 {\n  x1 -> x1;\n}\ndeformation {\n  order 1 : d1;\n}\n"
+)
+
+
+@pytest.mark.parametrize("text, command, extra", [
+    # d of degree +1 passes `check` (d^2 = 0) but has no coboundary operator
+    (_UP_DIFFERENTIAL, "cohomology", ["--p", "0"]),
+    # C^5 is empty, and its H^5 is not printed before the error
+    (_UP_DIFFERENTIAL, "cohomology", ["--p", "5", "--p", "0"]),
+    # a lift of map degree 0 is not a deformation term
+    (_DEGREE_0_LIFT, "obstruction", ["--order", "2"]),
+], ids=["cohomology-degree-1-differential", "cohomology-empty-degree-first",
+        "obstruction-degree-0-lift"])
+def test_wrong_map_degree_exits_2(runner, tmp_path, text, command, extra):
+    path = tmp_path / "degree.dgm"
+    path.write_text(text)
+    assert runner.invoke(main, ["check", str(path)]).exit_code == 0
+    result = runner.invoke(main, [command, str(path), *extra])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+
+
 # -- hostile input ------------------------------------------------------------------
 
 _SPLICES = st.one_of(
@@ -306,6 +336,7 @@ def hostile_path(tmp_path_factory):
 def test_check_survives_hostile_bytes(family_bytes, hostile_path, data):
     raw = data.draw(st.one_of(st.binary(max_size=200), _mutations(family_bytes)))
     hostile_path.write_bytes(raw)
-    result = CliRunner().invoke(main, ["check", str(hostile_path)])
-    assert result.exit_code in (0, 1, 2)
-    assert result.exception is None or isinstance(result.exception, SystemExit)
+    for args in (["check"], ["cohomology", "--p", "0"], ["obstruction", "--order", "2"]):
+        result = CliRunner().invoke(main, [args[0], str(hostile_path), *args[1:]])
+        assert result.exit_code in (0, 1, 2), args
+        assert result.exception is None or isinstance(result.exception, SystemExit), args

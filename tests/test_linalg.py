@@ -6,8 +6,10 @@ pivot columns, the reduced rows, the canonical kernel basis and the
 particular solution with free variables zero must all agree exactly.
 """
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgdeform import GF, QQ
@@ -46,14 +48,16 @@ def _sparse(row):
 
 
 @st.composite
-def systems(draw):
-    name = draw(st.sampled_from(sorted(FIELDS)))
+def systems(draw, fields=tuple(FIELDS), size=7, num=3, den=3):
+    """(field, matrix, right sides) with at most ``size`` rows and columns;
+    rationals have numerators in [-num, num] and denominators in [1, den]."""
+    name = draw(st.sampled_from(sorted(fields)))
     p = FIELDS[name].modulus
-    nrows = draw(st.integers(1, 7))
-    ncols = draw(st.integers(1, 7))
+    nrows = draw(st.integers(1, size))
+    ncols = draw(st.integers(1, size))
     density = draw(st.sampled_from([0.15, 0.4, 1.0]))
     value = (
-        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)) if p is None
+        st.builds(Fraction, st.integers(-num, num), st.integers(1, den)) if p is None
         else st.integers(0, p - 1)
     )
     mat = [
@@ -83,7 +87,11 @@ def _assert_canonical(values, p):
 @settings(max_examples=300, deadline=None)
 @given(systems())
 def test_system_matches_dense_rref(case):
-    field, mat, rhs_list = case
+    _check_against_oracle(*case)
+
+
+def _check_against_oracle(field, mat, rhs_list):
+    """Every result of ``_System`` on ``mat`` equals the dense oracle's."""
     p = field.modulus
     ncols = len(mat[0])
     rows = [_sparse(row) for row in mat]
@@ -133,3 +141,93 @@ def test_system_matches_dense_rref(case):
             want = [(c, aug[i][ncols]) for i, c in enumerate(augpiv) if aug[i][ncols]]
             assert list(out.values.items()) == want
             assert rank == len(augpiv)
+
+
+# -- integer rows over the rationals ---------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(fields=("Q",), size=10, num=20, den=9))
+def test_rational_systems_with_larger_entries_match_dense_rref(case):
+    _check_against_oracle(*case)
+
+
+def test_hilbert_matrix():
+    # entries 1/(i+j+1) with denominators up to 15, and an integer inverse
+    # with entries above 4e9: row denominators and contents grow and shrink
+    n = 8
+    hilbert = [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
+    dependent = [sum(c * row[j] for c, row in zip(range(1, n + 1), hilbert)) for j in range(n)]
+    _check_against_oracle(QQ, hilbert, [[Fraction(1)] * n, [Fraction(i) for i in range(n)]])
+    _check_against_oracle(QQ, hilbert + [dependent],
+                          [[Fraction(1)] * n + [Fraction(36)],  # 36 = 1 + ... + 8: feasible
+                           [Fraction(1)] * (n + 1), [Fraction(0)] * n + [Fraction(1, 7)]])
+    sys = _System([_sparse(row) for row in hilbert], n, QQ, trace=True)
+    sys.reduce()
+    assert sys.rows == [{i: Fraction(1)} for i in range(n)]
+    # T is the inverse of the Hilbert matrix, which has integer entries
+    assert all(v.denominator == 1 for t in sys.trace for v in t.values())
+    assert max(abs(v) for t in sys.trace for v in t.values()) > 4 * 10**9
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_empty_and_zero_rows(name):
+    field = FIELDS[name]
+    p = field.modulus
+    one, two = _canon(1, p), _canon(2, p)
+    zero = _canon(0, p)
+    mat = [[zero] * 4, [zero, one, zero, two], [zero] * 4, [zero, two, zero, one], [zero] * 4]
+    _check_against_oracle(field, mat, [[zero, one, zero, two, zero], [one] * 5])
+    _check_against_oracle(field, [[zero] * 3] * 3, [[zero] * 3, [zero, one, zero]])
+
+    none = _System([], 3, field, trace=True)
+    none.reduce()
+    assert none.pivots == [] and none.rows == [] and none.trace == []
+    assert none.nullspace() == [{f: one} for f in range(3)]
+    assert none.solve({}).values == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_one_reduction_serves_many_right_sides(case):
+    field, mat, rhs_list = case
+    ncols = len(mat[0])
+    rows = [_sparse(row) for row in mat]
+    shared = _System(rows, ncols, field, trace=True)
+    shared.reduce()
+    trace = [dict(t) for t in shared.trace]
+    for rhs in rhs_list + rhs_list[::-1]:
+        fresh = _System(rows, ncols, field, trace=True)
+        fresh.reduce()
+        assert shared.solve(_sparse(rhs)) == fresh.solve(_sparse(rhs))
+        assert shared.trace == trace
+
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__neg__")
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("echelon", [False, True])
+def test_rational_reduce_does_no_fraction_arithmetic(monkeypatch, traced, echelon):
+    rng = random.Random(12)
+    mat = [[Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(12)]
+           for _ in range(12)]
+    sys = _System([_sparse(row) for row in mat], 12, QQ, trace=traced)
+    calls = []
+
+    def counting(name, op):
+        def wrapper(*args):
+            calls.append(name)
+            return op(*args)
+        return wrapper
+
+    for name in _ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, counting(name, getattr(Fraction, name)))
+    assert -(Fraction(1, 2) * 3) and calls == ["__mul__", "__neg__"]  # the counters count
+    calls.clear()
+    sys.reduce(echelon=echelon)
+    monkeypatch.undo()
+    assert calls == []
+    assert len(sys.pivots) == 12
+    assert all(type(v) is Fraction for row in sys.rows for v in row.values())
