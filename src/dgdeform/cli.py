@@ -35,16 +35,14 @@ def _parse_field(text: str) -> FieldSpec:
             return GF(int(text[3:]))
         except ValueError:
             _echo(f"error: field modulus must be an integer, got {text[3:]!r}", err=True)
-        except DgmError as exc:
-            _echo(f"error: {exc}", err=True)
-        sys.exit(2)
+            sys.exit(2)
     raise click.UsageError(f"field must be 'Q' or 'GF:<p>', got {text!r}")
 
 
 def _load(path: str) -> dsl.Document:
     try:
         return dsl.parse(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, DgmError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _echo(f"error: {exc}", err=True)
         sys.exit(2)
 
@@ -56,12 +54,20 @@ def _load_complex(path: str):
     except NotADifferential as exc:
         _echo(f"check failed: {exc}", err=True)
         sys.exit(1)
-    except DgmError as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(2)
 
 
-@click.group()
+class _Main(click.Group):
+    """Every library error a command lets through ends in one line and exit 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except DgmError as exc:
+            _echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact deformation theory of differential graded modules."""
 
@@ -84,11 +90,7 @@ def check(file):
 def cohomology_cmd(file, ps):
     """Cohomology dimensions and representatives of FILE's complex."""
     cx, _, _ = _load_complex(file)
-    try:
-        results = [compute_cohomology(cx, cx, p) for p in ps]
-    except DgmError as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    results = [compute_cohomology(cx, cx, p) for p in ps]
     for p, result in zip(ps, results):
         _echo(f"H^{p} dim={result.dim_h}")
         for rep in result.representatives:
@@ -112,12 +114,7 @@ def obstruction_cmd(file, k):
     # O_k = -sum d_i d_{k-i+1} has no nonzero term once k >= 2 * len(lifts)
     m = min(k, 2 * len(lifts))
     padded = list(lifts) + [GradedMap.zero(cx.module, degree=-1)] * (m - len(lifts))
-    try:
-        o_k = obstruction(cx, padded[:m])
-    except DgmError as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    _echo(f"O_{k} = {o_k.render()}")
+    _echo(f"O_{k} = {obstruction(cx, padded[:m]).render()}")
 
 
 @main.command(name="deform")
@@ -133,11 +130,7 @@ def deform_cmd(file, n, strategy):
         _echo("error: file has no deformation block", err=True)
         sys.exit(2)
     supplied = lifts[1:n] if strategy == "file" else None
-    try:
-        report = deform_to_order(cx, lifts[0], n, lifts=supplied)
-    except DgmError as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    report = deform_to_order(cx, lifts[0], n, lifts=supplied)
     _echo(report.render())
     sys.exit(0 if report.extended else 1)
 
@@ -151,12 +144,7 @@ def trivialize_cmd(file, n):
     if not lifts:
         _echo("error: file has no deformation block", err=True)
         sys.exit(2)
-    try:
-        d_t = MapSeries.deformation(cx, lifts[:n], order=n)
-        report = trivialize(d_t)
-    except DgmError as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    report = trivialize(MapSeries.deformation(cx, lifts[:n], order=n))
     _echo(report.render())
     sys.exit(0 if report.trivialized else 1)
 
@@ -174,13 +162,8 @@ def trivialize_cmd(file, n):
 def paper_family_cmd(n, variant, truncation, field_text, out_path):
     """Emit a member of the built-in example family as a .dgm file."""
     field = _parse_field(field_text)
-    try:
-        spec = family.FamilySpec(n, variant, truncation, field)
-        cx = family.base_complex(spec.truncation, field)
-        lifts = family.family_lifts(spec)
-    except DgmError as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    spec = family.FamilySpec(n, variant, truncation, field)
+    cx, lifts = spec.cx, family.family_lifts(spec)
     maps = {"d": cx.d}
     names = []
     for k, m in enumerate(lifts, start=1):
@@ -208,17 +191,13 @@ def verify_paper_cmd(n, variant, field_texts):
     """Re-derive and mechanically check the built-in example family."""
     fields = [_parse_field(t) for t in field_texts]
     reports = []
-    try:
-        for field in fields:
-            if variant in ("polynomial", "all") and n >= 2:
-                reports.append(family.verify_polynomial(n, field=field))
-            if variant in ("obstructed", "all"):
-                reports.append(family.verify_obstructed(n, field=field))
-            if variant in ("infinite", "all"):
-                reports.append(family.verify_infinite(n, field=field))
-    except DgmError as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    for field in fields:
+        if variant in ("polynomial", "all") and n >= 2:
+            reports.append(family.verify_polynomial(n, field=field))
+        if variant in ("obstructed", "all"):
+            reports.append(family.verify_obstructed(n, field=field))
+        if variant in ("infinite", "all"):
+            reports.append(family.verify_infinite(n, field=field))
     for report in reports:
         _echo(report.render())
     ok = all(r.ok for r in reports)

@@ -21,7 +21,6 @@ from .cochain import (
     InfeasibilityWitness,
     Solved,
     _certificate_degree,
-    noncobounding_certificate,
     solve_coboundary,
 )
 from .errors import (
@@ -185,28 +184,54 @@ def gauge_transform(d_t: MapSeries, phi_t: MapSeries) -> MapSeries:
 # -- the obstruction ladder ---------------------------------------------------
 
 
+class _Ledger:
+    """One ladder on one complex: lifts d_1..d_n, each checked once as it
+    enters, and each O_k and delta(d_k) worked out once, when first read.
+    O_k sums only pairs of nonzero lifts, so a zero tail costs next to nothing."""
+
+    def __init__(self, cx: Complex, lifts: Sequence[GradedMap] = ()):
+        self.cx = cx
+        self.lifts: list[GradedMap] = []
+        self.nonzero: dict[int, GradedMap] = {}  # i -> d_i, nonzero lifts only
+        self.o: dict[int, GradedMap] = {}  # n -> O_n, once read
+        self.deltas: list[GradedMap] = []  # delta(d_1), delta(d_2), ..., once compared
+        for m in lifts:
+            self.append(m)
+
+    def append(self, m: GradedMap, what: str = "lift") -> None:
+        _check_lift(self.cx, m, what)
+        self.lifts.append(m)
+        if m:
+            self.nonzero[len(self.lifts)] = m
+
+    def obstruction(self, n: int) -> GradedMap:
+        """O_n = -sum_{i=1}^{n} d_i o d_{n-i+1}, for n up to the number of lifts."""
+        if n not in self.o:
+            acc = GradedMap.zero(self.cx.module, degree=-2)
+            for i, a in self.nonzero.items():
+                if i > n:
+                    break
+                b = self.nonzero.get(n + 1 - i)
+                if b is not None:
+                    acc = acc + a.compose(b)
+            self.o[n] = -acc
+        return self.o[n]
+
+    def relations(self) -> list[bool]:
+        """For each 0 <= k < n, whether delta(d_{k+1}) = O_k holds exactly."""
+        for m in self.lifts[len(self.deltas):]:
+            self.deltas.append(Cochain(1, m, self.cx).coboundary().mapping)
+        return [dk == self.obstruction(k) for k, dk in enumerate(self.deltas)]
+
+
 def obstruction(cx: Complex, lifts: Sequence[GradedMap]) -> Cochain:
     """The 2-cochain O_n = -sum_{i=1}^{n} d_i o d_{n-i+1}; O_0 = 0."""
-    for m in lifts:
-        _check_lift(cx, m)
-    n = len(lifts)
-    acc = GradedMap.zero(cx.module, degree=-2)
-    for i in range(1, n + 1):
-        a, b = lifts[i - 1], lifts[n - i]
-        if a and b:
-            acc = acc + a.compose(b)
-    return Cochain(2, -acc, cx)
+    return Cochain(2, _Ledger(cx, lifts).obstruction(len(lifts)), cx)
 
 
 def check_relations(cx: Complex, lifts: Sequence[GradedMap]) -> list[bool]:
     """For each 0 <= k < n, whether delta(d_{k+1}) = O_k holds exactly."""
-    results = []
-    for k in range(len(lifts)):
-        _check_lift(cx, lifts[k])
-        lhs = Cochain(1, lifts[k], cx).coboundary().mapping
-        rhs = obstruction(cx, lifts[:k]).mapping
-        results.append(lhs == rhs)
-    return results
+    return _Ledger(cx, lifts).relations()
 
 
 @dataclass
@@ -225,26 +250,22 @@ class ObstructionHit:
 
 def extend_step(cx: Complex, lifts: Sequence[GradedMap]) -> NextLift | ObstructionHit:
     """One rung of the ladder: solve delta(d_{n+1}) = O_n or report failure."""
-    checks = check_relations(cx, lifts)
+    ledger = _Ledger(cx, lifts)
+    checks = ledger.relations()
     if not all(checks):
         raise RelationsViolated(f"relation fails at order {checks.index(False)}")
-    return _rung(cx, lifts, CoboundarySolver(cx, cx, 1))
+    return _rung(ledger, CoboundarySolver(cx, cx, 1))
 
 
-def _rung(cx: Complex, lifts: Sequence[GradedMap],
-          solver: CoboundarySolver) -> NextLift | ObstructionHit:
-    """extend_step on lifts already known to satisfy the relations."""
-    o_n = obstruction(cx, lifts)
+def _rung(ledger: _Ledger, solver: CoboundarySolver) -> NextLift | ObstructionHit:
+    """extend_step on a ledger whose lifts already satisfy the relations."""
+    cx, n = ledger.cx, len(ledger.lifts)
+    o_n = Cochain(2, ledger.obstruction(n), cx)
     outcome = solver.solve(o_n)
     if isinstance(outcome, Solved):
         return NextLift(outcome.cochain.mapping)
-    return ObstructionHit(
-        order=len(lifts),
-        obstruction=o_n,
-        witness=outcome.witness,
-        certificate=noncobounding_certificate(cx.d, o_n),
-        certificate_degree=_certificate_degree(cx.d, o_n.mapping),
-    )
+    degree = _certificate_degree(cx.d, o_n.mapping)
+    return ObstructionHit(n, o_n, outcome.witness, degree is not None, degree)
 
 
 @dataclass
@@ -307,39 +328,39 @@ def deform_to_order(
     """
     if order < 1:
         raise TruncationMismatch(f"target order must be >= 1, got {order}")
-    _check_lift(cx, d1, "infinitesimal")
-    if not Cochain(1, d1, cx).is_cocycle():
+    ledger = _Ledger(cx)
+    ledger.append(d1, "infinitesimal")
+    if not ledger.relations()[0]:
         raise InfinitesimalNotCocycle("delta(d_1) != 0")
-    chain: list[GradedMap] = [d1]
     if lifts:
-        chain.extend(lifts)
-        if len(chain) > order:
-            raise TruncationMismatch(f"{len(chain)} lifts exceed requested order {order}")
-        checks = check_relations(cx, chain)
+        if 1 + len(lifts) > order:
+            raise TruncationMismatch(f"{1 + len(lifts)} lifts exceed requested order {order}")
+        for m in lifts:
+            ledger.append(m)
+        checks = ledger.relations()
         if not all(checks):
             raise RelationsViolated(f"supplied lifts fail the relation at order {checks.index(False)}")
     # every rung solves against delta^1 of cx: reduce it once, and only if a
-    # rung runs; each solved lift passes delta(f) = g, so the relations on the
-    # prefix are checked once, in the report
+    # rung runs; each solved lift passes delta(f) = g, and the report compares
+    # every delta(d_{k+1}) with the O_k the ledger already holds
+    chain = ledger.lifts
     solver = CoboundarySolver(cx, cx, 1) if len(chain) < order else None
     while len(chain) < order:
-        step = _rung(cx, chain, solver)
+        step = _rung(ledger, solver)
         if isinstance(step, ObstructionHit):
             return DeformationReport(
                 cx=cx,
                 order=order,
                 lifts=chain,
-                relation_checks=check_relations(cx, chain),
+                relation_checks=ledger.relations(),
                 obstructed_at=step.order,
                 obstruction=step.obstruction,
                 witness=step.witness,
                 certificate=step.certificate,
                 certificate_degree=step.certificate_degree,
             )
-        chain.append(step.lift)
-    return DeformationReport(
-        cx=cx, order=order, lifts=chain, relation_checks=check_relations(cx, chain)
-    )
+        ledger.append(step.lift)
+    return DeformationReport(cx=cx, order=order, lifts=chain, relation_checks=ledger.relations())
 
 
 # -- equivalence and trivialization -----------------------------------------------

@@ -16,16 +16,10 @@ have degree -1, so any sufficiently large truncation window is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cochain import Cochain, Complex, Infeasible, noncobounding_certificate, solve_coboundary
-from .deform import (
-    MapSeries,
-    check_relations,
-    deform_to_order,
-    first_order_triviality,
-    obstruction,
-    series_mul,
-)
+from .deform import MapSeries, _Ledger, deform_to_order, first_order_triviality, series_mul
 from .errors import BadTruncation, TruncationTooSmall
 from .field import QQ, FieldSpec
 from .gmap import GradedMap
@@ -73,6 +67,11 @@ class FamilySpec:
                 f"for variant {self.variant} at order {self.n}"
             )
 
+    @cached_property
+    def cx(self) -> Complex:
+        """The base complex every lift of this member is a map on."""
+        return base_complex(self.truncation, self.field)
+
 
 def base_complex(truncation: int, field: FieldSpec = QQ) -> Complex:
     """The truncated base complex: x_{2p-1}, x_{2p} in degree p for
@@ -106,8 +105,7 @@ def _ladder_lift(module: GradedModule, k: int, with_tail: bool) -> GradedMap:
 
 def family_lifts(spec: FamilySpec) -> list[GradedMap]:
     """The lift sequence d_1, d_2, ... for the chosen variant."""
-    cx = base_complex(spec.truncation, spec.field)
-    module = cx.module
+    module = spec.cx.module
     n = spec.n
     if spec.variant == "linear":
         return [GradedMap.from_entries(module, -1, [("x6", "x4", 1)])]
@@ -162,14 +160,10 @@ class VerificationReport:
         return "\n".join([f"== {self.title} =="] + [e.render() for e in self.entries])
 
 
-def _relation_sign(cx: Complex, lifts) -> str:
+def _relation_sign(ledger: _Ledger) -> str:
     """Which sign of delta(d_{k+1}) reproduces O_k on this family."""
-    plus = minus = True
-    for k in range(1, len(lifts)):
-        o_k = obstruction(cx, lifts[:k]).mapping
-        delta = Cochain(1, lifts[k], cx).coboundary().mapping
-        plus = plus and delta == o_k
-        minus = minus and -delta == o_k
+    plus = all(ledger.relations()[1:])
+    minus = all(-dk == ledger.obstruction(k) for k, dk in enumerate(ledger.deltas[1:], start=1))
     if plus and minus:
         return "both (char 2)"
     if plus:
@@ -184,15 +178,14 @@ def verify_polynomial(n: int, truncation: int | None = None,
     """Check that the order-n polynomial variant is an exact, non-trivial
     polynomial deformation."""
     spec = FamilySpec(n, "polynomial", truncation, field)
-    cx = base_complex(spec.truncation, field)
-    lifts = family_lifts(spec)
+    cx, lifts = spec.cx, family_lifts(spec)
+    ledger = _Ledger(cx, lifts)
 
-    checks = check_relations(cx, lifts)
     entries = [
         CheckEntry(
             "relations",
-            all(checks),
-            f"orders 0..{n - 1} hold; realized sign {_relation_sign(cx, lifts)}",
+            all(ledger.relations()),
+            f"orders 0..{n - 1} hold; realized sign {_relation_sign(ledger)}",
         )
     ]
 
@@ -230,15 +223,14 @@ def verify_obstructed(n: int, truncation: int | None = None,
     """Check that the order-n obstructed variant satisfies the relations
     through order n-1 and then genuinely fails to extend."""
     spec = FamilySpec(n, "obstructed", truncation, field)
-    cx = base_complex(spec.truncation, field)
-    lifts = family_lifts(spec)
+    cx, lifts = spec.cx, family_lifts(spec)
+    ledger = _Ledger(cx, lifts)
 
-    checks = check_relations(cx, lifts)
     entries = [
-        CheckEntry("relations", all(checks), f"orders 0..{n - 1} hold"),
+        CheckEntry("relations", all(ledger.relations()), f"orders 0..{n - 1} hold"),
     ]
 
-    o_n = obstruction(cx, lifts)
+    o_n = Cochain(2, ledger.obstruction(n), cx)
     lo, hi = (4, 8) if n == 1 else (6 * n - 8, 6 * n - 4)
     expected = GradedMap.from_entries(cx.module, -2, [(f"x{hi}", f"x{lo}", -1)])
     entries.append(
@@ -271,8 +263,7 @@ def verify_infinite(order: int, truncation: int | None = None,
     """Check the all-orders variant: the explicit lifts satisfy every
     relation, stay nonzero, and the deformation is non-trivial."""
     spec = FamilySpec(order, "infinite", truncation, field)
-    cx = base_complex(spec.truncation, field)
-    lifts = family_lifts(spec)
+    cx, lifts = spec.cx, family_lifts(spec)
 
     report = deform_to_order(cx, lifts[0], order, lifts=lifts[1:])
     entries = [

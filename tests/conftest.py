@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from dgdeform import GF, QQ, Complex, FieldSpec, GradedMap, GradedModule, Scalar, linalg
+from dgdeform import GF, QQ, Cochain, Complex, FieldSpec, GradedMap, GradedModule, Scalar, linalg
 from dgdeform.cochain import _delta_matrix, cochain_basis
 from dgdeform.linalg import nullspace_sparse
 
@@ -124,6 +124,29 @@ def count_reductions(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(linalg._System, "reduce", counting)
     return calls
+
+
+# -- quadratic ladder oracle -------------------------------------------------------
+
+
+def oracle_obstruction(cx: Complex, lifts) -> GradedMap:
+    """O_n = -sum_{i=1}^{n} d_i o d_{n-i+1}, summed afresh over every index
+    pair, with no ledger, cache or nonzero index in between."""
+    n = len(lifts)
+    acc = GradedMap.zero(cx.module, degree=-2)
+    for i in range(1, n + 1):
+        a, b = lifts[i - 1], lifts[n - i]
+        if a and b:
+            acc = acc + a.compose(b)
+    return -acc
+
+
+def oracle_relations(cx: Complex, lifts) -> list[bool]:
+    """delta(d_{k+1}) = O_k for each k, every O_k from its own full sum."""
+    return [
+        Cochain(1, lifts[k], cx).coboundary().mapping == oracle_obstruction(cx, lifts[:k])
+        for k in range(len(lifts))
+    ]
 
 
 # -- random instances -----------------------------------------------------------

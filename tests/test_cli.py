@@ -104,6 +104,18 @@ def test_paper_family_unwritable_out_exits_2(runner, tmp_path, where):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_canonical_deform_over_a_long_zero_tail_is_fast(runner, tmp_path):
+    # the canonical lifts of this member vanish from some order on; each O_k
+    # sums only nonzero lift pairs, so the zero tail costs one cheap rung an order
+    path = _family_file(runner, tmp_path, 3, "infinite")
+    start = time.perf_counter()
+    result = runner.invoke(main, ["deform", str(path), "--order", "10000", "--lifts", "canonical"])
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[-1] == "status: extended to order 10000"
+    assert elapsed < 20
+
+
 def test_obstruction_needs_deformation_block(runner, tmp_path):
     path = tmp_path / "nodef.dgm"
     path.write_text("field Q\nmodule V { basis x1 : 1, x3 : 2; }\nmap d degree -1 { x3 -> x1; }\n")

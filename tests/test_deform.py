@@ -4,6 +4,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgdeform import (
     GF,
@@ -29,7 +30,7 @@ from dgdeform import (
     series_mul,
     trivialize,
 )
-from dgdeform.deform import NextLift, ObstructionHit
+from dgdeform.deform import NextLift, ObstructionHit, _Ledger
 from dgdeform.errors import (
     ConstantTermNotIdentity,
     InfinitesimalNotCocycle,
@@ -37,7 +38,14 @@ from dgdeform.errors import (
     RelationsViolated,
     TruncationMismatch,
 )
-from conftest import count_reductions, random_cochain, random_cocycle, random_complex
+from conftest import (
+    count_reductions,
+    oracle_obstruction,
+    oracle_relations,
+    random_cochain,
+    random_cocycle,
+    random_complex,
+)
 
 
 @pytest.fixture
@@ -140,6 +148,27 @@ def test_relation_series_equivalence_random_valid_deformations():
         assert all(check_relations(cx, report.lifts))
         d_t = MapSeries.deformation(cx, report.lifts, order=4)
         assert series_mul(d_t, d_t).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), field=st.sampled_from([QQ, GF(2), GF(5)]))
+def test_ledger_matches_quadratic_oracle(seed, field):
+    # a valid prefix, then random lifts with zero gaps, then a zero tail
+    rng = random.Random(seed)
+    cx = random_complex(rng, field, rng.randint(3, 9), singleton_degrees=[0, 1])
+    zero = GradedMap.zero(cx.module, degree=-1)
+    lifts = list(deform_to_order(cx, random_cocycle(rng, cx), rng.randint(1, 4)).lifts)
+    for _ in range(rng.randint(0, 4)):
+        lifts.append(zero if rng.random() < 0.4 else random_cochain(rng, cx, 1, 0.3))
+    lifts += [zero] * rng.randint(0, 4)
+    ledger = _Ledger(cx, lifts)
+    for k in range(len(lifts) + 1):
+        expected = oracle_obstruction(cx, lifts[:k])
+        assert obstruction(cx, lifts[:k]).mapping == expected
+        assert ledger.obstruction(k) == expected
+    expected = oracle_relations(cx, lifts)
+    assert check_relations(cx, lifts) == expected
+    assert ledger.relations() == expected
 
 
 # -- stepping -----------------------------------------------------------------------

@@ -177,6 +177,12 @@ def test_reports_are_truncation_stable():
     ]
 
 
+def test_lifts_live_on_the_spec_complex_module():
+    for variant in ("polynomial", "obstructed", "linear", "infinite"):
+        spec = FamilySpec(3, variant, field=GF(5))
+        assert all(m.source is spec.cx.module for m in family_lifts(spec))
+
+
 def test_realized_relation_sign_is_recorded():
     report = verify_polynomial(3)
     relations = next(e for e in report.entries if e.label == "relations")
