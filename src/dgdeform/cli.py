@@ -190,14 +190,15 @@ def paper_family_cmd(n, variant, truncation, field_text, out_path):
 def verify_paper_cmd(n, variant, field_texts):
     """Re-derive and mechanically check the built-in example family."""
     fields = [_parse_field(t) for t in field_texts]
-    reports = []
-    for field in fields:
-        if variant in ("polynomial", "all") and n >= 2:
-            reports.append(family.verify_polynomial(n, field=field))
-        if variant in ("obstructed", "all"):
-            reports.append(family.verify_obstructed(n, field=field))
-        if variant in ("infinite", "all"):
-            reports.append(family.verify_infinite(n, field=field))
+    verifiers = {
+        "polynomial": family.verify_polynomial,
+        "obstructed": family.verify_obstructed,
+        "infinite": family.verify_infinite,
+    }
+    chosen = [v for v in verifiers if variant in (v, "all") and (v != "polynomial" or n >= 2)]
+    for v in chosen:
+        family.FamilySpec(n, v)  # order and truncation cap, before anything is built
+    reports = [verifiers[v](n, field=field) for field in fields for v in chosen]
     for report in reports:
         _echo(report.render())
     ok = all(r.ok for r in reports)

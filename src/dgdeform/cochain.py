@@ -144,12 +144,14 @@ def _cochain_from_coords(
     p: int, basis: list[tuple[int, int]], coords: dict[int, Fraction | int],
     source: Complex, target: Complex,
 ) -> Cochain:
-    """The p-cochain with raw coordinates ``coords`` in ``basis``."""
+    """The p-cochain with raw coordinates ``coords`` in ``basis``; the
+    solver's coordinates are canonical and nonzero, and every basis pair is
+    homogeneous of degree -p, so the map is in normal form as built."""
     cols: dict[int, dict[int, Fraction | int]] = {}
     for c, value in coords.items():
         j, i = basis[c]
         cols.setdefault(j, {})[i] = value
-    return Cochain(p, GradedMap(source.module, target.module, -p, cols), source, target)
+    return Cochain(p, GradedMap._of(source.module, target.module, -p, cols), source, target)
 
 
 def _delta_matrix(source: Complex, target: Complex, p: int):

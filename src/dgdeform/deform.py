@@ -404,6 +404,47 @@ class TrivializationReport:
         return "\n".join(lines)
 
 
+def _gauge_step(
+    d_t: MapSeries, g: MapSeries, phi: GradedMap, r: int
+) -> tuple[MapSeries, MapSeries]:
+    """One gauge stage, 1 <= r <= order: ``gauge_transform(d_t, F)`` and
+    ``series_mul(F, g)`` for F = Id - t^r phi, where g_0 = Id.  The square-zero
+    check of ``gauge_transform`` is left to the caller.
+
+    F^-1 is the geometric series sum_k t^{rk} phi^k, so the conjugate has
+    coefficients E_j - phi o E_{j-r} with E = d_t o F^-1, and F o g has
+    g_j - phi o g_{j-r}.  Each power phi^k (rk <= order) is composed once,
+    only nonzero coefficients are composed, and no composition has the
+    identity as an operand: phi^0 and g_0 enter as plain copies.
+    """
+    n = d_t.order
+    powers = [phi]  # phi^1, phi^2, ... while nonzero and rk <= n
+    while r * (len(powers) + 1) <= n and (power := powers[-1].compose(phi)):
+        powers.append(power)
+    e: dict[int, GradedMap] = {}  # E_j, for j where some term lands
+    for i, c in enumerate(d_t.coeffs):
+        if c:
+            for k, m in enumerate([c] + [c.compose(p) for p in powers[: (n - i) // r]]):
+                j = i + r * k
+                e[j] = e[j] + m if j in e else m
+
+    minus_phi = -phi
+
+    def left(out: list, terms) -> MapSeries:
+        # out_{j+r} - phi o m for each nonzero term (j, m) with j + r <= n
+        for j, m in terms:
+            if m and j + r <= n:
+                out[j + r] = out[j + r] + minus_phi.compose(m)
+        return MapSeries(out)
+
+    out = [GradedMap.zero(d_t.module, degree=d_t.degree)] * (n + 1)
+    for j, m in e.items():
+        out[j] = m
+    g_out = list(g.coeffs)
+    g_out[r] = g_out[r] + minus_phi
+    return left(out, e.items()), left(g_out, enumerate(g.coeffs[1:], start=1))
+
+
 def trivialize(d_t: MapSeries, order: int | None = None) -> TrivializationReport:
     """Run the inductive gauge loop: at stage r solve delta(phi) = -coefficient
     and conjugate by Id - t^r phi, until every coefficient 1..order dies.
@@ -442,9 +483,9 @@ def trivialize(d_t: MapSeries, order: int | None = None) -> TrivializationReport
                 witness=outcome.witness,
             )
         phi = outcome.cochain.mapping
-        factor = MapSeries.gauge_factor(phi, r, n)
-        current = gauge_transform(current, factor)
-        composed = series_mul(factor, composed)
+        if not current.is_square_zero():
+            raise NotSquareZero("series to be gauged must square to zero")
+        current, composed = _gauge_step(current, composed, phi, r)
         stages.append(phi)
     return TrivializationReport(
         order=n, stages=stages, automorphism=composed, residual=current

@@ -27,6 +27,13 @@ from .graded import GradedModule
 
 VARIANTS = ("polynomial", "obstructed", "linear", "infinite")
 
+#: The largest truncation degree a family member may use, given or derived
+#: from its order (module dimension 2 * 10,000).  The tests, golden runs and
+#: benchmark stay far below it (``verify-paper --n 64`` needs 195); past it,
+#: ``FamilySpec`` and ``base_complex`` raise ``BadTruncation`` before building
+#: anything, so ``--truncate`` or ``--n`` cannot ask for unbounded memory.
+MAX_TRUNCATION = 10_000
+
 
 def minimal_truncation(variant: str, n: int) -> int:
     """Smallest truncation degree housing every index the variant touches,
@@ -66,6 +73,11 @@ class FamilySpec:
                 f"truncation {self.truncation} is below the minimum {minimum} "
                 f"for variant {self.variant} at order {self.n}"
             )
+        if self.truncation > MAX_TRUNCATION:
+            raise BadTruncation(
+                f"truncation {self.truncation} for variant {self.variant} at order "
+                f"{self.n} exceeds the cap {MAX_TRUNCATION}"
+            )
 
     @cached_property
     def cx(self) -> Complex:
@@ -78,6 +90,8 @@ def base_complex(truncation: int, field: FieldSpec = QQ) -> Complex:
     1 <= p <= truncation, with d = sum x_{6i-5} d/d x_{6i-3}."""
     if truncation < 1:
         raise BadTruncation(f"truncation must be >= 1, got {truncation}")
+    if truncation > MAX_TRUNCATION:
+        raise BadTruncation(f"truncation {truncation} exceeds the cap {MAX_TRUNCATION}")
     top = 2 * truncation
     module = GradedModule(
         "V", field, [(f"x{i}", (i + 1) // 2) for i in range(1, top + 1)]

@@ -111,10 +111,11 @@ class FieldSpec:
         p = self.modulus
         return partial(truediv, 1) if p is None else partial(pow, exp=-1, mod=p)
 
-    def _raw(self, c: "Scalar | int") -> Fraction | int:
-        """The raw value of a coefficient given as a Scalar of this field or an int."""
+    def _raw(self, c: "Scalar | Fraction | int") -> Fraction | int:
+        """The raw value of a coefficient given as a Scalar of this field, a
+        Fraction or an int."""
         if not isinstance(c, Scalar):
-            return self.scalar(c).value
+            return self.scalar(c.numerator, c.denominator).value
         if c.field is not self and c.field != self:
             raise FieldMismatch(f"coefficient field {c.field} != {self}")
         return c.value

@@ -10,6 +10,11 @@ Column values are raw field values (see :mod:`field`); the arithmetic binds
 the field's ``norm`` once per call and reads and writes the dicts directly.
 Only ``apply`` and ``column`` wrap a result in a ``Vector``, and ``entries``
 yields ``Scalar``s.
+
+The public constructor brings any column dict to that normal form and checks
+degrees; ``from_entries`` also checks degrees.  The arithmetic, ``identity``,
+``zero`` and the cochain solver build their results in normal form already
+and go through the unchecked ``GradedMap._of``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,21 @@ from .field import Scalar
 from .graded import GradedModule, Vector, _add_terms, _render_sum, _scale_terms
 
 
+def _check(source: GradedModule, target: GradedModule, degree: int, columns: dict) -> None:
+    """Raise unless source and target share a field and every column of
+    ``columns`` is homogeneous of degree |x_j| + ``degree``."""
+    if source.field != target.field:
+        raise ModuleMismatch("source and target modules have different fields")
+    basis = target.basis
+    for j, col in columns.items():
+        want = source.degree_of(j) + degree
+        for i in col:
+            if basis[i][1] != want:
+                raise DegreeMismatch(
+                    f"column {source.name_of(j)} must be homogeneous of degree {want}"
+                )
+
+
 class GradedMap:
     """A k-linear map of homogeneous degree between graded modules."""
 
@@ -41,34 +61,46 @@ class GradedMap:
         degree: int,
         columns: dict[int, dict[int, Fraction | int]],
     ):
-        if source.field != target.field:
-            raise ModuleMismatch("source and target modules have different fields")
+        """Build a map from column dicts {source index: {target index: value}}.
+
+        Values may be ints, Fractions or ``Scalar``s of the field; each is
+        normalized through the field, zeros and empty columns are dropped, and
+        every column is checked to be homogeneous of the right degree."""
+        raw = source.field._raw
+        cols = {}
+        for j, col in columns.items():
+            col = {i: v for i, c in col.items() if (v := raw(c))}
+            if col:
+                cols[j] = col
+        _check(source, target, degree, cols)
         self.source = source
         self.target = target
         self.degree = degree
-        self.columns = {}
-        basis = target.basis
-        for j, col in columns.items():
-            if not col:
-                continue
-            want = source.degree_of(j) + degree
-            for i in col:
-                if basis[i][1] != want:
-                    raise DegreeMismatch(
-                        f"column {source.name_of(j)} must be homogeneous of degree {want}"
-                    )
-            self.columns[j] = col
+        self.columns = cols
+
+    @classmethod
+    def _of(cls, source: GradedModule, target: GradedModule, degree: int, columns: dict):
+        """The internal constructor, which checks nothing: ``columns`` must
+        already be in normal form (canonical nonzero raw values, no empty
+        column, every column homogeneous of its degree).  The map arithmetic,
+        ``identity`` and ``zero`` produce only such dicts."""
+        m = cls.__new__(cls)
+        m.source = source
+        m.target = target
+        m.degree = degree
+        m.columns = columns
+        return m
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, source: GradedModule, target: GradedModule | None = None, degree: int = 0):
-        return cls(source, target if target is not None else source, degree, {})
+        return cls._of(source, target if target is not None else source, degree, {})
 
     @classmethod
     def identity(cls, module: GradedModule) -> "GradedMap":
         one = module.field.one.value
-        return cls(module, module, 0, {i: {i: one} for i in range(module.dim)})
+        return cls._of(module, module, 0, {i: {i: one} for i in range(module.dim)})
 
     @classmethod
     def elementary(
@@ -105,8 +137,9 @@ class GradedMap:
             col = cols.setdefault(source.index_of(src), {})
             i = target.index_of(tgt)
             col[i] = norm(col[i] + raw(c)) if i in col else raw(c)
-        cols = {j: {i: c for i, c in t.items() if c} for j, t in cols.items()}
-        return cls(source, target, degree, cols)
+        cols = {j: nz for j, col in cols.items() if (nz := {i: c for i, c in col.items() if c})}
+        _check(source, target, degree, cols)
+        return cls._of(source, target, degree, cols)
 
     # -- structure -----------------------------------------------------------
 
@@ -176,8 +209,8 @@ class GradedMap:
                 f"outer map starts at {self.source.name}"
             )
         norm = self.target.field.norm
-        cols = {j: self._image(col, norm) for j, col in other.columns.items()}
-        return GradedMap(other.source, self.target, self.degree + other.degree, cols)
+        cols = {j: img for j, col in other.columns.items() if (img := self._image(col, norm))}
+        return GradedMap._of(other.source, self.target, self.degree + other.degree, cols)
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -200,12 +233,17 @@ class GradedMap:
         norm = self.target.field.norm
         cols = dict(self.columns)
         for j, col in other.columns.items():
-            cols[j] = _add_terms(cols[j], col, norm) if j in cols else col
-        return GradedMap(self.source, self.target, degree, cols)
+            if j not in cols:
+                cols[j] = col
+            elif s := _add_terms(cols[j], col, norm):
+                cols[j] = s
+            else:
+                del cols[j]
+        return GradedMap._of(self.source, self.target, degree, cols)
 
     def _scaled(self, c, norm) -> "GradedMap":
-        cols = {j: _scale_terms(col, c, norm) for j, col in self.columns.items()}
-        return GradedMap(self.source, self.target, self.degree, cols)
+        cols = {j: t for j, col in self.columns.items() if (t := _scale_terms(col, c, norm))}
+        return GradedMap._of(self.source, self.target, self.degree, cols)
 
     def __neg__(self) -> "GradedMap":
         return self._scaled(-1, self.target.field.norm)

@@ -218,6 +218,22 @@ def random_cocycle(rng: random.Random, cx: Complex, p: int = 1):
     return GradedMap.from_entries(cx.module, -p, entries)
 
 
+def random_gauged(rng: random.Random, d_t, stages):
+    """d_t conjugated by Id - t^r phi_r for each r in ``stages``, in order,
+    through the public ``gauge_transform``; each random phi_r of degree 0 has
+    delta(phi_r) != 0, or is the last of 20 draws."""
+    from dgdeform import MapSeries, gauge_transform
+
+    cx = Complex(d_t.module, d_t.coeffs[0])
+    for r in stages:
+        for _ in range(20):
+            phi = random_cochain(rng, cx, 0, 0.6)
+            if Cochain(0, phi, cx).coboundary().mapping:
+                break
+        d_t = gauge_transform(d_t, MapSeries.gauge_factor(phi, r, d_t.order))
+    return d_t
+
+
 def random_document(rng: random.Random):
     """A random well-formed .dgm document (no deformation block)."""
     from dgdeform import Document

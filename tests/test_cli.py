@@ -94,6 +94,23 @@ def test_obstruction_of_huge_order_is_zero_and_fast(runner, tmp_path):
     assert result.output == "O_1000000000 = 0\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["paper-family", "--n", "2", "--truncate", "100000000", "--out", "-"],
+    ["paper-family", "--n", "100000000", "--out", "-"],
+    ["verify-paper", "--n", "100000000"],
+    ["verify-paper", "--n", "100000000", "--variant", "infinite", "--field", "GF:5"],
+])
+def test_truncation_past_the_cap_exits_2_at_once(runner, args):
+    # the cap is checked on the spec, before any module or map is built
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: truncation ") and "exceeds the cap" in result.stderr
+    assert result.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("where", ["directory", "missing parent"])
 def test_paper_family_unwritable_out_exits_2(runner, tmp_path, where):
     out = tmp_path if where == "directory" else tmp_path / "missing" / "f.dgm"

@@ -30,7 +30,7 @@ from dgdeform import (
     series_mul,
     trivialize,
 )
-from dgdeform.deform import NextLift, ObstructionHit, _Ledger
+from dgdeform.deform import NextLift, ObstructionHit, _gauge_step, _Ledger
 from dgdeform.errors import (
     ConstantTermNotIdentity,
     InfinitesimalNotCocycle,
@@ -45,6 +45,7 @@ from conftest import (
     random_cochain,
     random_cocycle,
     random_complex,
+    random_gauged,
 )
 
 
@@ -493,3 +494,54 @@ def test_trivialize_reduces_delta_at_most_once(monkeypatch):
     report = trivialize(d_t)
     assert report.trivialized
     assert len(calls) == 1
+
+
+def test_trivialize_composes_no_identity(monkeypatch):
+    rng = random.Random(61)
+    cx = random_complex(rng, QQ, 8)
+    d_t = random_gauged(rng, MapSeries.deformation(cx, [], order=6), range(1, 7))
+    assert all(d_t.coeffs)  # dense: every coefficient 0..6 is nonzero
+    identity = GradedMap.identity(cx.module)
+    operands = []
+    compose = GradedMap.compose
+
+    def recording(self, other):
+        operands.append((self == identity, other == identity))
+        return compose(self, other)
+
+    monkeypatch.setattr(GradedMap, "compose", recording)
+    report = trivialize(d_t)
+    assert report.trivialized and sum(map(bool, report.stages)) >= 3
+    assert operands and not any(a or b for a, b in operands)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    field=st.sampled_from([QQ, GF(2), GF(5)]),
+    stage=st.sampled_from(["one", "late", "any"]),
+)
+def test_gauge_step_matches_series_oracle(seed, field, stage):
+    # a square-zero series: a canonical ladder with t -> t^s (zero gaps for
+    # s > 1), sometimes gauged once more to fill the gaps
+    rng = random.Random(seed)
+    cx = random_complex(rng, field, rng.randint(3, 8), singleton_degrees=[0, 1])
+    lifts = deform_to_order(cx, random_cocycle(rng, cx), rng.randint(1, 4)).lifts
+    s = rng.randint(1, 3)
+    zero = GradedMap.zero(cx.module, degree=-1)
+    spread = [lifts[k // s - 1] if k % s == 0 else zero for k in range(1, s * len(lifts) + 1)]
+    n = len(spread)
+    d_t = MapSeries.deformation(cx, spread, order=n)
+    if rng.random() < 0.3:
+        d_t = gauge_transform(d_t, MapSeries.gauge_factor(random_cochain(rng, cx, 0), 1, n))
+    # r = 1 takes many powers phi^k; r > n/2 takes none beyond phi
+    r = {"one": 1, "late": rng.randint(n // 2 + 1, n), "any": rng.randint(1, n)}[stage]
+    phi = random_cochain(rng, cx, 0, rng.choice([0.3, 0.7]))
+    g = MapSeries([GradedMap.identity(cx.module)] + [
+        random_cochain(rng, cx, 0, 0.4) if rng.random() < 0.5 else GradedMap.zero(cx.module)
+        for _ in range(n)
+    ])
+    factor = MapSeries.gauge_factor(phi, r, n)
+    gauged, composed = _gauge_step(d_t, g, phi, r)
+    assert gauged == gauge_transform(d_t, factor)
+    assert composed == series_mul(factor, g)

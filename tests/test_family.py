@@ -17,6 +17,7 @@ from dgdeform import (
 )
 from dgdeform.deform import check_relations, obstruction
 from dgdeform.errors import BadTruncation, TruncationTooSmall
+from dgdeform.family import MAX_TRUNCATION
 
 FIELDS = [QQ, GF(2), GF(5)]
 
@@ -190,3 +191,14 @@ def test_realized_relation_sign_is_recorded():
     report2 = verify_polynomial(3, field=GF(2))
     relations2 = next(e for e in report2.entries if e.label == "relations")
     assert "both" in relations2.detail
+
+
+def test_truncation_cap():
+    assert minimal_truncation("infinite", 64) <= MAX_TRUNCATION
+    assert FamilySpec(2, "polynomial", MAX_TRUNCATION).truncation == MAX_TRUNCATION
+    with pytest.raises(BadTruncation):
+        FamilySpec(2, "polynomial", MAX_TRUNCATION + 1)
+    with pytest.raises(BadTruncation):
+        FamilySpec(MAX_TRUNCATION, "infinite")
+    with pytest.raises(BadTruncation):
+        base_complex(MAX_TRUNCATION + 1)

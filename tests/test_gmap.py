@@ -97,6 +97,40 @@ def test_constructor_takes_raw_column_dicts(m5):
         GradedMap(m5, m5, -1, {x3: {x1: Fraction(1), x4: Fraction(1)}})
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_constructor_drops_zeros_and_normalizes(field):
+    m = base_complex(5, field).module
+    x1, x2, x3 = (m.index_of(n) for n in ("x1", "x2", "x3"))
+    zero = GradedMap(m, m, -1, {x3: {x1: 0}})
+    assert zero.is_zero() and not zero and zero.columns == {}
+    assert zero.render() == "0"
+    assert zero == GradedMap.zero(m, degree=-1)
+    f = GradedMap(m, m, -1, {x3: {x1: 2, x2: 0}})
+    assert f == GradedMap.elementary(m, "x1", "x3", 2)
+    assert f.render() == "2*x1 d/d x3"
+    if field is QQ:
+        # an int is stored as a Fraction, the raw form of a rational
+        assert type(f.columns[x3][x1]) is Fraction
+        assert GradedMap(m, m, -1, {x3: {x1: Fraction(-3, 6)}}).render() == "-1/2*x1 d/d x3"
+    else:
+        assert GradedMap(m, m, -1, {x3: {x1: 7, x2: 5}}).columns == {x3: {x1: 2}}
+        assert GradedMap(m, m, -1, {x3: {x1: -1}}).columns == {x3: {x1: 4}}
+        assert GradedMap(m, m, -1, {x3: {x1: Fraction(1, 2)}}).columns == {x3: {x1: 3}}
+    assert GradedMap(m, m, -1, {x3: {x1: field.scalar(3)}}) == 3 * GradedMap.elementary(m, "x1", "x3")
+    with pytest.raises(DegreeMismatch):
+        GradedMap(m, m, -1, {x3: {x3: 1}})
+
+
+def test_internal_results_are_in_normal_form(m5):
+    # cancellation in +, scaling by 0 and a zero composite leave no empty column
+    f = GradedMap.elementary(m5, "x1", "x3")
+    assert (f - f).columns == {}
+    assert f.scale(0).columns == {}
+    assert f.compose(f).columns == {}
+    g = GradedMap.from_entries(m5, -1, [("x3", "x1", 1), ("x4", "x2", 1)])
+    assert (g - f).columns == {m5.index_of("x4"): {m5.index_of("x2"): Fraction(1)}}
+
+
 def test_block_support():
     cx = base_complex(9, QQ)
     assert cx.d.block_support() == {2, 5, 8}

@@ -11,11 +11,20 @@ sha256 of the rendered representatives.
 ``trivialize`` and ``obstruction`` on every family variant over Q, GF(2) and
 GF(5) for n in {2, 3, 6}, and ``verify-paper`` for n in {3, 6, 10}.
 
+``tests/golden/trivialize.txt`` records ``trivialize`` on seeded series over
+Q, GF(2) and GF(5) at orders 1-8: the rendered report, every stage phi_r, and
+every coefficient of the automorphism and of the residual.  Most series are
+gauge-trivial (the trivial deformation conjugated by random gauge factors at
+every stage, at every second or third stage, which leaves zero coefficients
+in between, or a canonical ladder on a complex with H^1 = 0); the rest stick
+at order 2.
+
 Any change to these files is a change of canonical outputs and needs a
 deliberate, reviewed diff.  They were written by
 
     PYTHONPATH=src:tests python tests/test_golden.py > tests/golden/cohomology.txt
     PYTHONPATH=src:tests python tests/test_golden.py cli > tests/golden/cli.txt
+    PYTHONPATH=src:tests python tests/test_golden.py trivialize > tests/golden/trivialize.txt
 """
 
 import hashlib
@@ -26,13 +35,24 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
-from dgdeform import GF, QQ, cohomology
+from dgdeform import (
+    GF,
+    QQ,
+    FamilySpec,
+    GradedMap,
+    MapSeries,
+    cohomology,
+    deform_to_order,
+    family_lifts,
+    trivialize,
+)
 from dgdeform.cli import main
 from dgdeform.family import VARIANTS
-from conftest import count_reductions, random_complex
+from conftest import count_reductions, random_cocycle, random_complex, random_gauged
 
 GOLDEN = Path(__file__).parent / "golden" / "cohomology.txt"
 CLI_GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
+TRIVIALIZE_GOLDEN = Path(__file__).parent / "golden" / "trivialize.txt"
 FIELDS = [QQ, GF(2), GF(5)]
 SEEDS = range(24)
 DEGREES = range(-2, 4)
@@ -98,6 +118,53 @@ def cli_golden() -> str:
     return "".join(runs)
 
 
+def trivialize_cases():
+    """(label, series) pairs; see the module docstring."""
+    for field in FIELDS:
+        for n in range(1, 9):
+            for kind in ("dense", "gaps", "ladder"):
+                rng = random.Random(f"trivialize/{field}/{n}/{kind}")
+                if kind == "ladder":
+                    # singletons only in degree 1: H^1 = H^2 = 0, so the
+                    # canonical ladder extends and the series is gauge-trivial
+                    cx = random_complex(rng, field, rng.randint(4, 8), singleton_degrees=[1])
+                    lifts = deform_to_order(cx, random_cocycle(rng, cx), n).lifts
+                    d_t = MapSeries.deformation(cx, lifts, order=n)
+                else:
+                    cx = random_complex(rng, field, rng.randint(4, 8))
+                    step = 1 if kind == "dense" else rng.choice([2, 3])
+                    stages = list(range(step, n + 1, step))
+                    rng.shuffle(stages)
+                    d_t = random_gauged(rng, MapSeries.deformation(cx, [], order=n), stages)
+                yield f"{kind} field={field} n={n} dim={cx.module.dim}", d_t
+        # d + t^2 x4 d/d x6: stage 1 is zero and stage 2 is not a coboundary,
+        # once as it is and once after a random gauge at stage 1
+        spec = FamilySpec(1, "linear", None, field)
+        cx = spec.cx
+        zero = GradedMap.zero(cx.module, degree=-1)
+        d_t = MapSeries.deformation(cx, [zero, *family_lifts(spec)], order=6)
+        yield f"stuck field={field} n=6 dim={cx.module.dim}", d_t
+        rng = random.Random(f"trivialize/{field}/stuck")
+        yield f"stuck-gauged field={field} n=6 dim={cx.module.dim}", random_gauged(rng, d_t, [1])
+
+
+def trivialize_golden() -> str:
+    out = []
+    for label, d_t in trivialize_cases():
+        report = trivialize(d_t)
+        out.append(f"$ {label}")
+        out.append(report.render())
+        if not report.trivialized:
+            out += [f"phi {r}: {phi.render()}" for r, phi in enumerate(report.stages, start=1)]
+        out += [f"automorphism t^{k}: {m.render()}" for k, m in enumerate(report.automorphism.coeffs)]
+        out += [f"residual t^{k}: {m.render()}" for k, m in enumerate(report.residual.coeffs)]
+    return "\n".join(out) + "\n"
+
+
+def test_trivialize_matches_golden():
+    assert trivialize_golden() == TRIVIALIZE_GOLDEN.read_text()
+
+
 def test_cli_matches_golden():
     assert cli_golden() == CLI_GOLDEN.read_text()
 
@@ -119,6 +186,8 @@ def test_cohomology_reduces_twice(monkeypatch):
 if __name__ == "__main__":
     if sys.argv[1:] == ["cli"]:
         sys.stdout.write(cli_golden())
+    elif sys.argv[1:] == ["trivialize"]:
+        sys.stdout.write(trivialize_golden())
     else:
         for line in golden_lines():
             print(line)
