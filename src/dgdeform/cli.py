@@ -15,7 +15,7 @@ import click
 
 from . import dsl, family
 from .cochain import cohomology as compute_cohomology
-from .deform import MapSeries, deform_to_order, obstruction, trivialize
+from .deform import MapSeries, _Ledger, deform_to_order, trivialize
 from .errors import DgmError, NotADifferential
 from .field import GF, QQ, FieldSpec
 
@@ -34,40 +34,44 @@ def _parse_field(text: str) -> FieldSpec:
         try:
             return GF(int(text[3:]))
         except ValueError:
-            _echo(f"error: field modulus must be an integer, got {text[3:]!r}", err=True)
-            sys.exit(2)
+            raise click.UsageError(f"field modulus must be an integer, got {text[3:]!r}") from None
     raise click.UsageError(f"field must be 'Q' or 'GF:<p>', got {text!r}")
 
 
-def _load(path: str) -> dsl.Document:
-    try:
-        return dsl.parse(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(2)
-
-
 def _load_complex(path: str):
-    doc = _load(path)
     try:
-        return dsl.load_complex(doc)
+        return dsl.load_complex(dsl.parse(Path(path).read_text(encoding="utf-8")))
     except NotADifferential as exc:
         _echo(f"check failed: {exc}", err=True)
         sys.exit(1)
 
 
+def _load_deformation(path: str):
+    cx, _, lifts = _load_complex(path)
+    if not lifts:
+        raise click.UsageError("file has no deformation block")
+    return cx, lifts
+
+
 class _Main(click.Group):
-    """Every library error a command lets through ends in one line and exit 2."""
+    """The one exit-2 path: a library error, a file that cannot be read,
+    decoded or written, or a usage error ends in one ``error:`` line."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except DgmError as exc:
-            _echo(f"error: {exc}", err=True)
-            sys.exit(2)
+        except click.UsageError as exc:
+            message = exc.format_message()
+        except (DgmError, OSError, UnicodeDecodeError) as exc:
+            message = str(exc)
+        _echo(f"error: {message}", err=True)
+        sys.exit(2)
 
 
-@click.group(cls=_Main)
+# no help page for a bare call, and an unknown option before the command is
+# read as a command name: both then fail inside _Main.invoke, in one line
+@click.group(cls=_Main, no_args_is_help=False,
+             context_settings={"ignore_unknown_options": True})
 def main():
     """Exact deformation theory of differential graded modules."""
 
@@ -102,19 +106,12 @@ def cohomology_cmd(file, ps):
 @click.option("--order", "k", type=int, required=True, help="obstruction order")
 def obstruction_cmd(file, k):
     """Print O_k for FILE's deformation block."""
-    cx, _, lifts = _load_complex(file)
-    if not lifts:
-        _echo("error: file has no deformation block", err=True)
-        sys.exit(2)
+    cx, lifts = _load_deformation(file)
     if k < 1:
-        _echo("error: order must be >= 1", err=True)
-        sys.exit(2)
-    from .gmap import GradedMap
-
-    # O_k = -sum d_i d_{k-i+1} has no nonzero term once k >= 2 * len(lifts)
-    m = min(k, 2 * len(lifts))
-    padded = list(lifts) + [GradedMap.zero(cx.module, degree=-1)] * (m - len(lifts))
-    _echo(f"O_{k} = {obstruction(cx, padded[:m]).render()}")
+        raise click.UsageError("order must be >= 1")
+    # O_k reads only d_1..d_k, and the ledger sums only nonzero pairs of them,
+    # so any k costs the same
+    _echo(f"O_{k} = {_Ledger(cx, lifts[:k]).obstruction(k).render()}")
 
 
 @main.command(name="deform")
@@ -125,10 +122,7 @@ def obstruction_cmd(file, k):
               help="validate the file's lifts, or re-solve from d_1 alone")
 def deform_cmd(file, n, strategy):
     """Extend FILE's infinitesimal deformation to the requested order."""
-    cx, _, lifts = _load_complex(file)
-    if not lifts:
-        _echo("error: file has no deformation block", err=True)
-        sys.exit(2)
+    cx, lifts = _load_deformation(file)
     supplied = lifts[1:n] if strategy == "file" else None
     report = deform_to_order(cx, lifts[0], n, lifts=supplied)
     _echo(report.render())
@@ -140,10 +134,7 @@ def deform_cmd(file, n, strategy):
 @click.option("--order", "n", type=int, required=True, help="truncation order")
 def trivialize_cmd(file, n):
     """Gauge FILE's deformation toward the trivial one."""
-    cx, _, lifts = _load_complex(file)
-    if not lifts:
-        _echo("error: file has no deformation block", err=True)
-        sys.exit(2)
+    cx, lifts = _load_deformation(file)
     report = trivialize(MapSeries.deformation(cx, lifts[:n], order=n))
     _echo(report.render())
     sys.exit(0 if report.trivialized else 1)
@@ -173,11 +164,7 @@ def paper_family_cmd(n, variant, truncation, field_text, out_path):
     if out_path == "-":
         _echo(text, nl=False)
     else:
-        try:
-            Path(out_path).write_text(text)
-        except OSError as exc:
-            _echo(f"error: {exc}", err=True)
-            sys.exit(2)
+        Path(out_path).write_text(text)
 
 
 @main.command(name="verify-paper")
@@ -195,7 +182,9 @@ def verify_paper_cmd(n, variant, field_texts):
         "obstructed": family.verify_obstructed,
         "infinite": family.verify_infinite,
     }
-    chosen = [v for v in verifiers if variant in (v, "all") and (v != "polynomial" or n >= 2)]
+    # only "all" skips the polynomial variant below n = 2; asked for, it is an error
+    chosen = [v for v in verifiers
+              if v == variant or (variant == "all" and (v != "polynomial" or n >= 2))]
     for v in chosen:
         family.FamilySpec(n, v)  # order and truncation cap, before anything is built
     reports = [verifiers[v](n, field=field) for field in fields for v in chosen]

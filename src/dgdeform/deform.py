@@ -34,6 +34,13 @@ from .errors import (
 )
 from .gmap import GradedMap
 
+#: The largest order ``deform_to_order`` and ``MapSeries.deformation`` accept.
+#: A ladder runs one rung, and a series stores one coefficient, per order, so
+#: past it both raise ``TruncationMismatch`` before allocating anything and
+#: ``--order`` cannot ask for unbounded time or memory.  Canonical
+#: ``deform --order 100000`` on a family file takes seconds.
+MAX_ORDER = 1_000_000
+
 
 def _check_lift(cx: Complex, m: GradedMap, what: str = "lift") -> None:
     if m.source != cx.module or m.target != cx.module:
@@ -70,6 +77,10 @@ class MapSeries:
     @classmethod
     def deformation(cls, cx: Complex, lifts: Sequence[GradedMap], order: int | None = None):
         """d + t d_1 + ... padded with zero coefficients up to ``order``."""
+        if order is not None and order < 0:
+            raise TruncationMismatch(f"order must be >= 0, got {order}")
+        if order is not None and order > MAX_ORDER:
+            raise TruncationMismatch(f"order {order} exceeds the cap {MAX_ORDER}")
         for m in lifts:
             _check_lift(cx, m)
         coeffs = [cx.d, *lifts]
@@ -117,11 +128,6 @@ class MapSeries:
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.coeffs)
-
-    def truncate(self, order: int) -> "MapSeries":
-        if order > self.order:
-            raise TruncationMismatch(f"cannot extend truncation {self.order} to {order}")
-        return MapSeries(self.coeffs[: order + 1])
 
     def is_square_zero(self) -> bool:
         return series_mul(self, self).is_zero()
@@ -205,7 +211,7 @@ class _Ledger:
             self.nonzero[len(self.lifts)] = m
 
     def obstruction(self, n: int) -> GradedMap:
-        """O_n = -sum_{i=1}^{n} d_i o d_{n-i+1}, for n up to the number of lifts."""
+        """O_n = -sum_{i=1}^{n} d_i o d_{n-i+1}, with d_i = 0 past the last lift."""
         if n not in self.o:
             acc = GradedMap.zero(self.cx.module, degree=-2)
             for i, a in self.nonzero.items():
@@ -328,6 +334,8 @@ def deform_to_order(
     """
     if order < 1:
         raise TruncationMismatch(f"target order must be >= 1, got {order}")
+    if order > MAX_ORDER:
+        raise TruncationMismatch(f"target order {order} exceeds the cap {MAX_ORDER}")
     ledger = _Ledger(cx)
     ledger.append(d1, "infinitesimal")
     if not ledger.relations()[0]:
@@ -445,18 +453,16 @@ def _gauge_step(
     return left(out, e.items()), left(g_out, enumerate(g.coeffs[1:], start=1))
 
 
-def trivialize(d_t: MapSeries, order: int | None = None) -> TrivializationReport:
+def trivialize(d_t: MapSeries) -> TrivializationReport:
     """Run the inductive gauge loop: at stage r solve delta(phi) = -coefficient
-    and conjugate by Id - t^r phi, until every coefficient 1..order dies.
+    and conjugate by Id - t^r phi, until every coefficient through the
+    truncation order dies.
 
     Stops with ``stuck_at = r`` if the stage-r cocycle fails to cobound;
     failure at r = 1 is a genuine non-triviality certificate, later failures
     are relative to the gauges already chosen.
     """
-    n = order if order is not None else d_t.order
-    if n > d_t.order:
-        raise TruncationMismatch(f"series is truncated at {d_t.order} < requested {n}")
-    d_t = d_t.truncate(n)
+    n = d_t.order
     if not d_t.is_square_zero():
         raise NotSquareZero("series does not square to zero through the truncation order")
     cx = Complex(d_t.module, d_t.coeffs[0])

@@ -11,6 +11,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from dgdeform.cli import main
+from dgdeform.deform import MAX_ORDER
+from dgdeform.family import MAX_TRUNCATION
 
 
 @pytest.fixture
@@ -182,6 +184,23 @@ def test_trivialize_huge_order_is_stuck_at_once(runner, tmp_path):
     assert result.stdout.splitlines()[0] == "status: stuck at order 1"
 
 
+@pytest.mark.parametrize("args", [
+    ["deform", "--order", str(10**12)],
+    ["deform", "--order", str(10**12), "--lifts", "canonical"],
+    ["trivialize", "--order", str(10**12)],
+])
+def test_order_past_the_cap_exits_2_at_once(runner, tmp_path, args):
+    # the cap is checked before any rung runs or any coefficient is stored
+    path = _family_file(runner, tmp_path, 3, "infinite")
+    start = time.perf_counter()
+    result = runner.invoke(main, [args[0], str(path), *args[1:]])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and f"exceeds the cap {MAX_ORDER}" in result.stderr
+    assert result.stderr.count("\n") == 1
+
+
 def test_trivialize_trivial_case(runner, tmp_path):
     # d_t = d + t d is gauge trivial: d = delta(y2 d/d y2)
     path = tmp_path / "tiny.dgm"
@@ -220,6 +239,14 @@ def test_verify_paper_gf_field(runner):
     assert "over GF(5)" in result.output
 
 
+def test_verify_paper_all_skips_polynomial_below_n_2(runner):
+    # asked for by name, the variant is an error instead (see the one-line cases)
+    result = runner.invoke(main, ["verify-paper", "--n", "1"])
+    assert result.exit_code == 0
+    assert "polynomial" not in result.stdout
+    assert result.stdout.count("\n== ") == 1 and result.stdout.startswith("== obstructed ")
+
+
 def test_verify_paper_bad_field_usage(runner):
     result = runner.invoke(main, ["verify-paper", "--n", "2", "--field", "R"])
     assert result.exit_code == 2
@@ -246,6 +273,56 @@ def test_trivialize_needs_deformation_block(runner, tmp_path):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == "error: file has no deformation block\n"
+
+
+_NO_DEFORMATION = (
+    "field Q\nmodule V { basis x1 : 1, x3 : 2; }\nmap d degree -1 { x3 -> x1; }\n"
+)
+
+
+@pytest.mark.parametrize("args, message", [
+    # errors the commands find themselves
+    (["paper-family", "--n", "2", "--field", "GF:x", "--out", "-"],
+     "field modulus must be an integer, got 'x'"),
+    (["check", "{tmp}/missing.dgm"], "[Errno 2] No such file or directory: '{tmp}/missing.dgm'"),
+    (["check", "{latin1}"],
+     "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
+    (["obstruction", "{nodef}", "--order", "1"], "file has no deformation block"),
+    (["deform", "{nodef}", "--order", "1"], "file has no deformation block"),
+    (["trivialize", "{nodef}", "--order", "1"], "file has no deformation block"),
+    (["obstruction", "{obs}", "--order", "0"], "order must be >= 1"),
+    (["paper-family", "--n", "2", "--out", "{tmp}/missing/f.dgm"],
+     "[Errno 2] No such file or directory: '{tmp}/missing/f.dgm'"),
+    # click's usage errors
+    (["obstruction", "{obs}", "--order", "abc"],
+     "Invalid value for '--order': 'abc' is not a valid integer."),
+    (["obstruction", "{obs}"], "Missing option '--order'."),
+    (["frobnicate"], "No such command 'frobnicate'."),
+    (["verify-paper", "--n", "2", "--field", "Q5"], "field must be 'Q' or 'GF:<p>', got 'Q5'"),
+    ([], "Missing command."),
+    (["--bogus", "check", "{obs}"], "No such command '--bogus'."),
+    # library rules on flag values
+    (["trivialize", "{obs}", "--order", "-1"], "order must be >= 0, got -1"),
+    (["verify-paper", "--n", "1", "--variant", "polynomial"],
+     "the polynomial variant needs n >= 2"),
+], ids=["field-modulus", "missing-file", "non-utf8", "obstruction-no-block", "deform-no-block",
+        "trivialize-no-block", "order-0", "out-missing-dir", "order-not-int", "order-missing",
+        "unknown-command", "field-format", "no-command", "option-before-command",
+        "trivialize-negative-order", "polynomial-below-n-2"])
+def test_input_and_usage_errors_print_one_line(runner, tmp_path, args, message):
+    (tmp_path / "latin1.dgm").write_bytes(b"field Q\xff\n")
+    (tmp_path / "nodef.dgm").write_text(_NO_DEFORMATION)
+    names = {
+        "tmp": str(tmp_path),
+        "latin1": str(tmp_path / "latin1.dgm"),
+        "nodef": str(tmp_path / "nodef.dgm"),
+        "obs": str(_family_file(runner, tmp_path, 2, "obstructed")),
+    }
+    result = runner.invoke(main, [a.format(**names) for a in args])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message.format(**names)}\n"
 
 
 def test_output_is_deterministic(runner, tmp_path):
@@ -369,3 +446,63 @@ def test_check_survives_hostile_bytes(family_bytes, hostile_path, data):
         result = CliRunner().invoke(main, [args[0], str(hostile_path), *args[1:]])
         assert result.exit_code in (0, 1, 2), args
         assert result.exception is None or isinstance(result.exception, SystemExit), args
+
+
+# -- hostile flags ------------------------------------------------------------------
+
+_EDGES = [-10**12, -1, 0, 1, 2, 3, MAX_ORDER + 1, MAX_TRUNCATION + 1, 10**12]
+# small integers and the edges; valid orders and truncations near a cap cost
+# linear time by design and are left to the pinned --order 10000 and 100000 runs
+_INTS = st.one_of(st.sampled_from(_EDGES), st.integers(-3, 8))
+_FIELDS = st.one_of(st.sampled_from(["Q", "GF:2", "GF:5", "GF:4", "GF:", "GF:x"]),
+                    st.text(max_size=6))
+_FAMILY_FILES = [(2, "obstructed", "Q"), (3, "polynomial", "Q"), (3, "infinite", "GF:5"),
+                 (2, "linear", "GF:2"), (1, "obstructed", "Q")]
+
+
+@pytest.fixture(scope="module")
+def flag_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("flags")
+    runner = CliRunner()
+    paths = [str(_family_file(runner, tmp, n, v, ["--field", f])) for n, v, f in _FAMILY_FILES]
+    nodef = tmp / "nodef.dgm"
+    nodef.write_text(_NO_DEFORMATION)
+    return paths + [str(nodef)]
+
+
+@st.composite
+def _invocations(draw, files):
+    def flag(name, values=_INTS):
+        return [name, str(draw(values))]
+
+    command = draw(st.sampled_from(["check", "cohomology", "obstruction", "deform",
+                                    "trivialize", "paper-family", "verify-paper"]))
+    if command in ("paper-family", "verify-paper"):
+        variants = ["polynomial", "obstructed", "infinite"]
+        variants += ["linear"] if command == "paper-family" else ["all"]
+        args = [command, *flag("--n"), "--variant", draw(st.sampled_from(variants)),
+                *flag("--field", _FIELDS)]
+        if command == "paper-family":
+            args += ["--out", "-"] + (flag("--truncate") if draw(st.booleans()) else [])
+        return args
+    args = [command, draw(st.sampled_from(files))]
+    if command == "cohomology":
+        for _ in range(draw(st.integers(1, 2))):
+            args += flag("--p")
+    elif command != "check":
+        args += flag("--order")
+    if command == "deform":
+        args += ["--lifts", draw(st.sampled_from(["file", "canonical"]))]
+    return args
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_command_survives_hostile_flags(flag_files, data):
+    args = data.draw(_invocations(flag_files))
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 1, 2), args
+    assert result.exception is None or isinstance(result.exception, SystemExit), args
+    if result.exit_code == 2:
+        assert result.stderr.startswith("error: "), args
+        assert result.stderr.count("\n") == 1, args

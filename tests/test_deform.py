@@ -30,7 +30,7 @@ from dgdeform import (
     series_mul,
     trivialize,
 )
-from dgdeform.deform import NextLift, ObstructionHit, _gauge_step, _Ledger
+from dgdeform.deform import MAX_ORDER, NextLift, ObstructionHit, _gauge_step, _Ledger
 from dgdeform.errors import (
     ConstantTermNotIdentity,
     InfinitesimalNotCocycle,
@@ -311,6 +311,20 @@ def test_series_truncation_mismatch(poly4):
     b = MapSeries.deformation(cx, lifts, order=5)
     with pytest.raises(TruncationMismatch):
         series_mul(a, b)
+
+
+def test_orders_outside_the_bounds_raise_before_allocating(poly4):
+    cx, lifts = poly4
+    start = time.perf_counter()
+    with pytest.raises(TruncationMismatch, match=f"exceeds the cap {MAX_ORDER}"):
+        deform_to_order(cx, lifts[0], 10**12)
+    with pytest.raises(TruncationMismatch, match=f"exceeds the cap {MAX_ORDER}"):
+        MapSeries.deformation(cx, lifts, order=MAX_ORDER + 1)
+    # a negative order is refused before it is compared with the lifts
+    with pytest.raises(TruncationMismatch, match="order must be >= 0, got -1"):
+        MapSeries.deformation(cx, lifts, order=-1)
+    assert time.perf_counter() - start < 1.0
+    assert MapSeries.deformation(cx, lifts, order=MAX_ORDER).order == MAX_ORDER
 
 
 # -- gauge ------------------------------------------------------------------------------
