@@ -8,12 +8,21 @@ so delta has degree +1 on cochains and delta^2 = 0.  Every cobounding
 question reduces to an exact sparse linear solve in the canonical cochain
 basis of elementary operators, ordered lexicographically by
 (source declaration index, target declaration index).
+
+``cohomology`` reduces delta^p once.  Over a field H^p(V;M) is
+sum_q Hom(H_q V, H_{q-p} M), so its dimension is the Kunneth sum of the
+homology dims, read from the ranks of d_V and d_M, and a cocycle's class is
+given by its coordinates lambda_t(f(z_s)) against cycles z_s of V and
+functionals lambda_t of M (``_homology_classes``); no elimination of
+delta^{p-1} is needed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     BadDegree,
@@ -27,7 +36,7 @@ from .errors import (
 from .field import Scalar
 from .gmap import GradedMap
 from .graded import GradedModule
-from .linalg import LinearSolution, _System
+from .linalg import LinearSolution, _independent, _System
 
 
 @dataclass(frozen=True)
@@ -123,6 +132,12 @@ def _check_differentials(source: Complex, target: Complex) -> None:
             )
 
 
+def _check_pair(source: Complex, target: Complex) -> None:
+    if source.field != target.field:
+        raise ModuleMismatch("source and target complexes have different fields")
+    _check_differentials(source, target)
+
+
 def coboundary(f: Cochain) -> Cochain:
     return f.coboundary()
 
@@ -170,9 +185,7 @@ def _delta_matrix(source: Complex, target: Complex, p: int):
     dom = cochain_basis(source.module, target.module, p)
     cod = cochain_basis(source.module, target.module, p + 1)
     if dom:
-        if source.field != target.field:
-            raise ModuleMismatch("source and target complexes have different fields")
-        _check_differentials(source, target)
+        _check_pair(source, target)
     cod_index = {pair: r for r, pair in enumerate(cod)}
     d_m = target.d.columns  # i -> column {k: d_M[k,i]}
     norm = source.field.norm
@@ -189,6 +202,49 @@ def _delta_matrix(source: Complex, target: Complex, p: int):
     return dom, cod, rows
 
 
+def _homology_classes(cx: Complex, dual: bool = False):
+    """Cycles z_s of d (of d^T when ``dual``) whose classes are a basis of
+    its homology, with the homology dims {degree q: h_q}.
+
+    With ``dual`` the cycles are functionals lambda_t on the module with
+    lambda_t o d = 0, a basis of H(cx)*.  Two eliminations over the whole
+    of d: its kernel, then an echelon pass over [columns of d | kernel
+    vectors], whose pivots right of d are the kernel vectors independent
+    modulo the image.  h_q = dim_q - rank d_q - rank d_{q+1} is read from
+    the pivots of the first, not from a kernel basis.
+    """
+    module, n = cx.module, cx.module.dim
+    if dual:  # row j of d^T is column j of d
+        rows = [dict(cx.d.columns.get(j, ())) for j in range(n)]
+    else:
+        rows = [{} for _ in range(n)]
+        for j, col in cx.d.columns.items():
+            for k, coeff in col.items():
+                rows[k][j] = coeff
+    kernel_system = _System(rows, n, cx.field)
+    kernel_system.reduce()
+    kernel = kernel_system.nullspace()
+    # a column of degree q lands in degree q + shift
+    shift = 1 if dual else -1
+    rank = Counter(module.degree_of(c) for c, _ in kernel_system.pivots)
+    h = {q: dim - rank[q] - rank[q - shift]
+         for q, dim in Counter(q for _, q in module.basis).items()}
+    for s, vec in enumerate(kernel):
+        for k, coeff in vec.items():
+            rows[k][n + s] = coeff
+    classes = _System(rows, n + len(kernel), cx.field)
+    classes.reduce(echelon=True)
+    return [kernel[c - n] for c, _ in classes.pivots if c >= n], h
+
+
+def _integral(vec: dict, rational: bool) -> dict[int, int]:
+    """``vec`` over Q scaled by the lcm of its denominators; over GF(p) as is."""
+    if not rational:
+        return vec
+    scale = lcm(*[v.denominator for v in vec.values()])
+    return {k: v.numerator * (scale // v.denominator) for k, v in vec.items()}
+
+
 @dataclass
 class CohomologyResult:
     """Dimensions and representatives of H^p(V;M)."""
@@ -203,43 +259,66 @@ class CohomologyResult:
 def cohomology(source: Complex, target: Complex | None = None, p: int = 0) -> CohomologyResult:
     """H^p = ker(delta^p) / im(delta^{p-1}), with deterministic representatives.
 
-    Dimensions come from exact ranks of the coboundary matrices; the
-    representatives are the canonical kernel basis vectors that remain
-    independent modulo the image, taken in canonical order.
+    delta^p is reduced once, for its rank and its canonical kernel basis
+    v_f (one per free column f).  Over a field, Z^p -> sum_q Hom(H_q V,
+    H_{q-p} M) is onto with kernel B^p, so dim_h is the Kunneth sum of
+    h_q(V) * h_{q-p}(M), with each h_q from the ranks of d, and
+    dim_coboundaries = dim_cocycles - dim_h.  A cocycle's class has the
+    coordinates lambda_t(f(z_s)), for the cycles z_s and the functionals
+    lambda_t of ``_homology_classes``; the representatives are the v_f, in
+    increasing f, whose coordinates are independent of those of every
+    earlier v_f, which are the v_f independent modulo the image; the scan
+    stops once dim_h are found.
     """
     target = target if target is not None else source
-    field = source.field
+    if cochain_basis(source.module, target.module, p - 1):
+        _check_pair(source, target)  # H^p reads C^{p-1} too
     dom_p, _, rows_p = _delta_matrix(source, target, p)
-    dom_prev, _, rows_prev = _delta_matrix(source, target, p - 1)
+    field = source.field
+    rational = field.modulus is None
 
-    # one reduction of delta^p gives both its rank and its kernel basis
     delta_p = _System(rows_p, len(dom_p), field)
     delta_p.reduce()
     dim_cocycles = len(dom_p) - len(delta_p.pivots)
     kernel = delta_p.nullspace()
 
-    # columns [delta^{p-1} | kernel basis] in C^p coordinates: the pivot
-    # columns of its reduction are the greedy choice of independent columns,
-    # so the rank of delta^{p-1} first, then the kernel vectors that stay
-    # independent modulo the image, in canonical order; an echelon form has
-    # the pivot columns of the RREF, and nothing else is read
-    offset = len(dom_prev)
-    for k, vec in enumerate(kernel):
-        for r, coeff in vec.items():
-            rows_prev[r][offset + k] = coeff
-    image = _System(rows_prev, offset + len(kernel), field)
-    image.reduce(echelon=True)
-    dim_coboundaries = sum(1 for c, _ in image.pivots if c < offset)
-    dim_h = dim_cocycles - dim_coboundaries
+    cycles, h_v = _homology_classes(source)
+    functionals, h_m = _homology_classes(target, dual=True)
+    dim_h = sum(h * h_m.get(q - p, 0) for q, h in h_v.items())
+
+    def by_index(vectors):  # index -> [(s, integer entry of vector s)]
+        at: dict[int, list[tuple[int, int]]] = {}
+        for s, vec in enumerate(vectors):
+            for k, coeff in _integral(vec, rational).items():
+                at.setdefault(k, []).append((s, coeff))
+        return at
+
+    z_at, lam_at = by_index(cycles), by_index(functionals)
+
+    def coordinates():
+        # each v_f scaled to integers: a nonzero multiple keeps independence
+        for vec in kernel:
+            coords: dict[tuple[int, int], int] = {}
+            for c, a in _integral(vec, rational).items():
+                j, i = dom_p[c]
+                lams = lam_at.get(i)
+                if lams is None:
+                    continue
+                for s, z in z_at.get(j, ()):
+                    az = a * z
+                    for t, lam in lams:
+                        coords[s, t] = coords.get((s, t), 0) + az * lam
+            yield coords
+
     representatives = [
-        _cochain_from_coords(p, dom_p, kernel[c - offset], source, target)
-        for c, _ in image.pivots if c >= offset
+        _cochain_from_coords(p, dom_p, kernel[k], source, target)
+        for k in _independent(coordinates(), field.modulus, dim_h)
     ]
     if len(representatives) != dim_h:
         raise PostconditionFailed(
             f"found {len(representatives)} representatives for a {dim_h}-dimensional H^{p}"
         )
-    return CohomologyResult(p, dim_cocycles, dim_coboundaries, dim_h, representatives)
+    return CohomologyResult(p, dim_cocycles, dim_cocycles - dim_h, dim_h, representatives)
 
 
 @dataclass

@@ -24,14 +24,23 @@ against it is a cross-multiplication: with ``g = gcd(a, b)``,
 ``n_r <- (a/g)*n_r - (b/g)*n_p`` and the same for ``t_r``, with
 ``D_r <- (a/g)*D_r``; then the content ``gcd(D_r, n_r, t_r)`` is divided
 out.  When ``reduce`` returns, each stored entry becomes one
-``Fraction(v, D_r)``.  Over GF(p) the pivot row is scaled to 1, so ``a`` is 1,
-every ``D_r`` stays 1 and the same loop is plain modular elimination.  The
-row operations and their order do not depend on the representation, so the
-results are exactly those of elimination in ``Fraction`` arithmetic.
+``Fraction(v, D_r)``, and T stays integer rows over ``D_r``.  ``solve`` scales a
+right side to integers by the lcm L of its denominators, sums T times it in
+integers and builds one ``Fraction(s, D_r * L)`` per nonzero reduced entry;
+only the witness row of T becomes ``Fraction``s.  Over GF(p) the pivot row is
+scaled to 1, so ``a`` is 1, every ``D_r`` stays 1 and the same loop is plain
+modular elimination.  The row operations and their order do not depend on
+the representation, so the results are exactly those of elimination in
+``Fraction`` arithmetic.
+
+``_independent`` picks, in order, the vectors of a stream independent of
+the earlier ones, with the same cross-multiplication on integer vectors;
+``cohomology`` uses it on class coordinates, which are few.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -54,7 +63,9 @@ class _System:
     """Elimination state for one sparse matrix.
 
     With ``trace`` the row transform T is kept: after ``reduce``, reduced
-    row r is sum_i T[r][i] * (original row i).  Applying T to a right side
+    row r is sum_i T[r][i] * (original row i), with T[r][i] held as the
+    integer ``trace[r][i]`` over ``dens[r]`` over Q (``transform`` gives the
+    row as raw values).  Applying T to a right side
     gives the right side the elimination would have carried along, so one
     reduction serves any number of right sides.
     """
@@ -164,8 +175,7 @@ class _System:
             for r, d in enumerate(dens):
                 if rows[r]:
                     rows[r] = _fractions(rows[r], d)
-                if trace is not None:
-                    trace[r] = _fractions(trace[r], d)
+        self.dens = dens  # T stays integer rows: T[r][i] / dens[r]
 
     def nullspace(self) -> list[Row]:
         """A canonical basis of the kernel, one vector per free column, in
@@ -179,29 +189,44 @@ class _System:
                     basis[f][col] = self.norm(-c)
         return list(basis.values())
 
+    def transform(self, r: int) -> Row:
+        """Row r of T after ``reduce``, as canonical raw values."""
+        t = self.trace[r]
+        return _fractions(t, self.dens[r]) if self.rational else dict(t)
+
     def solve(self, rhs: Row) -> LinearSolution | LinearInfeasibility:
         """Solve against the sparse right side ``rhs`` (equation -> value)
         after a traced ``reduce``: the reduced right side is T * rhs.
 
         The first call indexes T by column (equation -> [(row, T[row][eq])]),
-        so each right-side entry touches only the rows of T that hold it."""
+        so each right-side entry touches only the rows of T that hold it.
+        Over Q the right side is scaled to integers by the lcm L of its
+        denominators and summed in integers; a nonzero reduced entry s of
+        row r is the one ``Fraction(s, D_r * L)``."""
         if self._tcols is None:
             self._tcols = {}
             for r, t in enumerate(self.trace):
                 for i, c in t.items():
                     self._tcols.setdefault(i, []).append((r, c))
-        sums: dict[int, Fraction | int] = {}
+        if self.rational:
+            scale = lcm(*[b.denominator for b in rhs.values()])
+            rhs = {i: b.numerator * (scale // b.denominator) for i, b in rhs.items()}
+        sums: dict[int, int] = {}
         for i, b in rhs.items():
             for r, c in self._tcols.get(i, ()):
                 s = sums.get(r)
                 sums[r] = c * b if s is None else s + c * b
-        norm = self.norm
-        reduced = {r: v for r, s in sums.items() if (v := norm(s))}
+        if self.rational:
+            dens = self.dens
+            reduced = {r: Fraction(s, dens[r] * scale) for r, s in sums.items() if s}
+        else:
+            norm = self.norm
+            reduced = {r: v for r, s in sums.items() if (v := norm(s))}
         bad = sorted(r for r in reduced if r >= len(self.pivots))
         if bad:
             # canonical witness: the inconsistent row combining the earliest equations
             r = min(bad, key=lambda r: sorted(self.trace[r]))
-            return LinearInfeasibility(dict(self.trace[r]), reduced[r])
+            return LinearInfeasibility(self.transform(r), reduced[r])
         return LinearSolution({col: reduced[r] for col, r in self.pivots if r in reduced})
 
 
@@ -220,6 +245,45 @@ class LinearInfeasibility:
 
     combination: dict[int, Fraction | int]
     residual: Fraction | int
+
+
+def _independent(vectors: Iterable[dict], modulus: int | None, dim: int) -> list[int]:
+    """Positions of the vectors independent of all earlier ones, in order:
+    the greedy basis of their span.  The vectors hold integers, read over Q
+    when ``modulus`` is None and mod p otherwise.  The scan stops once
+    ``dim`` are chosen, which is every choice in a space of dimension
+    ``dim``; later vectors are not drawn."""
+    chosen: list[int] = []
+    basis: list[tuple[object, dict]] = []  # (pivot, row); a row is 0 at earlier pivots
+    if not dim:
+        return chosen
+    for n, x in enumerate(vectors):
+        for key, row in basis:  # x <- a x - b row, cross-multiplied as in reduce
+            b = x.get(key, 0) % modulus if modulus else x.get(key)
+            if not b:
+                continue
+            a = row[key]  # 1 over GF(p)
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                x = {k: a * v for k, v in x.items()}
+            for k, v in row.items():
+                x[k] = x.get(k, 0) - b * v
+        x = {k: w for k, v in x.items() if (w := v % modulus if modulus else v)}
+        if not x:
+            continue
+        key = next(iter(x))
+        if modulus:  # pivot scaled to 1
+            inv = pow(x[key], -1, modulus)
+            x = {k: v * inv % modulus for k, v in x.items()}
+        else:  # content divided out
+            g = gcd(*x.values())
+            x = {k: v // g for k, v in x.items()}
+        basis.append((key, x))
+        chosen.append(n)
+        if len(chosen) == dim:
+            break
+    return chosen
 
 
 def solve_sparse(rows: list[Row], rhs: list, ncols: int,

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from dgdeform import GF, QQ, Cochain, Complex, FieldSpec, GradedMap, GradedModule, Scalar, linalg
-from dgdeform.cochain import _delta_matrix, cochain_basis
+from dgdeform.cochain import _cochain_from_coords, _delta_matrix, cochain_basis
 from dgdeform.linalg import nullspace_sparse
 
 
@@ -113,6 +113,29 @@ def oracle_cohomology_dims(cx: Complex, p: int) -> tuple[int, int, int]:
     return cocycles, coboundaries, cocycles - coboundaries
 
 
+def oracle_cohomology_representatives(source: Complex, target: Complex, p: int) -> list[GradedMap]:
+    """The representatives of H^p(V;M) by elimination in C^p: the canonical
+    kernel basis of delta^p, then a reduction of [delta^{p-1} | kernel
+    basis], whose pivot columns right of delta^{p-1} are the kernel vectors
+    independent modulo the image, in canonical order."""
+    field = source.field
+    dom_p, _, rows_p = _delta_matrix(source, target, p)
+    dom_prev, _, rows_prev = _delta_matrix(source, target, p - 1)
+    delta_p = linalg._System(rows_p, len(dom_p), field)
+    delta_p.reduce()
+    kernel = delta_p.nullspace()
+    offset = len(dom_prev)
+    for k, vec in enumerate(kernel):
+        for r, coeff in vec.items():
+            rows_prev[r][offset + k] = coeff
+    image = linalg._System(rows_prev, offset + len(kernel), field)
+    image.reduce()
+    return [
+        _cochain_from_coords(p, dom_p, kernel[c - offset], source, target).mapping
+        for c, _ in image.pivots if c >= offset
+    ]
+
+
 def count_reductions(monkeypatch) -> list[int]:
     """Record the column count of every ``_System.reduce`` from now on."""
     calls = []
@@ -169,26 +192,44 @@ def random_complex(
     acyclic: bool = False,
     singleton_degrees=None,
     name: str = "R",
+    top: int = 4,
 ) -> Complex:
     """A random direct sum of two-term exact pairs and zero-differential
-    singletons; d^2 = 0 holds by construction."""
+    singletons; d^2 = 0 holds by construction.  A pair spans degrees q and
+    q - 1 with q in [-2, top]; a singleton's degree is in [-2, top]."""
     basis: list[tuple[str, int]] = []
     entries = []
     count = 0
     while count < total_dim:
         if count + 1 < total_dim and (acyclic or rng.random() < 0.6):
-            deg = rng.randint(-2, 4)
+            deg = rng.randint(-2, top)
             a, b = f"e{count}", f"e{count + 1}"
             basis.append((a, deg))
             basis.append((b, deg - 1))
             entries.append((a, b, random_scalar(rng, field, nonzero=True)))
             count += 2
         else:
-            pool = singleton_degrees if singleton_degrees is not None else range(-2, 5)
+            pool = singleton_degrees if singleton_degrees is not None else range(-2, top + 1)
             basis.append((f"e{count}", rng.choice(list(pool))))
             count += 1
     module = GradedModule(name, field, basis)
     return Complex(module, GradedMap.from_entries(module, -1, entries))
+
+
+def conjugated(rng: random.Random, cx: Complex) -> Complex:
+    """cx with d replaced by g d g^{-1}, for g a product of 2 dim random
+    transvections Id + c E_ab between distinct basis elements of one degree:
+    an isomorphic complex whose differential and cycles fill in."""
+    module, d = cx.module, cx.d
+    for _ in range(2 * module.dim):
+        names = module.degree_component(rng.choice(sorted(module.degrees())))
+        if len(names) < 2:
+            continue
+        a, b = rng.sample(names, 2)
+        e = GradedMap.elementary(module, a, b, random_scalar(rng, cx.field, nonzero=True))
+        one = GradedMap.identity(module)
+        d = (one + e).compose(d).compose(one - e)
+    return Complex(module, d)
 
 
 def random_cochain(rng: random.Random, cx: Complex, p: int, density: float = 0.5):

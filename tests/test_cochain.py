@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgdeform import (
     GF,
@@ -20,7 +21,7 @@ from dgdeform import (
     noncobounding_certificate,
     solve_coboundary,
 )
-from dgdeform import linalg
+from dgdeform import cochain, linalg
 from dgdeform.cochain import CoboundarySolver, _delta_matrix
 from dgdeform.errors import (
     MalformedCochain,
@@ -29,8 +30,10 @@ from dgdeform.errors import (
     PostconditionFailed,
 )
 from conftest import (
+    conjugated,
     dense_rank,
     oracle_cohomology_dims,
+    oracle_cohomology_representatives,
     random_cochain,
     random_cocycle,
     random_complex,
@@ -237,12 +240,86 @@ def test_cohomology_of_pairs_matches_kunneth(field):
                 assert rep.is_cocycle()
 
 
+def test_cohomology_checks_its_inputs_whenever_either_cochain_space_is_nonempty():
+    # H^p reads C^p and C^{p-1}: a bad differential or a mixed pair is an
+    # error exactly when one of them is nonempty, and zeros otherwise
+    from dgdeform.errors import BadDegree, ModuleMismatch
+
+    m = GradedModule("V", QQ, [("a", 0), ("b", 1)])
+    up = Complex(m, GradedMap.from_entries(m, 1, [("a", "b", 1)]))
+    flat = Complex(m, GradedMap.zero(m, degree=-1))
+    m5 = GradedModule("M", GF(5), [("c", 0)])
+    other = Complex(m5, GradedMap.zero(m5, degree=-1))
+    cases = [
+        (up, up, BadDegree, range(-1, 3)),
+        (flat, up, BadDegree, range(-1, 3)),
+        (up, flat, BadDegree, range(-1, 3)),
+        (flat, other, ModuleMismatch, range(0, 3)),  # |a| - |c|, |b| - |c| in {0, 1}
+        (other, flat, ModuleMismatch, range(-1, 2)),
+        (up, other, ModuleMismatch, range(0, 3)),  # the fields are checked first
+    ]
+    for v, w, error, raising in cases:
+        for p in range(-4, 6):
+            if p in raising:
+                with pytest.raises(error):
+                    cohomology(v, w, p)
+            else:
+                res = cohomology(v, w, p)
+                assert (res.dim_cocycles, res.dim_coboundaries, res.dim_h) == (0, 0, 0)
+                assert res.representatives == []
+
+
 def test_cohomology_postcondition_is_a_real_check(monkeypatch):
     m = GradedModule("U", QQ, [("a", 0), ("b", 1)])
     cx = Complex(m, GradedMap.zero(m, degree=-1))
     monkeypatch.setattr(linalg._System, "nullspace", lambda self: [])
     with pytest.raises(PostconditionFailed):
         cohomology(cx, cx, 0)
+
+
+@pytest.mark.parametrize("short_side", ["cycles", "functionals"])
+def test_cohomology_with_a_class_missing_fails_its_postcondition(monkeypatch, short_side):
+    # dim_h comes from the ranks of d, so one cycle (or functional) short
+    # leaves the class coordinates one dimension short of H^p
+    m = GradedModule("U", QQ, [("a", 0), ("b", 1)])
+    cx = Complex(m, GradedMap.zero(m, degree=-1))
+    classes = cochain._homology_classes
+
+    def one_short(complex_, dual=False):
+        found, h = classes(complex_, dual)
+        return (found[:-1] if dual == (short_side == "functionals") else found), h
+
+    monkeypatch.setattr(cochain, "_homology_classes", one_short)
+    with pytest.raises(PostconditionFailed):
+        cohomology(cx, cx, 0)
+
+
+@st.composite
+def _cohomology_pairs(draw):
+    """(V, M) over Q, GF(2) or GF(5), each a random complex of dim 1-12 in
+    degrees from -3 up to -1..4, conjugated by transvections in most draws:
+    few degrees give fill-in and class coordinates that cancel."""
+    field = draw(st.sampled_from(FIELDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pair = []
+    for name in ("V", "M"):
+        top = draw(st.integers(-1, 4))
+        cx = random_complex(rng, field, draw(st.integers(1, 12)), name=name, top=top)
+        pair.append(conjugated(rng, cx) if draw(st.integers(0, 3)) else cx)
+    return pair
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cohomology_pairs())
+def test_cohomology_representatives_match_the_image_reduction(pair):
+    # every p from one below the lowest nonempty C^p to one above the highest
+    v, m = pair
+    gaps = {q - r for q in v.module.degrees() for r in m.module.degrees()}
+    for p in range(min(gaps) - 1, max(gaps) + 2):
+        res = cohomology(v, m, p)
+        want = oracle_cohomology_representatives(v, m, p)
+        assert [rep.mapping for rep in res.representatives] == want
+        assert res.dim_h == len(want)
 
 
 # -- solving ----------------------------------------------------------------------

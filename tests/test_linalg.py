@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgdeform import GF, QQ
-from dgdeform.linalg import LinearInfeasibility, LinearSolution, _System
+from dgdeform.linalg import LinearInfeasibility, LinearSolution, _independent, _System
 
 FIELDS = {"Q": QQ, "GF(2)": GF(2), "GF(5)": GF(5)}
 
@@ -104,9 +104,10 @@ def _check_against_oracle(field, mat, rhs_list):
 
     assert sys.pivots == [(c, r) for r, c in enumerate(pivcols)]
     assert sys.rows == [_sparse(row[:ncols]) for row in ref]
-    assert sys.trace == [_sparse(row[ncols:]) for row in ref]
+    transform = [sys.transform(r) for r in range(len(mat))]  # T exactly, every row
+    assert transform == [_sparse(row[ncols:]) for row in ref]
     assert rows == [_sparse(row) for row in mat]  # the input is not modified
-    for row in sys.rows + sys.trace:
+    for row in sys.rows + transform:
         _assert_canonical(row.values(), p)
 
     # kernel: {f: 1, then -ref[i][f] at each pivot column, in pivot order}
@@ -166,8 +167,32 @@ def test_hilbert_matrix():
     sys.reduce()
     assert sys.rows == [{i: Fraction(1)} for i in range(n)]
     # T is the inverse of the Hilbert matrix, which has integer entries
-    assert all(v.denominator == 1 for t in sys.trace for v in t.values())
-    assert max(abs(v) for t in sys.trace for v in t.values()) > 4 * 10**9
+    transform = [sys.transform(r) for r in range(n)]
+    assert all(v.denominator == 1 for t in transform for v in t.values())
+    assert max(abs(v) for t in transform for v in t.values()) > 4 * 10**9
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(num=4, den=1), st.integers(0, 8))
+def test_independent_is_the_greedy_basis(case, extra):
+    # position i is chosen when it raises the dense rank of the vectors up to i
+    field, mat, _ = case
+    p = field.modulus
+    mat = [[int(x) for x in row] for row in mat]
+    ranks = [len(dense_rref(mat[:i + 1], p)[1]) for i in range(len(mat))]
+    want = [i for i, r in enumerate(ranks) if r > (ranks[i - 1] if i else 0)]
+    vectors = [{k: x for k, x in enumerate(row) if x} for row in mat]
+    assert _independent(vectors, p, len(want) + extra) == want
+    # with dim the rank of the span, the scan stops at the last choice
+    drawn = []
+
+    def lazy():
+        for i, vec in enumerate(vectors):
+            drawn.append(i)
+            yield dict(vec)
+
+    assert _independent(lazy(), p, len(want)) == want
+    assert drawn == list(range(want[-1] + 1 if want else 0))
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -207,13 +232,8 @@ _ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul_
                "__truediv__", "__rtruediv__", "__neg__")
 
 
-@pytest.mark.parametrize("traced", [False, True])
-@pytest.mark.parametrize("echelon", [False, True])
-def test_rational_reduce_does_no_fraction_arithmetic(monkeypatch, traced, echelon):
-    rng = random.Random(12)
-    mat = [[Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(12)]
-           for _ in range(12)]
-    sys = _System([_sparse(row) for row in mat], 12, QQ, trace=traced)
+def _count_fraction_arithmetic(monkeypatch) -> list[str]:
+    """Record the name of every arithmetic operator called on a Fraction."""
     calls = []
 
     def counting(name, op):
@@ -226,8 +246,47 @@ def test_rational_reduce_does_no_fraction_arithmetic(monkeypatch, traced, echelo
         monkeypatch.setattr(Fraction, name, counting(name, getattr(Fraction, name)))
     assert -(Fraction(1, 2) * 3) and calls == ["__mul__", "__neg__"]  # the counters count
     calls.clear()
+    return calls
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("echelon", [False, True])
+def test_rational_reduce_does_no_fraction_arithmetic(monkeypatch, traced, echelon):
+    rng = random.Random(12)
+    mat = [[Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(12)]
+           for _ in range(12)]
+    sys = _System([_sparse(row) for row in mat], 12, QQ, trace=traced)
+    calls = _count_fraction_arithmetic(monkeypatch)
     sys.reduce(echelon=echelon)
     monkeypatch.undo()
     assert calls == []
     assert len(sys.pivots) == 12
     assert all(type(v) is Fraction for row in sys.rows for v in row.values())
+
+
+def test_rational_solve_does_no_fraction_arithmetic(monkeypatch):
+    # rank 9 of 12 rows: the last three rows are combinations of the first
+    rng = random.Random(13)
+    mat = [[Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(10)]
+           for _ in range(9)]
+    for _ in range(3):
+        coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(9)]
+        mat.append([sum(c * row[k] for c, row in zip(coeffs, mat)) for k in range(10)])
+    x = [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(10)]
+    feasible = [sum(a * b for a, b in zip(row, x)) for row in mat]
+    infeasible = feasible[:-1] + [feasible[-1] + Fraction(1, 11)]
+    sys = _System([_sparse(row) for row in mat], 10, QQ, trace=True)
+    sys.reduce()
+    for rhs in (feasible, infeasible):
+        assert len({b.denominator for b in rhs}) > 2  # mixed denominators
+        calls = _count_fraction_arithmetic(monkeypatch)
+        out = sys.solve(_sparse(rhs))
+        monkeypatch.undo()
+        assert calls == []
+        # exact, by the dense oracle
+        _check_against_oracle(QQ, mat, [rhs])
+        fresh = _System([_sparse(row) for row in mat], 10, QQ, trace=True)
+        fresh.reduce()
+        assert out == fresh.solve(_sparse(rhs))
+    assert isinstance(sys.solve(_sparse(feasible)), LinearSolution)
+    assert isinstance(sys.solve(_sparse(infeasible)), LinearInfeasibility)
