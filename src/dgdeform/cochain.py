@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import (
@@ -59,6 +60,15 @@ class Complex:
     @property
     def field(self):
         return self.module.field
+
+    # H(V) and H(M)* serve every p, so each complex computes them once
+    @cached_property
+    def _cycles(self):
+        return _homology_classes(self)
+
+    @cached_property
+    def _functionals(self):
+        return _homology_classes(self, dual=True)
 
 
 class Cochain:
@@ -172,7 +182,8 @@ def _cochain_from_coords(
 def _delta_matrix(source: Complex, target: Complex, p: int):
     """Rows of the matrix of delta^p in the canonical cochain bases.
 
-    Returns (domain basis of C^p, codomain basis of C^{p+1}, rows), where
+    Returns (domain basis of C^p, codomain index, rows): the index maps each
+    pair of the codomain basis of C^{p+1} to its row, in basis order, and
     rows[r][c] is the raw coefficient (see :mod:`linalg`) of codomain pair r
     in delta of domain pair c.
     The entries come straight from the differentials: with E_ij sending x_j
@@ -199,7 +210,7 @@ def _delta_matrix(source: Complex, target: Complex, p: int):
             rows[cod_index[j, k]][c] = coeff
         for l, coeff in d_v.get(j, ()):
             rows[cod_index[l, i]][c] = coeff
-    return dom, cod, rows
+    return dom, cod_index, rows
 
 
 def _homology_classes(cx: Complex, dual: bool = False):
@@ -271,8 +282,8 @@ def cohomology(source: Complex, target: Complex | None = None, p: int = 0) -> Co
     stops once dim_h are found.
     """
     target = target if target is not None else source
-    if cochain_basis(source.module, target.module, p - 1):
-        _check_pair(source, target)  # H^p reads C^{p-1} too
+    if not target.module.degrees().isdisjoint(q - p + 1 for q in source.module.degrees()):
+        _check_pair(source, target)  # H^p reads C^{p-1} too, and it is nonempty
     dom_p, _, rows_p = _delta_matrix(source, target, p)
     field = source.field
     rational = field.modulus is None
@@ -282,8 +293,8 @@ def cohomology(source: Complex, target: Complex | None = None, p: int = 0) -> Co
     dim_cocycles = len(dom_p) - len(delta_p.pivots)
     kernel = delta_p.nullspace()
 
-    cycles, h_v = _homology_classes(source)
-    functionals, h_m = _homology_classes(target, dual=True)
+    cycles, h_v = source._cycles
+    functionals, h_m = target._functionals
     dim_h = sum(h * h_m.get(q - p, 0) for q, h in h_v.items())
 
     def by_index(vectors):  # index -> [(s, integer entry of vector s)]
@@ -368,8 +379,7 @@ class CoboundarySolver:
         self.source = source
         self.target = target
         self.p = p
-        self.dom, self.cod, rows = _delta_matrix(source, target, p)
-        self._cod_index = {pair: r for r, pair in enumerate(self.cod)}
+        self.dom, self._cod_index, rows = _delta_matrix(source, target, p)
         self._system = _System(rows, len(self.dom), source.field, trace=True)
         self._system.reduce()
 
@@ -397,9 +407,10 @@ class CoboundarySolver:
                 raise PostconditionFailed("the solver's answer f does not satisfy delta(f) = g")
             return Solved(f)
         field = self.source.field
+        cod = list(self._cod_index)
         combo = []
         for r in sorted(outcome.combination):
-            j, i = self.cod[r]
+            j, i = cod[r]
             combo.append(
                 (self.source.module.name_of(j), self.target.module.name_of(i),
                  Scalar(field, outcome.combination[r]))

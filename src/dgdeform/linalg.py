@@ -5,15 +5,19 @@ Rows come in and go out as dicts column-index -> nonzero raw value: a
 ``Scalar``.  Input rows must hold such canonical values, and every row, kernel
 vector, solution and witness this module returns holds them too, as do the
 library's vectors and maps; ``Scalar`` appears only at the public boundary
-(map entries, vector coefficients, witnesses).  The field's normalization and
-inverse are bound once per system.
+(map entries, vector coefficients, witnesses).  Field arithmetic is written
+inline: ``% p`` after every sum and product over GF(p), nothing over Q.
 
 Elimination processes columns in increasing order and always picks the first
 remaining row with a nonzero entry as the pivot, so every result is
-deterministic for a fixed equation order.  An index from each column to the
-rows holding it finds that pivot and the rows to clear without scanning the
-others.  Full reduced row echelon form is computed (pivots normalized to 1
-and cleared above and below), which makes the particular solution with free
+deterministic for a fixed equation order.  Rows keep their ids while
+``reduce`` runs: a row swap only exchanges two entries of a permutation
+between row ids and positions, and the rows, their denominators and T are
+put into position order when ``reduce`` returns.  An index from each column
+to the ids of the rows holding it finds the pivot (the holder with the least
+remaining position) and the rows to clear without scanning the others.
+Full reduced row echelon form is computed (pivots normalized to 1 and
+cleared above and below), which makes the particular solution with free
 variables set to zero canonical.
 
 Inside ``reduce`` no ``Fraction`` arithmetic runs.  Row r is held as integers
@@ -71,8 +75,7 @@ class _System:
     """
 
     def __init__(self, rows: list[Row], ncols: int, field: FieldSpec, trace: bool = False):
-        self.one, self.norm, self.inv = field.one.value, field.norm, field.inv
-        self.rational = field.modulus is None
+        self.one, self.modulus = field.one.value, field.modulus
         self.ncols = ncols
         self.rows = [dict(r) for r in rows]
         self.trace = [{i: 1} for i in range(len(rows))] if trace else None
@@ -82,16 +85,20 @@ class _System:
     def reduce(self, echelon: bool = False) -> None:
         """Reduce to RREF; with ``echelon`` rows above a pivot are left
         uncleared, which gives the same pivots in fewer operations."""
-        rows, trace, norm, rational = self.rows, self.trace, self.norm, self.rational
+        rows, trace, p = self.rows, self.trace, self.modulus
         dens = [1] * len(rows)  # row r is rows[r] / dens[r], its trace trace[r] / dens[r]
-        if rational:
+        if p is None:
             for r, row in enumerate(rows):
                 if row:
                     d = dens[r] = lcm(*[v.denominator for v in row.values()])
                     rows[r] = {k: v.numerator * (d // v.denominator) for k, v in row.items()}
                     if trace is not None:
                         trace[r][r] = d
-        where: dict[int, set[int]] = {}  # column -> positions of the rows holding it
+        # rows keep their ids; a swap of positions only updates pos and at
+        nrows = len(rows)
+        pos = list(range(nrows))  # row id -> position
+        at = list(range(nrows))  # position -> row id
+        where: dict[int, set[int]] = {}  # column -> ids of the rows holding it
         for r, row in enumerate(rows):
             for k in row:
                 where.setdefault(k, set()).add(r)
@@ -99,37 +106,37 @@ class _System:
         for col in sorted(where):
             npiv = len(self.pivots)
             holders = where[col]
-            pivot = min((r for r in holders if r >= npiv), default=None)
-            if pivot is None:
+            q = nrows  # the least position >= npiv among the holders
+            for r in holders:
+                x = pos[r]
+                if npiv <= x < q:
+                    q = x
+            if q == nrows:
                 continue
-            if pivot != npiv:
-                for k in rows[npiv].keys() ^ rows[pivot].keys():  # held by one of the two
-                    where[k] ^= {npiv, pivot}
-                rows[npiv], rows[pivot] = rows[pivot], rows[npiv]
-                dens[npiv], dens[pivot] = dens[pivot], dens[npiv]
-                if trace is not None:
-                    trace[npiv], trace[pivot] = trace[pivot], trace[npiv]
-            prow = rows[npiv]
-            ptrace = trace[npiv] if trace is not None else None
+            piv = at[q]
+            if q != npiv:  # the row at position npiv moves to q
+                at[q] = other = at[npiv]
+                pos[other] = q
+                at[npiv], pos[piv] = piv, npiv
+            prow = rows[piv]
+            ptrace = trace[piv] if trace is not None else None
             a = prow[col]
-            if not rational:  # scale the pivot to 1
-                inv = self.inv(a)
-                for k in prow:
-                    prow[k] = norm(prow[k] * inv)
+            if p is not None:  # scale the pivot to 1
+                inv = pow(a, -1, p)
+                prow = rows[piv] = {k: v * inv % p for k, v in prow.items()}
                 if ptrace is not None:
-                    for k in ptrace:
-                        ptrace[k] = norm(ptrace[k] * inv)
+                    ptrace = trace[piv] = {k: v * inv % p for k, v in ptrace.items()}
                 a = 1
             else:  # the pivot value, content divided out, is the row denominator
                 g = gcd(*prow.values(), *(ptrace.values() if ptrace is not None else ()))
                 if a < 0:
                     g = -g
                 if g != 1:
-                    prow = rows[npiv] = {k: v // g for k, v in prow.items()}
+                    prow = rows[piv] = {k: v // g for k, v in prow.items()}
                     if ptrace is not None:
-                        ptrace = trace[npiv] = {k: v // g for k, v in ptrace.items()}
-                a = dens[npiv] = prow[col]
-            for r in [r for r in holders if r > npiv or (r < npiv and not echelon)]:
+                        ptrace = trace[piv] = {k: v // g for k, v in ptrace.items()}
+                a = dens[piv] = prow[col]
+            for r in [r for r in holders if r != piv and (pos[r] > npiv or not echelon)]:
                 row = rows[r]
                 c = -row[col]
                 m = 1
@@ -141,11 +148,11 @@ class _System:
                         dens[r] *= m
                 for k, v in prow.items():
                     s = row.get(k)
-                    if s is None:
-                        row[k] = norm(c * v)  # a product of nonzeros is nonzero
+                    if s is None:  # a product of nonzeros is nonzero
+                        row[k] = c * v if p is None else c * v % p
                         where[k].add(r)
                         continue
-                    s = norm(s + c * v)
+                    s = s + c * v if p is None else (s + c * v) % p
                     if s:
                         row[k] = s
                     else:
@@ -157,11 +164,14 @@ class _System:
                         t = trace[r] = {k: m * v for k, v in t.items()}
                     for k, v in ptrace.items():
                         s = t.get(k)
-                        s = norm(c * v if s is None else s + c * v)
+                        if s is None:
+                            t[k] = c * v if p is None else c * v % p
+                            continue
+                        s = s + c * v if p is None else (s + c * v) % p
                         if s:
                             t[k] = s
                         else:
-                            t.pop(k, None)
+                            del t[k]
                 d = dens[r]
                 if d != 1:  # divide the content out
                     g = gcd(d, *row.values(), *(t.values() if ptrace is not None else ()))
@@ -171,11 +181,12 @@ class _System:
                         if ptrace is not None:
                             trace[r] = {k: v // g for k, v in t.items()}
             self.pivots.append((col, npiv))
-        if rational:
-            for r, d in enumerate(dens):
-                if rows[r]:
-                    rows[r] = _fractions(rows[r], d)
-        self.dens = dens  # T stays integer rows: T[r][i] / dens[r]
+        if p is None:
+            rows = [_fractions(row, d) for row, d in zip(rows, dens)]
+        self.rows = [rows[r] for r in at]
+        self.dens = [dens[r] for r in at]  # T stays integer rows: T[r][i] / dens[r]
+        if trace is not None:
+            self.trace = [trace[r] for r in at]
 
     def nullspace(self) -> list[Row]:
         """A canonical basis of the kernel, one vector per free column, in
@@ -183,16 +194,17 @@ class _System:
         columns in pivot order}.  Needs a full (not echelon) ``reduce``."""
         pivcols = {c for c, _ in self.pivots}
         basis = {f: {f: self.one} for f in range(self.ncols) if f not in pivcols}
+        p = self.modulus
         for col, r in self.pivots:
             for f, c in self.rows[r].items():
                 if f in basis:
-                    basis[f][col] = self.norm(-c)
+                    basis[f][col] = -c if p is None else p - c
         return list(basis.values())
 
     def transform(self, r: int) -> Row:
         """Row r of T after ``reduce``, as canonical raw values."""
         t = self.trace[r]
-        return _fractions(t, self.dens[r]) if self.rational else dict(t)
+        return _fractions(t, self.dens[r]) if self.modulus is None else dict(t)
 
     def solve(self, rhs: Row) -> LinearSolution | LinearInfeasibility:
         """Solve against the sparse right side ``rhs`` (equation -> value)
@@ -208,7 +220,8 @@ class _System:
             for r, t in enumerate(self.trace):
                 for i, c in t.items():
                     self._tcols.setdefault(i, []).append((r, c))
-        if self.rational:
+        p = self.modulus
+        if p is None:
             scale = lcm(*[b.denominator for b in rhs.values()])
             rhs = {i: b.numerator * (scale // b.denominator) for i, b in rhs.items()}
         sums: dict[int, int] = {}
@@ -216,12 +229,11 @@ class _System:
             for r, c in self._tcols.get(i, ()):
                 s = sums.get(r)
                 sums[r] = c * b if s is None else s + c * b
-        if self.rational:
+        if p is None:
             dens = self.dens
             reduced = {r: Fraction(s, dens[r] * scale) for r, s in sums.items() if s}
         else:
-            norm = self.norm
-            reduced = {r: v for r, s in sums.items() if (v := norm(s))}
+            reduced = {r: v for r, s in sums.items() if (v := s % p)}
         bad = sorted(r for r in reduced if r >= len(self.pivots))
         if bad:
             # canonical witness: the inconsistent row combining the earliest equations

@@ -232,21 +232,26 @@ def conjugated(rng: random.Random, cx: Complex) -> Complex:
     return Complex(module, d)
 
 
-def random_cochain(rng: random.Random, cx: Complex, p: int, density: float = 0.5):
-    """A random p-cochain (possibly zero) on the complex."""
-    pairs = cochain_basis(cx.module, cx.module, p)
+def random_cochain(rng: random.Random, cx: Complex, p: int, density: float = 0.5,
+                   target: Complex | None = None):
+    """A random p-cochain (possibly zero) on the complex, or on the pair
+    (cx, target)."""
+    target = target if target is not None else cx
+    pairs = cochain_basis(cx.module, target.module, p)
     entries = []
     for j, i in pairs:
         if rng.random() < density:
             c = random_scalar(rng, cx.field)
             if c:
-                entries.append((cx.module.name_of(j), cx.module.name_of(i), c))
-    return GradedMap.from_entries(cx.module, -p, entries)
+                entries.append((cx.module.name_of(j), target.module.name_of(i), c))
+    return GradedMap.from_entries(cx.module, -p, entries, target=target.module)
 
 
-def random_cocycle(rng: random.Random, cx: Complex, p: int = 1):
-    """A random combination of the canonical cocycle basis in C^p."""
-    dom, _, rows = _delta_matrix(cx, cx, p)
+def random_cocycle(rng: random.Random, cx: Complex, p: int = 1, target: Complex | None = None):
+    """A random combination of the canonical cocycle basis in C^p, on the
+    complex or on the pair (cx, target)."""
+    target = target if target is not None else cx
+    dom, _, rows = _delta_matrix(cx, target, p)
     kernel = nullspace_sparse(rows, len(dom), cx.field)
     entries = []
     for vec in kernel:
@@ -255,8 +260,9 @@ def random_cocycle(rng: random.Random, cx: Complex, p: int = 1):
             continue
         for col, v in vec.items():
             j, i = dom[col]
-            entries.append((cx.module.name_of(j), cx.module.name_of(i), c * Scalar(cx.field, v)))
-    return GradedMap.from_entries(cx.module, -p, entries)
+            entries.append((cx.module.name_of(j), target.module.name_of(i),
+                            c * Scalar(cx.field, v)))
+    return GradedMap.from_entries(cx.module, -p, entries, target=target.module)
 
 
 def random_gauged(rng: random.Random, d_t, stages):

@@ -11,8 +11,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from dgdeform.cli import main
+from dgdeform.cochain import cochain_basis
 from dgdeform.deform import MAX_ORDER
+from dgdeform.dsl import load_complex, parse
 from dgdeform.family import MAX_TRUNCATION
+from conftest import count_reductions
 
 
 @pytest.fixture
@@ -73,6 +76,20 @@ def test_cohomology_output(runner, tmp_path):
     assert result.exit_code == 0
     assert result.output.splitlines()[0] == "H^0 dim=0"
     assert "H^1 dim=0" in result.output
+
+
+def test_cohomology_reduces_each_differential_once(runner, tmp_path, monkeypatch):
+    # H(V) and H(V)* serve every p: three degrees cost the three delta^p
+    # and, per direction, one kernel and one class elimination over d
+    path = _family_file(runner, tmp_path, 3, "obstructed")
+    cx, _, _ = load_complex(parse(path.read_text()))
+    n = cx.module.dim
+    deltas = [len(cochain_basis(cx.module, cx.module, p)) for p in (-1, 0, 1)]
+    calls = count_reductions(monkeypatch)
+    result = runner.invoke(main, ["cohomology", str(path), "--p", "-1", "--p", "0", "--p", "1"])
+    assert result.exit_code == 0
+    assert len(calls) == len(deltas) + 4
+    assert calls.count(n) == deltas.count(n) + 2
 
 
 def test_obstruction_output(runner, tmp_path):

@@ -16,6 +16,7 @@ from dgdeform import (
     Infeasible,
     Solved,
     base_complex,
+    cochain_basis,
     cohomology,
     family_lifts,
     noncobounding_certificate,
@@ -144,8 +145,9 @@ def test_delta_matrix_columns_match_composition(field):
     for _ in range(12):
         v, m = _random_pair(rng, field)
         for p in range(-2, 4):
-            dom, cod, rows = _delta_matrix(v, m, p)
-            cod_index = {pair: r for r, pair in enumerate(cod)}
+            dom, cod_index, rows = _delta_matrix(v, m, p)
+            assert list(cod_index) == cochain_basis(v.module, m.module, p + 1)
+            assert list(cod_index.values()) == list(range(len(cod_index)))
             for c, (j, i) in enumerate(dom):
                 e = GradedMap.elementary(
                     v.module, m.module.name_of(i), v.module.name_of(j), target=m.module

@@ -19,12 +19,21 @@ every stage, at every second or third stage, which leaves zero coefficients
 in between, or a canonical ladder on a complex with H^1 = 0); the rest stick
 at order 2.
 
+``tests/golden/solve.txt`` records ``solve_coboundary`` on seeded pairs over
+Q, GF(2) and GF(5), V = M for every fourth seed, each complex conjugated by
+transvections so that delta fills in: for each p, g = delta(f) for a random
+p-cochain f, then g plus a random (p+1)-cocycle, which cobounds only when its
+class is zero.  A solution is pinned by the sha256 of its rendering, a
+witness by its rendering in full: which rows of the elimination end up
+inconsistent, and so which witness is canonical, depends on every row swap.
+
 Any change to these files is a change of canonical outputs and needs a
 deliberate, reviewed diff.  They were written by
 
     PYTHONPATH=src:tests python tests/test_golden.py > tests/golden/cohomology.txt
     PYTHONPATH=src:tests python tests/test_golden.py cli > tests/golden/cli.txt
     PYTHONPATH=src:tests python tests/test_golden.py trivialize > tests/golden/trivialize.txt
+    PYTHONPATH=src:tests python tests/test_golden.py solve > tests/golden/solve.txt
 """
 
 import hashlib
@@ -38,22 +47,33 @@ from click.testing import CliRunner
 from dgdeform import (
     GF,
     QQ,
+    Cochain,
     FamilySpec,
     GradedMap,
     MapSeries,
+    Solved,
     cohomology,
     deform_to_order,
     family_lifts,
+    solve_coboundary,
     trivialize,
 )
 from dgdeform.cli import main
 from dgdeform.cochain import cochain_basis
 from dgdeform.family import VARIANTS
-from conftest import count_reductions, random_cocycle, random_complex, random_gauged
+from conftest import (
+    conjugated,
+    count_reductions,
+    random_cochain,
+    random_cocycle,
+    random_complex,
+    random_gauged,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "cohomology.txt"
 CLI_GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
 TRIVIALIZE_GOLDEN = Path(__file__).parent / "golden" / "trivialize.txt"
+SOLVE_GOLDEN = Path(__file__).parent / "golden" / "solve.txt"
 FIELDS = [QQ, GF(2), GF(5)]
 SEEDS = range(24)
 DEGREES = range(-2, 4)
@@ -162,6 +182,32 @@ def trivialize_golden() -> str:
     return "\n".join(out) + "\n"
 
 
+def solve_lines():
+    for seed in SEEDS:
+        for field in FIELDS:
+            rng = random.Random(f"solve/{seed}/{field}")
+            v = conjugated(rng, random_complex(rng, field, rng.randint(4, 20), name="V"))
+            m = v if seed % 4 == 0 else conjugated(
+                rng, random_complex(rng, field, rng.randint(4, 20), name="M"))
+            for p in range(-1, 3):
+                f = Cochain(p, random_cochain(rng, v, p, 0.6, target=m), v, m)
+                exact = f.coboundary()
+                z = Cochain(p + 1, random_cocycle(rng, v, p + 1, target=m), v, m)
+                for kind, g in (("exact", exact), ("cocycle", exact + z)):
+                    out = solve_coboundary(g)
+                    head = (f"seed={seed} field={field} V={v.module.dim} M={m.module.dim} "
+                            f"p={p} {kind}")
+                    if isinstance(out, Solved):
+                        digest = hashlib.sha256(out.cochain.render().encode()).hexdigest()
+                        yield f"{head} solved {digest}"
+                    else:
+                        yield f"{head} infeasible {out.witness.render()}"
+
+
+def test_solve_matches_golden():
+    assert list(solve_lines()) == SOLVE_GOLDEN.read_text().splitlines()
+
+
 def test_trivialize_matches_golden():
     assert trivialize_golden() == TRIVIALIZE_GOLDEN.read_text()
 
@@ -196,6 +242,9 @@ if __name__ == "__main__":
         sys.stdout.write(cli_golden())
     elif sys.argv[1:] == ["trivialize"]:
         sys.stdout.write(trivialize_golden())
+    elif sys.argv[1:] == ["solve"]:
+        for line in solve_lines():
+            print(line)
     else:
         for line in golden_lines():
             print(line)

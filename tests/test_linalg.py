@@ -123,6 +123,13 @@ def _check_against_oracle(field, mat, rhs_list):
     for vec in kernel:
         _assert_canonical(vec.values(), p)
 
+    # untraced, as cohomology reduces delta^p: the same RREF and kernel
+    plain = _System(rows, ncols, field)
+    plain.reduce()
+    assert plain.pivots == sys.pivots
+    assert plain.rows == [_sparse(row[:ncols]) for row in ref]
+    assert [list(v.items()) for v in plain.nullspace()] == want
+
     echelon = _System(rows, ncols, field)
     echelon.reduce(echelon=True)
     assert echelon.pivots == sys.pivots
@@ -142,6 +149,14 @@ def _check_against_oracle(field, mat, rhs_list):
             want = [(c, aug[i][ncols]) for i, c in enumerate(augpiv) if aug[i][ncols]]
             assert list(out.values.items()) == want
             assert rank == len(augpiv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(fields=("Q", "GF(5)"), size=16))
+def test_larger_systems_match_dense_rref(case):
+    # up to 16 rows: pivots found far down move many rows, so the positions
+    # of the rows left below them are reordered again and again
+    _check_against_oracle(*case)
 
 
 # -- integer rows over the rationals ---------------------------------------------------
