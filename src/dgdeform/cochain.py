@@ -23,7 +23,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .errors import (
     BadDegree,
@@ -37,7 +36,7 @@ from .errors import (
 from .field import Scalar
 from .gmap import GradedMap
 from .graded import GradedModule
-from .linalg import LinearSolution, _independent, _System
+from .linalg import LinearSolution, _integral, _System, nullspace_sparse
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,9 @@ class Complex:
             raise NotADifferential(str(exc)) from None
         if not ok:
             raise NotADifferential("d squared is not zero")
+
+    # the dataclass would add a hash of the fields, and GradedMap has none
+    __hash__ = None
 
     @property
     def field(self):
@@ -248,14 +250,6 @@ def _homology_classes(cx: Complex, dual: bool = False):
     return [kernel[c - n] for c, _ in classes.pivots if c >= n], h
 
 
-def _integral(vec: dict, rational: bool) -> dict[int, int]:
-    """``vec`` over Q scaled by the lcm of its denominators; over GF(p) as is."""
-    if not rational:
-        return vec
-    scale = lcm(*[v.denominator for v in vec.values()])
-    return {k: v.numerator * (scale // v.denominator) for k, v in vec.items()}
-
-
 @dataclass
 class CohomologyResult:
     """Dimensions and representatives of H^p(V;M)."""
@@ -270,60 +264,59 @@ class CohomologyResult:
 def cohomology(source: Complex, target: Complex | None = None, p: int = 0) -> CohomologyResult:
     """H^p = ker(delta^p) / im(delta^{p-1}), with deterministic representatives.
 
-    delta^p is reduced once, for its rank and its canonical kernel basis
-    v_f (one per free column f).  Over a field, Z^p -> sum_q Hom(H_q V,
-    H_{q-p} M) is onto with kernel B^p, so dim_h is the Kunneth sum of
-    h_q(V) * h_{q-p}(M), with each h_q from the ranks of d, and
+    delta^p is reduced once, for its canonical kernel basis v_f (one per
+    free column f, ``nullspace_sparse``).  Over a field, Z^p -> sum_q
+    Hom(H_q V, H_{q-p} M) is onto with kernel B^p, so dim_h is the Kunneth
+    sum of h_q(V) * h_{q-p}(M), with each h_q from the ranks of d, and
     dim_coboundaries = dim_cocycles - dim_h.  A cocycle's class has the
     coordinates lambda_t(f(z_s)), for the cycles z_s and the functionals
-    lambda_t of ``_homology_classes``; the representatives are the v_f, in
-    increasing f, whose coordinates are independent of those of every
-    earlier v_f, which are the v_f independent modulo the image; the scan
-    stops once dim_h are found.
+    lambda_t of ``_homology_classes``.  The class-coordinate matrix has a row
+    per class slot (s, t) and a column per v_f; the representatives are the
+    v_f at the pivot columns of its echelon form: the v_f, in increasing f,
+    whose coordinates are independent of those of every earlier v_f, which
+    are the v_f independent modulo the image.
     """
     target = target if target is not None else source
     if not target.module.degrees().isdisjoint(q - p + 1 for q in source.module.degrees()):
         _check_pair(source, target)  # H^p reads C^{p-1} too, and it is nonempty
     dom_p, _, rows_p = _delta_matrix(source, target, p)
     field = source.field
-    rational = field.modulus is None
-
-    delta_p = _System(rows_p, len(dom_p), field)
-    delta_p.reduce()
-    dim_cocycles = len(dom_p) - len(delta_p.pivots)
-    kernel = delta_p.nullspace()
+    kernel = nullspace_sparse(rows_p, len(dom_p), field)
+    dim_cocycles = len(kernel)
 
     cycles, h_v = source._cycles
     functionals, h_m = target._functionals
     dim_h = sum(h * h_m.get(q - p, 0) for q, h in h_v.items())
 
+    # over Q each vector is scaled to integers: a nonzero multiple keeps independence
+    integral = (lambda vec: _integral(vec)[1]) if field.modulus is None else (lambda vec: vec)
+
     def by_index(vectors):  # index -> [(s, integer entry of vector s)]
         at: dict[int, list[tuple[int, int]]] = {}
         for s, vec in enumerate(vectors):
-            for k, coeff in _integral(vec, rational).items():
+            for k, coeff in integral(vec).items():
                 at.setdefault(k, []).append((s, coeff))
         return at
 
     z_at, lam_at = by_index(cycles), by_index(functionals)
-
-    def coordinates():
-        # each v_f scaled to integers: a nonzero multiple keeps independence
-        for vec in kernel:
-            coords: dict[tuple[int, int], int] = {}
-            for c, a in _integral(vec, rational).items():
-                j, i = dom_p[c]
-                lams = lam_at.get(i)
-                if lams is None:
-                    continue
-                for s, z in z_at.get(j, ()):
-                    az = a * z
-                    for t, lam in lams:
-                        coords[s, t] = coords.get((s, t), 0) + az * lam
-            yield coords
-
+    coords: dict[tuple[int, int], dict[int, int]] = {}  # (s, t) -> {f: lambda_t(v_f(z_s))}
+    for f, vec in enumerate(kernel):
+        for c, a in integral(vec).items():
+            j, i = dom_p[c]
+            lams = lam_at.get(i)
+            if lams is None:
+                continue
+            for s, z in z_at.get(j, ()):
+                az = a * z
+                for t, lam in lams:
+                    row = coords.setdefault((s, t), {})
+                    row[f] = row.get(f, 0) + az * lam
+    norm = field.norm
+    rows = [{f: w for f, v in row.items() if (w := norm(v))} for row in coords.values()]
+    classes = _System(rows, dim_cocycles, field)
+    classes.reduce(echelon=True)
     representatives = [
-        _cochain_from_coords(p, dom_p, kernel[k], source, target)
-        for k in _independent(coordinates(), field.modulus, dim_h)
+        _cochain_from_coords(p, dom_p, kernel[f], source, target) for f, _ in classes.pivots
     ]
     if len(representatives) != dim_h:
         raise PostconditionFailed(

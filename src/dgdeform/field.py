@@ -75,10 +75,6 @@ class FieldSpec:
         if not _is_prime(self.modulus):
             raise NonPrimeModulus(f"modulus {self.modulus} is not prime")
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.modulus is not None
-
     def scalar(self, num: int, den: int = 1) -> "Scalar":
         """The canonical representative of num/den in this field."""
         if den == 0:

@@ -21,10 +21,11 @@ cleared above and below), which makes the particular solution with free
 variables set to zero canonical.
 
 Inside ``reduce`` no ``Fraction`` arithmetic runs.  Row r is held as integers
-``n_r`` over one positive row denominator ``D_r``, and its trace row as
-integers ``t_r`` over the same ``D_r``.  A pivot row is normalized by taking
-its pivot value ``a`` as its denominator.  Clearing an entry ``b`` of row r
-against it is a cross-multiplication: with ``g = gcd(a, b)``,
+``n_r`` over one positive row denominator ``D_r``, at first the lcm of its
+denominators (``_integral``), and its trace row as integers ``t_r`` over the
+same ``D_r``.  A pivot row is normalized by taking its pivot value ``a`` as
+its denominator.  Clearing an entry ``b`` of row r against it is a
+cross-multiplication: with ``g = gcd(a, b)``,
 ``n_r <- (a/g)*n_r - (b/g)*n_p`` and the same for ``t_r``, with
 ``D_r <- (a/g)*D_r``; then the content ``gcd(D_r, n_r, t_r)`` is divided
 out.  When ``reduce`` returns, each stored entry becomes one
@@ -35,16 +36,17 @@ only the witness row of T becomes ``Fraction``s.  Over GF(p) the pivot row is
 scaled to 1, so ``a`` is 1, every ``D_r`` stays 1 and the same loop is plain
 modular elimination.  The row operations and their order do not depend on
 the representation, so the results are exactly those of elimination in
-``Fraction`` arithmetic.
+``Fraction`` arithmetic.  Over Q an ``int`` entry is read as the integral
+rational it is.
 
-``_independent`` picks, in order, the vectors of a stream independent of
-the earlier ones, with the same cross-multiplication on integer vectors;
-``cohomology`` uses it on class coordinates, which are few.
+This is the library's one elimination loop.  The pivot columns of an
+echelon ``reduce`` are the columns independent of all earlier ones, the
+greedy basis of the column span; ``cochain`` chooses homology classes and
+cohomology representatives that way.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -53,6 +55,12 @@ from .field import FieldSpec
 
 Row = dict[int, "Fraction | int"]
 _ONE = Fraction(1)
+
+
+def _integral(row: Row) -> tuple[int, dict[int, int]]:
+    """(L, L * row) for a row over Q, with L the lcm of its denominators."""
+    scale = lcm(*[v.denominator for v in row.values()])
+    return scale, {k: v.numerator * (scale // v.denominator) for k, v in row.items()}
 
 
 def _fractions(row: dict[int, int], d: int) -> Row:
@@ -90,10 +98,9 @@ class _System:
         if p is None:
             for r, row in enumerate(rows):
                 if row:
-                    d = dens[r] = lcm(*[v.denominator for v in row.values()])
-                    rows[r] = {k: v.numerator * (d // v.denominator) for k, v in row.items()}
+                    dens[r], rows[r] = _integral(row)
                     if trace is not None:
-                        trace[r][r] = d
+                        trace[r][r] = dens[r]
         # rows keep their ids; a swap of positions only updates pos and at
         nrows = len(rows)
         pos = list(range(nrows))  # row id -> position
@@ -222,8 +229,7 @@ class _System:
                     self._tcols.setdefault(i, []).append((r, c))
         p = self.modulus
         if p is None:
-            scale = lcm(*[b.denominator for b in rhs.values()])
-            rhs = {i: b.numerator * (scale // b.denominator) for i, b in rhs.items()}
+            scale, rhs = _integral(rhs)
         sums: dict[int, int] = {}
         for i, b in rhs.items():
             for r, c in self._tcols.get(i, ()):
@@ -257,45 +263,6 @@ class LinearInfeasibility:
 
     combination: dict[int, Fraction | int]
     residual: Fraction | int
-
-
-def _independent(vectors: Iterable[dict], modulus: int | None, dim: int) -> list[int]:
-    """Positions of the vectors independent of all earlier ones, in order:
-    the greedy basis of their span.  The vectors hold integers, read over Q
-    when ``modulus`` is None and mod p otherwise.  The scan stops once
-    ``dim`` are chosen, which is every choice in a space of dimension
-    ``dim``; later vectors are not drawn."""
-    chosen: list[int] = []
-    basis: list[tuple[object, dict]] = []  # (pivot, row); a row is 0 at earlier pivots
-    if not dim:
-        return chosen
-    for n, x in enumerate(vectors):
-        for key, row in basis:  # x <- a x - b row, cross-multiplied as in reduce
-            b = x.get(key, 0) % modulus if modulus else x.get(key)
-            if not b:
-                continue
-            a = row[key]  # 1 over GF(p)
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            if a != 1:
-                x = {k: a * v for k, v in x.items()}
-            for k, v in row.items():
-                x[k] = x.get(k, 0) - b * v
-        x = {k: w for k, v in x.items() if (w := v % modulus if modulus else v)}
-        if not x:
-            continue
-        key = next(iter(x))
-        if modulus:  # pivot scaled to 1
-            inv = pow(x[key], -1, modulus)
-            x = {k: v * inv % modulus for k, v in x.items()}
-        else:  # content divided out
-            g = gcd(*x.values())
-            x = {k: v // g for k, v in x.items()}
-        basis.append((key, x))
-        chosen.append(n)
-        if len(chosen) == dim:
-            break
-    return chosen
 
 
 def solve_sparse(rows: list[Row], rhs: list, ncols: int,

@@ -103,6 +103,15 @@ def dense_rank(mat, modulus=None) -> int:
     return rank
 
 
+def oracle_nullity(cx: Complex) -> int:
+    """dim ker d, which is dim ker d^T, from the dense oracle."""
+    n = cx.module.dim
+    mat = [[0] * n for _ in range(n)]
+    for (i, j), v in raw_d_coefficients(cx).items():
+        mat[i][j] = v
+    return n - dense_rank(mat, cx.field.modulus)
+
+
 def oracle_cohomology_dims(cx: Complex, p: int) -> tuple[int, int, int]:
     """(dim cocycles, dim coboundaries, dim H) from the dense oracle."""
     pairs_p, _, mat_p = dense_delta_matrix(cx, p)

@@ -121,6 +121,13 @@ def test_complex_requires_square_zero():
         Complex(m, bad)
 
 
+def test_complex_is_unhashable():
+    # equal complexes compare by value, and their maps have no hash
+    cx = base_complex(3, QQ)
+    with pytest.raises(TypeError, match="unhashable type: 'Complex'"):
+        hash(cx)
+
+
 def test_coboundary_rejects_raising_differentials():
     from dgdeform.errors import BadDegree
 
