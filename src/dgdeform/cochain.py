@@ -15,6 +15,14 @@ homology dims, read from the ranks of d_V and d_M, and a cocycle's class is
 given by its coordinates lambda_t(f(z_s)) against cycles z_s of V and
 functionals lambda_t of M (``_homology_classes``); no elimination of
 delta^{p-1} is needed.
+
+Over Q the work runs in integers, from each complex's differential, kept
+once as integer columns over one denominator (``Complex._integer_d``),
+through delta's rows, the elimination and the class coordinates, to the
+solver's two delta checks, which recompute delta from those columns.  A
+``Fraction`` is built only for what is returned: the dim_h representatives
+of ``cohomology``, the values of a solution, the witness row and its
+residual, and the ``Scalar``s of a witness.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import (
     BadDegree,
@@ -36,7 +45,7 @@ from .errors import (
 from .field import Scalar
 from .gmap import GradedMap
 from .graded import GradedModule
-from .linalg import LinearSolution, _integral, _System, nullspace_sparse
+from .linalg import LinearSolution, _fractions, _integral, _System
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,12 @@ class Complex:
     @property
     def field(self):
         return self.module.field
+
+    @cached_property
+    def _integer_d(self) -> tuple[int, dict[int, dict[int, int]]]:
+        """d as integer columns over one denominator: (D, {j: {k: n}}) with
+        d[k, j] = n / D; over GF(p) D is 1 and the columns are d's own."""
+        return _integer_columns(self.d)
 
     # H(V) and H(M)* serve every p, so each complex computes them once
     @cached_property
@@ -144,6 +159,60 @@ def _check_differentials(source: Complex, target: Complex) -> None:
             )
 
 
+def _integer_columns(m: GradedMap) -> tuple[int, dict[int, dict[int, int]]]:
+    """The columns of ``m`` as integers over one denominator (1 over GF(p))."""
+    if m.source.field.modulus is not None:
+        return 1, m.columns
+    den, cols = _integral(list(m.columns.values()))
+    return den, dict(zip(m.columns, cols))
+
+
+def _integer_coboundary(source: Complex, target: Complex, p: int,
+                        cols: dict[int, dict[int, int]], den: int):
+    """delta(f) = d_M f - (-1)^p f d_V for the p-cochain f = cols / den,
+    as (integer columns, denominator), in integers from the differentials'
+    integer columns; zeros are not stored."""
+    _check_differentials(source, target)
+    mod = source.field.modulus
+    d_v, n_v = source._integer_d
+    d_m, n_m = target._integer_d
+    scale = lcm(d_v, d_m)
+    a, b = scale // d_m, scale // d_v
+    if p % 2 == 0:
+        b = -b
+    out: dict[int, dict[int, int]] = {}
+    for j, col in cols.items():  # column j of d_M f: sum_i f[i, j] * (column i of d_M)
+        acc = out.setdefault(j, {})
+        for i, c in col.items():
+            c *= a
+            for k, e in n_m.get(i, {}).items():
+                acc[k] = acc.get(k, 0) + c * e
+    for l, col in n_v.items():  # column l of f d_V: sum_j d_V[j, l] * (column j of f)
+        acc = out.setdefault(l, {})
+        for j, e in col.items():
+            e *= b
+            for i, c in cols.get(j, {}).items():
+                acc[i] = acc.get(i, 0) + e * c
+    if mod is None:
+        out = {j: kept for j, col in out.items() if (kept := {k: v for k, v in col.items() if v})}
+    else:
+        out = {j: kept for j, col in out.items()
+               if (kept := {k: w for k, v in col.items() if (w := v % mod)})}
+    return out, den * scale
+
+
+def _same_columns(a: dict[int, dict[int, int]], da: int,
+                  b: dict[int, dict[int, int]], db: int) -> bool:
+    """a / da == b / db for integer columns without stored zeros."""
+    if a.keys() != b.keys():
+        return False
+    for j, col in a.items():
+        other = b[j]
+        if col.keys() != other.keys() or any(v * db != other[k] * da for k, v in col.items()):
+            return False
+    return True
+
+
 def _check_pair(source: Complex, target: Complex) -> None:
     if source.field != target.field:
         raise ModuleMismatch("source and target complexes have different fields")
@@ -184,12 +253,12 @@ def _cochain_from_coords(
 def _delta_matrix(source: Complex, target: Complex, p: int):
     """Rows of the matrix of delta^p in the canonical cochain bases.
 
-    Returns (domain basis of C^p, codomain index, rows): the index maps each
-    pair of the codomain basis of C^{p+1} to its row, in basis order, and
-    rows[r][c] is the raw coefficient (see :mod:`linalg`) of codomain pair r
-    in delta of domain pair c.
-    The entries come straight from the differentials: with E_ij sending x_j
-    to y_i,
+    Returns (domain basis of C^p, codomain index, rows, den): the index maps
+    each pair of the codomain basis of C^{p+1} to its row, in basis order,
+    and rows[r][c] / den is the coefficient of codomain pair r in delta of
+    domain pair c, with rows[r][c] an integer (a residue over GF(p), where
+    den is 1).  The entries come straight from the differentials' integer
+    columns: with E_ij sending x_j to y_i,
 
         delta(E_ij) = sum_k d_M[k,i] E_kj - (-1)^p sum_l d_V[j,l] E_il.
 
@@ -200,43 +269,53 @@ def _delta_matrix(source: Complex, target: Complex, p: int):
     if dom:
         _check_pair(source, target)
     cod_index = {pair: r for r, pair in enumerate(cod)}
-    d_m = target.d.columns  # i -> column {k: d_M[k,i]}
-    norm = source.field.norm
-    d_v: dict[int, list[tuple[int, Fraction | int]]] = {}  # j -> [(l, -(-1)^p d_V[j,l])]
-    for l, col in source.d.columns.items():
+    d_v, n_v = source._integer_d
+    d_m, n_m = target._integer_d  # i -> column {k: d_M[k,i] * d_m}
+    den = lcm(d_v, d_m)
+    a, b = den // d_m, den // d_v
+    mod = source.field.modulus
+    if p % 2 == 0:
+        b = -b
+    d_vt: dict[int, list[tuple[int, int]]] = {}  # j -> [(l, -(-1)^p d_V[j,l] * den)]
+    for l, col in n_v.items():
         for j, coeff in col.items():
-            d_v.setdefault(j, []).append((l, coeff if p % 2 else norm(-coeff)))
-    rows: list[dict[int, Fraction | int]] = [{} for _ in cod]
+            d_vt.setdefault(j, []).append((l, b * coeff if mod is None else b * coeff % mod))
+    if a != 1:
+        n_m = {i: {k: a * coeff for k, coeff in col.items()} for i, col in n_m.items()}
+    rows: list[dict[int, int]] = [{} for _ in cod]
     for c, (j, i) in enumerate(dom):
-        for k, coeff in d_m[i].items() if i in d_m else ():
+        for k, coeff in n_m[i].items() if i in n_m else ():
             rows[cod_index[j, k]][c] = coeff
-        for l, coeff in d_v.get(j, ()):
+        for l, coeff in d_vt.get(j, ()):
             rows[cod_index[l, i]][c] = coeff
-    return dom, cod_index, rows
+    return dom, cod_index, rows, den
 
 
 def _homology_classes(cx: Complex, dual: bool = False):
     """Cycles z_s of d (of d^T when ``dual``) whose classes are a basis of
-    its homology, with the homology dims {degree q: h_q}.
+    its homology, as integer vectors (each a nonzero multiple of a cycle),
+    with the homology dims {degree q: h_q}.
 
     With ``dual`` the cycles are functionals lambda_t on the module with
     lambda_t o d = 0, a basis of H(cx)*.  Two eliminations over the whole
     of d: its kernel, then an echelon pass over [columns of d | kernel
     vectors], whose pivots right of d are the kernel vectors independent
-    modulo the image.  h_q = dim_q - rank d_q - rank d_{q+1} is read from
-    the pivots of the first, not from a kernel basis.
+    modulo the image; a nonzero multiple of a column keeps both.
+    h_q = dim_q - rank d_q - rank d_{q+1} is read from the pivots of the
+    first, not from a kernel basis.
     """
     module, n = cx.module, cx.module.dim
+    _, cols = cx._integer_d
     if dual:  # row j of d^T is column j of d
-        rows = [dict(cx.d.columns.get(j, ())) for j in range(n)]
+        rows = [dict(cols.get(j, ())) for j in range(n)]
     else:
         rows = [{} for _ in range(n)]
-        for j, col in cx.d.columns.items():
+        for j, col in cols.items():
             for k, coeff in col.items():
                 rows[k][j] = coeff
     kernel_system = _System(rows, n, cx.field)
     kernel_system.reduce()
-    kernel = kernel_system.nullspace()
+    kernel = [vec for _, vec in kernel_system.nullspace()]
     # a column of degree q lands in degree q + shift
     shift = 1 if dual else -1
     rank = Counter(module.degree_of(c) for c, _ in kernel_system.pivots)
@@ -265,43 +344,45 @@ def cohomology(source: Complex, target: Complex | None = None, p: int = 0) -> Co
     """H^p = ker(delta^p) / im(delta^{p-1}), with deterministic representatives.
 
     delta^p is reduced once, for its canonical kernel basis v_f (one per
-    free column f, ``nullspace_sparse``).  Over a field, Z^p -> sum_q
-    Hom(H_q V, H_{q-p} M) is onto with kernel B^p, so dim_h is the Kunneth
-    sum of h_q(V) * h_{q-p}(M), with each h_q from the ranks of d, and
-    dim_coboundaries = dim_cocycles - dim_h.  A cocycle's class has the
-    coordinates lambda_t(f(z_s)), for the cycles z_s and the functionals
+    free column f, integers over a denominator L_f).  Over a field,
+    Z^p -> sum_q Hom(H_q V, H_{q-p} M) is onto with kernel B^p, so dim_h is
+    the Kunneth sum of h_q(V) * h_{q-p}(M), with each h_q from the ranks of
+    d, and dim_coboundaries = dim_cocycles - dim_h.  A cocycle's class has
+    the coordinates lambda_t(f(z_s)), for the cycles z_s and the functionals
     lambda_t of ``_homology_classes``.  The class-coordinate matrix has a row
     per class slot (s, t) and a column per v_f; the representatives are the
     v_f at the pivot columns of its echelon form: the v_f, in increasing f,
     whose coordinates are independent of those of every earlier v_f, which
-    are the v_f independent modulo the image.
+    are the v_f independent modulo the image.  Independence does not change
+    when a vector is scaled, so the coordinates are taken in integers on
+    L_f v_f, z_s and lambda_t as they are, and only the dim_h
+    representatives become Fractions.
     """
     target = target if target is not None else source
     if not target.module.degrees().isdisjoint(q - p + 1 for q in source.module.degrees()):
         _check_pair(source, target)  # H^p reads C^{p-1} too, and it is nonempty
-    dom_p, _, rows_p = _delta_matrix(source, target, p)
+    dom_p, _, rows_p, _ = _delta_matrix(source, target, p)
     field = source.field
-    kernel = nullspace_sparse(rows_p, len(dom_p), field)
+    delta = _System(rows_p, len(dom_p), field)  # the kernel does not see the denominator
+    delta.reduce()
+    kernel = delta.nullspace()
     dim_cocycles = len(kernel)
 
     cycles, h_v = source._cycles
     functionals, h_m = target._functionals
     dim_h = sum(h * h_m.get(q - p, 0) for q, h in h_v.items())
 
-    # over Q each vector is scaled to integers: a nonzero multiple keeps independence
-    integral = (lambda vec: _integral(vec)[1]) if field.modulus is None else (lambda vec: vec)
-
-    def by_index(vectors):  # index -> [(s, integer entry of vector s)]
+    def by_index(vectors):  # index -> [(s, entry of vector s)]
         at: dict[int, list[tuple[int, int]]] = {}
         for s, vec in enumerate(vectors):
-            for k, coeff in integral(vec).items():
+            for k, coeff in vec.items():
                 at.setdefault(k, []).append((s, coeff))
         return at
 
     z_at, lam_at = by_index(cycles), by_index(functionals)
     coords: dict[tuple[int, int], dict[int, int]] = {}  # (s, t) -> {f: lambda_t(v_f(z_s))}
-    for f, vec in enumerate(kernel):
-        for c, a in integral(vec).items():
+    for f, (_, vec) in enumerate(kernel):
+        for c, a in vec.items():
             j, i = dom_p[c]
             lams = lam_at.get(i)
             if lams is None:
@@ -315,9 +396,11 @@ def cohomology(source: Complex, target: Complex | None = None, p: int = 0) -> Co
     rows = [{f: w for f, v in row.items() if (w := norm(v))} for row in coords.values()]
     classes = _System(rows, dim_cocycles, field)
     classes.reduce(echelon=True)
-    representatives = [
-        _cochain_from_coords(p, dom_p, kernel[f], source, target) for f, _ in classes.pivots
-    ]
+    representatives = []
+    for f, _ in classes.pivots:
+        den, vec = kernel[f]
+        coords = vec if field.modulus is not None else _fractions(vec, den)
+        representatives.append(_cochain_from_coords(p, dom_p, coords, source, target))
     if len(representatives) != dim_h:
         raise PostconditionFailed(
             f"found {len(representatives)} representatives for a {dim_h}-dimensional H^{p}"
@@ -372,8 +455,8 @@ class CoboundarySolver:
         self.source = source
         self.target = target
         self.p = p
-        self.dom, self._cod_index, rows = _delta_matrix(source, target, p)
-        self._system = _System(rows, len(self.dom), source.field, trace=True)
+        self.dom, self._cod_index, rows, den = _delta_matrix(source, target, p)
+        self._system = _System(rows, len(self.dom), source.field, den, trace=True)
         self._system.reduce()
 
     def solve(self, g: Cochain) -> Solved | Infeasible:
@@ -381,31 +464,35 @@ class CoboundarySolver:
 
         The solution is the canonical reduced-row-echelon particular solution
         (free variables zero) in the canonical cochain basis.  g must be a
-        cocycle; non-cocycles are rejected outright.
+        cocycle; non-cocycles are rejected outright.  Both checks, delta(g) = 0
+        on the way in and delta(f) = g on the way out, recompute delta in
+        integers from the differentials' integer columns, not from the rows
+        of delta^p.
         """
         if g.p != self.p + 1 or g.source != self.source or g.target != self.target:
             raise MalformedCochain(
                 f"this solver takes {self.p + 1}-cochains on its own complexes"
             )
-        if not g.is_cocycle():
+        source, target = self.source, self.target
+        den, cols = _integer_columns(g.mapping)
+        if _integer_coboundary(source, target, g.p, cols, den)[0]:
             raise NotACocycle("right-hand side is not a cocycle")
-        rhs = {
-            self._cod_index[j, i]: coeff
-            for j, col in g.mapping.columns.items() for i, coeff in col.items()
-        }
-        outcome = self._system.solve(rhs)
+        rhs = {self._cod_index[j, i]: coeff for j, col in cols.items() for i, coeff in col.items()}
+        outcome = self._system.solve(rhs, den)
         if isinstance(outcome, LinearSolution):
-            f = _cochain_from_coords(self.p, self.dom, outcome.values, self.source, self.target)
-            if f.coboundary() != g:
+            f = _cochain_from_coords(self.p, self.dom, outcome.values, source, target)
+            f_den, f_cols = _integer_columns(f.mapping)
+            delta, delta_den = _integer_coboundary(source, target, self.p, f_cols, f_den)
+            if not _same_columns(delta, delta_den, cols, den):
                 raise PostconditionFailed("the solver's answer f does not satisfy delta(f) = g")
             return Solved(f)
-        field = self.source.field
+        field = source.field
         cod = list(self._cod_index)
         combo = []
         for r in sorted(outcome.combination):
             j, i = cod[r]
             combo.append(
-                (self.source.module.name_of(j), self.target.module.name_of(i),
+                (source.module.name_of(j), target.module.name_of(i),
                  Scalar(field, outcome.combination[r]))
             )
         return Infeasible(InfeasibilityWitness(combo, Scalar(field, outcome.residual)))

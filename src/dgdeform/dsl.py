@@ -9,7 +9,9 @@ with ``;``):
         term := [-] [<scalar> '*'] <dst>      scalar := [-] <int> [/ <int>]
     deformation { order <k> : <mapname> ; ... }
 
-Scalars in GF(p) files are reduced mod p on parse.  The printer emits the
+A module block declares at most ``MAX_GENERATORS`` (20,000) generators,
+which bounds what a file can make the parser build.  Scalars in GF(p) files
+are reduced mod p on parse.  The printer emits the
 canonical rendering (basis in declaration order, columns sorted by source
 index, terms by target index, coefficient 1 omitted and -1 as a leading
 minus), and parse(render(doc)) reproduces the document exactly.
@@ -31,7 +33,12 @@ from .errors import (
 )
 from .field import FieldSpec, Scalar
 from .gmap import GradedMap
+from .family import MAX_TRUNCATION
 from .graded import GradedModule, _render_sum
+
+#: the most generators a module block may declare: the module of
+#: ``paper-family`` at the truncation cap, so every family file reads back
+MAX_GENERATORS = 2 * MAX_TRUNCATION
 
 
 @dataclass
@@ -211,6 +218,11 @@ class _Parser:
         seen: set[str] = set()
         while True:
             btok = self.expect("IDENT", "a basis name")
+            if len(basis) == MAX_GENERATORS:
+                raise ParseError(
+                    f"module {name.text} declares more than {MAX_GENERATORS} generators",
+                    btok.line, btok.col,
+                )
             if btok.text in seen:
                 raise ParseError(f"duplicate basis name {btok.text!r}", btok.line, btok.col)
             seen.add(btok.text)

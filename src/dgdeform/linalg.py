@@ -1,12 +1,17 @@
-"""Sparse exact Gaussian elimination over a FieldSpec, on raw field values.
+"""Sparse exact Gaussian elimination over a FieldSpec, in integers.
 
-Rows come in and go out as dicts column-index -> nonzero raw value: a
-``Fraction`` over the rationals, an ``int`` in [0, p) over GF(p), never a
-``Scalar``.  Input rows must hold such canonical values, and every row, kernel
-vector, solution and witness this module returns holds them too, as do the
-library's vectors and maps; ``Scalar`` appears only at the public boundary
-(map entries, vector coefficients, witnesses).  Field arithmetic is written
-inline: ``% p`` after every sum and product over GF(p), nothing over Q.
+A matrix comes in as integer rows over one matrix denominator ``den``: dicts
+column-index -> nonzero ``int``, any integer over Q, a residue in [0, p)
+over GF(p), where ``den`` is 1.  Callers that hold raw field values (a
+``Fraction`` over Q) scale them with ``_integral`` first.  Reduced rows stay
+integers over their row denominators, kernel vectors come out as integers
+over one denominator each, and a right side goes into ``solve`` as integers
+over its own denominator.  A ``Fraction`` is built only for what leaves the
+module as raw values: solution values, the witness row of T and its
+residual, and the rows of ``transform`` and of the raw-value wrappers
+``solve_sparse``, ``rank_sparse`` and ``nullspace_sparse``.  Field arithmetic
+is written inline: ``% p`` after every sum and product over GF(p), nothing
+over Q.
 
 Elimination processes columns in increasing order and always picks the first
 remaining row with a nonzero entry as the pivot, so every result is
@@ -20,24 +25,21 @@ Full reduced row echelon form is computed (pivots normalized to 1 and
 cleared above and below), which makes the particular solution with free
 variables set to zero canonical.
 
-Inside ``reduce`` no ``Fraction`` arithmetic runs.  Row r is held as integers
-``n_r`` over one positive row denominator ``D_r``, at first the lcm of its
-denominators (``_integral``), and its trace row as integers ``t_r`` over the
-same ``D_r``.  A pivot row is normalized by taking its pivot value ``a`` as
-its denominator.  Clearing an entry ``b`` of row r against it is a
+Row r is held as integers ``n_r`` over one positive row denominator ``D_r``,
+at first the input row over 1, and its trace row as integers ``t_r`` over
+the same ``D_r``.  A pivot row is normalized by taking its pivot value ``a``
+as its denominator.  Clearing an entry ``b`` of row r against it is a
 cross-multiplication: with ``g = gcd(a, b)``,
 ``n_r <- (a/g)*n_r - (b/g)*n_p`` and the same for ``t_r``, with
 ``D_r <- (a/g)*D_r``; then the content ``gcd(D_r, n_r, t_r)`` is divided
-out.  When ``reduce`` returns, each stored entry becomes one
-``Fraction(v, D_r)``, and T stays integer rows over ``D_r``.  ``solve`` scales a
-right side to integers by the lcm L of its denominators, sums T times it in
-integers and builds one ``Fraction(s, D_r * L)`` per nonzero reduced entry;
-only the witness row of T becomes ``Fraction``s.  Over GF(p) the pivot row is
-scaled to 1, so ``a`` is 1, every ``D_r`` stays 1 and the same loop is plain
-modular elimination.  The row operations and their order do not depend on
-the representation, so the results are exactly those of elimination in
-``Fraction`` arithmetic.  Over Q an ``int`` entry is read as the integral
-rational it is.
+out.  The reduction runs on the integer rows N = den * A as given, so the
+matrix denominator enters only when T is read: each row not normalized
+stays den times that row of the elimination of A, and each normalized row
+equals it, so T[r] is ``t_r / D_r``, times den for a pivot row.  Over GF(p)
+the pivot row is scaled to 1, so ``a`` is 1, every ``D_r`` stays 1 and the
+same loop is plain modular elimination.  The row operations and their order
+do not depend on the representation, so the results are exactly those of
+elimination of A in ``Fraction`` arithmetic.
 
 This is the library's one elimination loop.  The pivot columns of an
 echelon ``reduce`` are the columns independent of all earlier ones, the
@@ -54,53 +56,49 @@ from math import gcd, lcm
 from .field import FieldSpec
 
 Row = dict[int, "Fraction | int"]
-_ONE = Fraction(1)
 
 
-def _integral(row: Row) -> tuple[int, dict[int, int]]:
-    """(L, L * row) for a row over Q, with L the lcm of its denominators."""
-    scale = lcm(*[v.denominator for v in row.values()])
-    return scale, {k: v.numerator * (scale // v.denominator) for k, v in row.items()}
+def _integral(rows: list[Row]) -> tuple[int, list[dict[int, int]]]:
+    """(L, L * rows) for rows over Q, with L the lcm of all their denominators."""
+    scale = lcm(*[v.denominator for row in rows for v in row.values()])
+    return scale, [{k: v.numerator * (scale // v.denominator) for k, v in row.items()}
+                   for row in rows]
 
 
-def _fractions(row: dict[int, int], d: int) -> Row:
-    """The integer row ``row`` over the denominator ``d`` as Fractions; the
-    many entries 1 (rows of T an elimination never touched) share one."""
-    if d == 1:
-        return {k: _ONE if v == 1 else Fraction(v) for k, v in row.items()}
-    return {k: Fraction(v, d) for k, v in row.items()}
+def _fractions(vec: dict[int, int], d: int) -> dict[int, Fraction]:
+    """The integer vector ``vec`` over the denominator ``d`` as Fractions."""
+    return {k: Fraction(v, d) for k, v in vec.items()}
 
 
 class _System:
-    """Elimination state for one sparse matrix.
+    """Elimination state for one sparse matrix, given as integer rows over
+    one denominator ``den`` (over GF(p) residues, and ``den`` is 1).
 
     With ``trace`` the row transform T is kept: after ``reduce``, reduced
     row r is sum_i T[r][i] * (original row i), with T[r][i] held as the
-    integer ``trace[r][i]`` over ``dens[r]`` over Q (``transform`` gives the
-    row as raw values).  Applying T to a right side
-    gives the right side the elimination would have carried along, so one
-    reduction serves any number of right sides.
+    integer ``trace[r][i]`` over ``dens[r]`` (``transform`` gives the row as
+    raw values).  Applying T to a right side gives the right side the
+    elimination would have carried along, so one reduction serves any number
+    of right sides.
     """
 
-    def __init__(self, rows: list[Row], ncols: int, field: FieldSpec, trace: bool = False):
-        self.one, self.modulus = field.one.value, field.modulus
+    def __init__(self, rows: list[dict[int, int]], ncols: int, field: FieldSpec,
+                 den: int = 1, trace: bool = False):
+        self.modulus = field.modulus
         self.ncols = ncols
+        self.den = den
         self.rows = [dict(r) for r in rows]
         self.trace = [{i: 1} for i in range(len(rows))] if trace else None
         self.pivots: list[tuple[int, int]] = []  # (column, row position)
-        self._tcols: dict[int, list[tuple[int, Fraction | int]]] | None = None
+        self._tcols: dict[int, list[tuple[int, int]]] | None = None
 
     def reduce(self, echelon: bool = False) -> None:
         """Reduce to RREF; with ``echelon`` rows above a pivot are left
         uncleared, which gives the same pivots in fewer operations."""
         rows, trace, p = self.rows, self.trace, self.modulus
-        dens = [1] * len(rows)  # row r is rows[r] / dens[r], its trace trace[r] / dens[r]
-        if p is None:
-            for r, row in enumerate(rows):
-                if row:
-                    dens[r], rows[r] = _integral(row)
-                    if trace is not None:
-                        trace[r][r] = dens[r]
+        # row r is rows[r] / dens[r] and its trace trace[r] / dens[r], both
+        # against the integer rows as given; ``den`` enters only on read-out
+        dens = [1] * len(rows)
         # rows keep their ids; a swap of positions only updates pos and at
         nrows = len(rows)
         pos = list(range(nrows))  # row id -> position
@@ -188,56 +186,73 @@ class _System:
                         if ptrace is not None:
                             trace[r] = {k: v // g for k, v in t.items()}
             self.pivots.append((col, npiv))
-        if p is None:
-            rows = [_fractions(row, d) for row, d in zip(rows, dens)]
         self.rows = [rows[r] for r in at]
-        self.dens = [dens[r] for r in at]  # T stays integer rows: T[r][i] / dens[r]
+        self.dens = [dens[r] for r in at]
         if trace is not None:
             self.trace = [trace[r] for r in at]
 
-    def nullspace(self) -> list[Row]:
+    def nullspace(self) -> list[tuple[int, dict[int, int]]]:
         """A canonical basis of the kernel, one vector per free column, in
-        increasing free-column order; each vector is {f: 1, then the pivot
-        columns in pivot order}.  Needs a full (not echelon) ``reduce``."""
+        increasing free-column order; each is (L, vector) with the integer
+        vector over L holding {f: 1, then the pivot columns in pivot order},
+        L the lcm of the denominators of the rows that hold f (1 over
+        GF(p)).  Needs a full (not echelon) ``reduce``."""
         pivcols = {c for c, _ in self.pivots}
-        basis = {f: {f: self.one} for f in range(self.ncols) if f not in pivcols}
-        p = self.modulus
+        free = [f for f in range(self.ncols) if f not in pivcols]
+        p, rows, dens = self.modulus, self.rows, self.dens
+        scale = dict.fromkeys(free, 1)
+        if p is None:  # row r holds its pivot and free columns only, over dens[r]
+            for _, r in self.pivots:
+                d = dens[r]
+                if d != 1:
+                    for f in rows[r]:
+                        if f in scale and scale[f] % d:
+                            scale[f] = lcm(scale[f], d)
+        basis = {f: {f: scale[f]} for f in free}
         for col, r in self.pivots:
-            for f, c in self.rows[r].items():
+            d = dens[r]
+            for f, c in rows[r].items():
                 if f in basis:
-                    basis[f][col] = -c if p is None else p - c
-        return list(basis.values())
+                    basis[f][col] = -c * (scale[f] // d) if p is None else p - c
+        return [(scale[f], basis[f]) for f in free]
 
     def transform(self, r: int) -> Row:
         """Row r of T after ``reduce``, as canonical raw values."""
         t = self.trace[r]
-        return _fractions(t, self.dens[r]) if self.modulus is None else dict(t)
+        if self.modulus is not None:
+            return dict(t)
+        num, d = self._scale(r), self.dens[r]
+        return {k: Fraction(v * num, d) for k, v in t.items()}
 
-    def solve(self, rhs: Row) -> LinearSolution | LinearInfeasibility:
-        """Solve against the sparse right side ``rhs`` (equation -> value)
-        after a traced ``reduce``: the reduced right side is T * rhs.
+    def _scale(self, r: int) -> int:
+        """The factor from row r of the integer transform to T: elimination of
+        the integer rows N = den * A keeps every row it has not normalized at
+        den times that row of A, and a normalized (pivot) row equal to it."""
+        return self.den if r < len(self.pivots) else 1
+
+    def solve(self, rhs: dict[int, int], den: int = 1) -> LinearSolution | LinearInfeasibility:
+        """Solve against the sparse right side ``rhs`` / ``den`` (equation ->
+        integer value) after a traced ``reduce``: the reduced right side is
+        T * rhs / den.
 
         The first call indexes T by column (equation -> [(row, T[row][eq])]),
         so each right-side entry touches only the rows of T that hold it.
-        Over Q the right side is scaled to integers by the lcm L of its
-        denominators and summed in integers; a nonzero reduced entry s of
-        row r is the one ``Fraction(s, D_r * L)``."""
+        The sums run in integers; over Q a nonzero reduced entry s of row r is
+        the one ``Fraction(s * c, D_r * den)``, with c from ``_scale``."""
         if self._tcols is None:
             self._tcols = {}
             for r, t in enumerate(self.trace):
                 for i, c in t.items():
                     self._tcols.setdefault(i, []).append((r, c))
         p = self.modulus
-        if p is None:
-            scale, rhs = _integral(rhs)
         sums: dict[int, int] = {}
         for i, b in rhs.items():
             for r, c in self._tcols.get(i, ()):
                 s = sums.get(r)
                 sums[r] = c * b if s is None else s + c * b
         if p is None:
-            dens = self.dens
-            reduced = {r: Fraction(s, dens[r] * scale) for r, s in sums.items() if s}
+            dens, scale = self.dens, self._scale
+            reduced = {r: Fraction(s * scale(r), dens[r] * den) for r, s in sums.items() if s}
         else:
             reduced = {r: v for r, s in sums.items() if (v := s % p)}
         bad = sorted(r for r in reduced if r >= len(self.pivots))
@@ -265,17 +280,24 @@ class LinearInfeasibility:
     residual: Fraction | int
 
 
+def _matrix(rows: list[Row], field: FieldSpec) -> tuple[int, list[dict[int, int]]]:
+    """Rows of raw values as (denominator, integer rows), the input of ``_System``."""
+    return (1, rows) if field.modulus is not None else _integral(rows)
+
+
 def solve_sparse(rows: list[Row], rhs: list, ncols: int,
                  field: FieldSpec) -> LinearSolution | LinearInfeasibility:
     """Solve the sparse system rows * x = rhs exactly; raw values in and out."""
-    sys = _System(rows, ncols, field, trace=True)
+    den, ints = _matrix(rows, field)
+    sys = _System(ints, ncols, field, den, trace=True)
     sys.reduce()
-    return sys.solve({i: b for i, b in enumerate(rhs) if b})
+    rhs_den, (b,) = _matrix([{i: b for i, b in enumerate(rhs) if b}], field)
+    return sys.solve(b, rhs_den)
 
 
 def rank_sparse(rows: list[Row], ncols: int, field: FieldSpec) -> int:
     """The rank of the sparse matrix ``rows`` of raw values."""
-    sys = _System(rows, ncols, field)
+    sys = _System(_matrix(rows, field)[1], ncols, field)
     sys.reduce()
     return len(sys.pivots)
 
@@ -283,6 +305,8 @@ def rank_sparse(rows: list[Row], ncols: int, field: FieldSpec) -> int:
 def nullspace_sparse(rows: list[Row], ncols: int, field: FieldSpec) -> list[Row]:
     """A canonical basis of the kernel, one vector per free column, in
     increasing free-column order; raw values in and out."""
-    sys = _System(rows, ncols, field)
+    sys = _System(_matrix(rows, field)[1], ncols, field)
     sys.reduce()
-    return sys.nullspace()
+    if field.modulus is not None:
+        return [vec for _, vec in sys.nullspace()]
+    return [_fractions(vec, d) for d, vec in sys.nullspace()]

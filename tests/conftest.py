@@ -128,21 +128,26 @@ def oracle_cohomology_representatives(source: Complex, target: Complex, p: int) 
     basis], whose pivot columns right of delta^{p-1} are the kernel vectors
     independent modulo the image, in canonical order."""
     field = source.field
-    dom_p, _, rows_p = _delta_matrix(source, target, p)
-    dom_prev, _, rows_prev = _delta_matrix(source, target, p - 1)
+    dom_p, _, rows_p, _ = _delta_matrix(source, target, p)
+    dom_prev, _, rows_prev, _ = _delta_matrix(source, target, p - 1)
     delta_p = linalg._System(rows_p, len(dom_p), field)
     delta_p.reduce()
     kernel = delta_p.nullspace()
     offset = len(dom_prev)
-    for k, vec in enumerate(kernel):
+    # a column scaled by a nonzero integer keeps the pivots
+    for k, (_, vec) in enumerate(kernel):
         for r, coeff in vec.items():
             rows_prev[r][offset + k] = coeff
     image = linalg._System(rows_prev, offset + len(kernel), field)
     image.reduce()
-    return [
-        _cochain_from_coords(p, dom_p, kernel[c - offset], source, target).mapping
-        for c, _ in image.pivots if c >= offset
-    ]
+    reps = []
+    for c, _ in image.pivots:
+        if c >= offset:
+            den, vec = kernel[c - offset]
+            coords = vec if field.modulus is not None else {
+                r: Fraction(v, den) for r, v in vec.items()}
+            reps.append(_cochain_from_coords(p, dom_p, coords, source, target).mapping)
+    return reps
 
 
 def count_reductions(monkeypatch) -> list[int]:
@@ -155,6 +160,27 @@ def count_reductions(monkeypatch) -> list[int]:
         reduce(self, *args, **kwargs)
 
     monkeypatch.setattr(linalg._System, "reduce", counting)
+    return calls
+
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__neg__")
+
+
+def count_fraction_arithmetic(monkeypatch) -> list[str]:
+    """Record the name of every arithmetic operator called on a Fraction."""
+    calls = []
+
+    def counting(name, op):
+        def wrapper(*args):
+            calls.append(name)
+            return op(*args)
+        return wrapper
+
+    for name in _ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, counting(name, getattr(Fraction, name)))
+    assert -(Fraction(1, 2) * 3) and calls == ["__mul__", "__neg__"]  # the counters count
+    calls.clear()
     return calls
 
 
@@ -260,7 +286,7 @@ def random_cocycle(rng: random.Random, cx: Complex, p: int = 1, target: Complex 
     """A random combination of the canonical cocycle basis in C^p, on the
     complex or on the pair (cx, target)."""
     target = target if target is not None else cx
-    dom, _, rows = _delta_matrix(cx, target, p)
+    dom, _, rows, _ = _delta_matrix(cx, target, p)
     kernel = nullspace_sparse(rows, len(dom), cx.field)
     entries = []
     for vec in kernel:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from dgdeform.cli import main
 from dgdeform.cochain import cochain_basis
 from dgdeform.deform import MAX_ORDER
-from dgdeform.dsl import load_complex, parse
+from dgdeform.dsl import MAX_GENERATORS, load_complex, parse
 from dgdeform.family import MAX_TRUNCATION
 from conftest import count_reductions, oracle_cohomology_dims, oracle_nullity
 
@@ -115,6 +115,23 @@ def test_obstruction_of_huge_order_is_zero_and_fast(runner, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert result.exit_code == 0
     assert result.output == "O_1000000000 = 0\n"
+
+
+def test_largest_family_file_reads_back_and_one_more_generator_exits_2(runner, tmp_path):
+    path = tmp_path / "cap.dgm"
+    result = runner.invoke(main, ["paper-family", "--n", "2", "--truncate", str(MAX_TRUNCATION),
+                                  "--out", str(path)])
+    assert result.exit_code == 0
+    result = runner.invoke(main, ["check", str(path)])
+    assert result.exit_code == 0 and f"dim {MAX_GENERATORS}," in result.stdout
+    text = path.read_text().replace(";\n}", ", extra : 0;\n}", 1)
+    path.write_text(text)
+    result = runner.invoke(main, ["check", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: line 3, col ")
+    assert result.stderr.endswith(f"declares more than {MAX_GENERATORS} generators\n")
+    assert result.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("args", [

@@ -1,6 +1,7 @@
 """Coboundary operator, cohomology, and the coboundary solver."""
 
 import random
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,7 @@ from dgdeform.errors import (
 )
 from conftest import (
     conjugated,
+    count_fraction_arithmetic,
     dense_rank,
     oracle_cohomology_dims,
     oracle_cohomology_representatives,
@@ -152,7 +154,10 @@ def test_delta_matrix_columns_match_composition(field):
     for _ in range(12):
         v, m = _random_pair(rng, field)
         for p in range(-2, 4):
-            dom, cod_index, rows = _delta_matrix(v, m, p)
+            dom, cod_index, rows, den = _delta_matrix(v, m, p)
+            assert all(type(x) is int for row in rows for x in row.values())
+            if field.modulus is not None:
+                assert den == 1
             assert list(cod_index) == cochain_basis(v.module, m.module, p + 1)
             assert list(cod_index.values()) == list(range(len(cod_index)))
             for c, (j, i) in enumerate(dom):
@@ -161,7 +166,8 @@ def test_delta_matrix_columns_match_composition(field):
                 )
                 delta_e = Cochain(p, e, v, m).coboundary().mapping
                 expected = {cod_index[jj, ii]: coeff.value for jj, ii, coeff in delta_e.entries()}
-                assert {r: row[c] for r, row in enumerate(rows) if c in row} == expected
+                assert {r: field.scalar(row[c], den).value
+                        for r, row in enumerate(rows) if c in row} == expected
 
 
 # -- cohomology ---------------------------------------------------------------
@@ -420,11 +426,103 @@ def test_solver_postcondition_is_a_real_check(monkeypatch):
     cx = base_complex(5, QQ)
     g = Cochain(2, GradedMap.from_entries(cx.module, -2, [("x6", "x1", -1)]), cx)
     solver = CoboundarySolver(cx, cx, 1)
-    monkeypatch.setattr(linalg._System, "solve", lambda self, rhs: linalg.LinearSolution({}))
+    monkeypatch.setattr(linalg._System, "solve", lambda self, rhs, den: linalg.LinearSolution({}))
     with pytest.raises(PostconditionFailed):
         solve_coboundary(g)
     with pytest.raises(PostconditionFailed):
         solver.solve(g)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_integer_differential_is_d(field):
+    # the cache every integer path reads: d[k, j] = cols[j][k] / den, entry by entry
+    rng = random.Random(83)
+    for _ in range(8):
+        cx = conjugated(rng, random_complex(rng, field, rng.randint(1, 12)))
+        den, cols = cx._integer_d
+        assert type(den) is int and den > 0 and (field.modulus is None or den == 1)
+        assert all(type(n) is int for col in cols.values() for n in col.values())
+        entries = list(cx.d.entries())
+        assert sum(len(col) for col in cols.values()) == len(entries)
+        for j, k, c in entries:
+            assert field.scalar(cols[j][k], den) == c
+
+
+def _over_denominator(cx: Complex, den: int) -> Complex:
+    """cx with d rescaled to integer entries over the one denominator den."""
+    scale = lcm(*[c.value.denominator for _, _, c in cx.d.entries()])
+    return Complex(cx.module, cx.d.scale(QQ.scalar(scale, den)))
+
+
+def _rational_pair():
+    # conjugated, so that d and the cycles fill in; denominators 2 and 3
+    rng = random.Random(89)
+    v = _over_denominator(conjugated(rng, random_complex(rng, QQ, 14, name="V", top=2)), 2)
+    m = _over_denominator(conjugated(rng, random_complex(rng, QQ, 12, name="M", top=2)), 3)
+    assert (v._integer_d[0], m._integer_d[0]) == (2, 3)
+    return v, m
+
+
+def test_rational_cohomology_does_no_fraction_arithmetic(monkeypatch):
+    # from delta^p to the class coordinates everything is an integer; the
+    # representatives are built as Fractions, never computed with them
+    dims = []
+    for p in (-1, 0, 1):
+        v, m = _rational_pair()  # fresh, so that H(V) and H(M)* are computed inside
+        calls = count_fraction_arithmetic(monkeypatch)
+        res = cohomology(v, m, p)
+        monkeypatch.undo()
+        assert calls == []
+        assert [rep.mapping for rep in res.representatives] == \
+            oracle_cohomology_representatives(v, m, p)
+        dims.append(res.dim_h)
+    assert any(dims)
+
+
+def test_rational_solver_checks_do_no_fraction_arithmetic(monkeypatch):
+    # delta(g) = 0 on the way in and delta(f) = g on the way out run in
+    # integers on the differentials; so does the rest of solve
+    v, m = _rational_pair()
+    rng = random.Random(97)
+    outcomes = set()
+    for p in (0, 1):
+        solver = CoboundarySolver(v, m, p)
+        f = Cochain(p, random_cochain(rng, v, p, 0.6, target=m), v, m)
+        z = Cochain(p + 1, random_cocycle(rng, v, p + 1, target=m), v, m)
+        not_a_cocycle = Cochain(p + 1, random_cochain(rng, v, p + 1, 0.6, target=m), v, m)
+        assert not not_a_cocycle.is_cocycle()
+        for g in (f.coboundary(), f.coboundary() + z):
+            calls = count_fraction_arithmetic(monkeypatch)
+            out = solver.solve(g)
+            monkeypatch.undo()
+            assert calls == []
+            assert out == solve_coboundary(g)
+            if isinstance(out, Solved):
+                assert out.cochain.coboundary() == g
+            outcomes.add(type(out))
+        calls = count_fraction_arithmetic(monkeypatch)
+        with pytest.raises(NotACocycle):
+            solver.solve(not_a_cocycle)
+        monkeypatch.undo()
+        assert calls == []
+    assert outcomes == {Solved, Infeasible}
+
+
+def test_solver_checks_read_the_differentials(monkeypatch):
+    # the postcondition does not trust delta^p: a solver handed 2 delta
+    # answers f / 2, and delta(f / 2) = g / 2 is caught
+    cx = base_complex(5, QQ)
+    g = Cochain(2, GradedMap.from_entries(cx.module, -2, [("x6", "x1", -1)]), cx)
+    assert isinstance(solve_coboundary(g), Solved)
+    delta_matrix = cochain._delta_matrix
+
+    def perturbed(source, target, p):
+        dom, cod_index, rows, den = delta_matrix(source, target, p)
+        return dom, cod_index, [{c: 2 * v for c, v in row.items()} for row in rows], den
+
+    monkeypatch.setattr(cochain, "_delta_matrix", perturbed)
+    with pytest.raises(PostconditionFailed):
+        solve_coboundary(g)
 
 
 def test_reused_solver_matches_one_shot_solves():

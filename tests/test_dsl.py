@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgdeform import GF, QQ, Document, FamilySpec, GradedMap, base_complex, family_lifts
-from dgdeform.dsl import load_complex, parse, render
+from dgdeform.dsl import MAX_GENERATORS, load_complex, parse, render
 from dgdeform.errors import (
     DegreeMismatch,
     MissingDifferential,
@@ -203,6 +203,23 @@ def test_load_complex_from_generated_file():
     assert cx.d.is_differential()
     assert len(lifts) == 2
     assert lifts == [maps["d1"], maps["d2"]]
+
+
+def _module_text(count: int) -> str:
+    basis = ", ".join(f"e{i} : {i % 3}" for i in range(count))
+    return f"field Q\nmodule V {{\n  basis {basis};\n}}\n"
+
+
+def test_module_size_cap():
+    # twice the truncation cap: the largest module paper-family writes
+    assert MAX_GENERATORS == 20_000
+    assert parse(_module_text(MAX_GENERATORS)).module.dim == MAX_GENERATORS
+    text = _module_text(MAX_GENERATORS + 1)
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert f"declares more than {MAX_GENERATORS} generators" in str(err.value)
+    # positioned at the first generator past the cap
+    assert (err.value.line, err.value.col) == (3, text.splitlines()[2].index("e20000") + 1)
 
 
 def test_load_complex_requires_d():

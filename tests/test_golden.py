@@ -6,12 +6,15 @@ sha256 of the rendered representatives.  Seeds 0-23 pair random complexes
 as built; seeds 24-35 conjugate each complex by transvections, so that the
 differentials, cycles and kernel vectors fill in.
 
-``tests/golden/cli.txt`` records 405 in-process CLI runs: each command line
+``tests/golden/cli.txt`` records 415 in-process CLI runs: each command line
 (file arguments by file name only), its exit code, and its stdout, one
 ``| ``-prefixed line per output line.  The runs are ``paper-family``,
 ``check``, ``cohomology``, ``deform`` (file and canonical lifts),
 ``trivialize`` and ``obstruction`` on every family variant over Q, GF(2) and
-GF(5) for n in {2, 3, 6}, and ``verify-paper`` for n in {3, 6, 10}.
+GF(5) for n in {2, 3, 6}, ``verify-paper`` for n in {3, 6, 10}, and
+``check``, ``deform`` and ``trivialize`` at orders 2-4 on the gauge-trivial
+order-4 files ``tests/golden/gauged-Q.dgm`` (fractional gauge coefficients)
+and ``gauged-GF5.dgm``, the runs that end in ``status: trivialized``.
 
 ``tests/golden/trivialize.txt`` records ``trivialize`` on seeded series over
 Q, GF(2) and GF(5) at orders 1-8: the rendered report, every stage phi_r, and
@@ -77,6 +80,7 @@ GOLDEN = Path(__file__).parent / "golden" / "cohomology.txt"
 CLI_GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
 TRIVIALIZE_GOLDEN = Path(__file__).parent / "golden" / "trivialize.txt"
 SOLVE_GOLDEN = Path(__file__).parent / "golden" / "solve.txt"
+GAUGED_FILES = ("gauged-Q.dgm", "gauged-GF5.dgm")
 FIELDS = [QQ, GF(2), GF(5)]
 SEEDS = range(24)
 CONJUGATED_SEEDS = range(24, 36)
@@ -152,6 +156,13 @@ def cli_golden() -> str:
         for n in (3, 6, 10):
             for field in ("Q", "GF:2", "GF:5"):
                 runs.append(_cli_run(runner, ["verify-paper", "--n", str(n), "--field", field], tmp))
+        for name in GAUGED_FILES:
+            path = tmp / name
+            path.write_text((GOLDEN.parent / name).read_text())
+            f = str(path)
+            commands = [["check", f], ["deform", f, "--order", "4"]]
+            commands += [["trivialize", f, "--order", str(n)] for n in (2, 3, 4)]
+            runs += [_cli_run(runner, args, tmp) for args in commands]
     return "".join(runs)
 
 

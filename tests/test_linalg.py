@@ -4,18 +4,33 @@ The oracle is a plain dense Gauss-Jordan elimination written here, over
 Fractions or residues mod p.  A reduced row echelon form is unique, so the
 pivot columns, the reduced rows, the canonical kernel basis and the
 particular solution with free variables zero must all agree exactly.
+
+``_System`` takes integer rows over one denominator D and returns integer
+rows and kernel vectors over their own denominators; the oracle runs on
+rows / D, with D in {1, 2, 6, 35} over Q and 1 over GF(p).
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgdeform import GF, QQ
-from dgdeform.linalg import LinearInfeasibility, LinearSolution, _System
+from dgdeform.linalg import (
+    LinearInfeasibility,
+    LinearSolution,
+    _integral,
+    _System,
+    nullspace_sparse,
+    rank_sparse,
+    solve_sparse,
+)
+from conftest import count_fraction_arithmetic
 
 FIELDS = {"Q": QQ, "GF(2)": GF(2), "GF(5)": GF(5)}
+DENOMINATORS = (1, 2, 6, 35)
 
 
 def _canon(x, p):
@@ -47,10 +62,41 @@ def _sparse(row):
     return {k: v for k, v in enumerate(row) if v}
 
 
+def _integer_rows(field, mat, den=1):
+    """(rows, matrix): the sparse rows ``_System`` takes for ``mat`` and the
+    dense matrix they stand for.  Over Q the rows are the integers L * mat,
+    for L the lcm of mat's denominators, and stand for L * mat / den; over
+    GF(p) they are mat itself, and den is 1."""
+    if field.modulus is not None:
+        assert den == 1
+        return [_sparse(row) for row in mat], mat
+    scale = lcm(*[Fraction(x).denominator for row in mat for x in row])
+    ints = [[int(x * scale) for x in row] for row in mat]
+    return [_sparse(row) for row in ints], [[Fraction(n, den) for n in row] for row in ints]
+
+
+def _integer_rhs(field, rhs):
+    """A dense right side as ``_System.solve`` takes it: (integer row, denominator)."""
+    if field.modulus is not None:
+        return _sparse(rhs), 1
+    den, (row,) = _integral([_sparse(rhs)])
+    return row, den
+
+
+def _over(vec, d, p):
+    """The integer vector ``vec`` over ``d`` as raw values."""
+    assert all(type(v) is int for v in vec.values()) and type(d) is int and d > 0
+    if p is not None:
+        assert d == 1
+        return dict(vec)
+    return {k: Fraction(v, d) for k, v in vec.items()}
+
+
 @st.composite
 def systems(draw, fields=tuple(FIELDS), size=7, num=3, den=3):
-    """(field, matrix, right sides) with at most ``size`` rows and columns;
-    rationals have numerators in [-num, num] and denominators in [1, den]."""
+    """(field, matrix, right sides, D) with at most ``size`` rows and
+    columns; rationals have numerators in [-num, num] and denominators in
+    [1, den], and the integer rows of the matrix come over D (1 over GF(p))."""
     name = draw(st.sampled_from(sorted(fields)))
     p = FIELDS[name].modulus
     nrows = draw(st.integers(1, size))
@@ -73,7 +119,9 @@ def systems(draw, fields=tuple(FIELDS), size=7, num=3, den=3):
     rhs = [[draw(value) for _ in range(nrows)] for _ in range(2)]
     x = [draw(value) for _ in range(ncols)]
     rhs.append([_canon(sum(a * b for a, b in zip(row, x)), p) for row in mat])  # feasible
-    return FIELDS[name], mat, rhs
+    den = draw(st.sampled_from(DENOMINATORS)) if p is None else 1
+    # the system stands for a multiple of mat, against which rhs[2] is feasible still
+    return FIELDS[name], mat, rhs, den
 
 
 def _assert_canonical(values, p):
@@ -90,12 +138,15 @@ def test_system_matches_dense_rref(case):
     _check_against_oracle(*case)
 
 
-def _check_against_oracle(field, mat, rhs_list):
-    """Every result of ``_System`` on ``mat`` equals the dense oracle's."""
+def _check_against_oracle(field, mat, rhs_list, den=1):
+    """Every result of ``_System`` on the integer rows of ``mat`` over
+    ``den`` (see ``_integer_rows``) equals the dense oracle's on the matrix
+    they stand for."""
     p = field.modulus
     ncols = len(mat[0])
-    rows = [_sparse(row) for row in mat]
-    sys = _System(rows, ncols, field, trace=True)
+    rows, mat = _integer_rows(field, mat, den)
+    given = [dict(r) for r in rows]
+    sys = _System(rows, ncols, field, den, trace=True)
     sys.reduce()
     # [A | I] reduced with the same row operations gives [RREF | T]
     eye = [[int(i == r) for i in range(len(mat))] for r in range(len(mat))]
@@ -103,11 +154,13 @@ def _check_against_oracle(field, mat, rhs_list):
     rank = len(pivcols)
 
     assert sys.pivots == [(c, r) for r, c in enumerate(pivcols)]
-    assert sys.rows == [_sparse(row[:ncols]) for row in ref]
+    # the reduced rows stay integers, over their row denominators
+    assert [_over(row, d, p) for row, d in zip(sys.rows, sys.dens)] == [
+        _sparse(row[:ncols]) for row in ref]
     transform = [sys.transform(r) for r in range(len(mat))]  # T exactly, every row
     assert transform == [_sparse(row[ncols:]) for row in ref]
-    assert rows == [_sparse(row) for row in mat]  # the input is not modified
-    for row in sys.rows + transform:
+    assert rows == given  # the input is not modified
+    for row in transform:
         _assert_canonical(row.values(), p)
 
     # kernel: {f: 1, then -ref[i][f] at each pivot column, in pivot order}
@@ -118,17 +171,16 @@ def _check_against_oracle(field, mat, rhs_list):
             if ref[i][f]:
                 vec[c] = _canon(-ref[i][f], p)
         want.append(list(vec.items()))
-    kernel = sys.nullspace()
+    kernel = [_over(vec, d, p) for d, vec in sys.nullspace()]
     assert [list(v.items()) for v in kernel] == want
-    for vec in kernel:
-        _assert_canonical(vec.values(), p)
 
     # untraced, as cohomology reduces delta^p: the same RREF and kernel
     plain = _System(rows, ncols, field)
     plain.reduce()
     assert plain.pivots == sys.pivots
-    assert plain.rows == [_sparse(row[:ncols]) for row in ref]
-    assert [list(v.items()) for v in plain.nullspace()] == want
+    assert [_over(row, d, p) for row, d in zip(plain.rows, plain.dens)] == [
+        _sparse(row[:ncols]) for row in ref]
+    assert [list(_over(vec, d, p).items()) for d, vec in plain.nullspace()] == want
 
     echelon = _System(rows, ncols, field)
     echelon.reduce(echelon=True)
@@ -136,13 +188,17 @@ def _check_against_oracle(field, mat, rhs_list):
 
     for rhs in rhs_list:
         aug, augpiv = dense_rref([row + [b] for row, b in zip(mat, rhs)], p)
-        out = sys.solve(_sparse(rhs))
+        out = sys.solve(*_integer_rhs(field, rhs))
         if augpiv and augpiv[-1] == ncols:  # a pivot in the right side: inconsistent
             assert isinstance(out, LinearInfeasibility)
             _assert_canonical(list(out.combination.values()) + [out.residual], p)
             for k in range(ncols):
                 assert not _canon(sum(c * mat[i][k] for i, c in out.combination.items()), p)
             assert _canon(sum(c * rhs[i] for i, c in out.combination.items()), p) == out.residual
+            # the witness is row r of T, and the residual (T rhs)[r]
+            r = transform.index(out.combination)
+            assert r >= rank
+            assert out.residual == _canon(sum(c * rhs[i] for i, c in transform[r].items()), p)
         else:
             assert isinstance(out, LinearSolution)
             _assert_canonical(out.values.values(), p)
@@ -157,6 +213,26 @@ def test_larger_systems_match_dense_rref(case):
     # up to 16 rows: pivots found far down move many rows, so the positions
     # of the rows left below them are reordered again and again
     _check_against_oracle(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems())
+def test_raw_value_wrappers_match_the_system(case):
+    # solve_sparse, rank_sparse and nullspace_sparse take and return raw
+    # values, scaling them to integers on the way in
+    field, mat, rhs_list, _ = case
+    p = field.modulus
+    ncols = len(mat[0])
+    raw = [_sparse(row) for row in mat]
+    den = 1 if p is not None else lcm(*[x.denominator for row in mat for x in row])
+    rows, exact = _integer_rows(field, mat, den)
+    assert exact == mat  # the integer rows over den stand for mat itself
+    sys = _System(rows, ncols, field, den, trace=True)
+    sys.reduce()
+    assert rank_sparse(raw, ncols, field) == len(sys.pivots)
+    assert nullspace_sparse(raw, ncols, field) == [_over(vec, d, p) for d, vec in sys.nullspace()]
+    for rhs in rhs_list:
+        assert solve_sparse(raw, rhs, ncols, field) == sys.solve(*_integer_rhs(field, rhs))
 
 
 # -- integer rows over the rationals ---------------------------------------------------
@@ -178,9 +254,11 @@ def test_hilbert_matrix():
     _check_against_oracle(QQ, hilbert + [dependent],
                           [[Fraction(1)] * n + [Fraction(36)],  # 36 = 1 + ... + 8: feasible
                            [Fraction(1)] * (n + 1), [Fraction(0)] * n + [Fraction(1, 7)]])
-    sys = _System([_sparse(row) for row in hilbert], n, QQ, trace=True)
+    rows, _ = _integer_rows(QQ, hilbert)
+    sys = _System(rows, n, QQ, lcm(*range(1, 2 * n)), trace=True)
     sys.reduce()
-    assert sys.rows == [{i: Fraction(1)} for i in range(n)]
+    assert [_over(row, d, None) for row, d in zip(sys.rows, sys.dens)] == [
+        {i: Fraction(1)} for i in range(n)]
     # T is the inverse of the Hilbert matrix, which has integer entries
     transform = [sys.transform(r) for r in range(n)]
     assert all(v.denominator == 1 for t in transform for v in t.values())
@@ -193,7 +271,7 @@ def test_echelon_pivots_are_the_greedy_basis(case):
     # the vectors are the columns, as ints, the way cohomology passes class
     # coordinates over Q; column i is a pivot when it raises the dense rank
     # of the vectors up to i
-    field, mat, _ = case
+    field, mat, _, _ = case
     p = field.modulus
     mat = [[int(x) for x in row] for row in mat]
     ranks = [len(dense_rref(mat[:i + 1], p)[1]) for i in range(len(mat))]
@@ -217,45 +295,25 @@ def test_empty_and_zero_rows(name):
     none = _System([], 3, field, trace=True)
     none.reduce()
     assert none.pivots == [] and none.rows == [] and none.trace == []
-    assert none.nullspace() == [{f: one} for f in range(3)]
+    assert none.nullspace() == [(1, {f: 1}) for f in range(3)]
     assert none.solve({}).values == {}
 
 
 @settings(max_examples=100, deadline=None)
 @given(systems())
 def test_one_reduction_serves_many_right_sides(case):
-    field, mat, rhs_list = case
+    field, mat, rhs_list, den = case
     ncols = len(mat[0])
-    rows = [_sparse(row) for row in mat]
-    shared = _System(rows, ncols, field, trace=True)
+    rows, _ = _integer_rows(field, mat, den)
+    shared = _System(rows, ncols, field, den, trace=True)
     shared.reduce()
     trace = [dict(t) for t in shared.trace]
     for rhs in rhs_list + rhs_list[::-1]:
-        fresh = _System(rows, ncols, field, trace=True)
+        fresh = _System(rows, ncols, field, den, trace=True)
         fresh.reduce()
-        assert shared.solve(_sparse(rhs)) == fresh.solve(_sparse(rhs))
+        b = _integer_rhs(field, rhs)
+        assert shared.solve(*b) == fresh.solve(*b)
         assert shared.trace == trace
-
-
-_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-               "__truediv__", "__rtruediv__", "__neg__")
-
-
-def _count_fraction_arithmetic(monkeypatch) -> list[str]:
-    """Record the name of every arithmetic operator called on a Fraction."""
-    calls = []
-
-    def counting(name, op):
-        def wrapper(*args):
-            calls.append(name)
-            return op(*args)
-        return wrapper
-
-    for name in _ARITHMETIC:
-        monkeypatch.setattr(Fraction, name, counting(name, getattr(Fraction, name)))
-    assert -(Fraction(1, 2) * 3) and calls == ["__mul__", "__neg__"]  # the counters count
-    calls.clear()
-    return calls
 
 
 @pytest.mark.parametrize("traced", [False, True])
@@ -264,13 +322,18 @@ def test_rational_reduce_does_no_fraction_arithmetic(monkeypatch, traced, echelo
     rng = random.Random(12)
     mat = [[Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(12)]
            for _ in range(12)]
-    sys = _System([_sparse(row) for row in mat], 12, QQ, trace=traced)
-    calls = _count_fraction_arithmetic(monkeypatch)
+    rows, _ = _integer_rows(QQ, mat, 35)
+    sys = _System(rows, 12, QQ, 35, trace=traced)
+    calls = count_fraction_arithmetic(monkeypatch)
     sys.reduce(echelon=echelon)
     monkeypatch.undo()
     assert calls == []
     assert len(sys.pivots) == 12
-    assert all(type(v) is Fraction for row in sys.rows for v in row.values())
+    # rows come out as integers over their denominators, not as Fractions
+    assert all(type(v) is int for row in sys.rows for v in row.values())
+    if not echelon:
+        assert [_over(row, d, None) for row, d in zip(sys.rows, sys.dens)] == [
+            {i: 1} for i in range(12)]
 
 
 def test_rational_solve_does_no_fraction_arithmetic(monkeypatch):
@@ -284,18 +347,20 @@ def test_rational_solve_does_no_fraction_arithmetic(monkeypatch):
     x = [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(10)]
     feasible = [sum(a * b for a, b in zip(row, x)) for row in mat]
     infeasible = feasible[:-1] + [feasible[-1] + Fraction(1, 11)]
-    sys = _System([_sparse(row) for row in mat], 10, QQ, trace=True)
+    rows, exact = _integer_rows(QQ, mat, 6)
+    sys = _System(rows, 10, QQ, 6, trace=True)
     sys.reduce()
     for rhs in (feasible, infeasible):
         assert len({b.denominator for b in rhs}) > 2  # mixed denominators
-        calls = _count_fraction_arithmetic(monkeypatch)
-        out = sys.solve(_sparse(rhs))
+        b = _integer_rhs(QQ, rhs)
+        calls = count_fraction_arithmetic(monkeypatch)
+        out = sys.solve(*b)
         monkeypatch.undo()
         assert calls == []
-        # exact, by the dense oracle
-        _check_against_oracle(QQ, mat, [rhs])
-        fresh = _System([_sparse(row) for row in mat], 10, QQ, trace=True)
+        # exact, by the dense oracle on the matrix the rows stand for
+        _check_against_oracle(QQ, exact, [rhs])
+        fresh = _System(rows, 10, QQ, 6, trace=True)
         fresh.reduce()
-        assert out == fresh.solve(_sparse(rhs))
-    assert isinstance(sys.solve(_sparse(feasible)), LinearSolution)
-    assert isinstance(sys.solve(_sparse(infeasible)), LinearInfeasibility)
+        assert out == fresh.solve(*b)
+    assert isinstance(sys.solve(*_integer_rhs(QQ, feasible)), LinearSolution)
+    assert isinstance(sys.solve(*_integer_rhs(QQ, infeasible)), LinearInfeasibility)
