@@ -167,6 +167,17 @@ def _integer_columns(m: GradedMap) -> tuple[int, dict[int, dict[int, int]]]:
     return den, dict(zip(m.columns, cols))
 
 
+def _delta_terms(source: Complex, target: Complex, p: int):
+    """(D, a, N_M, b, N_V) with D delta^p(f) = a N_M f + b f N_V, for
+    delta^p(f) = d_M f - (-1)^p f d_V: N_V = D_V d_V and N_M = D_M d_M are the
+    differentials' integer columns, D = lcm(D_V, D_M), a = D / D_M and
+    b = -(-1)^p D / D_V."""
+    (d_v, n_v), (d_m, n_m) = source._integer_d, target._integer_d
+    den = lcm(d_v, d_m)
+    b = den // d_v
+    return den, den // d_m, n_m, (b if p % 2 else -b), n_v
+
+
 def _integer_coboundary(source: Complex, target: Complex, p: int,
                         cols: dict[int, dict[int, int]], den: int):
     """delta(f) = d_M f - (-1)^p f d_V for the p-cochain f = cols / den,
@@ -174,12 +185,7 @@ def _integer_coboundary(source: Complex, target: Complex, p: int,
     integer columns; zeros are not stored."""
     _check_differentials(source, target)
     mod = source.field.modulus
-    d_v, n_v = source._integer_d
-    d_m, n_m = target._integer_d
-    scale = lcm(d_v, d_m)
-    a, b = scale // d_m, scale // d_v
-    if p % 2 == 0:
-        b = -b
+    scale, a, n_m, b, n_v = _delta_terms(source, target, p)
     out: dict[int, dict[int, int]] = {}
     for j, col in cols.items():  # column j of d_M f: sum_i f[i, j] * (column i of d_M)
         acc = out.setdefault(j, {})
@@ -269,13 +275,8 @@ def _delta_matrix(source: Complex, target: Complex, p: int):
     if dom:
         _check_pair(source, target)
     cod_index = {pair: r for r, pair in enumerate(cod)}
-    d_v, n_v = source._integer_d
-    d_m, n_m = target._integer_d  # i -> column {k: d_M[k,i] * d_m}
-    den = lcm(d_v, d_m)
-    a, b = den // d_m, den // d_v
+    den, a, n_m, b, n_v = _delta_terms(source, target, p)
     mod = source.field.modulus
-    if p % 2 == 0:
-        b = -b
     d_vt: dict[int, list[tuple[int, int]]] = {}  # j -> [(l, -(-1)^p d_V[j,l] * den)]
     for l, col in n_v.items():
         for j, coeff in col.items():

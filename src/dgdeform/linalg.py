@@ -17,29 +17,34 @@ Elimination processes columns in increasing order and always picks the first
 remaining row with a nonzero entry as the pivot, so every result is
 deterministic for a fixed equation order.  Rows keep their ids while
 ``reduce`` runs: a row swap only exchanges two entries of a permutation
-between row ids and positions, and the rows, their denominators and T are
-put into position order when ``reduce`` returns.  An index from each column
+between row ids and positions, and the rows and their denominators are put
+into position order when ``reduce`` returns.  An index from each column of A
 to the ids of the rows holding it finds the pivot (the holder with the least
 remaining position) and the rows to clear without scanning the others.
 Full reduced row echelon form is computed (pivots normalized to 1 and
 cleared above and below), which makes the particular solution with free
 variables set to zero canonical.
 
-Row r is held as integers ``n_r`` over one positive row denominator ``D_r``,
-at first the input row over 1, and its trace row as integers ``t_r`` over
-the same ``D_r``.  A pivot row is normalized by taking its pivot value ``a``
-as its denominator.  Clearing an entry ``b`` of row r against it is a
-cross-multiplication: with ``g = gcd(a, b)``,
-``n_r <- (a/g)*n_r - (b/g)*n_p`` and the same for ``t_r``, with
-``D_r <- (a/g)*D_r``; then the content ``gcd(D_r, n_r, t_r)`` is divided
-out.  The reduction runs on the integer rows N = den * A as given, so the
-matrix denominator enters only when T is read: each row not normalized
-stays den times that row of the elimination of A, and each normalized row
-equals it, so T[r] is ``t_r / D_r``, times den for a pivot row.  Over GF(p)
-the pivot row is scaled to 1, so ``a`` is 1, every ``D_r`` stays 1 and the
-same loop is plain modular elimination.  The row operations and their order
-do not depend on the representation, so the results are exactly those of
-elimination of A in ``Fraction`` arithmetic.
+The row transform T, when kept, is the textbook one: the system is
+[A | I], row i carrying the one extra entry ``ncols + i: 1``, and the row
+operations that reduce A turn I into T.  T's columns are never pivot
+candidates and stay out of the column index, so they ride along in the
+same row dicts, and one loop does every row operation on A and T at once.
+
+Row r is held as integers ``n_r`` over one positive row denominator
+``D_r``, at first the input row over 1.  A pivot row is normalized by
+taking its pivot value ``a`` as its denominator.  Clearing an entry ``b``
+of row r against it is a cross-multiplication: with ``g = gcd(a, b)``,
+``n_r <- (a/g)*n_r - (b/g)*n_p`` and ``D_r <- (a/g)*D_r``; then the content
+``gcd(D_r, n_r)`` is divided out.  The reduction runs on the integer rows
+N = den * A as given, so the matrix denominator enters only when T is read:
+each row not normalized stays den times that row of the elimination of A,
+and each normalized row equals it, so T[r][i] is ``n_r[ncols + i] / D_r``,
+times den for a pivot row.  Over GF(p) the pivot row is scaled to 1, so
+``a`` is 1, every ``D_r`` stays 1 and the same loop is plain modular
+elimination.  The row operations and their order do not depend on the
+representation, so the results are exactly those of elimination of
+[A | I] in ``Fraction`` arithmetic.
 
 This is the library's one elimination loop.  The pivot columns of an
 echelon ``reduce`` are the columns independent of all earlier ones, the
@@ -74,12 +79,14 @@ class _System:
     """Elimination state for one sparse matrix, given as integer rows over
     one denominator ``den`` (over GF(p) residues, and ``den`` is 1).
 
-    With ``trace`` the row transform T is kept: after ``reduce``, reduced
-    row r is sum_i T[r][i] * (original row i), with T[r][i] held as the
-    integer ``trace[r][i]`` over ``dens[r]`` (``transform`` gives the row as
-    raw values).  Applying T to a right side gives the right side the
-    elimination would have carried along, so one reduction serves any number
-    of right sides.
+    With ``trace`` the system is [A | I]: row i starts with the one extra
+    entry ``ncols + i: 1``, and the row operations that reduce A carry the
+    identity block along to T, so after ``reduce`` reduced row r is
+    sum_i T[r][i] * (original row i), with T[r][i] held as the integer
+    ``rows[r][ncols + i]`` over ``dens[r]`` (``transform`` gives the row as
+    raw values).  T's columns never pivot and stay out of the column index.
+    Applying T to a right side gives the right side the elimination would
+    have carried along, so one reduction serves any number of right sides.
     """
 
     def __init__(self, rows: list[dict[int, int]], ncols: int, field: FieldSpec,
@@ -87,26 +94,27 @@ class _System:
         self.modulus = field.modulus
         self.ncols = ncols
         self.den = den
-        self.rows = [dict(r) for r in rows]
-        self.trace = [{i: 1} for i in range(len(rows))] if trace else None
+        self.rows = ([{**r, ncols + i: 1} for i, r in enumerate(rows)] if trace
+                     else [dict(r) for r in rows])
         self.pivots: list[tuple[int, int]] = []  # (column, row position)
         self._tcols: dict[int, list[tuple[int, int]]] | None = None
 
     def reduce(self, echelon: bool = False) -> None:
         """Reduce to RREF; with ``echelon`` rows above a pivot are left
         uncleared, which gives the same pivots in fewer operations."""
-        rows, trace, p = self.rows, self.trace, self.modulus
-        # row r is rows[r] / dens[r] and its trace trace[r] / dens[r], both
-        # against the integer rows as given; ``den`` enters only on read-out
+        rows, ncols, p = self.rows, self.ncols, self.modulus
+        # row r is rows[r] / dens[r] against the integer rows as given;
+        # ``den`` enters only on read-out
         dens = [1] * len(rows)
         # rows keep their ids; a swap of positions only updates pos and at
         nrows = len(rows)
         pos = list(range(nrows))  # row id -> position
         at = list(range(nrows))  # position -> row id
-        where: dict[int, set[int]] = {}  # column -> ids of the rows holding it
+        where: dict[int, set[int]] = {}  # column of A -> ids of the rows holding it
         for r, row in enumerate(rows):
             for k in row:
-                where.setdefault(k, set()).add(r)
+                if k < ncols:
+                    where.setdefault(k, set()).add(r)
         # fill-in lands only on columns the pivot row holds, so no column joins later
         for col in sorted(where):
             npiv = len(self.pivots)
@@ -124,27 +132,21 @@ class _System:
                 pos[other] = q
                 at[npiv], pos[piv] = piv, npiv
             prow = rows[piv]
-            ptrace = trace[piv] if trace is not None else None
             a = prow[col]
             if p is not None:  # scale the pivot to 1
                 inv = pow(a, -1, p)
                 prow = rows[piv] = {k: v * inv % p for k, v in prow.items()}
-                if ptrace is not None:
-                    ptrace = trace[piv] = {k: v * inv % p for k, v in ptrace.items()}
                 a = 1
             else:  # the pivot value, content divided out, is the row denominator
-                g = gcd(*prow.values(), *(ptrace.values() if ptrace is not None else ()))
+                g = gcd(*prow.values())
                 if a < 0:
                     g = -g
                 if g != 1:
                     prow = rows[piv] = {k: v // g for k, v in prow.items()}
-                    if ptrace is not None:
-                        ptrace = trace[piv] = {k: v // g for k, v in ptrace.items()}
                 a = dens[piv] = prow[col]
             for r in [r for r in holders if r != piv and (pos[r] > npiv or not echelon)]:
                 row = rows[r]
                 c = -row[col]
-                m = 1
                 if a != 1:  # cross-multiply, with the common factor of a and b taken out
                     g = gcd(a, c)
                     m, c = a // g, c // g
@@ -155,41 +157,25 @@ class _System:
                     s = row.get(k)
                     if s is None:  # a product of nonzeros is nonzero
                         row[k] = c * v if p is None else c * v % p
-                        where[k].add(r)
+                        if k < ncols:
+                            where[k].add(r)
                         continue
                     s = s + c * v if p is None else (s + c * v) % p
                     if s:
                         row[k] = s
                     else:
                         del row[k]
-                        where[k].discard(r)
-                if ptrace is not None:
-                    t = trace[r]
-                    if m != 1:
-                        t = trace[r] = {k: m * v for k, v in t.items()}
-                    for k, v in ptrace.items():
-                        s = t.get(k)
-                        if s is None:
-                            t[k] = c * v if p is None else c * v % p
-                            continue
-                        s = s + c * v if p is None else (s + c * v) % p
-                        if s:
-                            t[k] = s
-                        else:
-                            del t[k]
+                        if k < ncols:
+                            where[k].discard(r)
                 d = dens[r]
                 if d != 1:  # divide the content out
-                    g = gcd(d, *row.values(), *(t.values() if ptrace is not None else ()))
+                    g = gcd(d, *row.values())
                     if g != 1:
                         dens[r] = d // g
                         rows[r] = {k: v // g for k, v in row.items()}
-                        if ptrace is not None:
-                            trace[r] = {k: v // g for k, v in t.items()}
             self.pivots.append((col, npiv))
         self.rows = [rows[r] for r in at]
         self.dens = [dens[r] for r in at]
-        if trace is not None:
-            self.trace = [trace[r] for r in at]
 
     def nullspace(self) -> list[tuple[int, dict[int, int]]]:
         """A canonical basis of the kernel, one vector per free column, in
@@ -218,11 +204,12 @@ class _System:
 
     def transform(self, r: int) -> Row:
         """Row r of T after ``reduce``, as canonical raw values."""
-        t = self.trace[r]
+        n = self.ncols
+        t = {k - n: v for k, v in self.rows[r].items() if k >= n}
         if self.modulus is not None:
-            return dict(t)
+            return t
         num, d = self._scale(r), self.dens[r]
-        return {k: Fraction(v * num, d) for k, v in t.items()}
+        return {i: Fraction(v * num, d) for i, v in t.items()}
 
     def _scale(self, r: int) -> int:
         """The factor from row r of the integer transform to T: elimination of
@@ -235,15 +222,17 @@ class _System:
         integer value) after a traced ``reduce``: the reduced right side is
         T * rhs / den.
 
-        The first call indexes T by column (equation -> [(row, T[row][eq])]),
-        so each right-side entry touches only the rows of T that hold it.
+        The first call indexes T by equation (eq -> [(row, T[row][eq])]),
+        read from the columns ``ncols + eq`` of the rows, so each right-side
+        entry touches only the rows of T that hold it.
         The sums run in integers; over Q a nonzero reduced entry s of row r is
         the one ``Fraction(s * c, D_r * den)``, with c from ``_scale``."""
         if self._tcols is None:
-            self._tcols = {}
-            for r, t in enumerate(self.trace):
-                for i, c in t.items():
-                    self._tcols.setdefault(i, []).append((r, c))
+            self._tcols, n = {}, self.ncols
+            for r, row in enumerate(self.rows):
+                for k, c in row.items():
+                    if k >= n:
+                        self._tcols.setdefault(k - n, []).append((r, c))
         p = self.modulus
         sums: dict[int, int] = {}
         for i, b in rhs.items():
@@ -257,8 +246,9 @@ class _System:
             reduced = {r: v for r, s in sums.items() if (v := s % p)}
         bad = sorted(r for r in reduced if r >= len(self.pivots))
         if bad:
-            # canonical witness: the inconsistent row combining the earliest equations
-            r = min(bad, key=lambda r: sorted(self.trace[r]))
+            # canonical witness: the inconsistent row combining the earliest
+            # equations; a row past the rank holds T's columns only
+            r = min(bad, key=lambda r: sorted(self.rows[r]))
             return LinearInfeasibility(self.transform(r), reduced[r])
         return LinearSolution({col: reduced[r] for col, r in self.pivots if r in reduced})
 

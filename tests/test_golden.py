@@ -6,7 +6,7 @@ sha256 of the rendered representatives.  Seeds 0-23 pair random complexes
 as built; seeds 24-35 conjugate each complex by transvections, so that the
 differentials, cycles and kernel vectors fill in.
 
-``tests/golden/cli.txt`` records 415 in-process CLI runs: each command line
+``tests/golden/cli.txt`` records 453 in-process CLI runs: each command line
 (file arguments by file name only), its exit code, and its stdout, one
 ``| ``-prefixed line per output line.  The runs are ``paper-family``,
 ``check``, ``cohomology``, ``deform`` (file and canonical lifts),
@@ -14,7 +14,13 @@ differentials, cycles and kernel vectors fill in.
 GF(5) for n in {2, 3, 6}, ``verify-paper`` for n in {3, 6, 10}, and
 ``check``, ``deform`` and ``trivialize`` at orders 2-4 on the gauge-trivial
 order-4 files ``tests/golden/gauged-Q.dgm`` (fractional gauge coefficients)
-and ``gauged-GF5.dgm``, the runs that end in ``status: trivialized``.
+and ``gauged-GF5.dgm``, the runs that end in ``status: trivialized``.  Last
+come ``check``, ``cohomology``, ``obstruction``, canonical ``deform`` and
+``trivialize`` on the ``tests/golden/filled-*.dgm`` files: a random
+1-cocycle d_1 on a conjugated random complex over Q (fractional entries),
+GF(2) or GF(5), so that delta fills in, with its canonical lifts.  One file
+per field is obstructed, and every ``trivialize`` sticks at order 1, so
+these runs pin witnesses of a filled-in elimination.
 
 ``tests/golden/trivialize.txt`` records ``trivialize`` on seeded series over
 Q, GF(2) and GF(5) at orders 1-8: the rendered report, every stage phi_r, and
@@ -65,6 +71,7 @@ from dgdeform import (
 )
 from dgdeform.cli import main
 from dgdeform.cochain import cochain_basis
+from dgdeform.dsl import parse
 from dgdeform.family import VARIANTS
 from conftest import (
     conjugated,
@@ -81,6 +88,8 @@ CLI_GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
 TRIVIALIZE_GOLDEN = Path(__file__).parent / "golden" / "trivialize.txt"
 SOLVE_GOLDEN = Path(__file__).parent / "golden" / "solve.txt"
 GAUGED_FILES = ("gauged-Q.dgm", "gauged-GF5.dgm")
+FILLED_FILES = ("filled-Q-35.dgm", "filled-Q-3.dgm", "filled-GF2-33.dgm", "filled-GF2-2.dgm",
+                "filled-GF5-22.dgm", "filled-GF5-1.dgm")
 FIELDS = [QQ, GF(2), GF(5)]
 SEEDS = range(24)
 CONJUGATED_SEEDS = range(24, 36)
@@ -162,6 +171,17 @@ def cli_golden() -> str:
             f = str(path)
             commands = [["check", f], ["deform", f, "--order", "4"]]
             commands += [["trivialize", f, "--order", str(n)] for n in (2, 3, 4)]
+            runs += [_cli_run(runner, args, tmp) for args in commands]
+        for name in FILLED_FILES:
+            path = tmp / name
+            text = (GOLDEN.parent / name).read_text()
+            path.write_text(text)
+            f = str(path)
+            top = len(parse(text).deformation)
+            commands = [["check", f], ["cohomology", f, "--p", "0", "--p", "1"]]
+            commands += [["obstruction", f, "--order", str(k)] for k in range(1, top + 1)]
+            commands += [["deform", f, "--order", "4", "--lifts", "canonical"],
+                         ["trivialize", f, "--order", str(top)]]
             runs += [_cli_run(runner, args, tmp) for args in commands]
     return "".join(runs)
 

@@ -7,7 +7,9 @@ particular solution with free variables zero must all agree exactly.
 
 ``_System`` takes integer rows over one denominator D and returns integer
 rows and kernel vectors over their own denominators; the oracle runs on
-rows / D, with D in {1, 2, 6, 35} over Q and 1 over GF(p).
+rows / D, with D in {1, 2, 6, 35} over Q and 1 over GF(p).  A traced system
+reduces [A | I], so its rows hold T in the columns from ncols on; the tests
+read the matrix part through ``_reduced`` and T through ``transform``.
 """
 
 import random
@@ -92,6 +94,13 @@ def _over(vec, d, p):
     return {k: Fraction(v, d) for k, v in vec.items()}
 
 
+def _reduced(sys):
+    """The matrix part (columns < ncols) of each reduced row of ``sys`` as raw
+    values; a traced system holds T in the columns from ncols on."""
+    return [_over({k: v for k, v in row.items() if k < sys.ncols}, d, sys.modulus)
+            for row, d in zip(sys.rows, sys.dens)]
+
+
 @st.composite
 def systems(draw, fields=tuple(FIELDS), size=7, num=3, den=3):
     """(field, matrix, right sides, D) with at most ``size`` rows and
@@ -155,8 +164,7 @@ def _check_against_oracle(field, mat, rhs_list, den=1):
 
     assert sys.pivots == [(c, r) for r, c in enumerate(pivcols)]
     # the reduced rows stay integers, over their row denominators
-    assert [_over(row, d, p) for row, d in zip(sys.rows, sys.dens)] == [
-        _sparse(row[:ncols]) for row in ref]
+    assert _reduced(sys) == [_sparse(row[:ncols]) for row in ref]
     transform = [sys.transform(r) for r in range(len(mat))]  # T exactly, every row
     assert transform == [_sparse(row[ncols:]) for row in ref]
     assert rows == given  # the input is not modified
@@ -178,8 +186,7 @@ def _check_against_oracle(field, mat, rhs_list, den=1):
     plain = _System(rows, ncols, field)
     plain.reduce()
     assert plain.pivots == sys.pivots
-    assert [_over(row, d, p) for row, d in zip(plain.rows, plain.dens)] == [
-        _sparse(row[:ncols]) for row in ref]
+    assert _reduced(plain) == [_sparse(row[:ncols]) for row in ref]
     assert [list(_over(vec, d, p).items()) for d, vec in plain.nullspace()] == want
 
     echelon = _System(rows, ncols, field)
@@ -257,8 +264,7 @@ def test_hilbert_matrix():
     rows, _ = _integer_rows(QQ, hilbert)
     sys = _System(rows, n, QQ, lcm(*range(1, 2 * n)), trace=True)
     sys.reduce()
-    assert [_over(row, d, None) for row, d in zip(sys.rows, sys.dens)] == [
-        {i: Fraction(1)} for i in range(n)]
+    assert _reduced(sys) == [{i: Fraction(1)} for i in range(n)]
     # T is the inverse of the Hilbert matrix, which has integer entries
     transform = [sys.transform(r) for r in range(n)]
     assert all(v.denominator == 1 for t in transform for v in t.values())
@@ -294,7 +300,7 @@ def test_empty_and_zero_rows(name):
 
     none = _System([], 3, field, trace=True)
     none.reduce()
-    assert none.pivots == [] and none.rows == [] and none.trace == []
+    assert none.pivots == [] and none.rows == []
     assert none.nullspace() == [(1, {f: 1}) for f in range(3)]
     assert none.solve({}).values == {}
 
@@ -307,13 +313,13 @@ def test_one_reduction_serves_many_right_sides(case):
     rows, _ = _integer_rows(field, mat, den)
     shared = _System(rows, ncols, field, den, trace=True)
     shared.reduce()
-    trace = [dict(t) for t in shared.trace]
+    reduced = [dict(row) for row in shared.rows]  # the matrix part and T
     for rhs in rhs_list + rhs_list[::-1]:
         fresh = _System(rows, ncols, field, den, trace=True)
         fresh.reduce()
         b = _integer_rhs(field, rhs)
         assert shared.solve(*b) == fresh.solve(*b)
-        assert shared.trace == trace
+        assert shared.rows == reduced
 
 
 @pytest.mark.parametrize("traced", [False, True])
@@ -332,8 +338,7 @@ def test_rational_reduce_does_no_fraction_arithmetic(monkeypatch, traced, echelo
     # rows come out as integers over their denominators, not as Fractions
     assert all(type(v) is int for row in sys.rows for v in row.values())
     if not echelon:
-        assert [_over(row, d, None) for row, d in zip(sys.rows, sys.dens)] == [
-            {i: 1} for i in range(12)]
+        assert _reduced(sys) == [{i: 1} for i in range(12)]
 
 
 def test_rational_solve_does_no_fraction_arithmetic(monkeypatch):
