@@ -109,8 +109,8 @@ def obstruction_cmd(file, k):
     cx, lifts = _load_deformation(file)
     if k < 1:
         raise click.UsageError("order must be >= 1")
-    # O_k reads only d_1..d_k, and the ledger sums only nonzero pairs of them,
-    # so any k costs the same
+    # O_k reads only d_1..d_k, and the ledger forms only the nonzero products
+    # of their entries, so any k costs the same
     _echo(f"O_{k} = {_Ledger(cx, lifts[:k]).obstruction(k).render()}")
 
 

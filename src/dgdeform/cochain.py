@@ -78,6 +78,15 @@ class Complex:
         d[k, j] = n / D; over GF(p) D is 1 and the columns are d's own."""
         return _integer_columns(self.d)
 
+    @cached_property
+    def _integer_rows(self) -> dict[int, list[tuple[int, int]]]:
+        """The rows of ``_integer_d``: {j: [(l, n)]} with d[j, l] = n / D."""
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for l, col in self._integer_d[1].items():
+            for j, coeff in col.items():
+                rows.setdefault(j, []).append((l, coeff))
+        return rows
+
     # H(V) and H(M)* serve every p, so each complex computes them once
     @cached_property
     def _cycles(self):
@@ -169,35 +178,35 @@ def _integer_columns(m: GradedMap) -> tuple[int, dict[int, dict[int, int]]]:
 
 def _delta_terms(source: Complex, target: Complex, p: int):
     """(D, a, N_M, b, N_V) with D delta^p(f) = a N_M f + b f N_V, for
-    delta^p(f) = d_M f - (-1)^p f d_V: N_V = D_V d_V and N_M = D_M d_M are the
-    differentials' integer columns, D = lcm(D_V, D_M), a = D / D_M and
-    b = -(-1)^p D / D_V."""
-    (d_v, n_v), (d_m, n_m) = source._integer_d, target._integer_d
+    delta^p(f) = d_M f - (-1)^p f d_V: N_M = D_M d_M as integer columns and
+    N_V = D_V d_V as integer rows (``Complex._integer_rows``), D = lcm(D_V,
+    D_M), a = D / D_M and b = -(-1)^p D / D_V."""
+    (d_v, _), (d_m, n_m) = source._integer_d, target._integer_d
     den = lcm(d_v, d_m)
     b = den // d_v
-    return den, den // d_m, n_m, (b if p % 2 else -b), n_v
+    return den, den // d_m, n_m, (b if p % 2 else -b), source._integer_rows
 
 
 def _integer_coboundary(source: Complex, target: Complex, p: int,
                         cols: dict[int, dict[int, int]], den: int):
     """delta(f) = d_M f - (-1)^p f d_V for the p-cochain f = cols / den,
     as (integer columns, denominator), in integers from the differentials'
-    integer columns; zeros are not stored."""
+    integer columns and rows; only f's columns and the entries of d_V in
+    their rows are visited, and zeros are not stored."""
     _check_differentials(source, target)
     mod = source.field.modulus
     scale, a, n_m, b, n_v = _delta_terms(source, target, p)
     out: dict[int, dict[int, int]] = {}
-    for j, col in cols.items():  # column j of d_M f: sum_i f[i, j] * (column i of d_M)
-        acc = out.setdefault(j, {})
+    for j, col in cols.items():
+        acc = out.setdefault(j, {})  # column j of d_M f: sum_i f[i, j] * (column i of d_M)
         for i, c in col.items():
             c *= a
             for k, e in n_m.get(i, {}).items():
                 acc[k] = acc.get(k, 0) + c * e
-    for l, col in n_v.items():  # column l of f d_V: sum_j d_V[j, l] * (column j of f)
-        acc = out.setdefault(l, {})
-        for j, e in col.items():
+        for l, e in n_v.get(j, ()):  # column l of f d_V gets d_V[j, l] * (column j of f)
             e *= b
-            for i, c in cols.get(j, {}).items():
+            acc = out.setdefault(l, {})
+            for i, c in col.items():
                 acc[i] = acc.get(i, 0) + e * c
     if mod is None:
         out = {j: kept for j, col in out.items() if (kept := {k: v for k, v in col.items() if v})}
@@ -237,9 +246,9 @@ def cochain_basis(v: GradedModule, m: GradedModule, p: int) -> list[tuple[int, i
     """Canonical basis of C^p(V;M): pairs (source index j, target index i)
     with |x_i| = |x_j| - p, lexicographic in (j, i)."""
     by_degree: dict[int, list[int]] = {}
-    for i in range(m.dim):
-        by_degree.setdefault(m.degree_of(i), []).append(i)
-    return [(j, i) for j in range(v.dim) for i in by_degree.get(v.degree_of(j) - p, ())]
+    for i, (_, q) in enumerate(m.basis):
+        by_degree.setdefault(q, []).append(i)
+    return [(j, i) for j, (_, q) in enumerate(v.basis) for i in by_degree.get(q - p, ())]
 
 
 def _cochain_from_coords(
@@ -277,10 +286,8 @@ def _delta_matrix(source: Complex, target: Complex, p: int):
     cod_index = {pair: r for r, pair in enumerate(cod)}
     den, a, n_m, b, n_v = _delta_terms(source, target, p)
     mod = source.field.modulus
-    d_vt: dict[int, list[tuple[int, int]]] = {}  # j -> [(l, -(-1)^p d_V[j,l] * den)]
-    for l, col in n_v.items():
-        for j, coeff in col.items():
-            d_vt.setdefault(j, []).append((l, b * coeff if mod is None else b * coeff % mod))
+    d_vt = {j: [(l, b * coeff if mod is None else b * coeff % mod) for l, coeff in row]
+            for j, row in n_v.items()}  # j -> [(l, -(-1)^p d_V[j,l] * den)]
     if a != 1:
         n_m = {i: {k: a * coeff for k, coeff in col.items()} for i, col in n_m.items()}
     rows: list[dict[int, int]] = [{} for _ in cod]

@@ -6,10 +6,18 @@ to zero; equating coefficients of d_t o d_t = 0 gives the ladder of relations
 delta(d_{n+1}) = O_n with O_n = -sum_{i=1}^{n} d_i d_{n-i+1}.  Extension past
 order n is possible exactly when O_n cobounds; trivialization repeatedly
 gauges away the lowest nonzero coefficient by solving delta(phi) = -coeff.
+
+Every product of maps here goes through one sparse kernel, ``_Products``:
+the ledger, which holds d as order 0 and adds each lift's products into sums
+by order as the lift enters, the series product and inverse, and the gauge
+step.  It multiplies only entries that meet, so a ladder costs in
+proportion to its nonzero products, not to the square of its order.
 """
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,6 +29,7 @@ from .cochain import (
     InfeasibilityWitness,
     Solved,
     _certificate_degree,
+    _check_differentials,
     solve_coboundary,
 )
 from .errors import (
@@ -142,23 +151,95 @@ class MapSeries:
         return f"MapSeries({inner})"
 
 
+# -- sums of products ---------------------------------------------------------
+
+
+class _Products:
+    """Sums, by order, of products of graded maps on one module: the sparse
+    product kernel of the ladder, the series algebra and the gauge step.
+
+    An operand is a map's columns {source: {target: raw value}}, held at an
+    order as a left or as a right operand.  ``left(i, a)`` adds a o b into
+    order i + j for every right operand b held at order j, and ``right(j, b)``
+    adds a o b into order i + j for every left operand a held at order i, up
+    to ``limit``.  As in Gustavson's row-wise product (ACM TOMS 4, 1978), the
+    held maps are indexed by basis index, the columns of left operands by
+    source and the entries of right operands by target, so only entries that
+    meet are multiplied and the cost is proportional to the nonzero products.
+    The sums stay raw, and each is normalized once, when it is read.
+    """
+
+    __slots__ = ("limit", "columns", "entries", "sums")
+
+    def __init__(self, limit: float = math.inf):
+        self.limit = limit
+        self.columns: dict[int, list] = {}  # m -> [(i, column m of a left operand a)]
+        self.entries: dict[int, list] = {}  # m -> [(j, s, v)]: v = b[m, s] of a right operand b
+        self.sums = defaultdict(lambda: defaultdict(dict))  # order -> {s: {l: raw}}
+
+    # operands of either side are held in increasing order
+
+    def hold_left(self, i: int, a: dict) -> None:
+        for s, col in a.items():
+            self.columns.setdefault(s, []).append((i, col))
+
+    def hold_right(self, j: int, b: dict) -> None:
+        for s, col in b.items():
+            for t, v in col.items():
+                self.entries.setdefault(t, []).append((j, s, v))
+
+    def add(self, k: int, m: dict) -> None:
+        """Add m itself into order k."""
+        sums = self.sums[k]
+        for s, col in m.items():
+            out = sums[s]
+            for l, w in col.items():
+                out[l] = out[l] + w if l in out else w
+
+    def left(self, i: int, a: dict) -> None:
+        limit, sums, entries = self.limit, self.sums, self.entries
+        for m, col in a.items():
+            for j, s, v in entries.get(m, ()):
+                if i + j > limit:
+                    break
+                out = sums[i + j][s]
+                for l, w in col.items():
+                    out[l] = out[l] + w * v if l in out else w * v
+
+    def right(self, j: int, b: dict) -> None:
+        limit, sums, columns = self.limit, self.sums, self.columns
+        for s, col in b.items():
+            for m, v in col.items():
+                for i, a_col in columns.get(m, ()):
+                    if i + j > limit:
+                        break
+                    out = sums[i + j][s]
+                    for l, w in a_col.items():
+                        out[l] = out[l] + w * v if l in out else w * v
+
+    def read(self, k: int, module, degree: int) -> GradedMap:
+        """The sum of order k, as an endomorphism of ``module`` of ``degree``."""
+        norm = module.field.norm
+        cols = {s: kept for s, col in self.sums.get(k, {}).items()
+                if (kept := {l: w for l, v in col.items() if (w := norm(v))})}
+        return GradedMap._of(module, module, degree, cols)
+
+
 def series_mul(a: MapSeries, b: MapSeries) -> MapSeries:
     """Truncated Cauchy product: coefficient k is sum of a_i o b_{k-i}."""
     if a.module != b.module:
         raise ModuleMismatch("series live over different modules")
     if a.order != b.order:
         raise TruncationMismatch(f"truncation orders differ: {a.order} vs {b.order}")
-    # only pairs of nonzero coefficients contribute; for each k they are
-    # summed in increasing i, and one zero map stands for every empty sum
-    out = [GradedMap.zero(a.module, degree=a.degree + b.degree)] * (a.order + 1)
-    nonzero_b = [(j, bj) for j, bj in enumerate(b.coeffs) if bj]
+    n, module, degree = a.order, a.module, a.degree + b.degree
+    products = _Products(n)
+    for j, bj in enumerate(b.coeffs):
+        if bj:
+            products.hold_right(j, bj.columns)
     for i, ai in enumerate(a.coeffs):
         if ai:
-            for j, bj in nonzero_b:
-                if i + j > a.order:
-                    break
-                out[i + j] = out[i + j] + ai.compose(bj)
-    return MapSeries(out)
+            products.left(i, ai.columns)
+    return MapSeries([products.read(k, module, degree) for k in range(n + 1)])
 
 
 def series_inverse(a: MapSeries) -> MapSeries:
@@ -166,15 +247,19 @@ def series_inverse(a: MapSeries) -> MapSeries:
     module = a.module
     if a.coeffs[0] != GradedMap.identity(module):
         raise ConstantTermNotIdentity("series inverse needs constant coefficient Id")
-    inv = [GradedMap.identity(module)]
-    # only nonzero a_i contribute; for each k they are summed in increasing i
-    nonzero_a = [(i, ai) for i, ai in enumerate(a.coeffs) if i and ai]
+    # inv_k = -sum_{i >= 1} a_i o inv_{k-i}: each inv_k, once read, is
+    # multiplied into the orders above it, and inv_0 = Id enters as copies
+    products = _Products(a.order)
+    for i, ai in enumerate(a.coeffs):
+        if i and ai:
+            products.hold_left(i, ai.columns)
+            products.add(i, ai.columns)
+    inv = [a.coeffs[0]]
     for k in range(1, a.order + 1):
-        acc = GradedMap.zero(module, degree=a.degree)
-        for i, ai in nonzero_a:
-            if i <= k and inv[k - i]:
-                acc = acc + ai.compose(inv[k - i])
-        inv.append(-acc)
+        m = -products.read(k, module, a.degree)
+        if m:
+            products.right(k, m.columns)
+        inv.append(m)
     return MapSeries(inv)
 
 
@@ -192,14 +277,23 @@ def gauge_transform(d_t: MapSeries, phi_t: MapSeries) -> MapSeries:
 
 class _Ledger:
     """One ladder on one complex: lifts d_1..d_n, each checked once as it
-    enters, and each O_k and delta(d_k) worked out once, when first read.
-    O_k sums only pairs of nonzero lifts, so a zero tail costs next to nothing."""
+    enters, with d held as order 0.
+
+    As d_k enters, its products with d and with every lift already in are
+    added into sums by order (``_Products``): d d_k + d_k d, which is
+    delta(d_k), apart from the products d_i d_j of lifts, whose sum of order
+    k + 1 is -O_k.  So the whole ladder costs in proportion to its nonzero
+    products, and each O_k and delta(d_k) is normalized once, when first read.
+    """
 
     def __init__(self, cx: Complex, lifts: Sequence[GradedMap] = ()):
         self.cx = cx
         self.lifts: list[GradedMap] = []
-        self.nonzero: dict[int, GradedMap] = {}  # i -> d_i, nonzero lifts only
-        self.o: dict[int, GradedMap] = {}  # n -> O_n, once read
+        self.with_d = _Products()  # d d_k + d_k d at order k
+        self.with_d.hold_left(0, cx.d.columns)
+        self.with_d.hold_right(0, cx.d.columns)
+        self.pairs = _Products()  # d_i d_j at order i + j, for i, j >= 1
+        self.o: dict[int, GradedMap] = {}  # n -> O_n, once read with d_1..d_n in
         self.deltas: list[GradedMap] = []  # delta(d_1), delta(d_2), ..., once compared
         for m in lifts:
             self.append(m)
@@ -208,25 +302,29 @@ class _Ledger:
         _check_lift(self.cx, m, what)
         self.lifts.append(m)
         if m:
-            self.nonzero[len(self.lifts)] = m
+            k, cols = len(self.lifts), m.columns
+            self.with_d.left(k, cols)
+            self.with_d.right(k, cols)
+            self.pairs.left(k, cols)
+            self.pairs.hold_left(k, cols)
+            self.pairs.hold_right(k, cols)
+            self.pairs.right(k, cols)
 
     def obstruction(self, n: int) -> GradedMap:
         """O_n = -sum_{i=1}^{n} d_i o d_{n-i+1}, with d_i = 0 past the last lift."""
-        if n not in self.o:
-            acc = GradedMap.zero(self.cx.module, degree=-2)
-            for i, a in self.nonzero.items():
-                if i > n:
-                    break
-                b = self.nonzero.get(n + 1 - i)
-                if b is not None:
-                    acc = acc + a.compose(b)
-            self.o[n] = -acc
-        return self.o[n]
+        o = self.o.get(n)
+        if o is None:
+            o = -self.pairs.read(n + 1, self.cx.module, -2)
+            if n <= len(self.lifts):  # no later lift changes it
+                self.o[n] = o
+        return o
 
     def relations(self) -> list[bool]:
         """For each 0 <= k < n, whether delta(d_{k+1}) = O_k holds exactly."""
-        for m in self.lifts[len(self.deltas):]:
-            self.deltas.append(Cochain(1, m, self.cx).coboundary().mapping)
+        if self.lifts:
+            _check_differentials(self.cx, self.cx)
+        for k in range(len(self.deltas) + 1, len(self.lifts) + 1):
+            self.deltas.append(self.with_d.read(k, self.cx.module, -2))
         return [dk == self.obstruction(k) for k, dk in enumerate(self.deltas)]
 
 
@@ -421,36 +519,41 @@ def _gauge_step(
 
     F^-1 is the geometric series sum_k t^{rk} phi^k, so the conjugate has
     coefficients E_j - phi o E_{j-r} with E = d_t o F^-1, and F o g has
-    g_j - phi o g_{j-r}.  Each power phi^k (rk <= order) is composed once,
-    only nonzero coefficients are composed, and no composition has the
-    identity as an operand: phi^0 and g_0 enter as plain copies.
+    g_j - phi o g_{j-r}.  Each power phi^k (rk <= order) is formed once, every
+    product goes through ``_Products``, so only entries that meet are
+    multiplied, and no product has the identity as an operand: phi^0 and g_0
+    enter as plain copies.
     """
-    n = d_t.order
-    powers = [phi]  # phi^1, phi^2, ... while nonzero and rk <= n
-    while r * (len(powers) + 1) <= n and (power := powers[-1].compose(phi)):
-        powers.append(power)
-    e: dict[int, GradedMap] = {}  # E_j, for j where some term lands
+    n, module = d_t.order, d_t.module
+    chain = _Products(n // r)  # phi^k o phi at order k + 1, while r(k + 1) <= n
+    chain.hold_right(1, phi.columns)
+    gauged = _Products(n)  # E = d_t o F^-1 (c_i and c_i o phi^k at order i + rk), then F o E
+    power, k = phi, 1
+    while power:
+        gauged.hold_right(r * k, power.columns)
+        chain.left(k, power.columns)
+        k += 1
+        power = chain.read(k, module, phi.degree)
     for i, c in enumerate(d_t.coeffs):
         if c:
-            for k, m in enumerate([c] + [c.compose(p) for p in powers[: (n - i) // r]]):
-                j = i + r * k
-                e[j] = e[j] + m if j in e else m
-
+            gauged.add(i, c.columns)
+            gauged.left(i, c.columns)
+    composed = _Products(n)  # g_j, j >= 1
+    for j, m in enumerate(g.coeffs[1:], start=1):
+        composed.add(j, m.columns)
     minus_phi = -phi
-
-    def left(out: list, terms) -> MapSeries:
-        # out_{j+r} - phi o m for each nonzero term (j, m) with j + r <= n
-        for j, m in terms:
-            if m and j + r <= n:
-                out[j + r] = out[j + r] + minus_phi.compose(m)
-        return MapSeries(out)
-
-    out = [GradedMap.zero(d_t.module, degree=d_t.degree)] * (n + 1)
-    for j, m in e.items():
-        out[j] = m
-    g_out = list(g.coeffs)
-    g_out[r] = g_out[r] + minus_phi
-    return left(out, e.items()), left(g_out, enumerate(g.coeffs[1:], start=1))
+    for products in (gauged, composed):
+        # m_j - phi o m_{j-r} in place: from the top order down, so that each
+        # m_j is multiplied before anything lands on it; raw sums multiply
+        # as well as normalized ones
+        products.hold_left(r, minus_phi.columns)
+        for j in sorted(products.sums, reverse=True):
+            products.right(j, products.sums[j])
+    composed.add(r, minus_phi.columns)  # -phi o g_0, with g_0 = Id
+    return (
+        MapSeries([gauged.read(j, module, d_t.degree) for j in range(n + 1)]),
+        MapSeries([g.coeffs[0]] + [composed.read(j, module, g.degree) for j in range(1, n + 1)]),
+    )
 
 
 def trivialize(d_t: MapSeries) -> TrivializationReport:

@@ -110,6 +110,8 @@ class FieldSpec:
     def _raw(self, c: "Scalar | Fraction | int") -> Fraction | int:
         """The raw value of a coefficient given as a Scalar of this field, a
         Fraction or an int."""
+        if isinstance(c, int):  # already canonical as a Fraction, or once reduced mod p
+            return Fraction(c) if self.modulus is None else c % self.modulus
         if not isinstance(c, Scalar):
             return self.scalar(c.numerator, c.denominator).value
         if c.field is not self and c.field != self:

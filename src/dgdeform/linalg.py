@@ -250,7 +250,8 @@ class _System:
             # equations; a row past the rank holds T's columns only
             r = min(bad, key=lambda r: sorted(self.rows[r]))
             return LinearInfeasibility(self.transform(r), reduced[r])
-        return LinearSolution({col: reduced[r] for col, r in self.pivots if r in reduced})
+        # pivot r sits in row r, so the read-off visits only the nonzero rows
+        return LinearSolution({self.pivots[r][0]: reduced[r] for r in sorted(reduced)})
 
 
 @dataclass

@@ -9,6 +9,7 @@ Gaussian elimination over raw Fractions / residues.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,65 @@ def oracle_relations(cx: Complex, lifts) -> list[bool]:
         Cochain(1, lifts[k], cx).coboundary().mapping == oracle_obstruction(cx, lifts[:k])
         for k in range(len(lifts))
     ]
+
+
+def oracle_series_mul(a, b):
+    """The truncated product of two series: coefficient k is
+    sum_{i=0}^{k} a_i o b_{k-i}, every pair composed afresh with
+    ``GradedMap.compose``, with no index or cache in between."""
+    from dgdeform import MapSeries
+
+    degree = a.degree + b.degree
+    out = []
+    for k in range(a.order + 1):
+        acc = GradedMap.zero(a.module, degree=degree)
+        for i in range(k + 1):
+            acc = acc + a.coeffs[i].compose(b.coeffs[k - i])
+        out.append(acc)
+    return MapSeries(out)
+
+
+def count_products(monkeypatch) -> list[int]:
+    """Record, for every ``_Products.left`` and ``.right`` call from now on,
+    the number of entry products it forms: an entry of the new operand times
+    an entry of a held map that it meets, within the order limit."""
+    from dgdeform.deform import _Products
+
+    counts = []
+    left, right = _Products.left, _Products.right
+
+    def counting_left(self, i, a):
+        counts.append(sum(len(col) for m, col in a.items()
+                          for j, _, _ in self.entries.get(m, ()) if i + j <= self.limit))
+        left(self, i, a)
+
+    def counting_right(self, j, b):
+        counts.append(sum(len(a_col) for col in b.values() for m in col
+                          for i, a_col in self.columns.get(m, ()) if i + j <= self.limit))
+        right(self, j, b)
+
+    monkeypatch.setattr(_Products, "left", counting_left)
+    monkeypatch.setattr(_Products, "right", counting_right)
+    return counts
+
+
+def compose_callers(monkeypatch, functions) -> list[str]:
+    """Record the name of each of ``functions`` on the call stack of every
+    ``GradedMap.compose`` call from now on."""
+    watched = {f.__code__: f.__qualname__ for f in functions}
+    callers = []
+    compose = GradedMap.compose
+
+    def recording(self, other):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code in watched:
+                callers.append(watched[frame.f_code])
+            frame = frame.f_back
+        return compose(self, other)
+
+    monkeypatch.setattr(GradedMap, "compose", recording)
+    return callers
 
 
 # -- random instances -----------------------------------------------------------

@@ -30,8 +30,16 @@ from dgdeform import (
     series_mul,
     trivialize,
 )
-from dgdeform.deform import MAX_ORDER, NextLift, ObstructionHit, _gauge_step, _Ledger
+from dgdeform.deform import (
+    MAX_ORDER,
+    NextLift,
+    ObstructionHit,
+    _gauge_step,
+    _Ledger,
+    _Products,
+)
 from dgdeform.errors import (
+    BadDegree,
     ConstantTermNotIdentity,
     InfinitesimalNotCocycle,
     NotSquareZero,
@@ -39,9 +47,12 @@ from dgdeform.errors import (
     TruncationMismatch,
 )
 from conftest import (
+    compose_callers,
+    conjugated,
     count_reductions,
     oracle_obstruction,
     oracle_relations,
+    oracle_series_mul,
     random_cochain,
     random_cocycle,
     random_complex,
@@ -116,6 +127,26 @@ def test_relation_zero_fails_for_non_cocycle(poly4):
     assert check_relations(cx, [bad]) == [False]
 
 
+def test_ladder_needs_a_degree_minus_one_differential():
+    # a complex whose d has degree +1: relations read delta, and delta needs
+    # d of degree -1, whether a lift is zero or not
+    module = GradedModule("V", QQ, [("a", 0), ("b", 1)])
+    cx = Complex(module, GradedMap.from_entries(module, 1, [("a", "b", 1)]))
+    d1 = GradedMap.from_entries(module, -1, [("b", "a", 1)])
+    zero = GradedMap.zero(module, degree=-1)
+    message = "the coboundary operator needs degree -1 differentials; got degree 1"
+    for lifts in ([d1], [zero], [d1, zero]):
+        with pytest.raises(BadDegree, match=message):
+            check_relations(cx, lifts)
+        with pytest.raises(BadDegree, match=message):
+            extend_step(cx, lifts)
+    with pytest.raises(BadDegree, match=message):
+        deform_to_order(cx, d1, 2)
+    with pytest.raises(BadDegree, match=message):
+        deform_to_order(cx, zero, 1)
+    assert check_relations(cx, []) == []
+
+
 def test_relations_trivial_deformation(poly4):
     cx, _ = poly4
     zero = GradedMap.zero(cx.module, degree=-1)
@@ -170,6 +201,35 @@ def test_ledger_matches_quadratic_oracle(seed, field):
     expected = oracle_relations(cx, lifts)
     assert check_relations(cx, lifts) == expected
     assert ledger.relations() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), field=st.sampled_from([QQ, GF(2), GF(5)]))
+def test_ledger_deltas_are_coboundaries(seed, field):
+    # random lifts with zero gaps and a zero tail, on a complex whose d is
+    # sometimes conjugated to fill in; the lifts enter in two batches, with
+    # every obstruction read in between, some before their lifts are all in
+    rng = random.Random(seed)
+    cx = random_complex(rng, field, rng.randint(3, 9), singleton_degrees=[0, 1])
+    if rng.random() < 0.5:
+        cx = conjugated(rng, cx)
+    zero = GradedMap.zero(cx.module, degree=-1)
+    lifts = [zero if rng.random() < 0.3 else random_cochain(rng, cx, 1, 0.4)
+             for _ in range(rng.randint(1, 6))]
+    lifts += [zero] * rng.randint(0, 3)
+    cut = rng.randint(0, len(lifts))
+    ledger = _Ledger(cx, lifts[:cut])
+    ledger.relations()
+    padded = lifts[:cut] + [zero] * len(lifts)  # d_i = 0 past the last lift in
+    for k in range(len(lifts) + 1):
+        assert ledger.obstruction(k) == oracle_obstruction(cx, padded[:k])
+    for m in lifts[cut:]:
+        ledger.append(m)
+    assert ledger.relations() == oracle_relations(cx, lifts)
+    assert len(ledger.deltas) == len(lifts)
+    for k, m in enumerate(lifts):
+        assert ledger.deltas[k] == Cochain(1, m, cx).coboundary().mapping
+        assert ledger.obstruction(k) == oracle_obstruction(cx, lifts[:k])
 
 
 # -- stepping -----------------------------------------------------------------------
@@ -516,17 +576,25 @@ def test_trivialize_composes_no_identity(monkeypatch):
     d_t = random_gauged(rng, MapSeries.deformation(cx, [], order=6), range(1, 7))
     assert all(d_t.coeffs)  # dense: every coefficient 0..6 is nonzero
     identity = GradedMap.identity(cx.module)
-    operands = []
+    operands = []  # whether each operand of a product is the identity
+    for name in ("hold_left", "hold_right", "left", "right"):
+        def recording(self, k, columns, method=getattr(_Products, name)):
+            operands.append(columns == identity.columns)
+            method(self, k, columns)
+
+        monkeypatch.setattr(_Products, name, recording)
     compose = GradedMap.compose
 
-    def recording(self, other):
-        operands.append((self == identity, other == identity))
+    def recording_compose(self, other):
+        operands.extend((self == identity, other == identity))
         return compose(self, other)
 
-    monkeypatch.setattr(GradedMap, "compose", recording)
+    monkeypatch.setattr(GradedMap, "compose", recording_compose)
+    callers = compose_callers(monkeypatch, [_gauge_step, series_mul, series_inverse])
     report = trivialize(d_t)
     assert report.trivialized and sum(map(bool, report.stages)) >= 3
-    assert operands and not any(a or b for a, b in operands)
+    assert operands and not any(operands)
+    assert callers == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -559,3 +627,58 @@ def test_gauge_step_matches_series_oracle(seed, field, stage):
     gauged, composed = _gauge_step(d_t, g, phi, r)
     assert gauged == gauge_transform(d_t, factor)
     assert composed == series_mul(factor, g)
+
+
+def _random_series(rng, cx, p, n, head=None):
+    """A random series of (p)-cochains through order n, with zero gaps and a
+    zero tail; ``head`` replaces the order-0 coefficient."""
+    zero = GradedMap.zero(cx.module, degree=-p)
+    coeffs = [random_cochain(rng, cx, p, rng.choice([0.2, 0.6])) if rng.random() < 0.6 else zero
+              for _ in range(n + 1)]
+    tail = rng.randint(0, n)
+    coeffs[n + 1 - tail:] = [zero] * tail
+    if head is not None:
+        coeffs[0] = head
+    return MapSeries(coeffs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), field=st.sampled_from([QQ, GF(2), GF(5)]))
+def test_series_products_match_quadratic_oracle(seed, field):
+    rng = random.Random(seed)
+    cx = random_complex(rng, field, rng.randint(3, 8), singleton_degrees=[0, 1])
+    if rng.random() < 0.3:
+        cx = conjugated(rng, cx)
+    identity = GradedMap.identity(cx.module)
+    # operands of different degrees, with gaps and tails
+    n = rng.randint(0, 6)
+    a = _random_series(rng, cx, rng.choice([-1, 0, 1]), n)
+    b = _random_series(rng, cx, rng.choice([-1, 0, 1, 2]), n)
+    assert series_mul(a, b) == oracle_series_mul(a, b)
+    assert series_mul(b, a) == oracle_series_mul(b, a)
+    assert series_mul(a, a) == oracle_series_mul(a, a)
+    phi_t = _random_series(rng, cx, 0, n, head=identity)
+    assert oracle_series_mul(phi_t, series_inverse(phi_t)) == MapSeries.identity(cx.module, n)
+    # a square-zero series: a canonical ladder with t -> t^s, so with gaps
+    lifts = deform_to_order(cx, random_cocycle(rng, cx), rng.randint(1, 3)).lifts
+    s = rng.randint(1, 2)
+    zero = GradedMap.zero(cx.module, degree=-1)
+    spread = [lifts[k // s - 1] if k % s == 0 else zero for k in range(1, s * len(lifts) + 1)]
+    d_t = MapSeries.deformation(cx, spread)
+    assert series_mul(d_t, d_t) == oracle_series_mul(d_t, d_t)
+    # phi_t d_t phi_t^-1 is the G with G phi_t = phi_t d_t
+    phi_t = _random_series(rng, cx, 0, d_t.order, head=identity)
+    gauged = gauge_transform(d_t, phi_t)
+    assert oracle_series_mul(gauged, phi_t) == oracle_series_mul(phi_t, d_t)
+    # one gauge step by F = Id - t^r phi, on the ladder padded with a zero
+    # tail (the step does not need a square-zero series) and an automorphism
+    # g with gaps
+    order = len(spread) + rng.randint(0, 2)
+    d_t = MapSeries.deformation(cx, spread, order=order)
+    r = rng.randint(1, order)
+    phi = random_cochain(rng, cx, 0, rng.choice([0.3, 0.7]))
+    g = _random_series(rng, cx, 0, order, head=identity)
+    factor = MapSeries.gauge_factor(phi, r, order)
+    gauged, composed = _gauge_step(d_t, g, phi, r)
+    assert oracle_series_mul(gauged, factor) == oracle_series_mul(factor, d_t)
+    assert composed == oracle_series_mul(factor, g)

@@ -15,9 +15,10 @@ from dgdeform import (
     verify_obstructed,
     verify_polynomial,
 )
-from dgdeform.deform import check_relations, obstruction
+from dgdeform.deform import _Ledger, check_relations, obstruction, series_mul
 from dgdeform.errors import BadTruncation, TruncationTooSmall
 from dgdeform.family import MAX_TRUNCATION
+from conftest import compose_callers, count_products
 
 FIELDS = [QQ, GF(2), GF(5)]
 
@@ -202,3 +203,21 @@ def test_truncation_cap():
         FamilySpec(MAX_TRUNCATION, "infinite")
     with pytest.raises(BadTruncation):
         base_complex(MAX_TRUNCATION + 1)
+
+
+def test_ladder_products_grow_linearly(monkeypatch):
+    # the family's lifts hold one or two entries each, so the ladder's
+    # nonzero products, hence its work, grow linearly in n: from n = 50 to
+    # n = 100 the entry products the kernel forms at most double, and none of
+    # the ladder's or the series square's products is a GradedMap.compose
+    callers = compose_callers(monkeypatch, [
+        _Ledger.__init__, _Ledger.append, _Ledger.obstruction, _Ledger.relations, series_mul])
+    counts = count_products(monkeypatch)
+    for verify in (verify_polynomial, verify_infinite):
+        totals = []
+        for n in (50, 100):
+            counts.clear()
+            assert verify(n).ok
+            totals.append(sum(counts))
+        assert 0 < totals[0] and totals[1] <= 2 * totals[0] + 10, (verify.__name__, totals)
+    assert callers == []

@@ -6,7 +6,7 @@ sha256 of the rendered representatives.  Seeds 0-23 pair random complexes
 as built; seeds 24-35 conjugate each complex by transvections, so that the
 differentials, cycles and kernel vectors fill in.
 
-``tests/golden/cli.txt`` records 453 in-process CLI runs: each command line
+``tests/golden/cli.txt`` records 484 in-process CLI runs: each command line
 (file arguments by file name only), its exit code, and its stdout, one
 ``| ``-prefixed line per output line.  The runs are ``paper-family``,
 ``check``, ``cohomology``, ``deform`` (file and canonical lifts),
@@ -20,7 +20,10 @@ come ``check``, ``cohomology``, ``obstruction``, canonical ``deform`` and
 1-cocycle d_1 on a conjugated random complex over Q (fractional entries),
 GF(2) or GF(5), so that delta fills in, with its canonical lifts.  One file
 per field is obstructed, and every ``trivialize`` sticks at order 1, so
-these runs pin witnesses of a filled-in elimination.
+these runs pin witnesses of a filled-in elimination.  The long ladders close
+the file: ``verify-paper --n 48`` over Q, GF(2) and GF(5), then
+``obstruction`` at several orders up to 30 and ``deform --order 30`` on the
+``infinite`` and ``polynomial`` members with n = 30 over Q and GF(5).
 
 ``tests/golden/trivialize.txt`` records ``trivialize`` on seeded series over
 Q, GF(2) and GF(5) at orders 1-8: the rendered report, every stage phi_r, and
@@ -183,6 +186,18 @@ def cli_golden() -> str:
             commands += [["deform", f, "--order", "4", "--lifts", "canonical"],
                          ["trivialize", f, "--order", str(top)]]
             runs += [_cli_run(runner, args, tmp) for args in commands]
+        # long ladders, where each O_k sums many nonzero pairs of lifts
+        for field in ("Q", "GF:2", "GF:5"):
+            runs.append(_cli_run(runner, ["verify-paper", "--n", "48", "--field", field], tmp))
+        for variant in ("infinite", "polynomial"):
+            for field in ("Q", "GF:5"):
+                path = tmp / f"{variant}-{field.replace(':', '')}-30.dgm"
+                runner.invoke(main, ["paper-family", "--n", "30", "--variant", variant,
+                                     "--field", field, "--out", str(path)])
+                f = str(path)
+                commands = [["obstruction", f, "--order", str(k)] for k in (1, 2, 9, 16, 29, 30)]
+                commands.append(["deform", f, "--order", "30"])
+                runs += [_cli_run(runner, args, tmp) for args in commands]
     return "".join(runs)
 
 
