@@ -41,6 +41,17 @@ class is zero.  A solution is pinned by the sha256 of its rendering, a
 witness by its rendering in full: which rows of the elimination end up
 inconsistent, and so which witness is canonical, depends on every row swap.
 
+``tests/golden/parse.txt`` records ``parse`` on .dgm texts, one line per
+text: a label, then ``ok`` and the sha256 of ``render(parse(text))``, or the
+exception type and message.  The texts are seeded random documents over Q,
+GF(2), GF(5) and GF(7) in free form (spacing, comments, repeated and
+cancelling terms, fractions, a deformation block in shuffled order), every
+``paper-family`` file for n in {1, 2, 3, 6} over Q and GF(5), and 20 seeded
+mutations of each: insertions of characters and tokens that the scanner
+must reject or split (``²``, ``٣``, ``é``, a vertical tab, ``#``, ``->``, a
+5,000-digit literal, ``1/0*``, an empty deformation block and more),
+deletions and duplicated spans.
+
 Any change to these files is a change of canonical outputs and needs a
 deliberate, reviewed diff.  They were written by
 
@@ -48,6 +59,7 @@ deliberate, reviewed diff.  They were written by
     PYTHONPATH=src:tests python tests/test_golden.py cli > tests/golden/cli.txt
     PYTHONPATH=src:tests python tests/test_golden.py trivialize > tests/golden/trivialize.txt
     PYTHONPATH=src:tests python tests/test_golden.py solve > tests/golden/solve.txt
+    PYTHONPATH=src:tests python tests/test_golden.py parse > tests/golden/parse.txt
 """
 
 import hashlib
@@ -74,7 +86,7 @@ from dgdeform import (
 )
 from dgdeform.cli import main
 from dgdeform.cochain import cochain_basis
-from dgdeform.dsl import parse
+from dgdeform.dsl import parse, render
 from dgdeform.family import VARIANTS
 from conftest import (
     conjugated,
@@ -90,6 +102,7 @@ GOLDEN = Path(__file__).parent / "golden" / "cohomology.txt"
 CLI_GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
 TRIVIALIZE_GOLDEN = Path(__file__).parent / "golden" / "trivialize.txt"
 SOLVE_GOLDEN = Path(__file__).parent / "golden" / "solve.txt"
+PARSE_GOLDEN = Path(__file__).parent / "golden" / "parse.txt"
 GAUGED_FILES = ("gauged-Q.dgm", "gauged-GF5.dgm")
 FILLED_FILES = ("filled-Q-35.dgm", "filled-Q-3.dgm", "filled-GF2-33.dgm", "filled-GF2-2.dgm",
                 "filled-GF5-22.dgm", "filled-GF5-1.dgm")
@@ -97,6 +110,7 @@ FIELDS = [QQ, GF(2), GF(5)]
 SEEDS = range(24)
 CONJUGATED_SEEDS = range(24, 36)
 DEGREES = range(-2, 4)
+HUGE = "7" * 5000  # past the interpreter's 4300-digit int conversion limit
 
 
 def _cohomology_pairs():
@@ -266,6 +280,121 @@ def solve_lines():
                         yield f"{head} infeasible {out.witness.render()}"
 
 
+def _random_dgm(rng: random.Random, field) -> str:
+    """A well-formed .dgm text over ``field`` in free form: random spacing and
+    comments, terms split into repeated and cancelling ones, fractional
+    coefficients, and a deformation block listing maps in shuffled order."""
+    def gap():
+        return rng.choice([" ", " ", " ", "  ", "\t", "\n", "\r\n", " # note\n", "\n\n  "])
+
+    def coeff(num, den):
+        if den == 1 and num == 1 and rng.random() < 0.6:
+            return ""
+        return f"{num}*" if den == 1 else f"{num}/{den}*"
+
+    dens = [1, 3] if field.modulus == 2 else [1, 2, 3, 4]
+    dim = rng.randint(1, 10)
+    names = [f"{rng.choice(['e', 'x', '_g', 'Y'])}{i}" for i in range(dim)]
+    degrees = [rng.randint(-1, 2) for _ in range(dim)]
+    out = ["field Q" if field.modulus is None else f"field GF {field.modulus}", gap(),
+           f"module {rng.choice(['V', 'M', 'W'])}", gap(), "{", gap(), "basis "]
+    out.append(",".join(f"{gap()}{n}{gap()}:{gap()}{d}" for n, d in zip(names, degrees)))
+    out += [";", gap(), "}"]
+    maps = [f"m{k}" for k in range(rng.randint(0, 3))]
+    for name in maps:
+        degree = rng.randint(-1, 1)
+        out += ["\n", f"map {name} degree {degree}", gap(), "{"]
+        for j in rng.sample(range(dim), dim):
+            targets = [i for i in range(dim) if degrees[i] == degrees[j] + degree]
+            if not targets or rng.random() < 0.2:
+                continue
+            terms = []
+            for i in rng.sample(targets, rng.randint(1, len(targets))):
+                num, den = rng.randint(1, 9), rng.choice(dens)
+                terms.append((rng.random() < 0.4, coeff(num, den) + names[i]))
+                if rng.random() < 0.25:  # a repeated term, cancelling half the time
+                    terms.append((not terms[-1][0] if rng.random() < 0.5 else rng.random() < 0.5,
+                                  coeff(rng.randint(1, 9), den) + names[i]))
+            text = ""
+            for k, (neg, term) in enumerate(terms):
+                if k == 0:
+                    text += f"-{term}" if neg else term
+                elif rng.random() < 0.2:
+                    text += f"{gap()}+{gap()}{'-' if neg else ''}{term}"
+                else:
+                    text += f"{gap()}{'-' if neg else '+'}{gap()}{term}"
+            out += [gap(), names[j], gap(), "->", gap(), text, gap(), ";"]
+        out += [gap(), "}"]
+    lifts = rng.sample(maps, rng.randint(0, len(maps)))
+    if lifts or rng.random() < 0.3:
+        out += ["\n", "deformation", gap(), "{"]
+        order = list(enumerate(lifts, start=1))
+        rng.shuffle(order)
+        out += [f"{gap()}order {k}{gap()}:{gap()}{name};" for k, name in order]
+        out += [gap(), "}"]
+    if rng.random() < 0.3:
+        out.append(" # the end")
+    return "".join(out) + rng.choice(["", "\n"])
+
+
+_INSERTS = ("²", "٣", "é", "\x0b", "#", "->", HUGE, "1/0*", " ", "\n", ";", "{", "}", "-",
+            "0", "x1", "deformation { }")
+
+
+def _mutated(rng: random.Random, text: str) -> str:
+    """text after one to three seeded edits: an insertion from ``_INSERTS``, a
+    deletion, or a duplicated span."""
+    for _ in range(rng.choice([1, 1, 2, 3])):
+        at = rng.randint(0, len(text))
+        edit = rng.choice(["insert", "insert", "delete", "duplicate"])
+        if edit == "insert":
+            text = text[:at] + rng.choice(_INSERTS) + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + rng.randint(1, 8):]
+        else:
+            span = text[at:at + rng.randint(1, 40)]
+            to = rng.randint(0, len(text))
+            text = text[:to] + span + text[to:]
+    return text
+
+
+def parse_inputs():
+    """(label, text) pairs; see the module docstring."""
+    bases = []
+    for field in (QQ, GF(2), GF(5), GF(7)):
+        for seed in range(16):
+            rng = random.Random(f"parse/{field}/{seed}")
+            bases.append((f"random {field} {seed}", _random_dgm(rng, field)))
+    runner = CliRunner()
+    for variant in VARIANTS:
+        for field in ("Q", "GF:5"):
+            for n in (1, 2, 3, 6):
+                args = ["paper-family", "--n", str(n), "--variant", variant, "--field", field,
+                        "--out", "-"]
+                result = runner.invoke(main, args)
+                if result.exit_code == 0:  # the polynomial variant needs n >= 2
+                    bases.append((f"family {variant} {field} n={n}", result.stdout))
+    for label, text in bases:
+        yield label, text
+        rng = random.Random(f"parse/mutations/{label}")
+        for k in range(20):
+            yield f"{label} mutation {k}", _mutated(rng, text)
+
+
+def parse_lines():
+    for label, text in parse_inputs():
+        try:
+            digest = hashlib.sha256(render(parse(text)).encode()).hexdigest()
+        except Exception as exc:
+            yield f"{label}: {type(exc).__name__}: {exc}"
+        else:
+            yield f"{label}: ok {digest}"
+
+
+def test_parse_matches_golden():
+    assert list(parse_lines()) == PARSE_GOLDEN.read_text().splitlines()
+
+
 def test_solve_matches_golden():
     assert list(solve_lines()) == SOLVE_GOLDEN.read_text().splitlines()
 
@@ -306,6 +435,9 @@ if __name__ == "__main__":
         sys.stdout.write(trivialize_golden())
     elif sys.argv[1:] == ["solve"]:
         for line in solve_lines():
+            print(line)
+    elif sys.argv[1:] == ["parse"]:
+        for line in parse_lines():
             print(line)
     else:
         for line in golden_lines():
