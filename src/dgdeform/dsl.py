@@ -1,24 +1,35 @@
 """Text format for graded modules, maps, and deformation data (.dgm files).
 
-Grammar (line breaks are insignificant, ``#`` starts a comment, entries end
-with ``;``):
+Grammar (line breaks are insignificant, ``#`` starts a comment that runs to
+the end of its line, entries end with ``;``):
 
     field Q | field GF <p>
     module <id> { basis <id> : <int> (, <id> : <int>)* ; }
     map <id> degree <int> { (<src> -> <term> ((+|-) <term>)* ;)* }
-        term := [-] [<scalar> '*'] <dst>      scalar := [-] <int> [/ <int>]
+        term := [-] [<scalar> '*'] <dst>      scalar := <int> [/ <int>]
     deformation { order <k> : <mapname> ; ... }
 
+An ``<id>`` starts with a letter (``str.isalpha``) or ``_`` and goes on with
+letters, digits and ``_``; an ``<int>`` is ASCII digits.  One compiled
+pattern scans the whole text into (kind, text, offset) tokens before the
+parse, so the first character that starts no token is the error, ahead of
+any syntax error.  EOF sits at the end of the text, or at the start of a
+final comment that no newline ends.  Errors name a 1-based line and
+character column (a tab is one column), found from the offset on raising.
+
 A module block declares at most ``MAX_GENERATORS`` (20,000) generators,
-which bounds what a file can make the parser build.  Scalars in GF(p) files
-are reduced mod p on parse.  The printer emits the
-canonical rendering (basis in declaration order, columns sorted by source
-index, terms by target index, coefficient 1 omitted and -1 as a leading
-minus), and parse(render(doc)) reproduces the document exactly.
+which bounds what a file can make the parser build, and a file has at most
+one deformation block.  A map block is read straight into normal-form
+columns: GF(p) scalars reduced mod p, repeated terms summed, zeros dropped.
+The printer emits the canonical rendering (basis in declaration order,
+columns sorted by source index, terms by target index, coefficient 1
+omitted and -1 as a leading minus), and parse(render(doc)) reproduces the
+document exactly.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field as dc_field
 
 from .cochain import Complex
@@ -31,7 +42,7 @@ from .errors import (
     UnknownName,
     ZeroDenominator,
 )
-from .field import FieldSpec, Scalar
+from .field import FieldSpec
 from .gmap import GradedMap
 from .family import MAX_TRUNCATION
 from .graded import GradedModule, _render_sum
@@ -61,117 +72,83 @@ class Document:
         )
 
 
-# -- tokenizer -----------------------------------------------------------------
+# -- scanner and parser ----------------------------------------------------------
 
-_SYMBOLS = {"{", "}", ";", ":", ",", "+", "-", "*", "/"}
-
-
-@dataclass
-class _Token:
-    kind: str  # IDENT, INT, ARROW, a symbol, or EOF
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if "0" <= ch <= "9":  # ASCII only: str.isdigit() also accepts '²'
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(_Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
-
-
-def _int(tok: _Token) -> int:
-    try:
-        return int(tok.text)
-    except ValueError:  # past the interpreter's int digit limit
-        raise ParseError(
-            f"integer literal of {len(tok.text)} digits is too long", tok.line, tok.col
-        ) from None
-
-
-# -- parser ----------------------------------------------------------------------
+#: one token per match after any space; only single characters repeat, so
+#: no input grows the matcher's stack
+_SCANNER = re.compile(r"""[ \t\r\n]* (?:
+    (?P<INT>[0-9]+) | (?P<IDENT>\w+) | (?P<PUNCT>->|[{};:,+\-*/])
+  | (?P<COMMENT>\#[^\n]*\n) | (?P<EOF>(?:\#[^\n]*)?\Z) | (?P<BAD>.)
+)""", re.VERBOSE | re.DOTALL)
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        """Scan ``text`` into (kind, text, offset) tokens, the last one EOF.
+        The kind is INT, IDENT, EOF, or the punctuation itself."""
+        self.text = text
         self.pos = 0
+        self.tokens = tokens = []
+        for m in _SCANNER.finditer(text):
+            kind = m.lastgroup
+            word, at = m[kind], m.start(kind)
+            if kind == "PUNCT":
+                kind = word
+            elif kind == "COMMENT":
+                continue
+            elif kind == "EOF":
+                tokens.append(("EOF", "", at))
+                break
+            elif kind == "BAD" or (kind == "IDENT" and not (word[0].isalpha() or word[0] == "_")):
+                # \w also matches digits that are not ASCII, such as '²'
+                raise self.error(at, f"unexpected character {word[0]!r}")
+            tokens.append((kind, word, at))
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, at: int, message: str, kind=ParseError):
+        """A ``kind`` error at offset ``at`` of the text, positioned by its
+        1-based line and character column."""
+        line = self.text.count("\n", 0, at) + 1
+        col = at - self.text.rfind("\n", 0, at)
+        if kind is ParseError:
+            return ParseError(message, line, col)
+        return kind(f"line {line}, col {col}: {message}")
 
-    def next(self) -> _Token:
+    def peek(self) -> str:  # the kind of the next token
+        return self.tokens[self.pos][0]
+
+    def next(self):
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str | None = None) -> _Token:
+    def accept(self, kind: str) -> bool:
+        """Consume the next token if it is of ``kind``."""
+        if self.tokens[self.pos][0] != kind:
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, kind: str, what: str | None = None):
         tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {what or kind}, found {tok.text!r}", tok.line, tok.col
-            )
+        if tok[0] != kind:
+            raise self.error(tok[2], f"expected {what or kind}, found {tok[1]!r}")
         return tok
 
-    def expect_keyword(self, word: str) -> _Token:
+    def expect_keyword(self, word: str) -> None:
         tok = self.next()
-        if tok.kind != "IDENT" or tok.text != word:
-            raise ParseError(f"expected {word!r}, found {tok.text!r}", tok.line, tok.col)
-        return tok
+        if tok[1] != word:  # no INT or punctuation token spells a keyword
+            raise self.error(tok[2], f"expected {word!r}, found {tok[1]!r}")
+
+    def int(self, tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # past the interpreter's int digit limit
+            message = f"integer literal of {len(tok[1])} digits is too long"
+            raise self.error(tok[2], message) from None
 
     def signed_int(self) -> int:
-        tok = self.next()
-        neg = False
-        if tok.kind == "-":
-            neg = True
-            tok = self.expect("INT", "an integer")
-        elif tok.kind != "INT":
-            raise ParseError(f"expected an integer, found {tok.text!r}", tok.line, tok.col)
-        value = _int(tok)
+        neg = self.accept("-")
+        value = self.int(self.expect("INT", "an integer"))
         return -value if neg else value
 
     def document(self) -> Document:
@@ -179,167 +156,152 @@ class _Parser:
         module = self.module_decl(field)
         maps: dict[str, GradedMap] = {}
         deformation: list[str] = []
-        while self.peek().kind != "EOF":
-            tok = self.peek()
-            if tok.kind == "IDENT" and tok.text == "map":
-                name, gmap, where = self.map_decl(module)
-                if name in maps:
-                    raise ParseError(f"duplicate map name {name!r}", where.line, where.col)
-                maps[name] = gmap
-            elif tok.kind == "IDENT" and tok.text == "deformation":
+        while self.peek() != "EOF":
+            tok = self.tokens[self.pos]
+            if tok[1] == "map":
+                self.map_decl(module, maps)
+            elif tok[1] == "deformation":
                 if deformation:
-                    raise ParseError("duplicate deformation block", tok.line, tok.col)
+                    raise self.error(tok[2], "duplicate deformation block")
                 deformation = self.deformation_block(maps)
             else:
-                raise ParseError(
-                    f"expected 'map' or 'deformation', found {tok.text!r}", tok.line, tok.col
-                )
+                raise self.error(tok[2], f"expected 'map' or 'deformation', found {tok[1]!r}")
         return Document(field, module, maps, deformation)
 
     def field_decl(self) -> FieldSpec:
         self.expect_keyword("field")
         tok = self.expect("IDENT", "'Q' or 'GF'")
-        if tok.text == "Q":
+        if tok[1] == "Q":
             return FieldSpec()
-        if tok.text == "GF":
+        if tok[1] == "GF":
             ptok = self.expect("INT", "a prime modulus")
             try:
-                return FieldSpec(_int(ptok))
+                return FieldSpec(self.int(ptok))
             except NonPrimeModulus as exc:
-                raise type(exc)(f"line {ptok.line}, col {ptok.col}: {exc}") from None
-        raise ParseError(f"unknown field {tok.text!r}", tok.line, tok.col)
+                raise self.error(ptok[2], str(exc), type(exc)) from None
+        raise self.error(tok[2], f"unknown field {tok[1]!r}")
 
     def module_decl(self, field: FieldSpec) -> GradedModule:
         self.expect_keyword("module")
         name = self.expect("IDENT", "a module name")
         self.expect("{")
         self.expect_keyword("basis")
-        basis: list[tuple[str, int]] = []
-        seen: set[str] = set()
+        basis: dict[str, int] = {}
         while True:
             btok = self.expect("IDENT", "a basis name")
             if len(basis) == MAX_GENERATORS:
-                raise ParseError(
-                    f"module {name.text} declares more than {MAX_GENERATORS} generators",
-                    btok.line, btok.col,
+                raise self.error(
+                    btok[2], f"module {name[1]} declares more than {MAX_GENERATORS} generators"
                 )
-            if btok.text in seen:
-                raise ParseError(f"duplicate basis name {btok.text!r}", btok.line, btok.col)
-            seen.add(btok.text)
+            if btok[1] in basis:
+                raise self.error(btok[2], f"duplicate basis name {btok[1]!r}")
             self.expect(":")
-            basis.append((btok.text, self.signed_int()))
+            basis[btok[1]] = self.signed_int()
             tok = self.next()
-            if tok.kind == ";":
+            if tok[0] == ";":
                 break
-            if tok.kind != ",":
-                raise ParseError(f"expected ',' or ';', found {tok.text!r}", tok.line, tok.col)
+            if tok[0] != ",":
+                raise self.error(tok[2], f"expected ',' or ';', found {tok[1]!r}")
         self.expect("}")
-        return GradedModule(name.text, field, basis)
+        return GradedModule(name[1], field, basis.items())
 
-    def scalar_or_name(self, field: FieldSpec):
-        """A term after its optional sign: either ``dst`` or ``num[/den] * dst``."""
+    def term(self, field: FieldSpec):
+        """A term after its optional sign, ``dst`` or ``num[/den] * dst``: the
+        raw coefficient and the basis name token."""
         tok = self.next()
-        if tok.kind == "IDENT":
-            return field.one, tok
-        if tok.kind != "INT":
-            raise ParseError(
-                f"expected a coefficient or basis name, found {tok.text!r}", tok.line, tok.col
-            )
-        num = _int(tok)
-        den = 1
-        if self.peek().kind == "/":
-            self.next()
-            den = _int(self.expect("INT", "a denominator"))
+        if tok[0] == "IDENT":
+            return field.one.value, tok
+        if tok[0] != "INT":
+            raise self.error(tok[2], f"expected a coefficient or basis name, found {tok[1]!r}")
+        num = self.int(tok)
+        den = self.int(self.expect("INT", "a denominator")) if self.accept("/") else 1
         self.expect("*")
+        if den == 1:
+            return field._raw(num), self.expect("IDENT", "a basis name")
         try:
-            coeff = field.scalar(num, den)
+            coeff = field.scalar(num, den).value
         except (ZeroDenominator, DenominatorDivisibleByP) as exc:
-            raise type(exc)(f"line {tok.line}, col {tok.col}: {exc}") from None
+            raise self.error(tok[2], str(exc), type(exc)) from None
         return coeff, self.expect("IDENT", "a basis name")
 
-    def map_decl(self, module: GradedModule):
+    def map_decl(self, module: GradedModule, maps: dict[str, GradedMap]) -> None:
+        """Read a map block into ``maps``, in normal-form columns, checking
+        the degree of every term."""
         self.expect_keyword("map")
         name = self.expect("IDENT", "a map name")
         self.expect_keyword("degree")
         degree = self.signed_int()
         self.expect("{")
-        # repeated terms are summed by from_entries
-        entries: list[tuple[str, str, Scalar]] = []
-        seen: set[str] = set()
-        while self.peek().kind != "}":
+        norm = module.field.norm
+        columns: dict[int, dict] = {}  # a column that cancels stays as {} until the end
+        while self.peek() != "}":
             src = self.expect("IDENT", "a source basis name")
-            if src.text in seen:
-                raise ParseError(f"duplicate column for {src.text!r}", src.line, src.col)
-            seen.add(src.text)
-            want = module.degree_of(self._resolve(module, src)) + degree
-            self.expect("ARROW", "'->'")
+            j = self.resolve(module, src)
+            if j in columns:
+                raise self.error(src[2], f"duplicate column for {src[1]!r}")
+            want = module.degree_of(j) + degree
+            self.expect("->", "'->'")
+            col = {}
             sign = 1
             while True:
-                if self.peek().kind == "-":
-                    self.next()
+                if self.accept("-"):
                     sign = -sign
-                coeff, dst = self.scalar_or_name(module.field)
-                if module.degree_of(self._resolve(module, dst)) != want:
-                    raise ParseError(
-                        f"entry {src.text} -> {dst.text} violates degree {degree}",
-                        dst.line, dst.col,
-                    )
-                entries.append((src.text, dst.text, coeff if sign > 0 else -coeff))
+                coeff, dst = self.term(module.field)
+                i = self.resolve(module, dst)
+                if module.degree_of(i) != want:
+                    message = f"entry {src[1]} -> {dst[1]} violates degree {degree}"
+                    raise self.error(dst[2], message)
+                if sign < 0:
+                    coeff = norm(-coeff)
+                col[i] = norm(col[i] + coeff) if i in col else coeff
                 tok = self.next()
-                if tok.kind == ";":
+                if tok[0] == ";":
                     break
-                if tok.kind == "+":
-                    sign = 1
-                elif tok.kind == "-":
-                    sign = -1
-                else:
-                    raise ParseError(
-                        f"expected '+', '-' or ';', found {tok.text!r}", tok.line, tok.col
-                    )
+                if tok[0] != "+" and tok[0] != "-":
+                    raise self.error(tok[2], f"expected '+', '-' or ';', found {tok[1]!r}")
+                sign = 1 if tok[0] == "+" else -1
+            columns[j] = {i: c for i, c in col.items() if c}
         self.expect("}")
-        return name.text, GradedMap.from_entries(module, degree, entries), name
+        if name[1] in maps:
+            raise self.error(name[2], f"duplicate map name {name[1]!r}")
+        columns = {j: col for j, col in columns.items() if col}
+        maps[name[1]] = GradedMap._of(module, module, degree, columns)
 
-    def _resolve(self, module: GradedModule, tok: _Token) -> int:
+    def resolve(self, module: GradedModule, tok) -> int:
         try:
-            return module.index_of(tok.text)
+            return module.index_of(tok[1])
         except UnknownBasisName:
-            raise UnknownBasisName(
-                f"line {tok.line}, col {tok.col}: no basis element {tok.text!r}"
-            ) from None
+            raise self.error(tok[2], f"no basis element {tok[1]!r}", UnknownBasisName) from None
 
     def deformation_block(self, maps: dict[str, GradedMap]) -> list[str]:
         self.expect_keyword("deformation")
         self.expect("{")
         orders: dict[int, str] = {}
-        while self.peek().kind != "}":
-            otok = self.expect_keyword("order")
+        while self.peek() != "}":
+            self.expect_keyword("order")
             ktok = self.expect("INT", "an order")
-            k = _int(ktok)
+            k = self.int(ktok)
             if k < 1:
-                raise ParseError("orders start at 1", ktok.line, ktok.col)
+                raise self.error(ktok[2], "orders start at 1")
             if k in orders:
-                raise ParseError(f"duplicate order {k}", ktok.line, ktok.col)
+                raise self.error(ktok[2], f"duplicate order {k}")
             self.expect(":")
             mtok = self.expect("IDENT", "a map name")
-            if mtok.text not in maps:
-                raise UnknownName(
-                    f"line {mtok.line}, col {mtok.col}: deformation references "
-                    f"undefined map {mtok.text!r}"
+            if mtok[1] not in maps:
+                raise self.error(
+                    mtok[2], f"deformation references undefined map {mtok[1]!r}", UnknownName
                 )
             self.expect(";")
-            orders[k] = mtok.text
+            orders[k] = mtok[1]
         close = self.expect("}")
         if orders and sorted(orders) != list(range(1, len(orders) + 1)):
-            raise ParseError(
-                f"deformation orders must be exactly 1..{len(orders)}", close.line, close.col
-            )
+            raise self.error(close[2], f"deformation orders must be exactly 1..{len(orders)}")
         return [orders[k] for k in sorted(orders)]
 
 
 def parse(text: str) -> Document:
     """Parse a .dgm document, applying every semantic check."""
-    parser = _Parser(text)
-    return parser.document()
+    return _Parser(text).document()
 
 
 # -- printer ------------------------------------------------------------------------
@@ -347,15 +309,9 @@ def parse(text: str) -> Document:
 
 def render(doc: Document) -> str:
     """Canonical text for a document; parse(render(doc)) == doc."""
-    out = []
-    if doc.field.modulus is None:
-        out.append("field Q")
-    else:
-        out.append(f"field GF {doc.field.modulus}")
     basis = ", ".join(f"{n} : {d}" for n, d in doc.module.basis)
-    out.append(f"module {doc.module.name} {{")
-    out.append(f"  basis {basis};")
-    out.append("}")
+    out = ["field Q" if doc.field.modulus is None else f"field GF {doc.field.modulus}",
+           f"module {doc.module.name} {{", f"  basis {basis};", "}"]
     for name, gmap in doc.maps.items():
         if not gmap.columns:
             out.append(f"map {name} degree {gmap.degree} {{ }}")

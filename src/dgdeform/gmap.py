@@ -13,8 +13,9 @@ yields ``Scalar``s.
 
 The public constructor brings any column dict to that normal form and checks
 degrees; ``from_entries`` also checks degrees.  The arithmetic, ``identity``,
-``zero`` and the cochain solver build their results in normal form already
-and go through the unchecked ``GradedMap._of``.
+``zero``, the cochain solver and the .dgm parser (which checks each term's
+degree as it reads it) build their results in normal form already and go
+through the unchecked ``GradedMap._of``.
 """
 
 from __future__ import annotations
