@@ -155,18 +155,18 @@ class _Parser:
         field = self.field_decl()
         module = self.module_decl(field)
         maps: dict[str, GradedMap] = {}
-        deformation: list[str] = []
+        deformation: list[str] | None = None
         while self.peek() != "EOF":
             tok = self.tokens[self.pos]
             if tok[1] == "map":
                 self.map_decl(module, maps)
             elif tok[1] == "deformation":
-                if deformation:
+                if deformation is not None:
                     raise self.error(tok[2], "duplicate deformation block")
                 deformation = self.deformation_block(maps)
             else:
                 raise self.error(tok[2], f"expected 'map' or 'deformation', found {tok[1]!r}")
-        return Document(field, module, maps, deformation)
+        return Document(field, module, maps, deformation or [])
 
     def field_decl(self) -> FieldSpec:
         self.expect_keyword("field")

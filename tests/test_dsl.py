@@ -88,6 +88,32 @@ def test_parse_non_ascii_digit_is_an_unexpected_character():
     assert "unexpected character" in str(err.value)
 
 
+@pytest.mark.parametrize("text, where, message", [
+    ("field Q # c", (1, 9), "expected 'module', found ''"),  # EOF at the final comment
+    ("field Q\t\r  ", (1, 12), "expected 'module', found ''"),  # tab and CR: a column each
+    ("field X ²", (1, 9), "unexpected character '²'"),  # ahead of the unknown field
+    ("²x", (1, 1), "unexpected character '²'"),
+    ("fie²ld", (1, 1), "expected 'field', found 'fie²ld'"),  # one identifier
+], ids=["final-comment", "tab-cr", "bad-before-syntax", "digit-start", "digit-inside"])
+def test_scanner_edge_cases(text, where, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == where
+    assert str(err.value).endswith(f": {message}")
+
+
+@pytest.mark.parametrize("blocks", [
+    "deformation { }\ndeformation { order 1 : d; }",
+    "deformation { }\ndeformation { }",
+    "deformation { order 1 : d; }\ndeformation { }",
+])
+def test_second_deformation_block_rejected(blocks):
+    with pytest.raises(ParseError) as err:
+        parse(MINIMAL + blocks)
+    assert (err.value.line, err.value.col) == (9, 1)
+    assert "duplicate deformation block" in str(err.value)
+
+
 def test_parse_unknown_basis_name():
     with pytest.raises(UnknownBasisName) as err:
         parse(MINIMAL.replace("x3 -> x1;", "x9 -> x1;"))
