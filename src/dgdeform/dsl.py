@@ -9,22 +9,21 @@ the end of its line, entries end with ``;``):
         term := [-] [<scalar> '*'] <dst>      scalar := <int> [/ <int>]
     deformation { order <k> : <mapname> ; ... }
 
-An ``<id>`` starts with a letter (``str.isalpha``) or ``_`` and goes on with
-letters, digits and ``_``; an ``<int>`` is ASCII digits.  One compiled
-pattern scans the whole text into (kind, text, offset) tokens before the
-parse, so the first character that starts no token is the error, ahead of
-any syntax error.  EOF sits at the end of the text, or at the start of a
-final comment that no newline ends.  Errors name a 1-based line and
-character column (a tab is one column), found from the offset on raising.
+An <id> starts with a letter (``str.isalpha``) or ``_`` and goes on with
+letters, digits and ``_``; an <int> is ASCII digits.  One regular expression
+scans the whole text into (kind, text, offset) tokens before the parse, so
+an unexpected character is reported ahead of any syntax error.  EOF sits at
+the end of the text, or at the start of a final comment with no newline.
+An error's 1-based line and character column (a tab is one column) are
+computed from its offset when it is raised.
 
-A module block declares at most ``MAX_GENERATORS`` (20,000) generators,
-which bounds what a file can make the parser build, and a file has at most
-one deformation block.  A map block is read straight into normal-form
-columns: GF(p) scalars reduced mod p, repeated terms summed, zeros dropped.
-The printer emits the canonical rendering (basis in declaration order,
-columns sorted by source index, terms by target index, coefficient 1
-omitted and -1 as a leading minus), and parse(render(doc)) reproduces the
-document exactly.
+A module declares at most ``MAX_GENERATORS`` (20,000) generators, which
+bounds what a file can make the parser build, and a file has at most one
+deformation block.  Map blocks are read straight into normal-form columns:
+GF(p) scalars reduced mod p, repeated terms summed, zeros dropped.  The
+printer emits the canonical rendering (basis in declaration order, columns
+sorted by source index, terms by target index, coefficient 1 omitted, -1 as
+a leading minus), and parse(render(doc)) reproduces the document exactly.
 """
 
 from __future__ import annotations
@@ -113,7 +112,8 @@ class _Parser:
             return ParseError(message, line, col)
         return kind(f"line {line}, col {col}: {message}")
 
-    def peek(self) -> str:  # the kind of the next token
+    def peek(self) -> str:
+        """The kind of the next token."""
         return self.tokens[self.pos][0]
 
     def next(self):
@@ -190,9 +190,8 @@ class _Parser:
         while True:
             btok = self.expect("IDENT", "a basis name")
             if len(basis) == MAX_GENERATORS:
-                raise self.error(
-                    btok[2], f"module {name[1]} declares more than {MAX_GENERATORS} generators"
-                )
+                message = f"module {name[1]} declares more than {MAX_GENERATORS} generators"
+                raise self.error(btok[2], message)
             if btok[1] in basis:
                 raise self.error(btok[2], f"duplicate basis name {btok[1]!r}")
             self.expect(":")
@@ -288,9 +287,8 @@ class _Parser:
             self.expect(":")
             mtok = self.expect("IDENT", "a map name")
             if mtok[1] not in maps:
-                raise self.error(
-                    mtok[2], f"deformation references undefined map {mtok[1]!r}", UnknownName
-                )
+                message = f"deformation references undefined map {mtok[1]!r}"
+                raise self.error(mtok[2], message, UnknownName)
             self.expect(";")
             orders[k] = mtok[1]
         close = self.expect("}")
@@ -309,9 +307,11 @@ def parse(text: str) -> Document:
 
 def render(doc: Document) -> str:
     """Canonical text for a document; parse(render(doc)) == doc."""
+    out = ["field Q" if doc.field.modulus is None else f"field GF {doc.field.modulus}"]
     basis = ", ".join(f"{n} : {d}" for n, d in doc.module.basis)
-    out = ["field Q" if doc.field.modulus is None else f"field GF {doc.field.modulus}",
-           f"module {doc.module.name} {{", f"  basis {basis};", "}"]
+    out.append(f"module {doc.module.name} {{")
+    out.append(f"  basis {basis};")
+    out.append("}")
     for name, gmap in doc.maps.items():
         if not gmap.columns:
             out.append(f"map {name} degree {gmap.degree} {{ }}")

@@ -6,7 +6,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgdeform import GF, QQ, Document, FamilySpec, GradedMap, base_complex, family_lifts
+from dgdeform import (
+    GF, QQ, Document, FamilySpec, GradedMap, Scalar, base_complex, family_lifts,
+)
 from dgdeform.dsl import MAX_GENERATORS, load_complex, parse, render
 from dgdeform.errors import (
     DegreeMismatch,
@@ -156,6 +158,29 @@ def test_cancelling_terms_leave_no_column():
     assert "map d degree -1 { }" in render(doc)
     gf2 = MINIMAL.replace("field Q", "field GF 2").replace("x3 -> x1;", "x3 -> x1 + x1;")
     assert parse(gf2).maps["d"].columns == {}
+
+
+def test_parse_reads_terms_into_columns_itself(monkeypatch):
+    # no checking GradedMap constructor, and no Scalar per term with an
+    # integer or no coefficient: at most the field's cached one
+    basis = ", ".join(f"e{i} : {i % 2}" for i in range(40))
+    terms = " + ".join(f"{k}*e{k}" for k in range(0, 40, 2))
+    text = (f"field GF 7\nmodule V {{ basis {basis}; }}\n"
+            f"map f degree -1 {{ e1 -> {terms} - e0; e3 -> 3*e2 - e4 + e4; }}\n")
+
+    def refuse(*args, **kwargs):
+        pytest.fail("parse called a checking GradedMap constructor")
+
+    scalars = []
+    post_init = Scalar.__post_init__
+    monkeypatch.setattr(GradedMap, "from_entries", refuse)
+    monkeypatch.setattr(GradedMap, "__init__", refuse)
+    monkeypatch.setattr(Scalar, "__post_init__", lambda self: scalars.append(self) or post_init(self))
+    doc = parse(text)
+    assert len(scalars) <= 1
+    monkeypatch.undo()
+    entries = [("e1", f"e{k}", k) for k in range(2, 40, 2)] + [("e1", "e0", -1), ("e3", "e2", 3)]
+    assert doc.maps["f"] == GradedMap.from_entries(doc.module, -1, entries)
 
 
 @pytest.mark.parametrize("first", ["x3 -> x1;", "x3 -> x1 - x1;"])
