@@ -10,9 +10,10 @@ the end of its line, entries end with ``;``):
     deformation { order <k> : <mapname> ; ... }
 
 An <id> starts with a letter (``str.isalpha``) or ``_`` and goes on with
-letters, digits and ``_``; an <int> is ASCII digits.  One regular expression
-scans the whole text into (kind, text, offset) tokens before the parse, so
-an unexpected character is reported ahead of any syntax error.  EOF sits at
+letters, digits and ``_``; an <int> is ASCII digits.  A module, basis or map
+name is an ASCII <id>, checked at its token.  One regular expression scans
+the whole text into (kind, text, offset) tokens before the parse, so an
+unexpected character is reported ahead of any syntax error.  EOF sits at
 the end of the text, or at the start of a final comment with no newline.
 An error's 1-based line and character column (a tab is one column) are
 computed from its offset when it is raised.
@@ -139,6 +140,14 @@ class _Parser:
         if tok[1] != word:  # no INT or punctuation token spells a keyword
             raise self.error(tok[2], f"expected {word!r}, found {tok[1]!r}")
 
+    def name(self, what: str):
+        """The next token as a module, basis or map name: an IDENT that is
+        also ASCII, which for an IDENT is what ``graded._IDENT`` accepts."""
+        tok = self.expect("IDENT", f"a {what}")
+        if not tok[1].isascii():
+            raise self.error(tok[2], f"{tok[1]!r} is not a valid {what}")
+        return tok
+
     def int(self, tok) -> int:
         try:
             return int(tok[1])
@@ -183,12 +192,12 @@ class _Parser:
 
     def module_decl(self, field: FieldSpec) -> GradedModule:
         self.expect_keyword("module")
-        name = self.expect("IDENT", "a module name")
+        name = self.name("module name")
         self.expect("{")
         self.expect_keyword("basis")
         basis: dict[str, int] = {}
         while True:
-            btok = self.expect("IDENT", "a basis name")
+            btok = self.name("basis name")
             if len(basis) == MAX_GENERATORS:
                 message = f"module {name[1]} declares more than {MAX_GENERATORS} generators"
                 raise self.error(btok[2], message)
@@ -227,7 +236,7 @@ class _Parser:
         """Read a map block into ``maps``, in normal-form columns, checking
         the degree of every term."""
         self.expect_keyword("map")
-        name = self.expect("IDENT", "a map name")
+        name = self.name("map name")
         self.expect_keyword("degree")
         degree = self.signed_int()
         self.expect("{")

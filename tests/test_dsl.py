@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dgdeform import (
     GF, QQ, Document, FamilySpec, GradedMap, Scalar, base_complex, family_lifts,
 )
-from dgdeform.dsl import MAX_GENERATORS, load_complex, parse, render
+from dgdeform.dsl import MAX_GENERATORS, _Parser, load_complex, parse, render
 from dgdeform.errors import (
     DegreeMismatch,
     MissingDifferential,
@@ -19,6 +19,7 @@ from dgdeform.errors import (
     UnknownBasisName,
     UnknownName,
 )
+from dgdeform.graded import _IDENT
 
 MINIMAL = """\
 field Q
@@ -102,6 +103,33 @@ def test_scanner_edge_cases(text, where, message):
         parse(text)
     assert (err.value.line, err.value.col) == where
     assert str(err.value).endswith(f": {message}")
+
+
+@pytest.mark.parametrize("old, new, where, message", [
+    ("module V", "module Vé", (2, 8), "'Vé' is not a valid module name"),
+    ("x3 : 2", "x1é : 2", (3, 17), "'x1é' is not a valid basis name"),
+    ("map d ", "map dé ", (5, 5), "'dé' is not a valid map name"),
+    ("x1 : 1", "fie²ld : 1", (3, 9), "'fie²ld' is not a valid basis name"),  # one identifier
+], ids=["module", "basis", "map", "digit-inside"])
+def test_non_ascii_names_are_parse_errors_at_their_tokens(old, new, where, message):
+    # the scanner reads any letter-led word as one identifier; a name must
+    # also be ASCII, as GradedModule requires
+    with pytest.raises(ParseError) as err:
+        parse(MINIMAL.replace(old, new))
+    assert (err.value.line, err.value.col) == where
+    assert str(err.value).endswith(f": {message}")
+
+
+@given(st.text(st.sampled_from("aZ_09\u00e9\u00b2\u0663\u03a9x"), min_size=1, max_size=6))
+def test_an_identifier_is_a_valid_name_exactly_when_it_is_ascii(word):
+    # the parser checks names with str.isascii; for a word the scanner reads
+    # as one identifier, that is the rule of graded._IDENT
+    try:
+        kind, text, _ = _Parser(word).tokens[0]
+    except ParseError:
+        return
+    if kind == "IDENT" and text == word:
+        assert word.isascii() == bool(_IDENT.match(word))
 
 
 @pytest.mark.parametrize("blocks", [
