@@ -9,16 +9,14 @@ question reduces to an exact sparse linear solve in the canonical cochain
 basis of elementary operators, ordered lexicographically by
 (source declaration index, target declaration index).
 
-``cohomology`` reduces delta^p once.  Over a field H^p(V;M) is
-sum_q Hom(H_q V, H_{q-p} M), so its dimension is the Kunneth sum of the
-homology dims, read from the ranks of d_V and d_M, and a cocycle's class is
-given by its coordinates lambda_t(f(z_s)) against cycles z_s of V and
-functionals lambda_t of M (``_homology_classes``); no elimination of
-delta^{p-1} is needed.
+``cohomology`` builds no delta.  Over a field H^p(V;M) is
+sum_q Hom(H_q V, H_{q-p} M), so its representatives are products of the
+functionals of H(V)* and the cycles of H(M) (``_homology_classes``), and
+its dims follow from the homology dims and the ranks of d_V and d_M.
 
 Over Q the work runs in integers, from each complex's differential, kept
 once as integer columns over one denominator (``Complex._integer_d``),
-through delta's rows, the elimination and the class coordinates, to the
+through delta's rows, the elimination and the homology vectors, to the
 solver's two delta checks, which recompute delta from those columns.  A
 ``Fraction`` is built only for what is returned: the dim_h representatives
 of ``cohomology``, the values of a solution, the witness row and its
@@ -45,7 +43,7 @@ from .errors import (
 from .field import Scalar
 from .gmap import GradedMap
 from .graded import GradedModule
-from .linalg import LinearSolution, _fractions, _integral, _System
+from .linalg import LinearSolution, _integral, _System
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,7 @@ class Complex:
                 rows.setdefault(j, []).append((l, coeff))
         return rows
 
-    # H(V) and H(M)* serve every p, so each complex computes them once
+    # H(V)* and H(M) serve every p, so each complex computes them once
     @cached_property
     def _cycles(self):
         return _homology_classes(self)
@@ -348,72 +346,69 @@ class CohomologyResult:
     representatives: list[Cochain]
 
 
-def cohomology(source: Complex, target: Complex | None = None, p: int = 0) -> CohomologyResult:
-    """H^p = ker(delta^p) / im(delta^{p-1}), with deterministic representatives.
+def _ranks(cx: Complex, h: dict[int, int]) -> dict[int, int]:
+    """The rank pi_q of d from degree q, solved from dim_q = h_q + pi_q +
+    pi_{q+1} down the degrees.  It must be 0 from the lowest degree of each
+    run of degrees (the run's Euler characteristic identity, which one h_q
+    off by one breaks) and never negative, or PostconditionFailed is raised."""
+    dims = Counter(q for _, q in cx.module.basis)
+    pi: dict[int, int] = {}
+    for q in sorted(dims, reverse=True):
+        pi[q] = rank = dims[q] - h[q] - pi.get(q + 1, 0)
+        if rank < 0 or (rank and q - 1 not in dims):
+            raise PostconditionFailed(f"H({cx.module.name}) gives d rank {rank} from degree {q}")
+    return pi
 
-    delta^p is reduced once, for its canonical kernel basis v_f (one per
-    free column f, integers over a denominator L_f).  Over a field,
-    Z^p -> sum_q Hom(H_q V, H_{q-p} M) is onto with kernel B^p, so dim_h is
-    the Kunneth sum of h_q(V) * h_{q-p}(M), with each h_q from the ranks of
-    d, and dim_coboundaries = dim_cocycles - dim_h.  A cocycle's class has
-    the coordinates lambda_t(f(z_s)), for the cycles z_s and the functionals
-    lambda_t of ``_homology_classes``.  The class-coordinate matrix has a row
-    per class slot (s, t) and a column per v_f; the representatives are the
-    v_f at the pivot columns of its echelon form: the v_f, in increasing f,
-    whose coordinates are independent of those of every earlier v_f, which
-    are the v_f independent modulo the image.  Independence does not change
-    when a vector is scaled, so the coordinates are taken in integers on
-    L_f v_f, z_s and lambda_t as they are, and only the dim_h
-    representatives become Fractions.
+
+def cohomology(source: Complex, target: Complex | None = None, p: int = 0) -> CohomologyResult:
+    """H^p = ker(delta^p) / im(delta^{p-1}), with deterministic representatives,
+    from H(V)* and H(M) alone; the README has the argument.
+
+    The representatives are w (x) mu, f[i, j] = w[i] mu[j], for the
+    functionals mu of ``source._functionals`` and the cycles w of
+    ``target._cycles`` with |w| = |mu| - p, scaled to 1 at their lex-largest
+    pair (max supp mu, max supp w) and ordered by mu, then by w: the
+    canonical kernel vectors of delta^p at those pairs.  V and M split into
+    homology and pairs x -> dx, and Hom of a pair with anything is acyclic, so
+    dim B^p = sum_q pi_q(V) dim M_{q-p} + h_q(V) pi_{q-p+1}(M), with the ranks
+    pi_q of ``_ranks``.  Both postconditions are real checks: the ranks
+    close, and there are dim_h representatives.
     """
     target = target if target is not None else source
-    if not target.module.degrees().isdisjoint(q - p + 1 for q in source.module.degrees()):
-        _check_pair(source, target)  # H^p reads C^{p-1} too, and it is nonempty
-    dom_p, _, rows_p, _ = _delta_matrix(source, target, p)
-    field = source.field
-    delta = _System(rows_p, len(dom_p), field)  # the kernel does not see the denominator
-    delta.reduce()
-    kernel = delta.nullspace()
-    dim_cocycles = len(kernel)
-
-    cycles, h_v = source._cycles
-    functionals, h_m = target._functionals
+    v_degrees, m_degrees = source.module.degrees(), target.module.degrees()
+    empty = m_degrees.isdisjoint(q - p for q in v_degrees)  # C^p = 0
+    if not empty or not m_degrees.isdisjoint(q - p + 1 for q in v_degrees):
+        _check_pair(source, target)  # H^p reads C^p and C^{p-1}
+    if empty:
+        return CohomologyResult(p, 0, 0, 0, [])
+    (functionals, h_v), (cycles, h_m) = source._functionals, target._cycles
+    pi_v, pi_m = _ranks(source, h_v), _ranks(target, h_m)
+    dim_m = Counter(q for _, q in target.module.basis)
     dim_h = sum(h * h_m.get(q - p, 0) for q, h in h_v.items())
-
-    def by_index(vectors):  # index -> [(s, entry of vector s)]
-        at: dict[int, list[tuple[int, int]]] = {}
-        for s, vec in enumerate(vectors):
-            for k, coeff in vec.items():
-                at.setdefault(k, []).append((s, coeff))
-        return at
-
-    z_at, lam_at = by_index(cycles), by_index(functionals)
-    coords: dict[tuple[int, int], dict[int, int]] = {}  # (s, t) -> {f: lambda_t(v_f(z_s))}
-    for f, (_, vec) in enumerate(kernel):
-        for c, a in vec.items():
-            j, i = dom_p[c]
-            lams = lam_at.get(i)
-            if lams is None:
-                continue
-            for s, z in z_at.get(j, ()):
-                az = a * z
-                for t, lam in lams:
-                    row = coords.setdefault((s, t), {})
-                    row[f] = row.get(f, 0) + az * lam
-    norm = field.norm
-    rows = [{f: w for f, v in row.items() if (w := norm(v))} for row in coords.values()]
-    classes = _System(rows, dim_cocycles, field)
-    classes.reduce(echelon=True)
+    dim_coboundaries = (sum(r * dim_m[q - p] for q, r in pi_v.items())
+                        + sum(h * pi_m.get(q - p + 1, 0) for q, h in h_v.items()))
+    mod, degree_of = source.field.modulus, target.module.degree_of
+    by_degree: dict[int, list[tuple[int, dict[int, int]]]] = {}
+    for w in cycles:
+        top = max(w)
+        by_degree.setdefault(degree_of(top), []).append((w[top], w))
     representatives = []
-    for f, _ in classes.pivots:
-        den, vec = kernel[f]
-        coords = vec if field.modulus is not None else _fractions(vec, den)
-        representatives.append(_cochain_from_coords(p, dom_p, coords, source, target))
+    for mu in functionals:
+        top = max(mu)
+        for w_top, w in by_degree.get(source.module.degree_of(top) - p, ()):
+            lead = mu[top] * w_top
+            if mod is None:
+                cols = {j: {i: Fraction(c * e, lead) for i, e in w.items()} for j, c in mu.items()}
+            else:
+                inv = pow(lead, -1, mod)
+                cols = {j: {i: c * inv * e % mod for i, e in w.items()} for j, c in mu.items()}
+            representatives.append(Cochain(
+                p, GradedMap._of(source.module, target.module, -p, cols), source, target))
     if len(representatives) != dim_h:
         raise PostconditionFailed(
             f"found {len(representatives)} representatives for a {dim_h}-dimensional H^{p}"
         )
-    return CohomologyResult(p, dim_cocycles, dim_cocycles - dim_h, dim_h, representatives)
+    return CohomologyResult(p, dim_coboundaries + dim_h, dim_coboundaries, dim_h, representatives)
 
 
 @dataclass

@@ -48,8 +48,8 @@ representation, so the results are exactly those of elimination of
 
 This is the library's one elimination loop.  The pivot columns of an
 echelon ``reduce`` are the columns independent of all earlier ones, the
-greedy basis of the column span; ``cochain`` chooses homology classes and
-cohomology representatives that way.
+greedy basis of the column span; ``cochain`` chooses homology classes that
+way.
 """
 
 from __future__ import annotations
@@ -68,11 +68,6 @@ def _integral(rows: list[Row]) -> tuple[int, list[dict[int, int]]]:
     scale = lcm(*[v.denominator for row in rows for v in row.values()])
     return scale, [{k: v.numerator * (scale // v.denominator) for k, v in row.items()}
                    for row in rows]
-
-
-def _fractions(vec: dict[int, int], d: int) -> dict[int, Fraction]:
-    """The integer vector ``vec`` over the denominator ``d`` as Fractions."""
-    return {k: Fraction(v, d) for k, v in vec.items()}
 
 
 class _System:
@@ -300,4 +295,4 @@ def nullspace_sparse(rows: list[Row], ncols: int, field: FieldSpec) -> list[Row]
     sys.reduce()
     if field.modulus is not None:
         return [vec for _, vec in sys.nullspace()]
-    return [_fractions(vec, d) for d, vec in sys.nullspace()]
+    return [{k: Fraction(v, d) for k, v in vec.items()} for d, vec in sys.nullspace()]

@@ -327,6 +327,18 @@ def conjugated(rng: random.Random, cx: Complex) -> Complex:
     return Complex(module, d)
 
 
+def shuffled(rng: random.Random, cx: Complex) -> Complex:
+    """cx with its generators declared in a random order, as
+    ``perfbench.gen.pair_complex`` declares them: ``random_complex`` puts
+    each pair's two generators next to each other."""
+    module = cx.module
+    basis = list(module.basis)
+    rng.shuffle(basis)
+    out = GradedModule(module.name, cx.field, basis)
+    entries = [(module.name_of(j), module.name_of(i), c) for j, i, c in cx.d.entries()]
+    return Complex(out, GradedMap.from_entries(out, -1, entries))
+
+
 def random_cochain(rng: random.Random, cx: Complex, p: int, density: float = 0.5,
                    target: Complex | None = None):
     """A random p-cochain (possibly zero) on the complex, or on the pair

@@ -11,11 +11,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from dgdeform.cli import main
-from dgdeform.cochain import cochain_basis
 from dgdeform.deform import MAX_ORDER
 from dgdeform.dsl import MAX_GENERATORS, load_complex, parse
 from dgdeform.family import MAX_TRUNCATION
-from conftest import count_reductions, oracle_cohomology_dims, oracle_nullity
+from conftest import count_reductions, oracle_nullity
 
 
 @pytest.fixture
@@ -79,21 +78,17 @@ def test_cohomology_output(runner, tmp_path):
 
 
 def test_cohomology_reduces_each_differential_once(runner, tmp_path, monkeypatch):
-    # H(V) and H(V)* serve every p: each degree costs its delta^p and one
-    # echelon pass over its class coordinates, and per direction the
-    # differential costs one kernel and one class elimination, both at the first p
+    # H(V)* and H(V) serve every p and no delta^p is reduced: per direction
+    # the differential costs one kernel and one class elimination, both at
+    # the first p, and the other two p reduce nothing
     path = _family_file(runner, tmp_path, 3, "obstructed")
     cx, _, _ = load_complex(parse(path.read_text()))
     n = cx.module.dim
     kernel = oracle_nullity(cx)
-    per_p = []
-    for p in (-1, 0, 1):
-        per_p += [len(cochain_basis(cx.module, cx.module, p)), oracle_cohomology_dims(cx, p)[0]]
     calls = count_reductions(monkeypatch)
     result = runner.invoke(main, ["cohomology", str(path), "--p", "-1", "--p", "0", "--p", "1"])
     assert result.exit_code == 0
-    assert calls == [per_p[0], n, n + kernel, n, n + kernel, *per_p[1:]]
-    assert len(calls) == 3 + 4 + 3
+    assert calls == [n, n + kernel, n, n + kernel]
 
 
 def test_obstruction_output(runner, tmp_path):

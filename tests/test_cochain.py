@@ -34,6 +34,7 @@ from dgdeform.errors import (
 from conftest import (
     conjugated,
     count_fraction_arithmetic,
+    count_reductions,
     dense_rank,
     oracle_cohomology_dims,
     oracle_cohomology_representatives,
@@ -41,6 +42,7 @@ from conftest import (
     random_cocycle,
     random_complex,
     raw_d_coefficients,
+    shuffled,
 )
 
 FIELDS = [QQ, GF(2), GF(5)]
@@ -295,7 +297,7 @@ def test_cohomology_postcondition_is_a_real_check(monkeypatch):
 @pytest.mark.parametrize("short_side", ["cycles", "functionals"])
 def test_cohomology_with_a_class_missing_fails_its_postcondition(monkeypatch, short_side):
     # dim_h comes from the ranks of d, so one cycle (or functional) short
-    # leaves the class coordinates one dimension short of H^p
+    # leaves H^p short of the representatives it pairs into
     m = GradedModule("U", QQ, [("a", 0), ("b", 1)])
     cx = Complex(m, GradedMap.zero(m, degree=-1))
     classes = cochain._homology_classes
@@ -309,18 +311,60 @@ def test_cohomology_with_a_class_missing_fails_its_postcondition(monkeypatch, sh
         cohomology(cx, cx, 0)
 
 
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_cohomology_with_a_homology_dim_off_by_one_fails_its_postcondition(monkeypatch, side):
+    # the ranks of d are solved from dim_q = h_q + pi_q + pi_{q+1} down the
+    # degrees, and must close at 0 below each run of degrees: that is the
+    # Euler characteristic identity of the run, which one wrong h_q breaks
+    rng = random.Random(86)  # M has degrees -3, -2 and 0, 1, 2: two runs
+    v0 = conjugated(rng, random_complex(rng, QQ, 12, name="V", top=2))
+    m0 = conjugated(rng, random_complex(rng, QQ, 10, name="M", top=2))
+    classes = cochain._homology_classes
+    for q in sorted((v0 if side == "source" else m0).module.degrees()):
+        for step in (1, -1):
+            def off_by_one(complex_, dual=False):  # V gives H(V)*, M gives H(M)
+                found, h = classes(complex_, dual)
+                return found, ({**h, q: h[q] + step} if dual == (side == "source") else h)
+
+            monkeypatch.setattr(cochain, "_homology_classes", off_by_one)
+            v, m = Complex(v0.module, v0.d), Complex(m0.module, m0.d)  # nothing cached
+            with pytest.raises(PostconditionFailed, match="rank"):
+                cohomology(v, m, 0)
+    monkeypatch.undo()
+    assert cohomology(v0, m0, 0).dim_h > 0
+
+
+def test_cohomology_of_a_large_conjugated_pair_reduces_only_the_differentials(monkeypatch):
+    # 100/90 generators in four degrees, filled in: C^0 has 2,022 pairs,
+    # and a reduction of delta^0 takes seconds; the widest reduction here is
+    # the class pass over one differential
+    rng = random.Random(13)
+    v = conjugated(rng, random_complex(rng, QQ, 100, name="V", top=1))
+    m = conjugated(rng, random_complex(rng, QQ, 90, name="M", top=1))
+    calls = count_reductions(monkeypatch)
+    res = cohomology(v, m, 0)
+    monkeypatch.undo()
+    assert max(calls) <= 2 * max(v.module.dim, m.module.dim)
+    assert len(res.representatives) == res.dim_h > 0
+    assert all(rep.is_cocycle() for rep in res.representatives)
+
+
 @st.composite
 def _cohomology_pairs(draw):
     """(V, M) over Q, GF(2) or GF(5), each a random complex of dim 1-12 in
     degrees from -3 up to -1..4, conjugated by transvections in most draws:
-    few degrees give fill-in and class coordinates that cancel."""
+    few degrees give fill-in and dense cycles and functionals.  Most draws
+    also shuffle the declaration order, so that a pair's two generators are
+    not next to each other in the lex order of the cochain basis."""
     field = draw(st.sampled_from(FIELDS))
     rng = random.Random(draw(st.integers(0, 2**32)))
     pair = []
     for name in ("V", "M"):
         top = draw(st.integers(-1, 4))
         cx = random_complex(rng, field, draw(st.integers(1, 12)), name=name, top=top)
-        pair.append(conjugated(rng, cx) if draw(st.integers(0, 3)) else cx)
+        if draw(st.integers(0, 3)):
+            cx = conjugated(rng, cx)
+        pair.append(shuffled(rng, cx) if draw(st.integers(0, 3)) else cx)
     return pair
 
 
@@ -464,8 +508,8 @@ def _rational_pair():
 
 
 def test_rational_cohomology_does_no_fraction_arithmetic(monkeypatch):
-    # from delta^p to the class coordinates everything is an integer; the
-    # representatives are built as Fractions, never computed with them
+    # from the differentials to the homology vectors everything is an
+    # integer; the representatives are built as Fractions, never computed with them
     dims = []
     for p in (-1, 0, 1):
         v, m = _rational_pair()  # fresh, so that H(V) and H(M)* are computed inside

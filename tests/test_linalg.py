@@ -182,7 +182,7 @@ def _check_against_oracle(field, mat, rhs_list, den=1):
     kernel = [_over(vec, d, p) for d, vec in sys.nullspace()]
     assert [list(v.items()) for v in kernel] == want
 
-    # untraced, as cohomology reduces delta^p: the same RREF and kernel
+    # untraced, as _homology_classes reduces d: the same RREF and kernel
     plain = _System(rows, ncols, field)
     plain.reduce()
     assert plain.pivots == sys.pivots
