@@ -4,28 +4,31 @@ A p-cochain is a map V -> M of degree -p.  The coboundary is
 
     delta(f) = d_M f - (-1)^p f d_V,
 
-so delta has degree +1 on cochains and delta^2 = 0.  Every cobounding
-question reduces to an exact sparse linear solve in the canonical cochain
+so delta has degree +1 on cochains and delta^2 = 0.  A solution of
+delta(f) = g is an exact sparse linear solve in the canonical cochain
 basis of elementary operators, ordered lexicographically by
 (source declaration index, target declaration index).
 
 ``cohomology`` builds no delta.  Over a field H^p(V;M) is
 sum_q Hom(H_q V, H_{q-p} M), so its representatives are products of the
 functionals of H(V)* and the cycles of H(M) (``_homology_classes``), and
-its dims follow from the homology dims and the ranks of d_V and d_M.
+its dims follow from the homology dims and the ranks of d_V and d_M.  The
+same splitting decides a solve: a cocycle g cobounds exactly when its class
+coordinates lambda(g(z)), for the cycles z of H(V) and the functionals
+lambda of H(M)*, are zero, and a nonzero one is the witness z (x) lambda.
+``solve_coboundary`` builds delta only for a right side with a zero class.
 
 Over Q the work runs in integers, from each complex's differential, kept
 once as integer columns over one denominator (``Complex._integer_d``),
 through delta's rows, the elimination and the homology vectors, to the
-solver's two delta checks, which recompute delta from those columns.  A
-``Fraction`` is built only for what is returned: the dim_h representatives
-of ``cohomology``, the values of a solution, the witness row and its
-residual, and the ``Scalar``s of a witness.
+class coordinates and the solver's checks, which recompute delta from those
+columns.  A ``Fraction`` is built only for what is returned: the dim_h
+representatives of ``cohomology``, the values of a solution, the weights
+and residual of a witness, and the ``Scalar``s of a witness.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -77,12 +80,12 @@ class Complex:
         return _integer_columns(self.d)
 
     @cached_property
-    def _integer_rows(self) -> dict[int, list[tuple[int, int]]]:
-        """The rows of ``_integer_d``: {j: [(l, n)]} with d[j, l] = n / D."""
-        rows: dict[int, list[tuple[int, int]]] = {}
+    def _integer_rows(self) -> dict[int, dict[int, int]]:
+        """The rows of ``_integer_d``: {j: {l: n}} with d[j, l] = n / D."""
+        rows: dict[int, dict[int, int]] = {}
         for l, col in self._integer_d[1].items():
             for j, coeff in col.items():
-                rows.setdefault(j, []).append((l, coeff))
+                rows.setdefault(j, {})[l] = coeff
         return rows
 
     # H(V)* and H(M) serve every p, so each complex computes them once
@@ -201,7 +204,7 @@ def _integer_coboundary(source: Complex, target: Complex, p: int,
             c *= a
             for k, e in n_m.get(i, {}).items():
                 acc[k] = acc.get(k, 0) + c * e
-        for l, e in n_v.get(j, ()):  # column l of f d_V gets d_V[j, l] * (column j of f)
+        for l, e in n_v.get(j, {}).items():  # column l of f d_V gets d_V[j, l] * (column j of f)
             e *= b
             acc = out.setdefault(l, {})
             for i, c in col.items():
@@ -243,9 +246,7 @@ def is_cocycle(f: Cochain) -> bool:
 def cochain_basis(v: GradedModule, m: GradedModule, p: int) -> list[tuple[int, int]]:
     """Canonical basis of C^p(V;M): pairs (source index j, target index i)
     with |x_i| = |x_j| - p, lexicographic in (j, i)."""
-    by_degree: dict[int, list[int]] = {}
-    for i, (_, q) in enumerate(m.basis):
-        by_degree.setdefault(q, []).append(i)
+    by_degree = m._by_degree
     return [(j, i) for j, (_, q) in enumerate(v.basis) for i in by_degree.get(q - p, ())]
 
 
@@ -284,7 +285,7 @@ def _delta_matrix(source: Complex, target: Complex, p: int):
     cod_index = {pair: r for r, pair in enumerate(cod)}
     den, a, n_m, b, n_v = _delta_terms(source, target, p)
     mod = source.field.modulus
-    d_vt = {j: [(l, b * coeff if mod is None else b * coeff % mod) for l, coeff in row]
+    d_vt = {j: [(l, b * coeff if mod is None else b * coeff % mod) for l, coeff in row.items()]
             for j, row in n_v.items()}  # j -> [(l, -(-1)^p d_V[j,l] * den)]
     if a != 1:
         n_m = {i: {k: a * coeff for k, coeff in col.items()} for i, col in n_m.items()}
@@ -297,42 +298,63 @@ def _delta_matrix(source: Complex, target: Complex, p: int):
     return dom, cod_index, rows, den
 
 
-def _homology_classes(cx: Complex, dual: bool = False):
+def _homology_classes(cx: Complex, dual: bool = False, degrees=None):
     """Cycles z_s of d (of d^T when ``dual``) whose classes are a basis of
-    its homology, as integer vectors (each a nonzero multiple of a cycle),
-    with the homology dims {degree q: h_q}.
+    its homology in ``degrees`` (every degree by default), as integer
+    vectors (each a nonzero multiple of a cycle), with the homology dims
+    {degree q: h_q} there.
 
     With ``dual`` the cycles are functionals lambda_t on the module with
-    lambda_t o d = 0, a basis of H(cx)*.  Two eliminations over the whole
-    of d: its kernel, then an echelon pass over [columns of d | kernel
-    vectors], whose pivots right of d are the kernel vectors independent
-    modulo the image; a nonzero multiple of a column keeps both.
-    h_q = dim_q - rank d_q - rank d_{q+1} is read from the pivots of the
-    first, not from a kernel basis.
+    lambda_t o d = 0, a basis of H(cx)*.  Degree q needs only d between
+    degrees q - 1, q and q + 1, so the work is proportional to those.  Two
+    eliminations, each at most as wide as the generators of ``degrees``:
+    the kernel of d, with its canonical vectors v_f, one per free column f
+    (the same vectors as on the whole module), then an echelon pass
+    over the boundaries in free coordinates.  v_f is a boundary modulo the
+    earlier v_f' exactly when f is the largest free coordinate of some
+    boundary, that is a pivot of the boundaries with the free coordinates
+    ordered from the largest down; the others are kept, in order, the
+    vectors an echelon pass over [columns of d | kernel vectors] would keep.
+    h_q is the number of free columns of degree q less the number of those
+    pivots there: dim_q - rank d_q - rank d_{q+1}, read from the pivots,
+    not from the kernel vectors.
     """
-    module, n = cx.module, cx.module.dim
-    _, cols = cx._integer_d
-    if dual:  # row j of d^T is column j of d
-        rows = [dict(cols.get(j, ())) for j in range(n)]
-    else:
-        rows = [{} for _ in range(n)]
-        for j, col in cols.items():
-            for k, coeff in col.items():
-                rows[k][j] = coeff
-    kernel_system = _System(rows, n, cx.field)
+    module, by_degree = cx.module, cx.module._by_degree
+    # the kernel rows are the rows of d (of d^T) that meet degree q, and the
+    # boundaries the columns of that matrix: row j of d^T is column j of d,
+    # and column k of d^T is row k of d
+    d_rows, d_cols = cx._integer_rows, cx._integer_d[1]
+    whole = degrees is None
+    if whole:  # the columns are the module's own indices
+        degrees, index = by_degree.keys(), range(module.dim)
+        below, above = list(d_rows.values()), list(d_cols.values())
+    else:  # local columns: the generators of those degrees, in declaration order
+        index = sorted(j for q in degrees for j in by_degree.get(q, ()))
+        local = {j: c for c, j in enumerate(index)}
+        below = [d_rows[k] for q in degrees for k in by_degree.get(q - 1, ()) if k in d_rows]
+        above = [d_cols[j] for q in degrees for j in by_degree.get(q + 1, ()) if j in d_cols]
+    rows, boundaries = (above, below) if dual else (below, above)
+
+    def localized(vec):
+        return vec if whole else {local[j]: v for j, v in vec.items()}
+
+    kernel_system = _System([localized(row) for row in rows], len(index), cx.field)
     kernel_system.reduce()
     kernel = [vec for _, vec in kernel_system.nullspace()]
-    # a column of degree q lands in degree q + shift
-    shift = 1 if dual else -1
-    rank = Counter(module.degree_of(c) for c, _ in kernel_system.pivots)
-    h = {q: dim - rank[q] - rank[q - shift]
-         for q, dim in Counter(q for _, q in module.basis).items()}
-    for s, vec in enumerate(kernel):
-        for k, coeff in vec.items():
-            rows[k][n + s] = coeff
-    classes = _System(rows, n + len(kernel), cx.field)
-    classes.reduce(echelon=True)
-    return [kernel[c - n] for c, _ in classes.pivots if c >= n], h
+    pivots = {c for c, _ in kernel_system.pivots}
+    free = [f for f in range(len(index)) if f not in pivots]  # of each kernel vector, in order
+    # a kernel vector is v_f's multiple times its free coordinate f, so a
+    # boundary's free coordinates are its coordinates in the kernel basis
+    order = {f: s for s, f in enumerate(reversed(free))}
+    image = _System([{order[c]: v for c, v in localized(b).items() if c in order}
+                     for b in boundaries], len(free), cx.field)
+    image.reduce(echelon=True)
+    leads = {free[-1 - s] for s, _ in image.pivots}
+    h = {q: 0 for q in degrees if q in by_degree}
+    for f in free:
+        h[module.degree_of(index[f])] += f not in leads
+    return [vec if whole else {index[c]: v for c, v in vec.items()}
+            for f, vec in zip(free, kernel) if f not in leads], h
 
 
 @dataclass
@@ -351,10 +373,10 @@ def _ranks(cx: Complex, h: dict[int, int]) -> dict[int, int]:
     pi_{q+1} down the degrees.  It must be 0 from the lowest degree of each
     run of degrees (the run's Euler characteristic identity, which one h_q
     off by one breaks) and never negative, or PostconditionFailed is raised."""
-    dims = Counter(q for _, q in cx.module.basis)
+    dims = cx.module._by_degree
     pi: dict[int, int] = {}
     for q in sorted(dims, reverse=True):
-        pi[q] = rank = dims[q] - h[q] - pi.get(q + 1, 0)
+        pi[q] = rank = len(dims[q]) - h[q] - pi.get(q + 1, 0)
         if rank < 0 or (rank and q - 1 not in dims):
             raise PostconditionFailed(f"H({cx.module.name}) gives d rank {rank} from degree {q}")
     return pi
@@ -383,9 +405,9 @@ def cohomology(source: Complex, target: Complex | None = None, p: int = 0) -> Co
         return CohomologyResult(p, 0, 0, 0, [])
     (functionals, h_v), (cycles, h_m) = source._functionals, target._cycles
     pi_v, pi_m = _ranks(source, h_v), _ranks(target, h_m)
-    dim_m = Counter(q for _, q in target.module.basis)
+    dim_m = target.module._by_degree
     dim_h = sum(h * h_m.get(q - p, 0) for q, h in h_v.items())
-    dim_coboundaries = (sum(r * dim_m[q - p] for q, r in pi_v.items())
+    dim_coboundaries = (sum(r * len(dim_m.get(q - p, ())) for q, r in pi_v.items())
                         + sum(h * pi_m.get(q - p + 1, 0) for q, h in h_v.items()))
     mod, degree_of = source.field.modulus, target.module.degree_of
     by_degree: dict[int, list[tuple[int, dict[int, int]]]] = {}
@@ -417,7 +439,11 @@ class InfeasibilityWitness:
 
     ``combination`` lists block equations, labelled by (source name, target
     name), whose weighted sum has zero left side but the nonzero ``residual``
-    on the right side.
+    on the right side.  The solver's witnesses are z (x) lambda, for a cycle
+    z of V and a functional lambda on M with lambda o d_M = 0: equation
+    (x_j -> y_i) has weight z[j] * lambda[i], so the sum is the functional
+    h -> lambda(h(z)), which is zero on every delta(f), and the residual is
+    lambda(g(z)), a coordinate of the class of g.
     """
 
     combination: list[tuple[str, str, Scalar]]
@@ -445,13 +471,103 @@ class Infeasible:
     witness: InfeasibilityWitness
 
 
+def _cocycle_columns(g: Cochain) -> tuple[int, dict[int, dict[int, int]]]:
+    """g as integer columns over one denominator, once delta(g) = 0 is checked
+    in integers from the differentials (else NotACocycle)."""
+    den, cols = _integer_columns(g.mapping)
+    if _integer_coboundary(g.source, g.target, g.p, cols, den)[0]:
+        raise NotACocycle("right-hand side is not a cocycle")
+    return den, cols
+
+
+def _class_witness(g: Cochain, cols: dict[int, dict[int, int]],
+                   den: int) -> InfeasibilityWitness | None:
+    """The witness z_s (x) lambda_t of the first nonzero class coordinate
+    lambda_t(g(z_s)) of the cocycle g = cols / den, or None when its class
+    is zero, that is when g cobounds.
+
+    z_s runs over the cycles of V, then lambda_t over the functionals on M,
+    in the order of ``_homology_classes``, which runs only on the degrees g
+    reads from and writes to.  The weights are scaled to 1 at the
+    lex-largest pair (max supp z, max supp lambda), which fixes the witness
+    whatever multiples of z and lambda the helper returns.
+    Before it is returned, z is checked to be a cycle and lambda o d_M to be
+    zero, in integers from the differentials (else PostconditionFailed).
+    """
+    source, target, mod = g.source, g.target, g.source.field.modulus
+    v_degrees = {source.module.degree_of(j) for j in cols}
+    functionals: dict[int, list[dict[int, int]]] = {}
+    for lam in _homology_classes(target, True, {q - g.p for q in v_degrees})[0]:
+        functionals.setdefault(target.module.degree_of(max(lam)), []).append(lam)
+    for z in _homology_classes(source, False, v_degrees)[0]:
+        shelf = functionals.get(source.module.degree_of(max(z)) - g.p)
+        if not shelf:
+            continue
+        gz = _combine(z, cols)  # g(z) as integers over den
+        for lam in shelf if gz else ():
+            s = sum(c * lam[i] for i, c in gz.items() if i in lam)
+            if s if mod is None else s % mod:
+                _check_classes(source, target, z, lam)
+                lead = z[max(z)] * lam[max(lam)]
+                field, name_of, target_name = source.field, source.module.name_of, target.module.name_of
+                return InfeasibilityWitness(
+                    [(name_of(j), target_name(i), field.scalar(a * b, lead))
+                     for j, a in sorted(z.items()) for i, b in sorted(lam.items())],
+                    field.scalar(s, den * lead))
+    return None
+
+
+def _combine(vec: dict[int, int], vectors: dict[int, dict[int, int]]) -> dict[int, int]:
+    """sum_j vec[j] * vectors[j] for sparse integer vectors, zeros kept: d z
+    from the columns of d, lambda o d from its rows, g(z) from g's columns."""
+    out: dict[int, int] = {}
+    for j, c in vec.items():
+        for k, e in vectors.get(j, {}).items():
+            out[k] = out.get(k, 0) + c * e
+    return out
+
+
+def _check_classes(source: Complex, target: Complex,
+                   z: dict[int, int], lam: dict[int, int]) -> None:
+    """d_V z = 0 and lambda o d_M = 0, in integers from the differentials'
+    integer columns and rows, or PostconditionFailed."""
+    mod = source.field.modulus
+    for what, values in (("z is not a cycle of d_V", _combine(z, source._integer_d[1])),
+                         ("lambda o d_M is not zero", _combine(lam, target._integer_rows))):
+        if any(v % mod if mod is not None else v for v in values.values()):
+            raise PostconditionFailed(f"the class witness is wrong: {what}")
+
+
+def _outcome(g: Cochain, cols: dict[int, dict[int, int]], den: int,
+             dom: list[tuple[int, int]], solution: LinearSolution | None) -> Solved | Infeasible:
+    """The checked answer to delta(f) = g from an elimination's read-out:
+    f from a solution, checked by delta(f) = g recomputed in integers from
+    the differentials; for an inconsistent system the class witness, which
+    must exist.  Either failure raises PostconditionFailed."""
+    source, target, p = g.source, g.target, g.p - 1
+    if solution is None:
+        witness = _class_witness(g, cols, den)
+        if witness is None:
+            raise PostconditionFailed("delta(f) = g has no solution, yet g has a zero class")
+        return Infeasible(witness)
+    f = _cochain_from_coords(p, dom, solution.values, source, target)
+    f_den, f_cols = _integer_columns(f.mapping)
+    delta, delta_den = _integer_coboundary(source, target, p, f_cols, f_den)
+    if not _same_columns(delta, delta_den, cols, den):
+        raise PostconditionFailed("the solver's answer f does not satisfy delta(f) = g")
+    return Solved(f)
+
+
 class CoboundarySolver:
-    """Solves delta(f) = g for p-cochains f on one pair of complexes.
+    """Solves delta(f) = g for p-cochains f on one pair of complexes, for
+    many right sides: the ladder's solver.
 
     delta^p is assembled and reduced once, keeping the row transform T; each
     ``solve`` is then T applied to g plus a read-off, so a ladder of solves
-    on one complex pays for a single elimination.  Pivots depend only on
-    delta^p, so every solution and witness equals the one-shot result.
+    on one complex pays for a single elimination.  A right side that T finds
+    inconsistent gets the class witness of ``solve_coboundary``.  Pivots
+    depend only on delta^p, so every solution equals the one-shot result,
+    and the witness rule is the same one.
     """
 
     def __init__(self, source: Complex, target: Complex, p: int):
@@ -463,48 +579,46 @@ class CoboundarySolver:
         self._system.reduce()
 
     def solve(self, g: Cochain) -> Solved | Infeasible:
-        """Find f with delta(f) = g exactly, or certify that none exists.
-
-        The solution is the canonical reduced-row-echelon particular solution
-        (free variables zero) in the canonical cochain basis.  g must be a
-        cocycle; non-cocycles are rejected outright.  Both checks, delta(g) = 0
-        on the way in and delta(f) = g on the way out, recompute delta in
-        integers from the differentials' integer columns, not from the rows
-        of delta^p.
-        """
+        """Find f with delta(f) = g exactly, or certify that none exists; see
+        :func:`solve_coboundary`."""
         if g.p != self.p + 1 or g.source != self.source or g.target != self.target:
             raise MalformedCochain(
                 f"this solver takes {self.p + 1}-cochains on its own complexes"
             )
-        source, target = self.source, self.target
-        den, cols = _integer_columns(g.mapping)
-        if _integer_coboundary(source, target, g.p, cols, den)[0]:
-            raise NotACocycle("right-hand side is not a cocycle")
+        den, cols = _cocycle_columns(g)
         rhs = {self._cod_index[j, i]: coeff for j, col in cols.items() for i, coeff in col.items()}
-        outcome = self._system.solve(rhs, den)
-        if isinstance(outcome, LinearSolution):
-            f = _cochain_from_coords(self.p, self.dom, outcome.values, source, target)
-            f_den, f_cols = _integer_columns(f.mapping)
-            delta, delta_den = _integer_coboundary(source, target, self.p, f_cols, f_den)
-            if not _same_columns(delta, delta_den, cols, den):
-                raise PostconditionFailed("the solver's answer f does not satisfy delta(f) = g")
-            return Solved(f)
-        field = source.field
-        cod = list(self._cod_index)
-        combo = []
-        for r in sorted(outcome.combination):
-            j, i = cod[r]
-            combo.append(
-                (source.module.name_of(j), target.module.name_of(i),
-                 Scalar(field, outcome.combination[r]))
-            )
-        return Infeasible(InfeasibilityWitness(combo, Scalar(field, outcome.residual)))
+        system = self._system
+        return _outcome(g, cols, den, self.dom, system.solution(system.reduced(rhs, den)))
 
 
 def solve_coboundary(g: Cochain) -> Solved | Infeasible:
-    """Find f with delta(f) = g exactly, or certify that none exists; see
-    :meth:`CoboundarySolver.solve`."""
-    return CoboundarySolver(g.source, g.target, g.p - 1).solve(g)
+    """Find f with delta(f) = g exactly, or certify that none exists.
+
+    g must be a cocycle; non-cocycles are rejected outright.  Over a field g
+    cobounds exactly when its class coordinates lambda_t(g(z_s)) are all
+    zero, for the cycles z_s of H(V) and the functionals lambda_t of H(M)*
+    in the degrees g touches.  A nonzero coordinate is answered at once
+    with its witness (``_class_witness``), and no delta is built.  A zero
+    class is solved by reducing delta^p with g riding along as one extra
+    column, with no row transform; the solution is the canonical
+    reduced-row-echelon one (free variables zero) in the canonical cochain
+    basis.  Both checks, delta(g) = 0 on the way in and delta(f) = g on the
+    way out, recompute delta in integers from the differentials' integer
+    columns, not from the rows of delta^p; so does the check of the
+    witness.
+    """
+    den, cols = _cocycle_columns(g)
+    witness = _class_witness(g, cols, den)
+    if witness is not None:
+        return Infeasible(witness)
+    dom, cod_index, rows, delta_den = _delta_matrix(g.source, g.target, g.p - 1)
+    n = len(dom)
+    for j, col in cols.items():
+        for i, coeff in col.items():
+            rows[cod_index[j, i]][n] = coeff
+    system = _System(rows, n, g.source.field, delta_den)
+    system.reduce()
+    return _outcome(g, cols, den, dom, system.solution(system.carried(den)))
 
 
 def noncobounding_certificate(d: GradedMap, g: Cochain | GradedMap) -> bool:

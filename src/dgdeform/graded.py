@@ -102,6 +102,15 @@ class GradedModule:
     def _index(self) -> dict[str, int]:
         return {n: i for i, (n, _) in enumerate(self.basis)}
 
+    @cached_property
+    def _by_degree(self) -> dict[int, list[int]]:
+        """{degree q: the indices of degree q, in declaration order}; read it,
+        do not change it."""
+        by_degree: dict[int, list[int]] = {}
+        for i, (_, q) in enumerate(self.basis):
+            by_degree.setdefault(q, []).append(i)
+        return by_degree
+
     @property
     def dim(self) -> int:
         return len(self.basis)

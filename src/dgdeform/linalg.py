@@ -5,11 +5,11 @@ column-index -> nonzero ``int``, any integer over Q, a residue in [0, p)
 over GF(p), where ``den`` is 1.  Callers that hold raw field values (a
 ``Fraction`` over Q) scale them with ``_integral`` first.  Reduced rows stay
 integers over their row denominators, kernel vectors come out as integers
-over one denominator each, and a right side goes into ``solve`` as integers
-over its own denominator.  A ``Fraction`` is built only for what leaves the
-module as raw values: solution values, the witness row of T and its
-residual, and the rows of ``transform`` and of the raw-value wrappers
-``solve_sparse``, ``rank_sparse`` and ``nullspace_sparse``.  Field arithmetic
+over one denominator each, and a right side goes into ``reduced`` as
+integers over its own denominator.  A ``Fraction`` is built only for what
+leaves the module as raw values: reduced right sides and the solution
+values read off them, and the rows of ``transform`` and of the raw-value
+wrappers ``solve_sparse``, ``rank_sparse`` and ``nullspace_sparse``.  Field arithmetic
 is written inline: ``% p`` after every sum and product over GF(p), nothing
 over Q.
 
@@ -30,6 +30,9 @@ The row transform T, when kept, is the textbook one: the system is
 operations that reduce A turn I into T.  T's columns are never pivot
 candidates and stay out of the column index, so they ride along in the
 same row dicts, and one loop does every row operation on A and T at once.
+A single right side b can ride along the same way, as the one column
+``ncols`` of an untraced system, with no T: that column is then the reduced
+right side (``carried``).
 
 Row r is held as integers ``n_r`` over one positive row denominator
 ``D_r``, at first the input row over 1.  A pivot row is normalized by
@@ -81,7 +84,8 @@ class _System:
     ``rows[r][ncols + i]`` over ``dens[r]`` (``transform`` gives the row as
     raw values).  T's columns never pivot and stay out of the column index.
     Applying T to a right side gives the right side the elimination would
-    have carried along, so one reduction serves any number of right sides.
+    have carried along, so one reduction serves any number of right sides;
+    ``solution`` reads either reduced right side off the same way.
     """
 
     def __init__(self, rows: list[dict[int, int]], ncols: int, field: FieldSpec,
@@ -212,41 +216,65 @@ class _System:
         den times that row of A, and a normalized (pivot) row equal to it."""
         return self.den if r < len(self.pivots) else 1
 
-    def solve(self, rhs: dict[int, int], den: int = 1) -> LinearSolution | LinearInfeasibility:
-        """Solve against the sparse right side ``rhs`` / ``den`` (equation ->
-        integer value) after a traced ``reduce``: the reduced right side is
-        T * rhs / den.
+    def _values(self, sums: dict[int, int], den: int) -> dict[int, Fraction | int]:
+        """The nonzero entries of a reduced right side, by row, as raw values:
+        an integer sum s of row r over the right side's ``den`` is
+        ``Fraction(s * c, D_r * den)`` over Q, with c from ``_scale``."""
+        if self.modulus is None:
+            dens, scale = self.dens, self._scale
+            return {r: Fraction(s * scale(r), dens[r] * den) for r, s in sums.items() if s}
+        p = self.modulus
+        return {r: v for r, s in sums.items() if (v := s % p)}
+
+    def reduced(self, rhs: dict[int, int], den: int = 1) -> dict[int, Fraction | int]:
+        """T * rhs / den after a traced ``reduce``, for the sparse right side
+        ``rhs`` (equation -> integer value): the right side the elimination
+        would have carried along.
 
         The first call indexes T by equation (eq -> [(row, T[row][eq])]),
         read from the columns ``ncols + eq`` of the rows, so each right-side
-        entry touches only the rows of T that hold it.
-        The sums run in integers; over Q a nonzero reduced entry s of row r is
-        the one ``Fraction(s * c, D_r * den)``, with c from ``_scale``."""
+        entry touches only the rows of T that hold it.  The sums run in
+        integers."""
         if self._tcols is None:
             self._tcols, n = {}, self.ncols
             for r, row in enumerate(self.rows):
                 for k, c in row.items():
                     if k >= n:
                         self._tcols.setdefault(k - n, []).append((r, c))
-        p = self.modulus
         sums: dict[int, int] = {}
         for i, b in rhs.items():
             for r, c in self._tcols.get(i, ()):
                 s = sums.get(r)
                 sums[r] = c * b if s is None else s + c * b
-        if p is None:
-            dens, scale = self.dens, self._scale
-            reduced = {r: Fraction(s * scale(r), dens[r] * den) for r, s in sums.items() if s}
-        else:
-            reduced = {r: v for r, s in sums.items() if (v := s % p)}
+        return self._values(sums, den)
+
+    def carried(self, den: int = 1) -> dict[int, Fraction | int]:
+        """The reduced right side after an untraced ``reduce`` of [A | b]: b
+        / den rode along as the one column ``ncols``, which never pivots, as
+        T's columns never do."""
+        n = self.ncols
+        return self._values({r: row[n] for r, row in enumerate(self.rows) if n in row}, den)
+
+    def solution(self, reduced: dict[int, Fraction | int]) -> LinearSolution | None:
+        """The canonical solution (free variables zero) read off a reduced
+        right side, or None when it is nonzero on a row past the rank; pivot
+        r sits in row r, so the read-off visits only the nonzero rows."""
+        if any(r >= len(self.pivots) for r in reduced):
+            return None
+        return LinearSolution({self.pivots[r][0]: reduced[r] for r in sorted(reduced)})
+
+    def solve(self, rhs: dict[int, int], den: int = 1) -> LinearSolution | LinearInfeasibility:
+        """Solve against the sparse right side ``rhs`` / ``den`` after a
+        traced ``reduce``; an inconsistent right side gets the row of T that
+        proves it."""
+        reduced = self.reduced(rhs, den)
         bad = sorted(r for r in reduced if r >= len(self.pivots))
         if bad:
             # canonical witness: the inconsistent row combining the earliest
             # equations; a row past the rank holds T's columns only
             r = min(bad, key=lambda r: sorted(self.rows[r]))
             return LinearInfeasibility(self.transform(r), reduced[r])
-        # pivot r sits in row r, so the read-off visits only the nonzero rows
-        return LinearSolution({self.pivots[r][0]: reduced[r] for r in sorted(reduced)})
+        return self.solution(reduced)
 
 
 @dataclass

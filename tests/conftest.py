@@ -34,41 +34,49 @@ def raw_d_coefficients(cx: Complex) -> dict[tuple[int, int], object]:
     return {(i, j): c.value for j, i, c in cx.d.entries()}
 
 
-def dense_delta_matrix(cx: Complex, p: int):
-    """Dense matrix of delta^p: rows C^{p+1} pairs, columns C^p pairs.
+def dense_delta_matrix(cx: Complex, p: int, target: Complex | None = None):
+    """Dense matrix of delta^p on C^p(cx; target), target cx by default:
+    rows C^{p+1} pairs, columns C^p pairs.
 
-    Built directly from delta(E_{ij}) = sum_k d[k,i] E_{kj}
-    - (-1)^p sum_l d[j,l] E_{il}, with no graded-map composition involved.
+    Built directly from delta(E_{ij}) = sum_k d_M[k,i] E_{kj}
+    - (-1)^p sum_l d_V[j,l] E_{il}, with no graded-map composition involved.
     """
-    module = cx.module
-    dcoef = raw_d_coefficients(cx)
+    target = target if target is not None else cx
+    v, m = cx.module, target.module
+    d_v, d_m = raw_d_coefficients(cx), raw_d_coefficients(target)
     zero = Fraction(0) if cx.field.modulus is None else 0
-    pairs_p = [
-        (j, i)
-        for j in range(module.dim)
-        for i in range(module.dim)
-        if module.degree_of(i) == module.degree_of(j) - p
-    ]
-    pairs_q = [
-        (j, i)
-        for j in range(module.dim)
-        for i in range(module.dim)
-        if module.degree_of(i) == module.degree_of(j) - p - 1
-    ]
+    pairs_p = [(j, i) for j in range(v.dim) for i in range(m.dim)
+               if m.degree_of(i) == v.degree_of(j) - p]
+    pairs_q = [(j, i) for j in range(v.dim) for i in range(m.dim)
+               if m.degree_of(i) == v.degree_of(j) - p - 1]
     row_of = {pair: r for r, pair in enumerate(pairs_q)}
     sign = 1 if p % 2 else -1  # coefficient of the f d term
     mat = [[zero] * len(pairs_p) for _ in pairs_q]
     for c, (j, i) in enumerate(pairs_p):
-        for (k, ii), v in dcoef.items():
+        for (k, ii), val in d_m.items():
             if ii == i:  # d o E_{ij} contributes E_{kj}
-                mat[row_of[(j, k)]][c] += v
-        for (ii, l), v in dcoef.items():
+                mat[row_of[(j, k)]][c] += val
+        for (ii, l), val in d_v.items():
             if ii == j:  # E_{ij} o d contributes E_{il}
-                mat[row_of[(l, i)]][c] += sign * v
+                mat[row_of[(l, i)]][c] += sign * val
     if cx.field.modulus is not None:
         q = cx.field.modulus
         mat = [[x % q for x in row] for row in mat]
     return pairs_p, pairs_q, mat
+
+
+def dense_witness_defect(source: Complex, target: Complex, p: int, g: GradedMap, witness):
+    """(y A, y g) for the witness row y of an infeasible delta^p(f) = g
+    against the dense matrix A: a valid witness has y A = 0 everywhere and
+    y g equal to its nonzero residual."""
+    pairs_p, pairs_q, mat = dense_delta_matrix(source, p, target)
+    v, m, field = source.module, target.module, source.field
+    y = {(v.index_of(s), m.index_of(t)): c.value for s, t, c in witness.combination}
+    rows = [(mat[r], y[pair]) for r, pair in enumerate(pairs_q) if pair in y]
+    assert len(rows) == len(y)  # every weighted equation is a row of delta^p
+    y_a = [field.norm(sum(w * row[c] for row, w in rows)) for c in range(len(pairs_p))]
+    y_g = field.norm(sum(w * g.columns.get(j, {}).get(i, 0) for (j, i), w in y.items()))
+    return y_a, y_g
 
 
 def dense_rank(mat, modulus=None) -> int:

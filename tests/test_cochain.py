@@ -35,7 +35,9 @@ from conftest import (
     conjugated,
     count_fraction_arithmetic,
     count_reductions,
+    dense_delta_matrix,
     dense_rank,
+    dense_witness_defect,
     oracle_cohomology_dims,
     oracle_cohomology_representatives,
     random_cochain,
@@ -349,6 +351,23 @@ def test_cohomology_of_a_large_conjugated_pair_reduces_only_the_differentials(mo
     assert all(rep.is_cocycle() for rep in res.representatives)
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_homology_on_some_degrees_is_the_whole_homology_there(field):
+    # degree q reads d only between q - 1, q and q + 1: the classes found on
+    # a set of degrees are the whole computation's there, in its order
+    rng = random.Random(101)
+    for _ in range(12):
+        cx = shuffled(rng, conjugated(rng, random_complex(rng, field, rng.randint(1, 16), top=3)))
+        degree_of = cx.module.degree_of
+        for dual in (False, True):
+            everything, h = cochain._homology_classes(cx, dual)
+            assert sum(h.values()) == len(everything)
+            for degrees in ({-2}, {0, 1}, {1, 3, 7}, set(range(-3, 5)), set()):
+                found, h_some = cochain._homology_classes(cx, dual, degrees)
+                assert found == [v for v in everything if degree_of(max(v)) in degrees]
+                assert h_some == {q: n for q, n in h.items() if q in degrees}
+
+
 @st.composite
 def _cohomology_pairs(draw):
     """(V, M) over Q, GF(2) or GF(5), each a random complex of dim 1-12 in
@@ -466,15 +485,57 @@ def test_certificate_implies_infeasible_on_any_truncation():
 
 
 def test_solver_postcondition_is_a_real_check(monkeypatch):
-    # a solver that answers f = 0 for a nonzero coboundary must be caught
+    # a read-out that answers f = 0 for a nonzero coboundary must be caught,
+    # on the one-shot path (g rode along the elimination) and on the reused
+    # solver's (T applied to g)
     cx = base_complex(5, QQ)
     g = Cochain(2, GradedMap.from_entries(cx.module, -2, [("x6", "x1", -1)]), cx)
     solver = CoboundarySolver(cx, cx, 1)
-    monkeypatch.setattr(linalg._System, "solve", lambda self, rhs, den: linalg.LinearSolution({}))
-    with pytest.raises(PostconditionFailed):
+    monkeypatch.setattr(linalg._System, "solution", lambda self, reduced: linalg.LinearSolution({}))
+    with pytest.raises(PostconditionFailed, match="does not satisfy"):
         solve_coboundary(g)
-    with pytest.raises(PostconditionFailed):
+    with pytest.raises(PostconditionFailed, match="does not satisfy"):
         solver.solve(g)
+
+
+def test_solver_with_a_wrong_zero_class_fails_its_postcondition(monkeypatch):
+    # a class test that misses the class of x4 d/d x8 sends g to the
+    # elimination, which finds it inconsistent: neither path may answer
+    cx = base_complex(5, QQ)
+    g = Cochain(2, GradedMap.from_entries(cx.module, -2, [("x8", "x4", -1)]), cx)
+    solver = CoboundarySolver(cx, cx, 1)
+    assert isinstance(solver.solve(g), Infeasible)
+    monkeypatch.setattr(cochain, "_class_witness", lambda g, cols, den: None)
+    with pytest.raises(PostconditionFailed, match="zero class"):
+        solve_coboundary(g)
+    with pytest.raises(PostconditionFailed, match="zero class"):
+        solver.solve(g)
+
+
+@pytest.mark.parametrize("broken", ["cycle", "functional"])
+def test_solver_with_a_wrong_class_witness_fails_its_postcondition(monkeypatch, broken):
+    # on base_complex(5) d = x1 d/d x3 + x7 d/d x9, so x9 + x10 is no cycle
+    # and x1* + x2* vanishes on no boundary; each still pairs to 1 with g
+    classes = cochain._homology_classes
+    swap = {"cycle": ({9: 1}, {8: 1, 9: 1}), "functional": ({1: 1}, {0: 1, 1: 1})}[broken]
+    target = {"cycle": ("x10", "x6"), "functional": ("x6", "x2")}[broken]
+
+    def wrong(cx, dual=False, degrees=None):
+        found, h = classes(cx, dual, degrees)
+        if dual == (broken == "functional"):
+            found = [swap[1] if vec == swap[0] else vec for vec in found]
+        return found, h
+
+    monkeypatch.setattr(cochain, "_homology_classes", wrong)
+    for reused in (False, True):
+        cx = base_complex(5, QQ)  # nothing cached
+        g = Cochain(2, GradedMap.from_entries(cx.module, -2, [(*target, 1)]), cx)
+        with pytest.raises(PostconditionFailed, match=broken if broken == "cycle" else "d_M"):
+            CoboundarySolver(cx, cx, 1).solve(g) if reused else solve_coboundary(g)
+    monkeypatch.undo()
+    cx = base_complex(5, QQ)
+    g = Cochain(2, GradedMap.from_entries(cx.module, -2, [(*target, 1)]), cx)
+    assert isinstance(solve_coboundary(g), Infeasible)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -570,15 +631,88 @@ def test_solver_checks_read_the_differentials(monkeypatch):
 
 
 def test_reused_solver_matches_one_shot_solves():
+    # the two paths share no read-out: a one-shot solve answers from the
+    # class coordinates, or with g riding along its elimination, and the
+    # reused solver from T; every other complex is filled in and shuffled
     rng = random.Random(71)
+    outcomes = set()
     for field in FIELDS:
-        for _ in range(6):
+        for k in range(6):
             cx = random_complex(rng, field, rng.randint(3, 10))
+            if k % 2:
+                cx = shuffled(rng, conjugated(rng, cx))
             p = rng.choice([0, 1])
             solver = CoboundarySolver(cx, cx, p)
             for _ in range(4):
                 g = Cochain(p + 1, random_cocycle(rng, cx, p + 1), cx)
-                assert solver.solve(g) == solve_coboundary(g)
+                out = solver.solve(g)
+                assert out == solve_coboundary(g)
+                outcomes.add(type(out))
+    assert outcomes == {Solved, Infeasible}
+
+
+@st.composite
+def _solve_pairs(draw):
+    """(V, M, rng): random complexes of dim 2-12 over Q, GF(2) or GF(5), in
+    degrees from -2 up to -1..2, conjugated by transvections and declared
+    in a shuffled order, and the seeded rng, for the right sides.  The
+    sizes come from the seed, which Hypothesis does not shrink towards the
+    empty cochain spaces of one-generator complexes."""
+    field = draw(st.sampled_from(FIELDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    v, m = (shuffled(rng, conjugated(rng, random_complex(
+        rng, field, rng.randint(2, 12), name=name, top=rng.randint(-1, 2)))) for name in "VM")
+    return v, m, rng
+
+
+@settings(max_examples=100, deadline=None)
+@given(_solve_pairs())
+def test_solve_matches_the_dense_oracle(case):
+    # for p = -2..2, g = delta(f) and g plus a random cocycle: the verdict is
+    # the rank test on the dense delta^p, a witness row y has y A = 0 and
+    # y g = its nonzero residual, a solution has delta(f) = g, and the
+    # reused solver gives the same answer
+    v, m, rng = case
+    q = v.field.modulus
+    for p in range(-2, 3):
+        solver = CoboundarySolver(v, m, p)
+        _, pairs_q, mat = dense_delta_matrix(v, p, m)
+        rank = dense_rank(mat, q)
+        f = Cochain(p, random_cochain(rng, v, p, 0.6, target=m), v, m)
+        z = Cochain(p + 1, random_cocycle(rng, v, p + 1, target=m), v, m)
+        for g in (f.coboundary(), f.coboundary() + z):
+            out = solve_coboundary(g)
+            column = [g.mapping.columns.get(j, {}).get(i, 0) for j, i in pairs_q]
+            feasible = dense_rank([row + [b] for row, b in zip(mat, column)], q) == rank
+            assert isinstance(out, Solved) == feasible
+            if feasible:
+                assert out.cochain.coboundary() == g
+            else:
+                y_a, y_g = dense_witness_defect(v, m, p, g.mapping, out.witness)
+                assert not any(y_a)
+                assert y_g == out.witness.residual.value != 0
+            assert solver.solve(g) == out
+
+
+def test_an_infeasible_solve_on_a_large_conjugated_pair_builds_no_delta(monkeypatch):
+    # 76/64 generators in four degrees, filled in and shuffled: C^0 has
+    # over a thousand pairs, and a reduction of delta^0 takes about a
+    # second over Q; a nonzero class is read off H(V) and H(M)* instead
+    rng = random.Random(7)
+    v = shuffled(rng, conjugated(rng, random_complex(rng, QQ, 76, name="V", top=1)))
+    m = shuffled(rng, conjugated(rng, random_complex(rng, QQ, 64, name="M", top=1)))
+    f = Cochain(0, random_cochain(rng, v, 0, 0.2, target=m), v, m)
+    g = f.coboundary() + cohomology(v, m, 1).representatives[-1]
+    assert len(cochain_basis(v.module, m.module, 0)) > 1000
+    assembled = []
+    monkeypatch.setattr(cochain, "_delta_matrix", lambda *args: assembled.append(args))
+    calls = count_reductions(monkeypatch)
+    out = solve_coboundary(g)
+    monkeypatch.undo()
+    assert isinstance(out, Infeasible)
+    assert assembled == []
+    assert calls and max(calls) <= 2 * max(v.module.dim, m.module.dim)
+    assert out.witness.residual
 
 
 def test_solver_rejects_foreign_cochains():

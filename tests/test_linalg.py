@@ -9,7 +9,9 @@ particular solution with free variables zero must all agree exactly.
 rows and kernel vectors over their own denominators; the oracle runs on
 rows / D, with D in {1, 2, 6, 35} over Q and 1 over GF(p).  A traced system
 reduces [A | I], so its rows hold T in the columns from ncols on; the tests
-read the matrix part through ``_reduced`` and T through ``transform``.
+read the matrix part through ``_reduced`` and T through ``transform``.  A
+right side that rides along an untraced system as the column ncols
+(``carried``) must give the same solution, or none when it is inconsistent.
 """
 
 import random
@@ -195,8 +197,16 @@ def _check_against_oracle(field, mat, rhs_list, den=1):
 
     for rhs in rhs_list:
         aug, augpiv = dense_rref([row + [b] for row, b in zip(mat, rhs)], p)
-        out = sys.solve(*_integer_rhs(field, rhs))
+        b, b_den = _integer_rhs(field, rhs)
+        out = sys.solve(b, b_den)
+        # untraced, with the right side riding along as the column ncols
+        riding = _System([{**row, ncols: b[i]} if i in b else row for i, row in enumerate(rows)],
+                         ncols, field, den)
+        riding.reduce()
+        assert riding.pivots == sys.pivots
+        carried = riding.solution(riding.carried(b_den))
         if augpiv and augpiv[-1] == ncols:  # a pivot in the right side: inconsistent
+            assert carried is None
             assert isinstance(out, LinearInfeasibility)
             _assert_canonical(list(out.combination.values()) + [out.residual], p)
             for k in range(ncols):
@@ -208,6 +218,7 @@ def _check_against_oracle(field, mat, rhs_list, den=1):
             assert out.residual == _canon(sum(c * rhs[i] for i, c in transform[r].items()), p)
         else:
             assert isinstance(out, LinearSolution)
+            assert carried == out
             _assert_canonical(out.values.values(), p)
             want = [(c, aug[i][ncols]) for i, c in enumerate(augpiv) if aug[i][ncols]]
             assert list(out.values.items()) == want
