@@ -21,9 +21,13 @@ lambda of H(M)*, are zero, and a nonzero one is the witness z (x) lambda.
 Over Q the work runs in integers, from each complex's differential, kept
 once as integer columns over one denominator (``Complex._integer_d``),
 through delta's rows, the elimination and the homology vectors, to the
-class coordinates and the solver's checks, which recompute delta from those
-columns.  A ``Fraction`` is built only for what is returned: the dim_h
-representatives of ``cohomology``, the values of a solution, the weights
+class coordinates.  delta has three forms, each with its own job:
+``_integer_coboundary`` computes delta(f) from those columns for
+``Cochain.coboundary``, ``is_cocycle`` and the solver's checks,
+``_delta_matrix`` assembles its matrix for elimination, and the ladder of
+:mod:`deform` reads delta(d_k) from its own sums of products.  A
+``Fraction`` is built only for what is returned: the dim_h representatives
+of ``cohomology``, the values of a coboundary or of a solution, the weights
 and residual of a witness, and the ``Scalar``s of a witness.
 """
 
@@ -44,7 +48,7 @@ from .errors import (
     PostconditionFailed,
 )
 from .field import Scalar
-from .gmap import GradedMap
+from .gmap import GradedMap, _combine
 from .graded import GradedModule
 from .linalg import LinearSolution, _integral, _System
 
@@ -117,12 +121,16 @@ class Cochain:
         self.target = target
 
     def coboundary(self) -> "Cochain":
-        """delta(f) = d_M f - (-1)^p f d_V, a (p+1)-cochain."""
-        _check_differentials(self.source, self.target)
-        df = self.target.d.compose(self.mapping)
-        fd = self.mapping.compose(self.source.d)
-        m = df + fd if self.p % 2 else df - fd
-        return Cochain(self.p + 1, m, self.source, self.target)
+        """delta(f) = d_M f - (-1)^p f d_V, a (p+1)-cochain, computed in
+        integers by ``_integer_coboundary``; over Q its values become
+        ``Fraction``s once, at the end."""
+        source, target, p = self.source, self.target, self.p
+        den, cols = _integer_columns(self.mapping)
+        cols, den = _integer_coboundary(source, target, p, cols, den)
+        if source.field.modulus is None:
+            cols = {j: {i: Fraction(v, den) for i, v in col.items()} for j, col in cols.items()}
+        return Cochain(p + 1, GradedMap._of(source.module, target.module, -p - 1, cols),
+                       source, target)
 
     def is_cocycle(self) -> bool:
         return self.coboundary().mapping.is_zero()
@@ -197,13 +205,10 @@ def _integer_coboundary(source: Complex, target: Complex, p: int,
     _check_differentials(source, target)
     mod = source.field.modulus
     scale, a, n_m, b, n_v = _delta_terms(source, target, p)
-    out: dict[int, dict[int, int]] = {}
+    out = {j: _combine(col, n_m) for j, col in cols.items()}  # d_M f, column by column
+    if a != 1:
+        out = {j: {k: a * v for k, v in col.items()} for j, col in out.items()}
     for j, col in cols.items():
-        acc = out.setdefault(j, {})  # column j of d_M f: sum_i f[i, j] * (column i of d_M)
-        for i, c in col.items():
-            c *= a
-            for k, e in n_m.get(i, {}).items():
-                acc[k] = acc.get(k, 0) + c * e
         for l, e in n_v.get(j, {}).items():  # column l of f d_V gets d_V[j, l] * (column j of f)
             e *= b
             acc = out.setdefault(l, {})
@@ -515,16 +520,6 @@ def _class_witness(g: Cochain, cols: dict[int, dict[int, int]],
                      for j, a in sorted(z.items()) for i, b in sorted(lam.items())],
                     field.scalar(s, den * lead))
     return None
-
-
-def _combine(vec: dict[int, int], vectors: dict[int, dict[int, int]]) -> dict[int, int]:
-    """sum_j vec[j] * vectors[j] for sparse integer vectors, zeros kept: d z
-    from the columns of d, lambda o d from its rows, g(z) from g's columns."""
-    out: dict[int, int] = {}
-    for j, c in vec.items():
-        for k, e in vectors.get(j, {}).items():
-            out[k] = out.get(k, 0) + c * e
-    return out
 
 
 def _check_classes(source: Complex, target: Complex,

@@ -7,17 +7,16 @@ delta(d_{n+1}) = O_n with O_n = -sum_{i=1}^{n} d_i d_{n-i+1}.  Extension past
 order n is possible exactly when O_n cobounds; trivialization repeatedly
 gauges away the lowest nonzero coefficient by solving delta(phi) = -coeff.
 
-Every product of maps here goes through one sparse kernel, ``_Products``:
-the ledger, which holds d as order 0 and adds each lift's products into sums
-by order as the lift enters, the series product and inverse, and the gauge
-step.  It multiplies only entries that meet, so a ladder costs in
-proportion to its nonzero products, not to the square of its order.
+Every product of maps here goes through the sparse kernel of
+:mod:`gmap`, ``_Products``: the ledger, which holds d as order 0 and adds
+each lift's products into sums by order as the lift enters, the series
+product and inverse, and the gauge step.  It multiplies only entries that
+meet, so a ladder costs in proportion to its nonzero products, not to the
+square of its order.
 """
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,11 +36,12 @@ from .errors import (
     DegreeMismatch,
     InfinitesimalNotCocycle,
     ModuleMismatch,
+    NotACocycle,
     NotSquareZero,
     RelationsViolated,
     TruncationMismatch,
 )
-from .gmap import GradedMap
+from .gmap import GradedMap, _Products
 
 #: The largest order ``deform_to_order`` and ``MapSeries.deformation`` accept.
 #: A ladder runs one rung, and a series stores one coefficient, per order, so
@@ -105,18 +105,6 @@ class MapSeries:
         zero = GradedMap.zero(module, degree=0)
         return cls([GradedMap.identity(module)] + [zero] * order)
 
-    @classmethod
-    def gauge_factor(cls, phi: GradedMap, stage: int, order: int) -> "MapSeries":
-        """The automorphism Id - t^stage phi, truncated at ``order``."""
-        if stage < 1:
-            raise TruncationMismatch("gauge stages start at 1")
-        series = [GradedMap.identity(phi.source)]
-        zero = GradedMap.zero(phi.source, degree=0)
-        series += [zero] * order
-        if stage <= order:
-            series[stage] = -phi
-        return cls(series)
-
     @property
     def module(self):
         return self.coeffs[0].source
@@ -151,78 +139,7 @@ class MapSeries:
         return f"MapSeries({inner})"
 
 
-# -- sums of products ---------------------------------------------------------
-
-
-class _Products:
-    """Sums, by order, of products of graded maps on one module: the sparse
-    product kernel of the ladder, the series algebra and the gauge step.
-
-    An operand is a map's columns {source: {target: raw value}}, held at an
-    order as a left or as a right operand.  ``left(i, a)`` adds a o b into
-    order i + j for every right operand b held at order j, and ``right(j, b)``
-    adds a o b into order i + j for every left operand a held at order i, up
-    to ``limit``.  As in Gustavson's row-wise product (ACM TOMS 4, 1978), the
-    held maps are indexed by basis index, the columns of left operands by
-    source and the entries of right operands by target, so only entries that
-    meet are multiplied and the cost is proportional to the nonzero products.
-    The sums stay raw, and each is normalized once, when it is read.
-    """
-
-    __slots__ = ("limit", "columns", "entries", "sums")
-
-    def __init__(self, limit: float = math.inf):
-        self.limit = limit
-        self.columns: dict[int, list] = {}  # m -> [(i, column m of a left operand a)]
-        self.entries: dict[int, list] = {}  # m -> [(j, s, v)]: v = b[m, s] of a right operand b
-        self.sums = defaultdict(lambda: defaultdict(dict))  # order -> {s: {l: raw}}
-
-    # operands of either side are held in increasing order
-
-    def hold_left(self, i: int, a: dict) -> None:
-        for s, col in a.items():
-            self.columns.setdefault(s, []).append((i, col))
-
-    def hold_right(self, j: int, b: dict) -> None:
-        for s, col in b.items():
-            for t, v in col.items():
-                self.entries.setdefault(t, []).append((j, s, v))
-
-    def add(self, k: int, m: dict) -> None:
-        """Add m itself into order k."""
-        sums = self.sums[k]
-        for s, col in m.items():
-            out = sums[s]
-            for l, w in col.items():
-                out[l] = out[l] + w if l in out else w
-
-    def left(self, i: int, a: dict) -> None:
-        limit, sums, entries = self.limit, self.sums, self.entries
-        for m, col in a.items():
-            for j, s, v in entries.get(m, ()):
-                if i + j > limit:
-                    break
-                out = sums[i + j][s]
-                for l, w in col.items():
-                    out[l] = out[l] + w * v if l in out else w * v
-
-    def right(self, j: int, b: dict) -> None:
-        limit, sums, columns = self.limit, self.sums, self.columns
-        for s, col in b.items():
-            for m, v in col.items():
-                for i, a_col in columns.get(m, ()):
-                    if i + j > limit:
-                        break
-                    out = sums[i + j][s]
-                    for l, w in a_col.items():
-                        out[l] = out[l] + w * v if l in out else w * v
-
-    def read(self, k: int, module, degree: int) -> GradedMap:
-        """The sum of order k, as an endomorphism of ``module`` of ``degree``."""
-        norm = module.field.norm
-        cols = {s: kept for s, col in self.sums.get(k, {}).items()
-                if (kept := {l: w for l, v in col.items() if (w := norm(v))})}
-        return GradedMap._of(module, module, degree, cols)
+# -- the series algebra -------------------------------------------------------
 
 
 def series_mul(a: MapSeries, b: MapSeries) -> MapSeries:
@@ -605,7 +522,7 @@ def first_order_triviality(cx: Complex, d1: GradedMap) -> Solved | Infeasible:
     """Solve delta(phi_1) = -d_1 in C^0; infeasibility certifies that no
     equivalence with the trivial deformation exists."""
     _check_lift(cx, d1, "infinitesimal")
-    g = Cochain(1, -d1, cx)
-    if not g.is_cocycle():
-        raise InfinitesimalNotCocycle("delta(d_1) != 0")
-    return solve_coboundary(g)
+    try:
+        return solve_coboundary(Cochain(1, -d1, cx))
+    except NotACocycle:
+        raise InfinitesimalNotCocycle("delta(d_1) != 0") from None

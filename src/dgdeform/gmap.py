@@ -11,6 +11,13 @@ the field's ``norm`` once per call and reads and writes the dicts directly.
 Only ``apply`` and ``column`` wrap a result in a ``Vector``, and ``entries``
 yields ``Scalar``s.
 
+Every product of maps in the library goes through one sparse kernel,
+``_Products``: ``compose`` (so ``@`` and ``is_differential``), and the
+ladder, the series algebra and the gauge step of :mod:`deform`.  It
+multiplies only entries that meet.  ``_combine`` is the one
+vector-times-columns loop: ``apply``, and in :mod:`cochain` the d_M f half
+of delta, the class coordinates and the witness checks.
+
 The public constructor brings any column dict to that normal form and checks
 degrees; ``from_entries`` also checks degrees.  The arithmetic, ``identity``,
 ``zero``, the cochain solver and the .dgm parser (which checks each term's
@@ -20,6 +27,8 @@ through the unchecked ``GradedMap._of``.
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -48,6 +57,91 @@ def _check(source: GradedModule, target: GradedModule, degree: int, columns: dic
                 raise DegreeMismatch(
                     f"column {source.name_of(j)} must be homogeneous of degree {want}"
                 )
+
+
+def _combine(vec: dict, vectors: dict) -> dict:
+    """sum_j vec[j] * vectors[j] for sparse vectors, raw and with zeros
+    kept: a map's image of a vector from its columns, d_M f and d z from
+    the columns of d, lambda o d from its rows, g(z) from g's columns."""
+    out: dict = {}
+    for j, c in vec.items():
+        for k, e in vectors.get(j, {}).items():
+            out[k] = out[k] + c * e if k in out else c * e
+    return out
+
+
+class _Products:
+    """Sums, by order, of products of graded maps: the sparse product kernel
+    of ``GradedMap.compose``, the ladder, the series algebra and the gauge
+    step.
+
+    An operand is a map's columns {source: {target: raw value}}, held at an
+    order as a left or as a right operand.  ``left(i, a)`` adds a o b into
+    order i + j for every right operand b held at order j, and ``right(j, b)``
+    adds a o b into order i + j for every left operand a held at order i, up
+    to ``limit``.  As in Gustavson's row-wise product (ACM TOMS 4, 1978), the
+    held maps are indexed by basis index, the columns of left operands by
+    source and the entries of right operands by target, so only entries that
+    meet are multiplied and the cost is proportional to the nonzero products.
+    The sums stay raw, and each is normalized once, when it is read.
+    """
+
+    __slots__ = ("limit", "columns", "entries", "sums")
+
+    def __init__(self, limit: float = math.inf):
+        self.limit = limit
+        self.columns: dict[int, list] = {}  # m -> [(i, column m of a left operand a)]
+        self.entries: dict[int, list] = {}  # m -> [(j, s, v)]: v = b[m, s] of a right operand b
+        self.sums = defaultdict(lambda: defaultdict(dict))  # order -> {s: {l: raw}}
+
+    # operands of either side are held in increasing order
+
+    def hold_left(self, i: int, a: dict) -> None:
+        for s, col in a.items():
+            self.columns.setdefault(s, []).append((i, col))
+
+    def hold_right(self, j: int, b: dict) -> None:
+        for s, col in b.items():
+            for t, v in col.items():
+                self.entries.setdefault(t, []).append((j, s, v))
+
+    def add(self, k: int, m: dict) -> None:
+        """Add m itself into order k."""
+        sums = self.sums[k]
+        for s, col in m.items():
+            out = sums[s]
+            for l, w in col.items():
+                out[l] = out[l] + w if l in out else w
+
+    def left(self, i: int, a: dict) -> None:
+        limit, sums, entries = self.limit, self.sums, self.entries
+        for m, col in a.items():
+            for j, s, v in entries.get(m, ()):
+                if i + j > limit:
+                    break
+                out = sums[i + j][s]
+                for l, w in col.items():
+                    out[l] = out[l] + w * v if l in out else w * v
+
+    def right(self, j: int, b: dict) -> None:
+        limit, sums, columns = self.limit, self.sums, self.columns
+        for s, col in b.items():
+            for m, v in col.items():
+                for i, a_col in columns.get(m, ()):
+                    if i + j > limit:
+                        break
+                    out = sums[i + j][s]
+                    for l, w in a_col.items():
+                        out[l] = out[l] + w * v if l in out else w * v
+
+    def read(self, k: int, module: GradedModule, degree: int,
+             target: GradedModule | None = None) -> "GradedMap":
+        """The sum of order k, as a map of ``degree`` from ``module`` to
+        ``target`` (``module`` itself by default)."""
+        norm = module.field.norm
+        cols = {s: kept for s, col in self.sums.get(k, {}).items()
+                if (kept := {l: w for l, v in col.items() if (w := norm(v))})}
+        return GradedMap._of(module, module if target is None else target, degree, cols)
 
 
 class GradedMap:
@@ -180,22 +274,12 @@ class GradedMap:
 
     # -- algebra ----------------------------------------------------------------
 
-    def _image(self, terms: dict, norm) -> dict:
-        """Raw terms, zeros dropped, of the image of the vector with raw ``terms``."""
-        acc: dict = {}
-        columns = self.columns
-        for j, c in terms.items():
-            col = columns.get(j)
-            if col is not None:
-                for i, a in col.items():
-                    s = acc.get(i)
-                    acc[i] = c * a if s is None else s + c * a
-        return {i: v for i, s in acc.items() if (v := norm(s))}
-
     def apply(self, v: Vector) -> Vector:
         if v.module != self.source:
             raise ModuleMismatch("vector does not live in the source module")
-        return Vector._of(self.target, self._image(v.terms, self.target.field.norm))
+        norm = self.target.field.norm
+        image = _combine(v.terms, self.columns)
+        return Vector._of(self.target, {i: r for i, s in image.items() if (r := norm(s))})
 
     def __call__(self, v: Vector) -> Vector:
         return self.apply(v)
@@ -209,9 +293,10 @@ class GradedMap:
                 f"cannot compose: inner map lands in {other.target.name}, "
                 f"outer map starts at {self.source.name}"
             )
-        norm = self.target.field.norm
-        cols = {j: img for j, col in other.columns.items() if (img := self._image(col, norm))}
-        return GradedMap._of(other.source, self.target, self.degree + other.degree, cols)
+        products = _Products()
+        products.hold_left(0, self.columns)
+        products.right(0, other.columns)
+        return products.read(0, other.source, self.degree + other.degree, self.target)
 
     def __matmul__(self, other):
         return self.compose(other)

@@ -193,7 +193,22 @@ def count_fraction_arithmetic(monkeypatch) -> list[str]:
     return calls
 
 
-# -- quadratic ladder oracle -------------------------------------------------------
+# -- quadratic product oracles -----------------------------------------------------
+
+
+def compose(a: GradedMap, b: GradedMap) -> GradedMap:
+    """a o b by the plain loop: each column of b times the columns of a it
+    names, through the public constructor, with no index in between; it
+    shares no code with the library's product kernel."""
+    norm = a.target.field.norm
+    cols = {}
+    for j, col in b.columns.items():
+        acc = {}
+        for m, c in col.items():
+            for i, e in a.columns.get(m, {}).items():
+                acc[i] = acc[i] + c * e if i in acc else c * e
+        cols[j] = {i: v for i, s in acc.items() if (v := norm(s))}
+    return GradedMap(b.source, a.target, a.degree + b.degree, cols)
 
 
 def oracle_obstruction(cx: Complex, lifts) -> GradedMap:
@@ -204,22 +219,23 @@ def oracle_obstruction(cx: Complex, lifts) -> GradedMap:
     for i in range(1, n + 1):
         a, b = lifts[i - 1], lifts[n - i]
         if a and b:
-            acc = acc + a.compose(b)
+            acc = acc + compose(a, b)
     return -acc
 
 
 def oracle_relations(cx: Complex, lifts) -> list[bool]:
-    """delta(d_{k+1}) = O_k for each k, every O_k from its own full sum."""
+    """delta(d_{k+1}) = d d_{k+1} + d_{k+1} d = O_k for each k, every O_k
+    from its own full sum."""
     return [
-        Cochain(1, lifts[k], cx).coboundary().mapping == oracle_obstruction(cx, lifts[:k])
-        for k in range(len(lifts))
+        compose(cx.d, m) + compose(m, cx.d) == oracle_obstruction(cx, lifts[:k])
+        for k, m in enumerate(lifts)
     ]
 
 
 def oracle_series_mul(a, b):
     """The truncated product of two series: coefficient k is
-    sum_{i=0}^{k} a_i o b_{k-i}, every pair composed afresh with
-    ``GradedMap.compose``, with no index or cache in between."""
+    sum_{i=0}^{k} a_i o b_{k-i}, every pair composed afresh with the plain
+    ``compose``, with no index or cache in between."""
     from dgdeform import MapSeries
 
     degree = a.degree + b.degree
@@ -227,16 +243,27 @@ def oracle_series_mul(a, b):
     for k in range(a.order + 1):
         acc = GradedMap.zero(a.module, degree=degree)
         for i in range(k + 1):
-            acc = acc + a.coeffs[i].compose(b.coeffs[k - i])
+            acc = acc + compose(a.coeffs[i], b.coeffs[k - i])
         out.append(acc)
     return MapSeries(out)
+
+
+def gauge_factor(phi: GradedMap, stage: int, order: int):
+    """The automorphism Id - t^stage phi (stage >= 1) as a series,
+    truncated at ``order``."""
+    from dgdeform import MapSeries
+
+    series = [GradedMap.identity(phi.source)] + [GradedMap.zero(phi.source)] * order
+    if stage <= order:
+        series[stage] = -phi
+    return MapSeries(series)
 
 
 def count_products(monkeypatch) -> list[int]:
     """Record, for every ``_Products.left`` and ``.right`` call from now on,
     the number of entry products it forms: an entry of the new operand times
     an entry of a held map that it meets, within the order limit."""
-    from dgdeform.deform import _Products
+    from dgdeform.gmap import _Products
 
     counts = []
     left, right = _Products.left, _Products.right
@@ -331,7 +358,7 @@ def conjugated(rng: random.Random, cx: Complex) -> Complex:
         a, b = rng.sample(names, 2)
         e = GradedMap.elementary(module, a, b, random_scalar(rng, cx.field, nonzero=True))
         one = GradedMap.identity(module)
-        d = (one + e).compose(d).compose(one - e)
+        d = compose(compose(one + e, d), one - e)
     return Complex(module, d)
 
 
@@ -384,7 +411,7 @@ def random_gauged(rng: random.Random, d_t, stages):
     """d_t conjugated by Id - t^r phi_r for each r in ``stages``, in order,
     through the public ``gauge_transform``; each random phi_r of degree 0 has
     delta(phi_r) != 0, or is the last of 20 draws."""
-    from dgdeform import MapSeries, gauge_transform
+    from dgdeform import gauge_transform
 
     cx = Complex(d_t.module, d_t.coeffs[0])
     for r in stages:
@@ -392,7 +419,7 @@ def random_gauged(rng: random.Random, d_t, stages):
             phi = random_cochain(rng, cx, 0, 0.6)
             if Cochain(0, phi, cx).coboundary().mapping:
                 break
-        d_t = gauge_transform(d_t, MapSeries.gauge_factor(phi, r, d_t.order))
+        d_t = gauge_transform(d_t, gauge_factor(phi, r, d_t.order))
     return d_t
 
 

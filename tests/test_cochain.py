@@ -1,6 +1,7 @@
 """Coboundary operator, cohomology, and the coboundary solver."""
 
 import random
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -32,6 +33,7 @@ from dgdeform.errors import (
     PostconditionFailed,
 )
 from conftest import (
+    compose,
     conjugated,
     count_fraction_arithmetic,
     count_reductions,
@@ -153,7 +155,8 @@ def _random_pair(rng, field):
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_delta_matrix_columns_match_composition(field):
     # independent of the entrywise formula: each column is delta of one
-    # elementary cochain, computed by composing graded maps
+    # elementary cochain, d_M E - (-1)^p E d_V by the plain composition of
+    # conftest, which shares no code with delta or the product kernel
     rng = random.Random(61)
     for _ in range(12):
         v, m = _random_pair(rng, field)
@@ -168,7 +171,8 @@ def test_delta_matrix_columns_match_composition(field):
                 e = GradedMap.elementary(
                     v.module, m.module.name_of(i), v.module.name_of(j), target=m.module
                 )
-                delta_e = Cochain(p, e, v, m).coboundary().mapping
+                d_e, e_d = compose(m.d, e), compose(e, v.d)
+                delta_e = d_e + e_d if p % 2 else d_e - e_d
                 expected = {cod_index[jj, ii]: coeff.value for jj, ii, coeff in delta_e.entries()}
                 assert {r: field.scalar(row[c], den).value
                         for r, row in enumerate(rows) if c in row} == expected
@@ -692,6 +696,28 @@ def test_solve_matches_the_dense_oracle(case):
                 assert not any(y_a)
                 assert y_g == out.witness.residual.value != 0
             assert solver.solve(g) == out
+
+
+@settings(max_examples=100, deadline=None)
+@given(_solve_pairs())
+def test_coboundary_matches_the_dense_oracle(case):
+    # for p = -2..3, delta(f) of a random p-cochain f is the dense delta^p
+    # times f's coordinate vector, with raw values in normal form
+    v, m, rng = case
+    field = v.field
+    for p in range(-2, 4):
+        pairs_p, pairs_q, mat = dense_delta_matrix(v, p, m)
+        f = random_cochain(rng, v, p, rng.choice([0.2, 0.6]), target=m)
+        x = [f.columns.get(j, {}).get(i, 0) for j, i in pairs_p]
+        expected = {}
+        for (j, i), row in zip(pairs_q, mat):
+            if value := field.norm(sum(a * b for a, b in zip(row, x))):
+                expected.setdefault(j, {})[i] = value
+        delta = Cochain(p, f, v, m).coboundary()
+        assert (delta.p, delta.source, delta.target) == (p + 1, v, m)
+        assert delta.mapping.columns == expected
+        assert all(type(c) is (int if field.modulus else Fraction)
+                   for col in delta.mapping.columns.values() for c in col.values())
 
 
 def test_an_infeasible_solve_on_a_large_conjugated_pair_builds_no_delta(monkeypatch):

@@ -30,13 +30,13 @@ from dgdeform import (
     series_mul,
     trivialize,
 )
+from dgdeform import cochain
 from dgdeform.deform import (
     MAX_ORDER,
     NextLift,
     ObstructionHit,
     _gauge_step,
     _Ledger,
-    _Products,
 )
 from dgdeform.errors import (
     BadDegree,
@@ -46,10 +46,12 @@ from dgdeform.errors import (
     RelationsViolated,
     TruncationMismatch,
 )
+from dgdeform.gmap import _Products
 from conftest import (
     compose_callers,
     conjugated,
     count_reductions,
+    gauge_factor,
     oracle_obstruction,
     oracle_relations,
     oracle_series_mul,
@@ -404,7 +406,7 @@ def test_gauge_kills_first_order_when_solvable():
     d1 = -Cochain(0, phi, cx).coboundary().mapping
     d_t = MapSeries.deformation(cx, [d1], order=2)
     assert series_mul(d_t, d_t).is_zero()
-    factor = MapSeries.gauge_factor(phi, 1, 2)
+    factor = gauge_factor(phi, 1, 2)
     gauged = gauge_transform(d_t, factor)
     assert gauged.coeff(0) == cx.d
     assert gauged.coeff(1).is_zero()
@@ -415,7 +417,7 @@ def test_gauge_preserves_square_zero_and_constant_term(poly4):
     rng = random.Random(37)
     d_t = MapSeries.deformation(cx, lifts, order=4)
     phi = random_cochain(rng, cx, 0, density=0.3)
-    phi_t = MapSeries.gauge_factor(phi, 2, 4)
+    phi_t = gauge_factor(phi, 2, 4)
     gauged = gauge_transform(d_t, phi_t)
     assert gauged.coeff(0) == cx.d
     assert series_mul(gauged, gauged).is_zero()
@@ -544,6 +546,23 @@ def test_first_order_rejects_non_cocycle(poly4):
         first_order_triviality(cx, bad)
 
 
+def test_first_order_computes_delta_of_d1_once(poly4, monkeypatch):
+    # the cocycle check of the solve is the only delta of -d_1: the family's
+    # d_1 has a nonzero class, so no solution is checked either
+    cx, lifts = poly4
+    deltas = []
+    integer_coboundary = cochain._integer_coboundary
+
+    def counting(*args):
+        deltas.append(args[2])
+        return integer_coboundary(*args)
+
+    monkeypatch.setattr(cochain, "_integer_coboundary", counting)
+    monkeypatch.setattr(Cochain, "coboundary", lambda self: deltas.append("Cochain"))
+    assert isinstance(first_order_triviality(cx, lifts[0]), Infeasible)
+    assert deltas == [1]
+
+
 def test_canonical_ladder_reduces_delta_once(monkeypatch):
     spec = FamilySpec(6, "infinite")
     cx = base_complex(spec.truncation, QQ)
@@ -562,7 +581,7 @@ def test_canonical_ladder_reduces_delta_once(monkeypatch):
 def test_trivialize_reduces_delta_at_most_once(monkeypatch):
     cx = base_complex(4, QQ)
     phi = GradedMap.from_entries(cx.module, 0, [("x4", "x3", 1), ("x1", "x2", 1)])
-    factor = MapSeries.gauge_factor(phi, 1, 3)
+    factor = gauge_factor(phi, 1, 3)
     d_t = gauge_transform(MapSeries.deformation(cx, [], order=3), factor)
     calls = count_reductions(monkeypatch)
     report = trivialize(d_t)
@@ -615,7 +634,7 @@ def test_gauge_step_matches_series_oracle(seed, field, stage):
     n = len(spread)
     d_t = MapSeries.deformation(cx, spread, order=n)
     if rng.random() < 0.3:
-        d_t = gauge_transform(d_t, MapSeries.gauge_factor(random_cochain(rng, cx, 0), 1, n))
+        d_t = gauge_transform(d_t, gauge_factor(random_cochain(rng, cx, 0), 1, n))
     # r = 1 takes many powers phi^k; r > n/2 takes none beyond phi
     r = {"one": 1, "late": rng.randint(n // 2 + 1, n), "any": rng.randint(1, n)}[stage]
     phi = random_cochain(rng, cx, 0, rng.choice([0.3, 0.7]))
@@ -623,7 +642,7 @@ def test_gauge_step_matches_series_oracle(seed, field, stage):
         random_cochain(rng, cx, 0, 0.4) if rng.random() < 0.5 else GradedMap.zero(cx.module)
         for _ in range(n)
     ])
-    factor = MapSeries.gauge_factor(phi, r, n)
+    factor = gauge_factor(phi, r, n)
     gauged, composed = _gauge_step(d_t, g, phi, r)
     assert gauged == gauge_transform(d_t, factor)
     assert composed == series_mul(factor, g)
@@ -678,7 +697,7 @@ def test_series_products_match_quadratic_oracle(seed, field):
     r = rng.randint(1, order)
     phi = random_cochain(rng, cx, 0, rng.choice([0.3, 0.7]))
     g = _random_series(rng, cx, 0, order, head=identity)
-    factor = MapSeries.gauge_factor(phi, r, order)
+    factor = gauge_factor(phi, r, order)
     gauged, composed = _gauge_step(d_t, g, phi, r)
     assert oracle_series_mul(gauged, factor) == oracle_series_mul(factor, d_t)
     assert composed == oracle_series_mul(factor, g)

@@ -20,6 +20,7 @@ from dgdeform.errors import (
     NotEndomorphism,
     ZeroCoefficient,
 )
+from conftest import compose, count_products, random_scalar
 
 
 @pytest.fixture
@@ -160,6 +161,24 @@ def test_elementary_composition_law_brute_force():
             assert lhs == GradedMap.elementary(m, i, l)
         else:
             assert lhs.is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_compose_forms_only_the_products_that_meet(field, monkeypatch):
+    # a one-entry map against a full map with 3,200 entries: on either side
+    # the kernel multiplies the entry only with the entries it meets, that
+    # is 40, a row of the full map (on the left) or a column (on the right)
+    rng = random.Random(5)
+    m = GradedModule("W", field, [(f"a{k}", k % 2) for k in range(80)])
+    big = GradedMap.from_entries(m, 0, [
+        (m.name_of(j), m.name_of(i), random_scalar(rng, field, nonzero=True))
+        for j in range(80) for i in range(80) if (i - j) % 2 == 0])
+    e = GradedMap.elementary(m, "a4", "a8", 2)
+    counts = count_products(monkeypatch)
+    for outer, inner in ((e, big), (big, e)):
+        counts.clear()
+        assert outer @ inner == compose(outer, inner) != GradedMap.zero(m)
+        assert counts == [40]
 
 
 def _random_map(rng, module, degree, density=0.5):
