@@ -6,7 +6,7 @@ sha256 of the rendered representatives.  Seeds 0-23 pair random complexes
 as built; seeds 24-35 conjugate each complex by transvections, so that the
 differentials, cycles and kernel vectors fill in.
 
-``tests/golden/cli.txt`` records 484 in-process CLI runs: each command line
+``tests/golden/cli.txt`` records 502 in-process CLI runs: each command line
 (file arguments by file name only), its exit code, and its stdout, one
 ``| ``-prefixed line per output line.  The runs are ``paper-family``,
 ``check``, ``cohomology``, ``deform`` (file and canonical lifts),
@@ -24,6 +24,10 @@ these runs pin witnesses of a filled-in elimination.  The long ladders close
 the file: ``verify-paper --n 48`` over Q, GF(2) and GF(5), then
 ``obstruction`` at several orders up to 30 and ``deform --order 30`` on the
 ``infinite`` and ``polynomial`` members with n = 30 over Q and GF(5).
+Then ``check``, canonical ``deform`` and ``trivialize`` on six seeded
+random documents in the shape of the benchmark's (``_document``): over Q,
+GF(2) and GF(5), one gauge-trivial deformation of order 3 and one random
+1-cocycle each, so that the solver is pinned outside the paper's family too.
 
 ``tests/golden/trivialize.txt`` records ``trivialize`` on seeded series over
 Q, GF(2) and GF(5) at orders 1-8: the rendered report, every stage phi_r, and
@@ -74,8 +78,10 @@ from dgdeform import (
     GF,
     QQ,
     Cochain,
+    Complex,
     FamilySpec,
     GradedMap,
+    GradedModule,
     MapSeries,
     Solved,
     cohomology,
@@ -96,6 +102,7 @@ from conftest import (
     random_cocycle,
     random_complex,
     random_gauged,
+    random_scalar,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "cohomology.txt"
@@ -107,6 +114,9 @@ GAUGED_FILES = ("gauged-Q.dgm", "gauged-GF5.dgm")
 FILLED_FILES = ("filled-Q-35.dgm", "filled-Q-3.dgm", "filled-GF2-33.dgm", "filled-GF2-2.dgm",
                 "filled-GF5-22.dgm", "filled-GF5-1.dgm")
 FIELDS = [QQ, GF(2), GF(5)]
+DOCUMENTS = [("Q-gauged", QQ, True), ("Q-cocycle", QQ, False), ("GF2-gauged", GF(2), True),
+             ("GF2-cocycle", GF(2), False), ("GF5-gauged", GF(5), True),
+             ("GF5-cocycle", GF(5), False)]
 SEEDS = range(24)
 CONJUGATED_SEEDS = range(24, 36)
 DEGREES = range(-2, 4)
@@ -212,7 +222,61 @@ def cli_golden() -> str:
                 commands = [["obstruction", f, "--order", str(k)] for k in (1, 2, 9, 16, 29, 30)]
                 commands.append(["deform", f, "--order", "30"])
                 runs += [_cli_run(runner, args, tmp) for args in commands]
+        # the solver on random documents, outside the paper's family
+        for label, field, gauged in DOCUMENTS:
+            path = tmp / f"document-{label}.dgm"
+            text, top = _document(random.Random(f"document/{label}"), field, gauged)
+            path.write_text(text)
+            f = str(path)
+            commands = [["check", f], ["deform", f, "--order", "4", "--lifts", "canonical"],
+                        ["trivialize", f, "--order", str(top)]]
+            runs += [_cli_run(runner, args, tmp) for args in commands]
     return "".join(runs)
+
+
+def _document(rng: random.Random, field, gauged: bool) -> tuple[str, int]:
+    """(.dgm text, number of lifts) in the shape of the benchmark's random
+    documents (``perfbench.gen.random_document`` written by ``write_document``):
+    module W with generators g0, g1, ... in degrees 0-4, maps m0, m1, ...
+    of degree -1 or 0, the deformation block listing the degree -1 ones, and
+    every coefficient written out.  d is a sum of exact pairs and
+    singletons, declared in a shuffled order and conjugated by
+    transvections, so that delta fills in.  The lifts are a random gauge of
+    the trivial deformation at orders 1-3 when ``gauged`` (every stage of
+    ``trivialize`` solves), else one random 1-cocycle; the last map is a
+    random degree-0 map outside the deformation."""
+    gens, dim = [], rng.randint(8, 14)  # (degree, whether d sends it to the next one)
+    while len(gens) < dim:  # more singletons, so more classes, for the cocycle
+        if rng.random() < (0.6 if gauged else 0.3):
+            q = rng.randint(1, 4)
+            gens += [(q, True), (q - 1, False)]
+        else:
+            gens.append((rng.randint(0, 4), False))
+    order = list(range(len(gens)))
+    rng.shuffle(order)
+    name = {k: f"g{i}" for i, k in enumerate(order)}
+    module = GradedModule("W", field, [(name[k], gens[k][0]) for k in order])
+    entries = [(name[k], name[k + 1], random_scalar(rng, field, nonzero=True))
+               for k, (_, top) in enumerate(gens) if top]
+    cx = conjugated(rng, Complex(module, GradedMap.from_entries(module, -1, entries)))
+    if gauged:
+        lifts = random_gauged(rng, MapSeries.deformation(cx, [], order=3), [1, 2, 3]).coeffs[1:]
+    else:
+        lifts = [random_cocycle(rng, cx)]
+    maps = [("d", -1, cx.d), *((f"m{k}", -1, m) for k, m in enumerate(lifts)),
+            (f"m{len(lifts)}", 0, random_cochain(rng, cx, 0, 0.3))]
+    head = "field Q" if field.modulus is None else f"field GF {field.modulus}"
+    basis = ", ".join(f"{n} : {q}" for n, q in module.basis)
+    out = [head, f"module W {{ basis {basis}; }}"]
+    for label, degree, m in maps:
+        out.append(f"map {label} degree {degree} {{")
+        for j, col in m.columns.items():
+            terms = " + ".join(f"{v}*{module.name_of(i)}" for i, v in col.items())
+            out.append(f"  {module.name_of(j)} -> {terms};")
+        out.append("}")
+    out.append("deformation { " + " ".join(f"order {k} : m{k - 1};"
+                                            for k in range(1, len(lifts) + 1)) + " }")
+    return "\n".join(out) + "\n", len(lifts)
 
 
 def trivialize_cases():
