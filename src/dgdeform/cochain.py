@@ -4,31 +4,32 @@ A p-cochain is a map V -> M of degree -p.  The coboundary is
 
     delta(f) = d_M f - (-1)^p f d_V,
 
-so delta has degree +1 on cochains and delta^2 = 0.  A solution of
-delta(f) = g is an exact sparse linear solve in the canonical cochain
-basis of elementary operators, ordered lexicographically by
+so delta has degree +1 on cochains and delta^2 = 0.  Cochains are written
+in the canonical basis of elementary operators, ordered lexicographically by
 (source declaration index, target declaration index).
 
-``cohomology`` builds no delta.  Over a field H^p(V;M) is
-sum_q Hom(H_q V, H_{q-p} M), so its representatives are products of the
-functionals of H(V)* and the cycles of H(M) (``_homology_classes``), and
-its dims follow from the homology dims and the ranks of d_V and d_M.  The
-same splitting decides a solve: a cocycle g cobounds exactly when its class
-coordinates lambda(g(z)), for the cycles z of H(V) and the functionals
-lambda of H(M)*, are zero, and a nonzero one is the witness z (x) lambda.
-``solve_coboundary`` builds delta only for a right side with a zero class.
+Nothing here builds delta^p.  Over a field H^p(V;M) is
+sum_q Hom(H_q V, H_{q-p} M), so ``cohomology`` takes its representatives
+from the functionals of H(V)* and the cycles of H(M)
+(``_homology_classes``), and its dims from the homology dims and the ranks
+of d_V and d_M.  The same splitting decides a solve: a cocycle g cobounds
+exactly when its class coordinates lambda(g(z)), for the cycles z of H(V)
+and the functionals lambda of H(M)*, are zero, and a nonzero one is the
+witness z (x) lambda.  A cocycle with a zero class is solved by the
+homotopies h of d_V and d_M (``_homotopy_block``), with d h d = d, one
+elimination per degree block of d.
 
 Over Q the work runs in integers, from each complex's differential, kept
 once as integer columns over one denominator (``Complex._integer_d``),
-through delta's rows, the elimination and the homology vectors, to the
-class coordinates.  delta has three forms, each with its own job:
-``_integer_coboundary`` computes delta(f) from those columns for
-``Cochain.coboundary``, ``is_cocycle`` and the solver's checks,
-``_delta_matrix`` assembles its matrix for elimination, and the ladder of
-:mod:`deform` reads delta(d_k) from its own sums of products.  A
-``Fraction`` is built only for what is returned: the dim_h representatives
-of ``cohomology``, the values of a coboundary or of a solution, the weights
-and residual of a witness, and the ``Scalar``s of a witness.
+through the eliminations, the homotopy blocks and the homology vectors, to
+the class coordinates and the solutions.  delta has two forms, each with
+its own job: ``_integer_coboundary`` computes delta(f) from those columns
+for ``Cochain.coboundary``, ``is_cocycle`` and every step and check of a
+solve, and the ladder of :mod:`deform` reads delta(d_k) from its own sums of
+products.  A ``Fraction`` is built only for what is returned: the dim_h
+representatives of ``cohomology``, the values of a coboundary or of a
+solution, the weights and residual of a witness, and the ``Scalar``s of a
+witness.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from .errors import (
 )
 from .field import Scalar
 from .gmap import GradedMap, _combine
-from .graded import GradedModule
-from .linalg import LinearSolution, _integral, _System
+from .graded import GradedModule, _add_terms, _scale_terms
+from .linalg import _integral, _System
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,11 @@ class Complex:
     @cached_property
     def _functionals(self):
         return _homology_classes(self, dual=True)
+
+    @cached_property
+    def _homotopy(self) -> dict[int, tuple[int, dict, dict]]:
+        """The blocks of ``_homotopy_block`` built so far, by degree."""
+        return {}
 
 
 class Cochain:
@@ -185,17 +191,6 @@ def _integer_columns(m: GradedMap) -> tuple[int, dict[int, dict[int, int]]]:
     return den, dict(zip(m.columns, cols))
 
 
-def _delta_terms(source: Complex, target: Complex, p: int):
-    """(D, a, N_M, b, N_V) with D delta^p(f) = a N_M f + b f N_V, for
-    delta^p(f) = d_M f - (-1)^p f d_V: N_M = D_M d_M as integer columns and
-    N_V = D_V d_V as integer rows (``Complex._integer_rows``), D = lcm(D_V,
-    D_M), a = D / D_M and b = -(-1)^p D / D_V."""
-    (d_v, _), (d_m, n_m) = source._integer_d, target._integer_d
-    den = lcm(d_v, d_m)
-    b = den // d_v
-    return den, den // d_m, n_m, (b if p % 2 else -b), source._integer_rows
-
-
 def _integer_coboundary(source: Complex, target: Complex, p: int,
                         cols: dict[int, dict[int, int]], den: int):
     """delta(f) = d_M f - (-1)^p f d_V for the p-cochain f = cols / den,
@@ -204,7 +199,14 @@ def _integer_coboundary(source: Complex, target: Complex, p: int,
     their rows are visited, and zeros are not stored."""
     _check_differentials(source, target)
     mod = source.field.modulus
-    scale, a, n_m, b, n_v = _delta_terms(source, target, p)
+    # scale * delta(f) = a N_M f + b f N_V, with N = D d the integer columns of d_M
+    # and the integer rows of d_V, scale = lcm(D_V, D_M), a = scale / D_M and
+    # b = -(-1)^p scale / D_V
+    (d_v, _), (d_m, n_m) = source._integer_d, target._integer_d
+    scale = lcm(d_v, d_m)
+    a, b, n_v = scale // d_m, scale // d_v, source._integer_rows
+    if p % 2 == 0:
+        b = -b
     out = {j: _combine(col, n_m) for j, col in cols.items()}  # d_M f, column by column
     if a != 1:
         out = {j: {k: a * v for k, v in col.items()} for j, col in out.items()}
@@ -253,54 +255,6 @@ def cochain_basis(v: GradedModule, m: GradedModule, p: int) -> list[tuple[int, i
     with |x_i| = |x_j| - p, lexicographic in (j, i)."""
     by_degree = m._by_degree
     return [(j, i) for j, (_, q) in enumerate(v.basis) for i in by_degree.get(q - p, ())]
-
-
-def _cochain_from_coords(
-    p: int, basis: list[tuple[int, int]], coords: dict[int, Fraction | int],
-    source: Complex, target: Complex,
-) -> Cochain:
-    """The p-cochain with raw coordinates ``coords`` in ``basis``; the
-    solver's coordinates are canonical and nonzero, and every basis pair is
-    homogeneous of degree -p, so the map is in normal form as built."""
-    cols: dict[int, dict[int, Fraction | int]] = {}
-    for c, value in coords.items():
-        j, i = basis[c]
-        cols.setdefault(j, {})[i] = value
-    return Cochain(p, GradedMap._of(source.module, target.module, -p, cols), source, target)
-
-
-def _delta_matrix(source: Complex, target: Complex, p: int):
-    """Rows of the matrix of delta^p in the canonical cochain bases.
-
-    Returns (domain basis of C^p, codomain index, rows, den): the index maps
-    each pair of the codomain basis of C^{p+1} to its row, in basis order,
-    and rows[r][c] / den is the coefficient of codomain pair r in delta of
-    domain pair c, with rows[r][c] an integer (a residue over GF(p), where
-    den is 1).  The entries come straight from the differentials' integer
-    columns: with E_ij sending x_j to y_i,
-
-        delta(E_ij) = sum_k d_M[k,i] E_kj - (-1)^p sum_l d_V[j,l] E_il.
-
-    The two sums never meet on one pair, since d has no diagonal entries.
-    """
-    dom = cochain_basis(source.module, target.module, p)
-    cod = cochain_basis(source.module, target.module, p + 1)
-    if dom:
-        _check_pair(source, target)
-    cod_index = {pair: r for r, pair in enumerate(cod)}
-    den, a, n_m, b, n_v = _delta_terms(source, target, p)
-    mod = source.field.modulus
-    d_vt = {j: [(l, b * coeff if mod is None else b * coeff % mod) for l, coeff in row.items()]
-            for j, row in n_v.items()}  # j -> [(l, -(-1)^p d_V[j,l] * den)]
-    if a != 1:
-        n_m = {i: {k: a * coeff for k, coeff in col.items()} for i, col in n_m.items()}
-    rows: list[dict[int, int]] = [{} for _ in cod]
-    for c, (j, i) in enumerate(dom):
-        for k, coeff in n_m[i].items() if i in n_m else ():
-            rows[cod_index[j, k]][c] = coeff
-        for l, coeff in d_vt.get(j, ()):
-            rows[cod_index[l, i]][c] = coeff
-    return dom, cod_index, rows, den
 
 
 def _homology_classes(cx: Complex, dual: bool = False, degrees=None):
@@ -360,6 +314,36 @@ def _homology_classes(cx: Complex, dual: bool = False, degrees=None):
         h[module.degree_of(index[f])] += f not in leads
     return [vec if whole else {index[c]: v for c, v in vec.items()}
             for f, vec in zip(free, kernel) if f not in leads], h
+
+
+def _homotopy_block(cx: Complex, q: int) -> tuple[int, dict, dict]:
+    """The block h_q: V_{q-1} -> V_q of a homotopy h with d h d = d, built
+    at its first use and cached on ``cx``: (L, rows, columns), integers over
+    one denominator L, h[x, y] = rows[x][y] / L = columns[y][x] / L.
+
+    h_q is the generalized inverse ``_System.inverse`` of the block
+    d_q: V_q -> V_{q-1}, from one traced elimination of its rows, so
+    d_q h_q d_q = d_q; h is the sum of its blocks, and d h d = d holds on
+    each degree.  Its pivots are the first independent columns of d_q in
+    declaration order.
+    """
+    blocks = cx._homotopy
+    if q not in blocks:
+        by_degree = cx.module._by_degree
+        sources, targets = by_degree.get(q, ()), by_degree.get(q - 1, ())
+        local = {j: c for c, j in enumerate(sources)}
+        d_rows = cx._integer_rows
+        system = _System([{local[l]: v for l, v in d_rows.get(k, {}).items()} for k in targets],
+                         len(sources), cx.field, cx._integer_d[0], trace=True)
+        system.reduce()
+        den, inverse = system.inverse()
+        rows = {sources[c]: {targets[i]: v for i, v in row.items()} for c, row in inverse.items()}
+        columns: dict[int, dict[int, int]] = {}
+        for x, row in rows.items():
+            for y, v in row.items():
+                columns.setdefault(y, {})[x] = v
+        blocks[q] = den, rows, columns
+    return blocks[q]
 
 
 @dataclass
@@ -533,45 +517,69 @@ def _check_classes(source: Complex, target: Complex,
             raise PostconditionFailed(f"the class witness is wrong: {what}")
 
 
-def _outcome(g: Cochain, cols: dict[int, dict[int, int]], den: int,
-             dom: list[tuple[int, int]], solution: LinearSolution | None) -> Solved | Infeasible:
-    """The checked answer to delta(f) = g from an elimination's read-out:
-    f from a solution, checked by delta(f) = g recomputed in integers from
-    the differentials; for an inconsistent system the class witness, which
-    must exist.  Either failure raises PostconditionFailed."""
+def _homotopy_solution(g: Cochain, cols: dict[int, dict[int, int]], den: int) -> Solved | None:
+    """f = h_M g + (-1)^{p+1} (g - delta(h_M g)) h_V for the (p+1)-cocycle
+    g = cols / den, or None when delta(f) != g, which happens exactly when
+    the class of g is not zero.
+
+    h is ``_homotopy_block`` on each complex, built only for the degrees g
+    touches: h_M from the degrees g writes to, h_V into the degrees it reads
+    from.  With pi = 1 - d h - h d, delta(h_M g) = g - pi_M g, and r =
+    pi_M g has d_M r = 0 and r d_V = 0, so delta((-1)^{p+1} r h_V) =
+    r h_V d_V = r - r pi_V and delta(f) = g - pi_M g pi_V.  pi vanishes on
+    boundaries and lands in cycles, and g sends cycles to boundaries when
+    its class is zero, so then delta(f) = g.  Every step runs in integers;
+    delta(f) = g is recomputed by ``_integer_coboundary`` before f is
+    returned.
+    """
     source, target, p = g.source, g.target, g.p - 1
-    if solution is None:
-        witness = _class_witness(g, cols, den)
-        if witness is None:
-            raise PostconditionFailed("delta(f) = g has no solution, yet g has a zero class")
-        return Infeasible(witness)
-    f = _cochain_from_coords(p, dom, solution.values, source, target)
-    f_den, f_cols = _integer_columns(f.mapping)
-    delta, delta_den = _integer_coboundary(source, target, p, f_cols, f_den)
-    if not _same_columns(delta, delta_den, cols, den):
-        raise PostconditionFailed("the solver's answer f does not satisfy delta(f) = g")
-    return Solved(f)
+    norm, degree = source.field.norm, source.module.degree_of
+    # k = h_M g: column j of g lies in M_{|x_j| - p - 1}, which block |x_j| - p of h_M sends up
+    m_blocks = {j: _homotopy_block(target, degree(j) - p) for j in cols}
+    m_den = lcm(*(block[0] for block in m_blocks.values()))
+    k = {j: _scale_terms(_combine(col, m_blocks[j][2]), m_den // m_blocks[j][0], norm)
+         for j, col in cols.items()}
+    delta, r_den = _integer_coboundary(source, target, p, k, den * m_den)
+    # r = g - delta(k) = pi_M g, in the columns of g
+    r = {j: diff for j, col in cols.items() if (diff := _add_terms(
+        _scale_terms(col, r_den // den, norm), _scale_terms(delta.get(j, {}), -1, norm), norm))}
+    # f = k + (-1)^{p+1} r h_V, over r_den * v_den: column y of r h_V gets
+    # h_V[x, y] * (column x of r), from the row x of a block of h_V
+    v_blocks = {x: _homotopy_block(source, degree(x)) for x in r}
+    v_den = lcm(*(block[0] for block in v_blocks.values()))
+    f = {j: _scale_terms(col, r_den // (den * m_den) * v_den, norm) for j, col in k.items()}
+    sign = 1 if p % 2 else -1
+    for x, col in r.items():
+        block_den, rows, _ = v_blocks[x]
+        for y, c in rows.get(x, {}).items():
+            f[y] = _add_terms(f.get(y, {}), _scale_terms(col, sign * c * (v_den // block_den), norm),
+                              norm)
+    f, f_den = {j: col for j, col in f.items() if col}, r_den * v_den
+    if not _same_columns(*_integer_coboundary(source, target, p, f, f_den), cols, den):
+        return None
+    if source.field.modulus is None:
+        f = {j: {i: Fraction(v, f_den) for i, v in col.items()} for j, col in f.items()}
+    return Solved(Cochain(p, GradedMap._of(source.module, target.module, -p, f), source, target))
+
+
+_WRONG_ZERO_CLASS = "the solver's answer f does not satisfy delta(f) = g, yet g has a zero class"
 
 
 class CoboundarySolver:
     """Solves delta(f) = g for p-cochains f on one pair of complexes, for
     many right sides: the ladder's solver.
 
-    delta^p is assembled and reduced once, keeping the row transform T; each
-    ``solve`` is then T applied to g plus a read-off, so a ladder of solves
-    on one complex pays for a single elimination.  A right side that T finds
-    inconsistent gets the class witness of ``solve_coboundary``.  Pivots
-    depend only on delta^p, so every solution equals the one-shot result,
-    and the witness rule is the same one.
+    It holds no matrix: the homotopy blocks it solves with are cached on
+    the complexes.  A ladder's right sides almost always cobound, so
+    ``solve`` tries the homotopy first and reads the class coordinates only
+    when delta(f) != g; a one-shot solve reads them first.  Both give the
+    same answer.
     """
 
     def __init__(self, source: Complex, target: Complex, p: int):
         self.source = source
         self.target = target
         self.p = p
-        self.dom, self._cod_index, rows, den = _delta_matrix(source, target, p)
-        self._system = _System(rows, len(self.dom), source.field, den, trace=True)
-        self._system.reduce()
 
     def solve(self, g: Cochain) -> Solved | Infeasible:
         """Find f with delta(f) = g exactly, or certify that none exists; see
@@ -581,9 +589,13 @@ class CoboundarySolver:
                 f"this solver takes {self.p + 1}-cochains on its own complexes"
             )
         den, cols = _cocycle_columns(g)
-        rhs = {self._cod_index[j, i]: coeff for j, col in cols.items() for i, coeff in col.items()}
-        system = self._system
-        return _outcome(g, cols, den, self.dom, system.solution(system.reduced(rhs, den)))
+        solved = _homotopy_solution(g, cols, den)
+        if solved is not None:
+            return solved
+        witness = _class_witness(g, cols, den)
+        if witness is None:
+            raise PostconditionFailed(_WRONG_ZERO_CLASS)
+        return Infeasible(witness)
 
 
 def solve_coboundary(g: Cochain) -> Solved | Infeasible:
@@ -593,27 +605,21 @@ def solve_coboundary(g: Cochain) -> Solved | Infeasible:
     cobounds exactly when its class coordinates lambda_t(g(z_s)) are all
     zero, for the cycles z_s of H(V) and the functionals lambda_t of H(M)*
     in the degrees g touches.  A nonzero coordinate is answered at once
-    with its witness (``_class_witness``), and no delta is built.  A zero
-    class is solved by reducing delta^p with g riding along as one extra
-    column, with no row transform; the solution is the canonical
-    reduced-row-echelon one (free variables zero) in the canonical cochain
-    basis.  Both checks, delta(g) = 0 on the way in and delta(f) = g on the
-    way out, recompute delta in integers from the differentials' integer
-    columns, not from the rows of delta^p; so does the check of the
-    witness.
+    with its witness (``_class_witness``), and no homotopy is built.  A zero
+    class is solved by the homotopy (``_homotopy_solution``): the canonical
+    solution.  Every check, delta(g) = 0 on the way in, delta(f) = g on the
+    way out and the check of the witness, recomputes delta in integers from
+    the differentials' integer columns; a zero class whose f fails delta(f)
+    = g raises PostconditionFailed.
     """
     den, cols = _cocycle_columns(g)
     witness = _class_witness(g, cols, den)
     if witness is not None:
         return Infeasible(witness)
-    dom, cod_index, rows, delta_den = _delta_matrix(g.source, g.target, g.p - 1)
-    n = len(dom)
-    for j, col in cols.items():
-        for i, coeff in col.items():
-            rows[cod_index[j, i]][n] = coeff
-    system = _System(rows, n, g.source.field, delta_den)
-    system.reduce()
-    return _outcome(g, cols, den, dom, system.solution(system.carried(den)))
+    solved = _homotopy_solution(g, cols, den)
+    if solved is None:
+        raise PostconditionFailed(_WRONG_ZERO_CLASS)
+    return solved
 
 
 def noncobounding_certificate(d: GradedMap, g: Cochain | GradedMap) -> bool:

@@ -363,11 +363,10 @@ def deform_to_order(
         checks = ledger.relations()
         if not all(checks):
             raise RelationsViolated(f"supplied lifts fail the relation at order {checks.index(False)}")
-    # every rung solves against delta^1 of cx: reduce it once, and only if a
-    # rung runs; each solved lift passes delta(f) = g, and the report compares
-    # every delta(d_{k+1}) with the O_k the ledger already holds
+    # each solved lift passes delta(f) = g, and the report compares every
+    # delta(d_{k+1}) with the O_k the ledger already holds
     chain = ledger.lifts
-    solver = CoboundarySolver(cx, cx, 1) if len(chain) < order else None
+    solver = CoboundarySolver(cx, cx, 1)
     while len(chain) < order:
         step = _rung(ledger, solver)
         if isinstance(step, ObstructionHit):
@@ -489,14 +488,12 @@ def trivialize(d_t: MapSeries) -> TrivializationReport:
     current = d_t
     stages: list[GradedMap] = []
     composed = MapSeries.identity(d_t.module, n)
-    solver = None  # delta^0 of cx, reduced at the first stage that solves
+    solver = CoboundarySolver(cx, cx, 0)
     for r in range(1, n + 1):
         c = current.coeffs[r]
         if c.is_zero():
             stages.append(GradedMap.zero(d_t.module, degree=0))
             continue
-        if solver is None:
-            solver = CoboundarySolver(cx, cx, 0)
         outcome = solver.solve(Cochain(1, -c, cx))
         if isinstance(outcome, Infeasible):
             return TrivializationReport(

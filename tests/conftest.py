@@ -11,11 +11,12 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from dgdeform import GF, QQ, Cochain, Complex, FieldSpec, GradedMap, GradedModule, Scalar, linalg
-from dgdeform.cochain import _cochain_from_coords, _delta_matrix, cochain_basis
+from dgdeform.cochain import cochain_basis
 from dgdeform.linalg import nullspace_sparse
 
 
@@ -63,6 +64,44 @@ def dense_delta_matrix(cx: Complex, p: int, target: Complex | None = None):
         q = cx.field.modulus
         mat = [[x % q for x in row] for row in mat]
     return pairs_p, pairs_q, mat
+
+
+def _delta_matrix(source: Complex, target: Complex, p: int):
+    """Sparse rows of the matrix of delta^p in the canonical cochain bases,
+    for the elimination oracles: (domain basis of C^p, codomain index,
+    rows, den), the index sending each pair of the codomain basis of
+    C^{p+1} to its row, in basis order, and rows[r][c] / den the
+    coefficient of codomain pair r in delta of domain pair c, an integer (a
+    residue over GF(p), where den is 1).  The entries come from the
+    differentials' integer columns: with E_ij sending x_j to y_i,
+
+        delta(E_ij) = sum_k d_M[k,i] E_kj - (-1)^p sum_l d_V[j,l] E_il.
+
+    The two sums never meet on one pair, since d has no diagonal entries.
+    """
+    dom = cochain_basis(source.module, target.module, p)
+    cod = cochain_basis(source.module, target.module, p + 1)
+    cod_index = {pair: r for r, pair in enumerate(cod)}
+    (d_v, _), (d_m, n_m) = source._integer_d, target._integer_d
+    den = lcm(d_v, d_m)
+    a, b, mod = den // d_m, den // d_v * (1 if p % 2 else -1), source.field.modulus
+    rows: list[dict[int, int]] = [{} for _ in cod]
+    for c, (j, i) in enumerate(dom):
+        for k, coeff in n_m.get(i, {}).items():
+            rows[cod_index[j, k]][c] = a * coeff if mod is None else a * coeff % mod
+        for l, coeff in source._integer_rows.get(j, {}).items():
+            rows[cod_index[l, i]][c] = b * coeff if mod is None else b * coeff % mod
+    return dom, cod_index, rows, den
+
+
+def _cochain_from_coords(p: int, basis: list[tuple[int, int]], coords: dict,
+                         source: Complex, target: Complex) -> Cochain:
+    """The p-cochain with canonical nonzero raw coordinates ``coords`` in ``basis``."""
+    cols: dict[int, dict] = {}
+    for c, value in coords.items():
+        j, i = basis[c]
+        cols.setdefault(j, {})[i] = value
+    return Cochain(p, GradedMap._of(source.module, target.module, -p, cols), source, target)
 
 
 def dense_witness_defect(source: Complex, target: Complex, p: int, g: GradedMap, witness):
@@ -170,6 +209,23 @@ def count_reductions(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(linalg._System, "reduce", counting)
     return calls
+
+
+def count_blocks(monkeypatch) -> list[tuple[int, int]]:
+    """Record (id of the complex, degree q) for every homotopy block h_q
+    built from now on; a block read from the cache is not recorded."""
+    from dgdeform import cochain
+
+    built = []
+    block = cochain._homotopy_block
+
+    def counting(cx, q):
+        if q not in cx._homotopy:
+            built.append((id(cx), q))
+        return block(cx, q)
+
+    monkeypatch.setattr(cochain, "_homotopy_block", counting)
+    return built
 
 
 _ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",

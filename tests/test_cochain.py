@@ -25,7 +25,7 @@ from dgdeform import (
     solve_coboundary,
 )
 from dgdeform import cochain, linalg
-from dgdeform.cochain import CoboundarySolver, _delta_matrix
+from dgdeform.cochain import CoboundarySolver
 from dgdeform.errors import (
     MalformedCochain,
     NotACocycle,
@@ -33,8 +33,10 @@ from dgdeform.errors import (
     PostconditionFailed,
 )
 from conftest import (
+    _delta_matrix,
     compose,
     conjugated,
+    count_blocks,
     count_fraction_arithmetic,
     count_reductions,
     dense_delta_matrix,
@@ -488,14 +490,17 @@ def test_certificate_implies_infeasible_on_any_truncation():
         assert isinstance(solve_coboundary(g), Infeasible)
 
 
-def test_solver_postcondition_is_a_real_check(monkeypatch):
-    # a read-out that answers f = 0 for a nonzero coboundary must be caught,
-    # on the one-shot path (g rode along the elimination) and on the reused
-    # solver's (T applied to g)
+def test_solver_postcondition_is_a_real_check():
+    # a homotopy that answers f = 0 for a nonzero coboundary must be caught,
+    # on the one-shot path (class coordinates first) and on the reused
+    # solver's (homotopy first)
     cx = base_complex(5, QQ)
     g = Cochain(2, GradedMap.from_entries(cx.module, -2, [("x6", "x1", -1)]), cx)
     solver = CoboundarySolver(cx, cx, 1)
-    monkeypatch.setattr(linalg._System, "solution", lambda self, reduced: linalg.LinearSolution({}))
+    assert isinstance(solver.solve(g), Solved)  # builds and caches the blocks g touches
+    assert cx._homotopy
+    for q in cx._homotopy:
+        cx._homotopy[q] = (1, {}, {})
     with pytest.raises(PostconditionFailed, match="does not satisfy"):
         solve_coboundary(g)
     with pytest.raises(PostconditionFailed, match="does not satisfy"):
@@ -503,17 +508,23 @@ def test_solver_postcondition_is_a_real_check(monkeypatch):
 
 
 def test_solver_with_a_wrong_zero_class_fails_its_postcondition(monkeypatch):
-    # a class test that misses the class of x4 d/d x8 sends g to the
-    # elimination, which finds it inconsistent: neither path may answer
+    # a class test that misses the class of x4 d/d x8: the one-shot path
+    # then trusts the homotopy, whose f fails delta(f) = g, and the reused
+    # path, whose homotopy fails first, finds no witness; neither may answer
     cx = base_complex(5, QQ)
     g = Cochain(2, GradedMap.from_entries(cx.module, -2, [("x8", "x4", -1)]), cx)
     solver = CoboundarySolver(cx, cx, 1)
     assert isinstance(solver.solve(g), Infeasible)
+    homotopy = cochain._homotopy_solution
+    tried = []
+    monkeypatch.setattr(cochain, "_homotopy_solution", lambda *args: tried.append(1) or homotopy(*args))
     monkeypatch.setattr(cochain, "_class_witness", lambda g, cols, den: None)
     with pytest.raises(PostconditionFailed, match="zero class"):
         solve_coboundary(g)
+    assert tried == [1]
     with pytest.raises(PostconditionFailed, match="zero class"):
         solver.solve(g)
+    assert tried == [1, 1]
 
 
 @pytest.mark.parametrize("broken", ["cycle", "functional"])
@@ -617,19 +628,17 @@ def test_rational_solver_checks_do_no_fraction_arithmetic(monkeypatch):
     assert outcomes == {Solved, Infeasible}
 
 
-def test_solver_checks_read_the_differentials(monkeypatch):
-    # the postcondition does not trust delta^p: a solver handed 2 delta
-    # answers f / 2, and delta(f / 2) = g / 2 is caught
+def test_solver_checks_read_the_differentials():
+    # the postcondition does not trust the homotopy: a solver handed 2 h,
+    # for which d h d != d, answers an f whose delta(f) != g, and that is caught
     cx = base_complex(5, QQ)
     g = Cochain(2, GradedMap.from_entries(cx.module, -2, [("x6", "x1", -1)]), cx)
     assert isinstance(solve_coboundary(g), Solved)
-    delta_matrix = cochain._delta_matrix
-
-    def perturbed(source, target, p):
-        dom, cod_index, rows, den = delta_matrix(source, target, p)
-        return dom, cod_index, [{c: 2 * v for c, v in row.items()} for row in rows], den
-
-    monkeypatch.setattr(cochain, "_delta_matrix", perturbed)
+    for q, (den, rows, columns) in cx._homotopy.items():
+        assert _dhd_defect(cx, q) == {}
+        cx._homotopy[q] = den, {x: {y: 2 * v for y, v in row.items()} for x, row in rows.items()}, \
+            {y: {x: 2 * v for x, v in col.items()} for y, col in columns.items()}
+        assert _dhd_defect(cx, q) != {}
     with pytest.raises(PostconditionFailed):
         solve_coboundary(g)
 
@@ -722,23 +731,112 @@ def test_coboundary_matches_the_dense_oracle(case):
 
 def test_an_infeasible_solve_on_a_large_conjugated_pair_builds_no_delta(monkeypatch):
     # 76/64 generators in four degrees, filled in and shuffled: C^0 has
-    # over a thousand pairs, and a reduction of delta^0 takes about a
-    # second over Q; a nonzero class is read off H(V) and H(M)* instead
+    # over a thousand pairs; a nonzero class is read off H(V) and H(M)*,
+    # and no homotopy block is built either
     rng = random.Random(7)
     v = shuffled(rng, conjugated(rng, random_complex(rng, QQ, 76, name="V", top=1)))
     m = shuffled(rng, conjugated(rng, random_complex(rng, QQ, 64, name="M", top=1)))
     f = Cochain(0, random_cochain(rng, v, 0, 0.2, target=m), v, m)
     g = f.coboundary() + cohomology(v, m, 1).representatives[-1]
     assert len(cochain_basis(v.module, m.module, 0)) > 1000
-    assembled = []
-    monkeypatch.setattr(cochain, "_delta_matrix", lambda *args: assembled.append(args))
     calls = count_reductions(monkeypatch)
     out = solve_coboundary(g)
     monkeypatch.undo()
     assert isinstance(out, Infeasible)
-    assert assembled == []
     assert calls and max(calls) <= 2 * max(v.module.dim, m.module.dim)
+    assert v._homotopy == m._homotopy == {}  # nor a homotopy block
     assert out.witness.residual
+
+
+def _dhd_defect(cx: Complex, q: int) -> dict:
+    """{z: (d h d - d)(z)} for the generators z of degree q where the cached
+    block h_q of cx breaks d h d = d, by plain loops over the raw values;
+    the block's rows must be its columns transposed."""
+    den, rows, columns = cx._homotopy[q]
+    assert rows == {x: {y: col[x] for y, col in columns.items() if x in col}
+                    for x in {x for col in columns.values() for x in col}}
+    field, d = cx.field, cx.d.columns
+    h = {y: {x: field.scalar(v, den).value for x, v in col.items()} for y, col in columns.items()}
+    defect = {}
+    for z in cx.module._by_degree.get(q, ()):
+        dz, hdz, dhdz = d.get(z, {}), {}, {}
+        for y, a in dz.items():
+            for x, b in h.get(y, {}).items():
+                hdz[x] = hdz.get(x, 0) + a * b
+        for x, a in hdz.items():
+            for w, b in d.get(x, {}).items():
+                dhdz[w] = dhdz.get(w, 0) + a * b
+        if diff := {w: c for w in dz.keys() | dhdz.keys()
+                    if (c := field.norm(dhdz.get(w, 0) - dz.get(w, 0)))}:
+            defect[z] = diff
+    return defect
+
+
+@settings(max_examples=100, deadline=None)
+@given(_solve_pairs())
+def test_homotopy_blocks_satisfy_dhd_and_a_mutated_one_is_caught(case):
+    # every block the solves build has d h d = d; then one entry of a block
+    # of M is changed by 1 at (x, y), y in the support of d x, and a solve
+    # of g = d o E_{x <- u} from a one-generator complex U, a coboundary,
+    # must fail its postcondition on both paths: delta(f) - g is then
+    # (d E + E d) g = (d x)_y * d x, which is not zero
+    v, m, rng = case
+    field = v.field
+    for p in range(-2, 3):
+        solver = CoboundarySolver(v, m, p)
+        f = Cochain(p, random_cochain(rng, v, p, 0.6, target=m), v, m)
+        z = Cochain(p + 1, random_cocycle(rng, v, p + 1, target=m), v, m)
+        for g in (f.coboundary(), f.coboundary() + z):
+            assert solver.solve(g) == solve_coboundary(g)
+    for cx in (v, m):
+        for q in cx._homotopy:
+            assert _dhd_defect(cx, q) == {}
+    if not m.d:
+        return
+    x = rng.choice(sorted(m.d.columns))
+    y = rng.choice(sorted(m.d.columns[x]))
+    q = m.module.degree_of(x)
+    point = GradedModule("U", field, [("u", q)])
+    u = Complex(point, GradedMap.zero(point, degree=-1))
+    phi = GradedMap.from_entries(point, 0, [("u", m.module.name_of(x), 1)], target=m.module)
+    g = Cochain(0, phi, u, m).coboundary()
+    solver = CoboundarySolver(u, m, 0)
+    assert isinstance(solver.solve(g), Solved)
+    den, rows, columns = m._homotopy[q]
+    value = rows.get(x, {}).get(y, 0) + den
+    if field.modulus is not None:
+        value %= field.modulus
+
+    def mutated(vectors, at, key):
+        vec = {**vectors.get(at, {}), key: value}
+        return {**vectors, at: vec} if value else {
+            k: w for k, w in {**vectors, at: {i: c for i, c in vec.items() if i != key}}.items() if w}
+
+    m._homotopy[q] = den, mutated(rows, x, y), mutated(columns, y, x)
+    assert _dhd_defect(m, q) != {}
+    with pytest.raises(PostconditionFailed):
+        solve_coboundary(g)
+    with pytest.raises(PostconditionFailed):
+        solver.solve(g)
+
+
+def test_a_solve_builds_the_blocks_of_the_degrees_it_touches(monkeypatch):
+    # base_complex(12) has generators in degrees 1-12 and d = x1 d/d x3 +
+    # x7 d/d x9 + ...; g = x1 d/d x4 - x8 d/d x9 = delta(x3 d/d x4 + x8 d/d x7)
+    # reads from degrees 2 and 5 and writes to 1 and 4: h_M is needed from
+    # there into degrees 2 and 5, h_V into 2 and 5, and no other block
+    cx = base_complex(12, QQ)
+    g = Cochain(1, GradedMap.from_entries(cx.module, -1, [("x4", "x1", 1), ("x9", "x8", -1)]), cx)
+    calls = count_reductions(monkeypatch)
+    out = CoboundarySolver(cx, cx, 0).solve(g)  # homotopy first: no class is read
+    assert out == Solved(Cochain(0, GradedMap.from_entries(
+        cx.module, 0, [("x4", "x3", 1), ("x7", "x8", 1)]), cx))
+    assert sorted(cx._homotopy) == [2, 5]
+    assert calls == [2, 2]
+    # the one-shot path reads the class coordinates, then the cached blocks
+    built = count_blocks(monkeypatch)
+    assert solve_coboundary(g) == out
+    assert built == []
 
 
 def test_solver_rejects_foreign_cochains():

@@ -50,6 +50,7 @@ from dgdeform.gmap import _Products
 from conftest import (
     compose_callers,
     conjugated,
+    count_blocks,
     count_reductions,
     gauge_factor,
     oracle_obstruction,
@@ -563,30 +564,41 @@ def test_first_order_computes_delta_of_d1_once(poly4, monkeypatch):
     assert deltas == [1]
 
 
-def test_canonical_ladder_reduces_delta_once(monkeypatch):
+def test_canonical_ladder_reduces_each_block_of_d_once(monkeypatch):
+    # no delta^1: the rungs solve with the homotopy of d, one elimination
+    # per degree block of d that an obstruction touches, at most once each
+    # on the complex and none wider than the widest degree of the module
     spec = FamilySpec(6, "infinite")
     cx = base_complex(spec.truncation, QQ)
     lifts = family_lifts(spec)
     calls = count_reductions(monkeypatch)
+    built = count_blocks(monkeypatch)
     report = deform_to_order(cx, lifts[0], 6)
     assert report.extended and len(report.lifts) == 6
     assert all(report.relation_checks)
-    assert len(calls) == 1
-    # with every lift supplied no rung runs, so nothing is reduced
+    widest = max(len(gens) for gens in cx.module._by_degree.values())
+    assert calls and max(calls) <= widest
+    assert len(calls) == len(built) == len(set(built))
+    # a second ladder on the same complex reads every block from its cache,
+    # and with every lift supplied no rung runs
     calls.clear()
+    assert deform_to_order(cx, lifts[0], 6).lifts == report.lifts
     assert deform_to_order(cx, lifts[0], 6, lifts=lifts[1:]).extended
     assert calls == []
 
 
-def test_trivialize_reduces_delta_at_most_once(monkeypatch):
+def test_trivialize_reduces_each_block_of_d_at_most_once(monkeypatch):
     cx = base_complex(4, QQ)
     phi = GradedMap.from_entries(cx.module, 0, [("x4", "x3", 1), ("x1", "x2", 1)])
     factor = gauge_factor(phi, 1, 3)
     d_t = gauge_transform(MapSeries.deformation(cx, [], order=3), factor)
     calls = count_reductions(monkeypatch)
+    built = count_blocks(monkeypatch)
     report = trivialize(d_t)
     assert report.trivialized
-    assert len(calls) == 1
+    widest = max(len(gens) for gens in cx.module._by_degree.values())
+    assert calls and max(calls) <= widest
+    assert len(calls) == len(built) == len(set(built))
 
 
 def test_trivialize_composes_no_identity(monkeypatch):

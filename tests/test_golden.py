@@ -41,9 +41,9 @@ at order 2.
 Q, GF(2) and GF(5), V = M for every fourth seed, each complex conjugated by
 transvections so that delta fills in: for each p, g = delta(f) for a random
 p-cochain f, then g plus a random (p+1)-cocycle, which cobounds only when its
-class is zero.  A solution is pinned by the sha256 of its rendering, a
-witness by its rendering in full: which rows of the elimination end up
-inconsistent, and so which witness is canonical, depends on every row swap.
+class is zero.  A solution is pinned by the sha256 of its rendering: the
+homotopy solution, which depends on the pivots of every degree block of d.
+A witness is pinned by its rendering in full.
 
 ``tests/golden/parse.txt`` records ``parse`` on .dgm texts, one line per
 text: a label, then ``ok`` and the sha256 of ``render(parse(text))``, or the

@@ -9,9 +9,9 @@ particular solution with free variables zero must all agree exactly.
 rows and kernel vectors over their own denominators; the oracle runs on
 rows / D, with D in {1, 2, 6, 35} over Q and 1 over GF(p).  A traced system
 reduces [A | I], so its rows hold T in the columns from ncols on; the tests
-read the matrix part through ``_reduced`` and T through ``transform``.  A
-right side that rides along an untraced system as the column ncols
-(``carried``) must give the same solution, or none when it is inconsistent.
+read the matrix part through ``_reduced`` and T through ``transform``.  The
+generalized inverse ``inverse`` must be T's rows up to the rank, put at the
+pivot columns, with A X A = A.
 """
 
 import random
@@ -173,6 +173,18 @@ def _check_against_oracle(field, mat, rhs_list, den=1):
     for row in transform:
         _assert_canonical(row.values(), p)
 
+    # the generalized inverse: rows of T up to the rank at the pivot
+    # columns, in integers over one denominator, with A X A = A
+    scale, inverse = sys.inverse()
+    assert type(scale) is int and scale > 0 and (p is None or scale == 1)
+    x = {c: {i: _canon(Fraction(v, scale), p) for i, v in row.items()} for c, row in inverse.items()}
+    assert x == {c: transform[r] for r, c in enumerate(pivcols)}
+    for k in range(ncols):
+        a_col = [row[k] for row in mat]
+        x_a = {c: sum(v * a_col[i] for i, v in row.items()) for c, row in x.items()}
+        assert [_canon(sum(row[c] * v for c, v in x_a.items()), p) for row in mat] == \
+            [_canon(v, p) for v in a_col]
+
     # kernel: {f: 1, then -ref[i][f] at each pivot column, in pivot order}
     want = []
     for f in (c for c in range(ncols) if c not in pivcols):
@@ -199,14 +211,7 @@ def _check_against_oracle(field, mat, rhs_list, den=1):
         aug, augpiv = dense_rref([row + [b] for row, b in zip(mat, rhs)], p)
         b, b_den = _integer_rhs(field, rhs)
         out = sys.solve(b, b_den)
-        # untraced, with the right side riding along as the column ncols
-        riding = _System([{**row, ncols: b[i]} if i in b else row for i, row in enumerate(rows)],
-                         ncols, field, den)
-        riding.reduce()
-        assert riding.pivots == sys.pivots
-        carried = riding.solution(riding.carried(b_den))
         if augpiv and augpiv[-1] == ncols:  # a pivot in the right side: inconsistent
-            assert carried is None
             assert isinstance(out, LinearInfeasibility)
             _assert_canonical(list(out.combination.values()) + [out.residual], p)
             for k in range(ncols):
@@ -218,7 +223,6 @@ def _check_against_oracle(field, mat, rhs_list, den=1):
             assert out.residual == _canon(sum(c * rhs[i] for i, c in transform[r].items()), p)
         else:
             assert isinstance(out, LinearSolution)
-            assert carried == out
             _assert_canonical(out.values.values(), p)
             want = [(c, aug[i][ncols]) for i, c in enumerate(augpiv) if aug[i][ncols]]
             assert list(out.values.items()) == want
