@@ -644,9 +644,9 @@ def test_solver_checks_read_the_differentials():
 
 
 def test_reused_solver_matches_one_shot_solves():
-    # the two paths share no read-out: a one-shot solve answers from the
-    # class coordinates, or with g riding along its elimination, and the
-    # reused solver from T; every other complex is filled in and shuffled
+    # the two paths read in opposite orders: a one-shot solve reads the
+    # class coordinates first, the reused solver tries the homotopy first;
+    # every other complex is filled in and shuffled
     rng = random.Random(71)
     outcomes = set()
     for field in FIELDS:
@@ -807,10 +807,11 @@ def test_homotopy_blocks_satisfy_dhd_and_a_mutated_one_is_caught(case):
     if field.modulus is not None:
         value %= field.modulus
 
-    def mutated(vectors, at, key):
+    def mutated(vectors, at, key):  # vectors[at][key] set to value, zeros dropped
         vec = {**vectors.get(at, {}), key: value}
-        return {**vectors, at: vec} if value else {
-            k: w for k, w in {**vectors, at: {i: c for i, c in vec.items() if i != key}}.items() if w}
+        if not value:
+            del vec[key]
+        return {k: w for k, w in {**vectors, at: vec}.items() if w}
 
     m._homotopy[q] = den, mutated(rows, x, y), mutated(columns, y, x)
     assert _dhd_defect(m, q) != {}
@@ -824,7 +825,8 @@ def test_a_solve_builds_the_blocks_of_the_degrees_it_touches(monkeypatch):
     # base_complex(12) has generators in degrees 1-12 and d = x1 d/d x3 +
     # x7 d/d x9 + ...; g = x1 d/d x4 - x8 d/d x9 = delta(x3 d/d x4 + x8 d/d x7)
     # reads from degrees 2 and 5 and writes to 1 and 4: h_M is needed from
-    # there into degrees 2 and 5, h_V into 2 and 5, and no other block
+    # there into degrees 2 and 5, h_V at most into 2 and 5, and no other
+    # block is built
     cx = base_complex(12, QQ)
     g = Cochain(1, GradedMap.from_entries(cx.module, -1, [("x4", "x1", 1), ("x9", "x8", -1)]), cx)
     calls = count_reductions(monkeypatch)
