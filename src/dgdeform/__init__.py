@@ -8,7 +8,6 @@ an equality, not an approximation.
 
 from .cochain import (
     Cochain,
-    CoboundarySolver,
     CohomologyResult,
     Complex,
     Infeasible,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cochain",
-    "CoboundarySolver",
     "CohomologyResult",
     "Complex",
     "DeformationReport",

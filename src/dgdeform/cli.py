@@ -31,10 +31,15 @@ def _parse_field(text: str) -> FieldSpec:
     if text == "Q":
         return QQ
     if text.startswith("GF:"):
+        # ASCII digits only, as in a file's ``field GF <p>``: int() would also
+        # take a sign, spaces, underscores and the digits of other scripts
+        digits = text[3:]
         try:
-            return GF(int(text[3:]))
-        except ValueError:
-            raise click.UsageError(f"field modulus must be an integer, got {text[3:]!r}") from None
+            if digits.isascii() and digits.isdigit():
+                return GF(int(digits))
+        except ValueError:  # more digits than int() converts
+            pass
+        raise click.UsageError(f"field modulus must be an integer, got {digits!r}")
     raise click.UsageError(f"field must be 'Q' or 'GF:<p>', got {text!r}")
 
 

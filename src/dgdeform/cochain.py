@@ -17,7 +17,12 @@ exactly when its class coordinates lambda(g(z)), for the cycles z of H(V)
 and the functionals lambda of H(M)*, are zero, and a nonzero one is the
 witness z (x) lambda.  A cocycle with a zero class is solved by the
 homotopies h of d_V and d_M (``_homotopy_block``), with d h d = d, one
-elimination per degree block of d.
+elimination per degree block of d.  ``solve_coboundary`` reads the class
+first: about half of its one-shot right sides do not cobound, and those
+build no homotopy.  The ladder's ``_solve_homotopy_first`` tries the
+homotopy first, since its right sides almost always cobound.  Both give
+the same answer, and each order is slower on the other's traffic (the
+README has the numbers).
 
 Over Q the work runs in integers, from each complex's differential, kept
 once as integer columns over one denominator (``Complex._integer_d``),
@@ -565,37 +570,19 @@ def _homotopy_solution(g: Cochain, cols: dict[int, dict[int, int]], den: int) ->
 _WRONG_ZERO_CLASS = "the solver's answer f does not satisfy delta(f) = g, yet g has a zero class"
 
 
-class CoboundarySolver:
-    """Solves delta(f) = g for p-cochains f on one pair of complexes, for
-    many right sides: the ladder's solver.
-
-    It holds no matrix: the homotopy blocks it solves with are cached on
-    the complexes.  A ladder's right sides almost always cobound, so
-    ``solve`` tries the homotopy first and reads the class coordinates only
-    when delta(f) != g; a one-shot solve reads them first.  Both give the
-    same answer.
-    """
-
-    def __init__(self, source: Complex, target: Complex, p: int):
-        self.source = source
-        self.target = target
-        self.p = p
-
-    def solve(self, g: Cochain) -> Solved | Infeasible:
-        """Find f with delta(f) = g exactly, or certify that none exists; see
-        :func:`solve_coboundary`."""
-        if g.p != self.p + 1 or g.source != self.source or g.target != self.target:
-            raise MalformedCochain(
-                f"this solver takes {self.p + 1}-cochains on its own complexes"
-            )
-        den, cols = _cocycle_columns(g)
-        solved = _homotopy_solution(g, cols, den)
-        if solved is not None:
-            return solved
-        witness = _class_witness(g, cols, den)
-        if witness is None:
-            raise PostconditionFailed(_WRONG_ZERO_CLASS)
-        return Infeasible(witness)
+def _solve_homotopy_first(g: Cochain) -> Solved | Infeasible:
+    """:func:`solve_coboundary` in the ladder's order.  A ladder's right
+    sides almost always cobound, so the homotopy is tried first, and the
+    class coordinates are read only when delta(f) != g, for the same
+    witness; both orders give the same answer."""
+    den, cols = _cocycle_columns(g)
+    solved = _homotopy_solution(g, cols, den)
+    if solved is not None:
+        return solved
+    witness = _class_witness(g, cols, den)
+    if witness is None:
+        raise PostconditionFailed(_WRONG_ZERO_CLASS)
+    return Infeasible(witness)
 
 
 def solve_coboundary(g: Cochain) -> Solved | Infeasible:

@@ -22,13 +22,13 @@ from typing import Sequence
 
 from .cochain import (
     Cochain,
-    CoboundarySolver,
     Complex,
     Infeasible,
     InfeasibilityWitness,
     Solved,
     _certificate_degree,
     _check_differentials,
+    _solve_homotopy_first,
     solve_coboundary,
 )
 from .errors import (
@@ -275,14 +275,14 @@ def extend_step(cx: Complex, lifts: Sequence[GradedMap]) -> NextLift | Obstructi
     checks = ledger.relations()
     if not all(checks):
         raise RelationsViolated(f"relation fails at order {checks.index(False)}")
-    return _rung(ledger, CoboundarySolver(cx, cx, 1))
+    return _rung(ledger)
 
 
-def _rung(ledger: _Ledger, solver: CoboundarySolver) -> NextLift | ObstructionHit:
+def _rung(ledger: _Ledger) -> NextLift | ObstructionHit:
     """extend_step on a ledger whose lifts already satisfy the relations."""
     cx, n = ledger.cx, len(ledger.lifts)
     o_n = Cochain(2, ledger.obstruction(n), cx)
-    outcome = solver.solve(o_n)
+    outcome = _solve_homotopy_first(o_n)
     if isinstance(outcome, Solved):
         return NextLift(outcome.cochain.mapping)
     degree = _certificate_degree(cx.d, o_n.mapping)
@@ -366,9 +366,8 @@ def deform_to_order(
     # each solved lift passes delta(f) = g, and the report compares every
     # delta(d_{k+1}) with the O_k the ledger already holds
     chain = ledger.lifts
-    solver = CoboundarySolver(cx, cx, 1)
     while len(chain) < order:
-        step = _rung(ledger, solver)
+        step = _rung(ledger)
         if isinstance(step, ObstructionHit):
             return DeformationReport(
                 cx=cx,
@@ -488,13 +487,12 @@ def trivialize(d_t: MapSeries) -> TrivializationReport:
     current = d_t
     stages: list[GradedMap] = []
     composed = MapSeries.identity(d_t.module, n)
-    solver = CoboundarySolver(cx, cx, 0)
     for r in range(1, n + 1):
         c = current.coeffs[r]
         if c.is_zero():
             stages.append(GradedMap.zero(d_t.module, degree=0))
             continue
-        outcome = solver.solve(Cochain(1, -c, cx))
+        outcome = _solve_homotopy_first(Cochain(1, -c, cx))
         if isinstance(outcome, Infeasible):
             return TrivializationReport(
                 order=n,

@@ -4,15 +4,11 @@ A matrix comes in as integer rows over one matrix denominator ``den``: dicts
 column-index -> nonzero ``int``, any integer over Q, a residue in [0, p)
 over GF(p), where ``den`` is 1.  Callers that hold raw field values (a
 ``Fraction`` over Q) scale them with ``_integral`` first.  Reduced rows stay
-integers over their row denominators, kernel vectors come out as integers
-over one denominator each, so does a generalized inverse, and a right side
-goes into ``solve`` as integers over its own denominator.  A ``Fraction`` is
-built only for what leaves the module as raw values: reduced right sides
-and the solution values read off them, and the rows of ``transform`` and of
-the raw-value wrappers ``solve_sparse``, ``rank_sparse`` and
-``nullspace_sparse``.  Field arithmetic
-is written inline: ``% p`` after every sum and product over GF(p), nothing
-over Q.
+integers over their row denominators, and kernel vectors and a generalized
+inverse come out as integers over one denominator each.  A ``Fraction`` is
+built only in the raw-value wrappers ``solve_sparse``, ``rank_sparse`` and
+``nullspace_sparse``.  Field arithmetic is written inline: ``% p`` after
+every sum and product over GF(p), nothing over Q.
 
 Elimination processes columns in increasing order and always picks the first
 remaining row with a nonzero entry as the pivot, so every result is
@@ -31,9 +27,10 @@ The row transform T, when kept, is the textbook one: the system is
 operations that reduce A turn I into T.  T's columns are never pivot
 candidates and stay out of the column index, so they ride along in the
 same row dicts, and one loop does every row operation on A and T at once.
-The rows of T up to the rank, put at the pivot columns, are a generalized
-inverse X of A, with A X A = A (``inverse``): ``cochain`` builds the
-homotopy of a differential from it, one degree block at a time.
+T has one reader, ``inverse``: its rows up to the rank, put at the pivot
+columns, are a generalized inverse X of A, with A X A = A.  ``cochain``
+builds the homotopy of a differential from it, one degree block at a time,
+and ``solve_sparse`` reads its solution X b off it.
 
 Row r is held as integers ``n_r`` over one positive row denominator
 ``D_r``, at first the input row over 1.  A pivot row is normalized by
@@ -42,9 +39,9 @@ of row r against it is a cross-multiplication: with ``g = gcd(a, b)``,
 ``n_r <- (a/g)*n_r - (b/g)*n_p`` and ``D_r <- (a/g)*D_r``; then the content
 ``gcd(D_r, n_r)`` is divided out.  The reduction runs on the integer rows
 N = den * A as given, so the matrix denominator enters only when T is read:
-each row not normalized stays den times that row of the elimination of A,
-and each normalized row equals it, so T[r][i] is ``n_r[ncols + i] / D_r``,
-times den for a pivot row.  Over GF(p) the pivot row is scaled to 1, so
+each normalized (pivot) row equals that row of the elimination of A, and
+its T part is den times T's, so for r below the rank T[r][i] is
+``den * n_r[ncols + i] / D_r``.  Over GF(p) the pivot row is scaled to 1, so
 ``a`` is 1, every ``D_r`` stays 1 and the same loop is plain modular
 elimination.  The row operations and their order do not depend on the
 representation, so the results are exactly those of elimination of
@@ -58,7 +55,6 @@ way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -81,11 +77,9 @@ class _System:
     With ``trace`` the system is [A | I]: row i starts with the one extra
     entry ``ncols + i: 1``, and the row operations that reduce A carry the
     identity block along to T, so after ``reduce`` reduced row r is
-    sum_i T[r][i] * (original row i), with T[r][i] held as the integer
-    ``rows[r][ncols + i]`` over ``dens[r]`` (``transform`` gives the row as
-    raw values).  T's columns never pivot and stay out of the column index.
-    ``inverse`` reads a generalized inverse of A off T, and ``solve`` the
-    reduced right side T * b.
+    sum_i T[r][i] * (original row i), with T[r][i] held in the integer
+    ``rows[r][ncols + i]`` over ``dens[r]``.  T's columns never pivot and
+    stay out of the column index, and ``inverse`` is their one reader.
     """
 
     def __init__(self, rows: list[dict[int, int]], ncols: int, field: FieldSpec,
@@ -221,61 +215,6 @@ class _System:
             out = {c: {i: v // g for i, v in row.items()} for c, row in out.items()}
         return scale, out
 
-    def transform(self, r: int) -> Row:
-        """Row r of T after ``reduce``, as canonical raw values."""
-        n = self.ncols
-        t = {k - n: v for k, v in self.rows[r].items() if k >= n}
-        if self.modulus is not None:
-            return t
-        num, d = self._scale(r), self.dens[r]
-        return {i: Fraction(v * num, d) for i, v in t.items()}
-
-    def _scale(self, r: int) -> int:
-        """The factor from row r of the integer transform to T: elimination of
-        the integer rows N = den * A keeps every row it has not normalized at
-        den times that row of A, and a normalized (pivot) row equal to it."""
-        return self.den if r < len(self.pivots) else 1
-
-    def solve(self, rhs: dict[int, int], den: int = 1) -> LinearSolution | LinearInfeasibility:
-        """Solve against the sparse right side ``rhs`` / ``den`` (equation ->
-        integer value) after a traced ``reduce``.  T * rhs / den is the right
-        side the elimination would have carried along: the canonical
-        solution (free variables zero) is read off it, pivot r sitting in
-        row r, and a right side nonzero on a row past the rank gets the row
-        of T that proves it inconsistent.  The sums run in integers; over Q
-        the integer sum s of row r is ``Fraction(s * c, D_r * den)``, with c
-        from ``_scale``."""
-        n, p, dens = self.ncols, self.modulus, self.dens
-        reduced = {}
-        for r, row in enumerate(self.rows):
-            s = sum(c * rhs[k - n] for k, c in row.items() if k >= n and k - n in rhs)
-            if v := (Fraction(s * self._scale(r), dens[r] * den) if p is None else s % p):
-                reduced[r] = v
-        bad = sorted(r for r in reduced if r >= len(self.pivots))
-        if bad:
-            # canonical witness: the inconsistent row combining the earliest
-            # equations; a row past the rank holds T's columns only
-            r = min(bad, key=lambda r: sorted(self.rows[r]))
-            return LinearInfeasibility(self.transform(r), reduced[r])
-        return LinearSolution({self.pivots[r][0]: reduced[r] for r in sorted(reduced)})
-
-
-@dataclass
-class LinearSolution:
-    """A particular solution; free variables are zero.  Raw values."""
-
-    values: dict[int, Fraction | int]
-
-
-@dataclass
-class LinearInfeasibility:
-    """A row combination proving inconsistency: the functional given by
-    ``combination`` annihilates every equation's left side but evaluates to
-    the nonzero ``residual`` on the right side.  Raw values."""
-
-    combination: dict[int, Fraction | int]
-    residual: Fraction | int
-
 
 def _matrix(rows: list[Row], field: FieldSpec) -> tuple[int, list[dict[int, int]]]:
     """Rows of raw values as (denominator, integer rows), the input of ``_System``."""
@@ -283,13 +222,25 @@ def _matrix(rows: list[Row], field: FieldSpec) -> tuple[int, list[dict[int, int]
 
 
 def solve_sparse(rows: list[Row], rhs: list, ncols: int,
-                 field: FieldSpec) -> LinearSolution | LinearInfeasibility:
-    """Solve the sparse system rows * x = rhs exactly; raw values in and out."""
+                 field: FieldSpec) -> dict[int, Fraction | int] | None:
+    """Solve the sparse system rows * x = rhs exactly, raw values in and
+    out: x = X rhs, for the generalized inverse X of ``_System.inverse``,
+    which is the canonical solution (free variables zero), or None when
+    A x != rhs, that is when the system is inconsistent."""
     den, ints = _matrix(rows, field)
     sys = _System(ints, ncols, field, den, trace=True)
     sys.reduce()
-    rhs_den, (b,) = _matrix([{i: b for i, b in enumerate(rhs) if b}], field)
-    return sys.solve(b, rhs_den)
+    scale, inverse = sys.inverse()
+    p, x = field.modulus, {}
+    for c, row in inverse.items():
+        s = sum(n * rhs[i] for i, n in row.items())
+        if v := (Fraction(s, scale) if p is None else s % p):
+            x[c] = v
+    norm = field.norm
+    if any(norm(sum(v * x[k] for k, v in row.items() if k in x) - b)
+           for row, b in zip(rows, rhs)):
+        return None
+    return x
 
 
 def rank_sparse(rows: list[Row], ncols: int, field: FieldSpec) -> int:

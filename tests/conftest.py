@@ -15,9 +15,8 @@ from math import lcm
 
 import pytest
 
-from dgdeform import GF, QQ, Cochain, Complex, FieldSpec, GradedMap, GradedModule, Scalar, linalg
+from dgdeform import GF, QQ, Cochain, Complex, FieldSpec, GradedMap, GradedModule, linalg
 from dgdeform.cochain import cochain_basis
-from dgdeform.linalg import nullspace_sparse
 
 
 @pytest.fixture
@@ -450,16 +449,17 @@ def random_cocycle(rng: random.Random, cx: Complex, p: int = 1, target: Complex 
     complex or on the pair (cx, target)."""
     target = target if target is not None else cx
     dom, _, rows, _ = _delta_matrix(cx, target, p)
-    kernel = nullspace_sparse(rows, len(dom), cx.field)
+    kernel = linalg._System(rows, len(dom), cx.field)
+    kernel.reduce()
     entries = []
-    for vec in kernel:
+    for den, vec in kernel.nullspace():
         c = random_scalar(rng, cx.field)
         if not c:
             continue
         for col, v in vec.items():
             j, i = dom[col]
             entries.append((cx.module.name_of(j), target.module.name_of(i),
-                            c * Scalar(cx.field, v)))
+                            c * cx.field.scalar(v, den)))
     return GradedMap.from_entries(cx.module, -p, entries, target=target.module)
 
 

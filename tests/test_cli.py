@@ -318,6 +318,15 @@ _NO_DEFORMATION = (
     # errors the commands find themselves
     (["paper-family", "--n", "2", "--field", "GF:x", "--out", "-"],
      "field modulus must be an integer, got 'x'"),
+    # int() takes these, the file format's ASCII digits do not
+    (["paper-family", "--n", "2", "--field", "GF:+5", "--out", "-"],
+     "field modulus must be an integer, got '+5'"),
+    (["paper-family", "--n", "2", "--field", "GF: 5", "--out", "-"],
+     "field modulus must be an integer, got ' 5'"),
+    (["paper-family", "--n", "2", "--field", "GF:\u0665", "--out", "-"],
+     "field modulus must be an integer, got '\u0665'"),
+    (["verify-paper", "--n", "2", "--field", "GF:5_0"],
+     "field modulus must be an integer, got '5_0'"),
     (["check", "{tmp}/missing.dgm"], "[Errno 2] No such file or directory: '{tmp}/missing.dgm'"),
     (["check", "{latin1}"],
      "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
@@ -339,8 +348,9 @@ _NO_DEFORMATION = (
     (["trivialize", "{obs}", "--order", "-1"], "order must be >= 0, got -1"),
     (["verify-paper", "--n", "1", "--variant", "polynomial"],
      "the polynomial variant needs n >= 2"),
-], ids=["field-modulus", "missing-file", "non-utf8", "obstruction-no-block", "deform-no-block",
-        "trivialize-no-block", "order-0", "out-missing-dir", "order-not-int", "order-missing",
+], ids=["field-modulus", "field-modulus-sign", "field-modulus-space",
+        "field-modulus-arabic-indic-digit", "field-modulus-underscore", "missing-file",
+        "non-utf8", "obstruction-no-block", "deform-no-block", "trivialize-no-block", "order-0", "out-missing-dir", "order-not-int", "order-missing",
         "unknown-command", "field-format", "no-command", "option-before-command",
         "trivialize-negative-order", "polynomial-below-n-2"])
 def test_input_and_usage_errors_print_one_line(runner, tmp_path, args, message):
@@ -471,15 +481,26 @@ def hostile_path(tmp_path_factory):
     return tmp_path_factory.mktemp("hostile") / "input.dgm"
 
 
+_HOSTILE_RUNS = (["check"], ["cohomology", "--p", "0"], ["obstruction", "--order", "2"],
+                 ["deform", "--order", "3"], ["deform", "--order", "3", "--lifts", "canonical"],
+                 ["trivialize", "--order", "3"])
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_check_survives_hostile_bytes(family_bytes, hostile_path, data):
     raw = data.draw(st.one_of(st.binary(max_size=200), _mutations(family_bytes)))
     hostile_path.write_bytes(raw)
-    for args in (["check"], ["cohomology", "--p", "0"], ["obstruction", "--order", "2"]):
+    for args in _HOSTILE_RUNS:
+        start = time.perf_counter()
         result = CliRunner().invoke(main, [args[0], str(hostile_path), *args[1:]])
+        assert time.perf_counter() - start < 5.0, args
         assert result.exit_code in (0, 1, 2), args
         assert result.exception is None or isinstance(result.exception, SystemExit), args
+        assert "Traceback" not in result.output, args
+        if result.exit_code == 2:
+            assert result.stderr.startswith("error: "), args
+            assert result.stderr.count("\n") == 1, args
 
 
 # -- hostile flags ------------------------------------------------------------------
@@ -488,7 +509,8 @@ _EDGES = [-10**12, -1, 0, 1, 2, 3, MAX_ORDER + 1, MAX_TRUNCATION + 1, 10**12]
 # small integers and the edges; valid orders and truncations near a cap cost
 # linear time by design and are left to the pinned --order 10000 and 100000 runs
 _INTS = st.one_of(st.sampled_from(_EDGES), st.integers(-3, 8))
-_FIELDS = st.one_of(st.sampled_from(["Q", "GF:2", "GF:5", "GF:4", "GF:", "GF:x"]),
+_FIELDS = st.one_of(st.sampled_from(["Q", "GF:2", "GF:5", "GF:4", "GF:", "GF:x", "GF:+5",
+                                     "GF: 5", "GF:\u0665", "GF:5_0"]),
                     st.text(max_size=6))
 _FAMILY_FILES = [(2, "obstructed", "Q"), (3, "polynomial", "Q"), (3, "infinite", "GF:5"),
                  (2, "linear", "GF:2"), (1, "obstructed", "Q")]

@@ -25,7 +25,7 @@ from dgdeform import (
     solve_coboundary,
 )
 from dgdeform import cochain, linalg
-from dgdeform.cochain import CoboundarySolver
+from dgdeform.cochain import _solve_homotopy_first
 from dgdeform.errors import (
     MalformedCochain,
     NotACocycle,
@@ -492,29 +492,28 @@ def test_certificate_implies_infeasible_on_any_truncation():
 
 def test_solver_postcondition_is_a_real_check():
     # a homotopy that answers f = 0 for a nonzero coboundary must be caught,
-    # on the one-shot path (class coordinates first) and on the reused
-    # solver's (homotopy first)
+    # in the one-shot order (class coordinates first) and in the ladder's
+    # (homotopy first)
     cx = base_complex(5, QQ)
     g = Cochain(2, GradedMap.from_entries(cx.module, -2, [("x6", "x1", -1)]), cx)
-    solver = CoboundarySolver(cx, cx, 1)
-    assert isinstance(solver.solve(g), Solved)  # builds and caches the blocks g touches
+    assert isinstance(_solve_homotopy_first(g), Solved)  # builds and caches the blocks g touches
     assert cx._homotopy
     for q in cx._homotopy:
         cx._homotopy[q] = (1, {}, {})
     with pytest.raises(PostconditionFailed, match="does not satisfy"):
         solve_coboundary(g)
     with pytest.raises(PostconditionFailed, match="does not satisfy"):
-        solver.solve(g)
+        _solve_homotopy_first(g)
 
 
 def test_solver_with_a_wrong_zero_class_fails_its_postcondition(monkeypatch):
-    # a class test that misses the class of x4 d/d x8: the one-shot path
-    # then trusts the homotopy, whose f fails delta(f) = g, and the reused
-    # path, whose homotopy fails first, finds no witness; neither may answer
+    # a class test that misses the class of x4 d/d x8: the one-shot order
+    # then trusts the homotopy, whose f fails delta(f) = g, and the
+    # ladder's, whose homotopy fails first, finds no witness; neither may
+    # answer, and each tries the homotopy once
     cx = base_complex(5, QQ)
     g = Cochain(2, GradedMap.from_entries(cx.module, -2, [("x8", "x4", -1)]), cx)
-    solver = CoboundarySolver(cx, cx, 1)
-    assert isinstance(solver.solve(g), Infeasible)
+    assert isinstance(_solve_homotopy_first(g), Infeasible)
     homotopy = cochain._homotopy_solution
     tried = []
     monkeypatch.setattr(cochain, "_homotopy_solution", lambda *args: tried.append(1) or homotopy(*args))
@@ -523,7 +522,7 @@ def test_solver_with_a_wrong_zero_class_fails_its_postcondition(monkeypatch):
         solve_coboundary(g)
     assert tried == [1]
     with pytest.raises(PostconditionFailed, match="zero class"):
-        solver.solve(g)
+        _solve_homotopy_first(g)
     assert tried == [1, 1]
 
 
@@ -542,11 +541,11 @@ def test_solver_with_a_wrong_class_witness_fails_its_postcondition(monkeypatch, 
         return found, h
 
     monkeypatch.setattr(cochain, "_homology_classes", wrong)
-    for reused in (False, True):
+    for solve in (solve_coboundary, _solve_homotopy_first):
         cx = base_complex(5, QQ)  # nothing cached
         g = Cochain(2, GradedMap.from_entries(cx.module, -2, [(*target, 1)]), cx)
         with pytest.raises(PostconditionFailed, match=broken if broken == "cycle" else "d_M"):
-            CoboundarySolver(cx, cx, 1).solve(g) if reused else solve_coboundary(g)
+            solve(g)
     monkeypatch.undo()
     cx = base_complex(5, QQ)
     g = Cochain(2, GradedMap.from_entries(cx.module, -2, [(*target, 1)]), cx)
@@ -606,14 +605,13 @@ def test_rational_solver_checks_do_no_fraction_arithmetic(monkeypatch):
     rng = random.Random(97)
     outcomes = set()
     for p in (0, 1):
-        solver = CoboundarySolver(v, m, p)
         f = Cochain(p, random_cochain(rng, v, p, 0.6, target=m), v, m)
         z = Cochain(p + 1, random_cocycle(rng, v, p + 1, target=m), v, m)
         not_a_cocycle = Cochain(p + 1, random_cochain(rng, v, p + 1, 0.6, target=m), v, m)
         assert not not_a_cocycle.is_cocycle()
         for g in (f.coboundary(), f.coboundary() + z):
             calls = count_fraction_arithmetic(monkeypatch)
-            out = solver.solve(g)
+            out = _solve_homotopy_first(g)
             monkeypatch.undo()
             assert calls == []
             assert out == solve_coboundary(g)
@@ -622,7 +620,7 @@ def test_rational_solver_checks_do_no_fraction_arithmetic(monkeypatch):
             outcomes.add(type(out))
         calls = count_fraction_arithmetic(monkeypatch)
         with pytest.raises(NotACocycle):
-            solver.solve(not_a_cocycle)
+            _solve_homotopy_first(not_a_cocycle)
         monkeypatch.undo()
         assert calls == []
     assert outcomes == {Solved, Infeasible}
@@ -644,9 +642,9 @@ def test_solver_checks_read_the_differentials():
 
 
 def test_reused_solver_matches_one_shot_solves():
-    # the two paths read in opposite orders: a one-shot solve reads the
-    # class coordinates first, the reused solver tries the homotopy first;
-    # every other complex is filled in and shuffled
+    # the two orders: a one-shot solve reads the class coordinates first,
+    # the ladder's solve tries the homotopy first, and both give the same
+    # answer; every other complex is filled in and shuffled
     rng = random.Random(71)
     outcomes = set()
     for field in FIELDS:
@@ -655,10 +653,9 @@ def test_reused_solver_matches_one_shot_solves():
             if k % 2:
                 cx = shuffled(rng, conjugated(rng, cx))
             p = rng.choice([0, 1])
-            solver = CoboundarySolver(cx, cx, p)
             for _ in range(4):
                 g = Cochain(p + 1, random_cocycle(rng, cx, p + 1), cx)
-                out = solver.solve(g)
+                out = _solve_homotopy_first(g)
                 assert out == solve_coboundary(g)
                 outcomes.add(type(out))
     assert outcomes == {Solved, Infeasible}
@@ -684,11 +681,10 @@ def test_solve_matches_the_dense_oracle(case):
     # for p = -2..2, g = delta(f) and g plus a random cocycle: the verdict is
     # the rank test on the dense delta^p, a witness row y has y A = 0 and
     # y g = its nonzero residual, a solution has delta(f) = g, and the
-    # reused solver gives the same answer
+    # homotopy-first order gives the same answer
     v, m, rng = case
     q = v.field.modulus
     for p in range(-2, 3):
-        solver = CoboundarySolver(v, m, p)
         _, pairs_q, mat = dense_delta_matrix(v, p, m)
         rank = dense_rank(mat, q)
         f = Cochain(p, random_cochain(rng, v, p, 0.6, target=m), v, m)
@@ -704,7 +700,7 @@ def test_solve_matches_the_dense_oracle(case):
                 y_a, y_g = dense_witness_defect(v, m, p, g.mapping, out.witness)
                 assert not any(y_a)
                 assert y_g == out.witness.residual.value != 0
-            assert solver.solve(g) == out
+            assert _solve_homotopy_first(g) == out
 
 
 @settings(max_examples=100, deadline=None)
@@ -778,16 +774,15 @@ def test_homotopy_blocks_satisfy_dhd_and_a_mutated_one_is_caught(case):
     # every block the solves build has d h d = d; then one entry of a block
     # of M is changed by 1 at (x, y), y in the support of d x, and a solve
     # of g = d o E_{x <- u} from a one-generator complex U, a coboundary,
-    # must fail its postcondition on both paths: delta(f) - g is then
+    # must fail its postcondition in both orders: delta(f) - g is then
     # (d E + E d) g = (d x)_y * d x, which is not zero
     v, m, rng = case
     field = v.field
     for p in range(-2, 3):
-        solver = CoboundarySolver(v, m, p)
         f = Cochain(p, random_cochain(rng, v, p, 0.6, target=m), v, m)
         z = Cochain(p + 1, random_cocycle(rng, v, p + 1, target=m), v, m)
         for g in (f.coboundary(), f.coboundary() + z):
-            assert solver.solve(g) == solve_coboundary(g)
+            assert _solve_homotopy_first(g) == solve_coboundary(g)
     for cx in (v, m):
         for q in cx._homotopy:
             assert _dhd_defect(cx, q) == {}
@@ -800,8 +795,7 @@ def test_homotopy_blocks_satisfy_dhd_and_a_mutated_one_is_caught(case):
     u = Complex(point, GradedMap.zero(point, degree=-1))
     phi = GradedMap.from_entries(point, 0, [("u", m.module.name_of(x), 1)], target=m.module)
     g = Cochain(0, phi, u, m).coboundary()
-    solver = CoboundarySolver(u, m, 0)
-    assert isinstance(solver.solve(g), Solved)
+    assert isinstance(_solve_homotopy_first(g), Solved)
     den, rows, columns = m._homotopy[q]
     value = rows.get(x, {}).get(y, 0) + den
     if field.modulus is not None:
@@ -818,7 +812,7 @@ def test_homotopy_blocks_satisfy_dhd_and_a_mutated_one_is_caught(case):
     with pytest.raises(PostconditionFailed):
         solve_coboundary(g)
     with pytest.raises(PostconditionFailed):
-        solver.solve(g)
+        _solve_homotopy_first(g)
 
 
 def test_a_solve_builds_the_blocks_of_the_degrees_it_touches(monkeypatch):
@@ -830,7 +824,7 @@ def test_a_solve_builds_the_blocks_of_the_degrees_it_touches(monkeypatch):
     cx = base_complex(12, QQ)
     g = Cochain(1, GradedMap.from_entries(cx.module, -1, [("x4", "x1", 1), ("x9", "x8", -1)]), cx)
     calls = count_reductions(monkeypatch)
-    out = CoboundarySolver(cx, cx, 0).solve(g)  # homotopy first: no class is read
+    out = _solve_homotopy_first(g)  # no class is read
     assert out == Solved(Cochain(0, GradedMap.from_entries(
         cx.module, 0, [("x4", "x3", 1), ("x7", "x8", 1)]), cx))
     assert sorted(cx._homotopy) == [2, 5]
@@ -839,13 +833,3 @@ def test_a_solve_builds_the_blocks_of_the_degrees_it_touches(monkeypatch):
     built = count_blocks(monkeypatch)
     assert solve_coboundary(g) == out
     assert built == []
-
-
-def test_solver_rejects_foreign_cochains():
-    cx = base_complex(5, QQ)
-    solver = CoboundarySolver(cx, cx, 1)
-    with pytest.raises(MalformedCochain):
-        solver.solve(Cochain(1, GradedMap.zero(cx.module, degree=-1), cx))
-    other = base_complex(6, QQ)
-    with pytest.raises(MalformedCochain):
-        solver.solve(Cochain(2, GradedMap.zero(other.module, degree=-2), other))

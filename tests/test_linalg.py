@@ -9,9 +9,10 @@ particular solution with free variables zero must all agree exactly.
 rows and kernel vectors over their own denominators; the oracle runs on
 rows / D, with D in {1, 2, 6, 35} over Q and 1 over GF(p).  A traced system
 reduces [A | I], so its rows hold T in the columns from ncols on; the tests
-read the matrix part through ``_reduced`` and T through ``transform``.  The
-generalized inverse ``inverse`` must be T's rows up to the rank, put at the
-pivot columns, with A X A = A.
+read the matrix part through ``_reduced``, and T through ``inverse``, its one
+reader: the generalized inverse must be T's rows up to the rank, put at the
+pivot columns, with A X A = A.  ``solve_sparse`` must give the oracle's
+particular solution, or None for an inconsistent system.
 """
 
 import random
@@ -22,15 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgdeform import GF, QQ
-from dgdeform.linalg import (
-    LinearInfeasibility,
-    LinearSolution,
-    _integral,
-    _System,
-    nullspace_sparse,
-    rank_sparse,
-    solve_sparse,
-)
+from dgdeform.linalg import _System, nullspace_sparse, rank_sparse, solve_sparse
 from conftest import count_fraction_arithmetic
 
 FIELDS = {"Q": QQ, "GF(2)": GF(2), "GF(5)": GF(5)}
@@ -77,14 +70,6 @@ def _integer_rows(field, mat, den=1):
     scale = lcm(*[Fraction(x).denominator for row in mat for x in row])
     ints = [[int(x * scale) for x in row] for row in mat]
     return [_sparse(row) for row in ints], [[Fraction(n, den) for n in row] for row in ints]
-
-
-def _integer_rhs(field, rhs):
-    """A dense right side as ``_System.solve`` takes it: (integer row, denominator)."""
-    if field.modulus is not None:
-        return _sparse(rhs), 1
-    den, (row,) = _integral([_sparse(rhs)])
-    return row, den
 
 
 def _over(vec, d, p):
@@ -167,18 +152,15 @@ def _check_against_oracle(field, mat, rhs_list, den=1):
     assert sys.pivots == [(c, r) for r, c in enumerate(pivcols)]
     # the reduced rows stay integers, over their row denominators
     assert _reduced(sys) == [_sparse(row[:ncols]) for row in ref]
-    transform = [sys.transform(r) for r in range(len(mat))]  # T exactly, every row
-    assert transform == [_sparse(row[ncols:]) for row in ref]
     assert rows == given  # the input is not modified
-    for row in transform:
-        _assert_canonical(row.values(), p)
 
     # the generalized inverse: rows of T up to the rank at the pivot
     # columns, in integers over one denominator, with A X A = A
     scale, inverse = sys.inverse()
     assert type(scale) is int and scale > 0 and (p is None or scale == 1)
+    assert all(type(v) is int and v for row in inverse.values() for v in row.values())
     x = {c: {i: _canon(Fraction(v, scale), p) for i, v in row.items()} for c, row in inverse.items()}
-    assert x == {c: transform[r] for r, c in enumerate(pivcols)}
+    assert x == {c: _sparse(ref[r][ncols:]) for r, c in enumerate(pivcols)}
     for k in range(ncols):
         a_col = [row[k] for row in mat]
         x_a = {c: sum(v * a_col[i] for i, v in row.items()) for c, row in x.items()}
@@ -207,25 +189,17 @@ def _check_against_oracle(field, mat, rhs_list, den=1):
     echelon.reduce(echelon=True)
     assert echelon.pivots == sys.pivots
 
+    # solve_sparse on the raw values the integer rows stand for
+    raw = [_sparse(row) for row in mat]
     for rhs in rhs_list:
         aug, augpiv = dense_rref([row + [b] for row, b in zip(mat, rhs)], p)
-        b, b_den = _integer_rhs(field, rhs)
-        out = sys.solve(b, b_den)
+        out = solve_sparse(raw, rhs, ncols, field)
         if augpiv and augpiv[-1] == ncols:  # a pivot in the right side: inconsistent
-            assert isinstance(out, LinearInfeasibility)
-            _assert_canonical(list(out.combination.values()) + [out.residual], p)
-            for k in range(ncols):
-                assert not _canon(sum(c * mat[i][k] for i, c in out.combination.items()), p)
-            assert _canon(sum(c * rhs[i] for i, c in out.combination.items()), p) == out.residual
-            # the witness is row r of T, and the residual (T rhs)[r]
-            r = transform.index(out.combination)
-            assert r >= rank
-            assert out.residual == _canon(sum(c * rhs[i] for i, c in transform[r].items()), p)
+            assert out is None
         else:
-            assert isinstance(out, LinearSolution)
-            _assert_canonical(out.values.values(), p)
+            _assert_canonical(out.values(), p)
             want = [(c, aug[i][ncols]) for i, c in enumerate(augpiv) if aug[i][ncols]]
-            assert list(out.values.items()) == want
+            assert list(out.items()) == want
             assert rank == len(augpiv)
 
 
@@ -240,21 +214,20 @@ def test_larger_systems_match_dense_rref(case):
 @settings(max_examples=60, deadline=None)
 @given(systems())
 def test_raw_value_wrappers_match_the_system(case):
-    # solve_sparse, rank_sparse and nullspace_sparse take and return raw
-    # values, scaling them to integers on the way in
-    field, mat, rhs_list, _ = case
+    # rank_sparse and nullspace_sparse take and return raw values, scaling
+    # them to integers on the way in (``_check_against_oracle`` checks
+    # solve_sparse, the third)
+    field, mat, _, _ = case
     p = field.modulus
     ncols = len(mat[0])
     raw = [_sparse(row) for row in mat]
     den = 1 if p is not None else lcm(*[x.denominator for row in mat for x in row])
     rows, exact = _integer_rows(field, mat, den)
     assert exact == mat  # the integer rows over den stand for mat itself
-    sys = _System(rows, ncols, field, den, trace=True)
+    sys = _System(rows, ncols, field, den)
     sys.reduce()
     assert rank_sparse(raw, ncols, field) == len(sys.pivots)
     assert nullspace_sparse(raw, ncols, field) == [_over(vec, d, p) for d, vec in sys.nullspace()]
-    for rhs in rhs_list:
-        assert solve_sparse(raw, rhs, ncols, field) == sys.solve(*_integer_rhs(field, rhs))
 
 
 # -- integer rows over the rationals ---------------------------------------------------
@@ -280,10 +253,10 @@ def test_hilbert_matrix():
     sys = _System(rows, n, QQ, lcm(*range(1, 2 * n)), trace=True)
     sys.reduce()
     assert _reduced(sys) == [{i: Fraction(1)} for i in range(n)]
-    # T is the inverse of the Hilbert matrix, which has integer entries
-    transform = [sys.transform(r) for r in range(n)]
-    assert all(v.denominator == 1 for t in transform for v in t.values())
-    assert max(abs(v) for t in transform for v in t.values()) > 4 * 10**9
+    # X is the inverse of the Hilbert matrix, which has integer entries
+    scale, inverse = sys.inverse()
+    assert scale == 1
+    assert max(abs(v) for row in inverse.values() for v in row.values()) > 4 * 10**9
 
 
 @settings(max_examples=200, deadline=None)
@@ -317,23 +290,25 @@ def test_empty_and_zero_rows(name):
     none.reduce()
     assert none.pivots == [] and none.rows == []
     assert none.nullspace() == [(1, {f: 1}) for f in range(3)]
-    assert none.solve({}).values == {}
+    assert none.inverse() == (1, {})
+    assert solve_sparse([], [], 3, field) == {}
 
 
 @settings(max_examples=100, deadline=None)
 @given(systems())
 def test_one_reduction_serves_many_right_sides(case):
-    field, mat, rhs_list, den = case
+    # reading the inverse, which serves every right side, leaves the
+    # reduction as it was
+    field, mat, _, den = case
     ncols = len(mat[0])
     rows, _ = _integer_rows(field, mat, den)
     shared = _System(rows, ncols, field, den, trace=True)
     shared.reduce()
     reduced = [dict(row) for row in shared.rows]  # the matrix part and T
-    for rhs in rhs_list + rhs_list[::-1]:
+    for _ in range(3):
         fresh = _System(rows, ncols, field, den, trace=True)
         fresh.reduce()
-        b = _integer_rhs(field, rhs)
-        assert shared.solve(*b) == fresh.solve(*b)
+        assert shared.inverse() == fresh.inverse()
         assert shared.rows == reduced
 
 
@@ -357,6 +332,7 @@ def test_rational_reduce_does_no_fraction_arithmetic(monkeypatch, traced, echelo
 
 
 def test_rational_solve_does_no_fraction_arithmetic(monkeypatch):
+    # a solve reads T through the generalized inverse alone, in integers;
     # rank 9 of 12 rows: the last three rows are combinations of the first
     rng = random.Random(13)
     mat = [[Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(10)]
@@ -367,20 +343,18 @@ def test_rational_solve_does_no_fraction_arithmetic(monkeypatch):
     x = [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(10)]
     feasible = [sum(a * b for a, b in zip(row, x)) for row in mat]
     infeasible = feasible[:-1] + [feasible[-1] + Fraction(1, 11)]
+    assert len({b.denominator for b in feasible}) > 2  # mixed denominators
     rows, exact = _integer_rows(QQ, mat, 6)
     sys = _System(rows, 10, QQ, 6, trace=True)
     sys.reduce()
-    for rhs in (feasible, infeasible):
-        assert len({b.denominator for b in rhs}) > 2  # mixed denominators
-        b = _integer_rhs(QQ, rhs)
-        calls = count_fraction_arithmetic(monkeypatch)
-        out = sys.solve(*b)
-        monkeypatch.undo()
-        assert calls == []
-        # exact, by the dense oracle on the matrix the rows stand for
-        _check_against_oracle(QQ, exact, [rhs])
-        fresh = _System(rows, 10, QQ, 6, trace=True)
-        fresh.reduce()
-        assert out == fresh.solve(*b)
-    assert isinstance(sys.solve(*_integer_rhs(QQ, feasible)), LinearSolution)
-    assert isinstance(sys.solve(*_integer_rhs(QQ, infeasible)), LinearInfeasibility)
+    calls = count_fraction_arithmetic(monkeypatch)
+    scale, inverse = sys.inverse()
+    monkeypatch.undo()
+    assert calls == []
+    assert len(inverse) == 9
+    assert all(type(v) is int for row in inverse.values() for v in row.values())
+    # exact, by the dense oracle on the matrix the rows stand for
+    _check_against_oracle(QQ, exact, [feasible, infeasible])
+    raw = [_sparse(row) for row in mat]
+    assert solve_sparse(raw, feasible, 10, QQ) is not None
+    assert solve_sparse(raw, infeasible, 10, QQ) is None
