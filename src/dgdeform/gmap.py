@@ -8,8 +8,8 @@ equality of maps is equality of normal forms.
 
 Column values are raw field values (see :mod:`field`); the arithmetic binds
 the field's ``norm`` once per call and reads and writes the dicts directly.
-Only ``apply`` and ``column`` wrap a result in a ``Vector``, and ``entries``
-yields ``Scalar``s.
+Only ``apply`` wraps a result in a ``Vector``, and ``entries`` yields
+``Scalar``s.
 
 Every product of maps in the library goes through one sparse kernel,
 ``_Products``: ``compose`` (so ``@`` and ``is_differential``), and the
@@ -252,9 +252,6 @@ class GradedMap:
             col = self.columns[j]
             for i in sorted(col):
                 yield j, i, Scalar(field, col[i])
-
-    def column(self, name: str) -> Vector:
-        return Vector._of(self.target, self.columns.get(self.source.index_of(name), {}))
 
     def block_support(self) -> set[int]:
         """Source degrees p for which some column from V_p is nonzero."""

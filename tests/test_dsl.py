@@ -349,3 +349,195 @@ def test_round_trip_property(doc):
     doc2 = parse(text)
     assert doc2 == doc
     assert render(doc2) == text
+
+
+# -- the entry reader against the token parser ----------------------------------------
+
+from pathlib import Path  # noqa: E402
+
+from dgdeform.dsl import _read  # noqa: E402
+from dgdeform.errors import DgmError  # noqa: E402
+from test_golden import _mutated, _random_dgm, parse_inputs  # noqa: E402
+
+GOLDEN_FILES = sorted((Path(__file__).parent / "golden").glob("*.dgm"))
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """The (label, text) pairs of ``tests/golden/parse.txt``."""
+    return list(parse_inputs())
+
+
+def _exact(doc: Document):
+    """A document down to the type of every value and the order of every
+    dict, which ``Document.__eq__`` does not see."""
+    return (
+        doc.field, doc.module.name, doc.module.basis,
+        [(name, m.degree, [(j, [(i, type(c), c) for i, c in col.items()])
+                           for j, col in m.columns.items()])
+         for name, m in doc.maps.items()],
+        doc.deformation,
+    )
+
+
+def _check_reader(text: str) -> Document | None:
+    """The entry reader's document for ``text``, after checking that it
+    declines where the token parser raises and otherwise agrees with it
+    exactly."""
+    doc = _read(text)
+    try:
+        want = _Parser(text).document()
+    except DgmError:
+        assert doc is None
+        return None
+    assert doc is None or _exact(doc) == _exact(want)
+    return doc
+
+
+def test_reader_agrees_with_token_parser_on_parse_corpus(corpus):
+    accepted = [label for label, text in corpus if _check_reader(text) is not None]
+    assert len(corpus) == 1974
+    # it reads every text that parses: the 237 `ok` lines of parse.txt
+    assert len(accepted) == 237
+
+
+def test_reader_accepts_every_unmutated_corpus_text(corpus):
+    bases = [(label, text) for label, text in corpus if "mutation" not in label]
+    assert len(bases) == 94
+    assert [label for label, text in bases if _read(text) is None] == []
+
+
+@pytest.mark.parametrize("path", GOLDEN_FILES, ids=lambda p: p.name)
+def test_reader_accepts_golden_files(path):
+    # each opens with comment lines
+    text = path.read_text()
+    assert text.startswith("#")
+    assert _check_reader(text) is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(hypothesis_documents(), st.integers(0, 2**32 - 1))
+def test_reader_accepts_renderings_and_declines_or_agrees_on_mutants(doc, seed):
+    text = render(doc)
+    assert _check_reader(text) is not None
+    rng = random.Random(seed)
+    free = _random_dgm(rng, doc.field)
+    assert _check_reader(free) is not None
+    for base in (text, free):
+        for _ in range(5):
+            _check_reader(_mutated(rng, base))
+
+
+@pytest.mark.parametrize("old, new", [
+    ("x1 : 1", "x1é : 1"),                      # non-ASCII outside a comment
+    ("x3 -> x1;", "x3 -> x9;"),                 # unknown name
+    ("x3 : 2", "x1 : 2"),                       # duplicate basis name
+    ("x3 -> x1;", "x3 -> x3;"),                 # degree violation
+    ("x3 -> x1;", "x3 -> 1/0*x1;"),             # zero denominator
+    ("x3 -> x1;", f"x3 -> 1/{HUGE}*x1;"),       # overlong denominator
+    ("field Q", "field GF 6"),                  # non-prime modulus
+    ("x3 -> x1;", "x3 -> x1; x3 -> x1;"),       # duplicate column
+    ("x3 -> x1;\n}", "x3 -> x1;\n}\nmap d degree 0 { }"),  # duplicate map name
+    ("x3 -> x1;\n}", "x3 -> x1;\n}\ndeformation { order 2 : d; }"),  # orders not 1..m
+    ("x3 -> x1;\n}", "x3 -> x1;\n}\ndeformation { order 1 : d; order 1 : d; }"),  # again
+    ("x3 -> x1;\n}", "x3 -> x1;\n}\ndeformation { }\ndeformation { }"),  # second block
+    # a keyword, Q, or a name before a keyword that runs into the next word
+    # is one identifier to the scanner
+    ("field Q", "fieldQ"),
+    ("field Q\nmodule", "field Qmodule"),
+    ("field Q", "field GF5"),
+    ("module V", "moduleV"),
+    ("basis x1", "basisx1"),
+    ("map d degree", "mapd degree"),
+    ("map d degree", "map ddegree"),
+    ("x3 -> x1;\n}", "x3 -> x1;\n}\nmap e degree0 { }"),
+    ("x3 -> x1;\n}", "x3 -> x1;\n}\ndeformation { order1 : d; }"),
+], ids=["non-ascii", "unknown", "duplicate-basis", "degree", "zero-den", "overlong-den",
+        "non-prime", "duplicate-column", "duplicate-map", "orders", "duplicate-order",
+        "second-block", "field", "Q", "GF", "module", "basis", "map", "map-name", "degree-kw",
+        "order"])
+def test_reader_declines_what_the_token_parser_rejects(old, new):
+    text = MINIMAL.replace(old, new)
+    assert text != MINIMAL
+    assert _read(text) is None
+    with pytest.raises(DgmError):
+        parse(text)
+
+
+def test_reader_declines_a_p_divisible_denominator():
+    text = MINIMAL.replace("field Q", "field GF 5").replace("x3 -> x1;", "x3 -> 2/10*x1;")
+    assert _read(text) is None
+    with pytest.raises(DgmError):
+        parse(text)
+
+
+def test_reader_declines_past_the_module_size_cap():
+    assert _read(_module_text(MAX_GENERATORS)) is not None
+    assert _read(_module_text(MAX_GENERATORS + 1)) is None
+
+
+def test_reader_takes_comments_with_non_ascii_text():
+    text = "# é ²\n" + MINIMAL.replace("x3 -> x1;", "x3 -> x1; # ٣")
+    assert _check_reader(text) is not None
+
+
+# -- linear time: each input is about 1 MB ----------------------------------------------
+
+RUN = 1 << 20
+
+
+def _timed_parse_error(text: str) -> ParseError:
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert time.perf_counter() - start < 2
+    return err.value
+
+
+def test_whitespace_run_before_an_unexpected_character_is_linear():
+    entry = "  x3 -> x1" + " " * RUN + "@;"
+    error = _timed_parse_error(MINIMAL.replace("  x3 -> x1;", entry))
+    assert (error.line, error.col) == (6, entry.index("@") + 1)
+    assert "unexpected character '@'" in str(error)
+
+
+EVERY_PRODUCTION = """\
+field GF 5
+module V { basis x1 : 1, x3 : 2, y : -1; }
+map d degree -1 { x3 -> 2/3*x1 - -4*x1 + x1; }
+map e degree 0 { }
+deformation { order 1 : d; }
+"""
+
+
+def test_whitespace_run_in_every_gap_is_linear():
+    # a pattern that could match one run in two ways would take seconds on
+    # a 16 KB run at the gap where it sits; each parse here takes milliseconds
+    run = " \t\r\n" * (1 << 12)
+    start = time.perf_counter()
+    for k in range(len(EVERY_PRODUCTION) + 1):
+        with pytest.raises(ParseError):
+            parse(EVERY_PRODUCTION[:k] + run + "@" + EVERY_PRODUCTION[k:])
+    assert time.perf_counter() - start < 2
+
+
+def test_run_of_terms_is_linear():
+    entry = "  x3 -> x1" + " + x1" * (RUN // 5) + " }"
+    error = _timed_parse_error(MINIMAL.replace("  x3 -> x1;\n}", entry))
+    assert (error.line, error.col) == (6, len(entry))
+    assert "expected '+', '-' or ';', found '}'" in str(error)
+
+
+def test_comment_on_every_line_is_linear():
+    n = 10_000
+    lines = ["field GF 7 # c", "module V { # c", "  basis # c"]
+    lines += [f"  e{i} : {i % 2}, # c" for i in range(2 * n - 1)] + [f"  e{2 * n - 1} : 1; # c"]
+    lines += ["} # c", "map d degree -1 { # c"]
+    lines += [f"  e{2 * k + 1} -> 3*e{2 * k}; # c" for k in range(n)] + ["} # c"]
+    text = "\n".join(lines) + "\n"
+    assert len(text) > RUN / 2
+    start = time.perf_counter()
+    doc = parse(text)
+    assert time.perf_counter() - start < 2
+    assert _read(text) is not None
+    assert doc.module.dim == 2 * n and len(doc.maps["d"].columns) == n
