@@ -26,12 +26,13 @@ README has the numbers).
 
 Over Q the work runs in integers, from each complex's differential, kept
 once as integer columns over one denominator (``Complex._integer_d``),
-through the eliminations, the homotopy blocks and the homology vectors, to
-the class coordinates and the solutions.  delta has two forms, each with
-its own job: ``_integer_coboundary`` computes delta(f) from those columns
-for ``Cochain.coboundary``, ``is_cocycle`` and every step and check of a
-solve, and the ladder of :mod:`deform` reads delta(d_k) from its own sums of
-products.  A ``Fraction`` is built only for what is returned: the dim_h
+through the d^2 check, the eliminations, the homotopy blocks and the
+homology vectors, to the class coordinates and the solutions.  Every
+elimination of d runs in the module's own indices.  delta has two forms,
+each with its own job: ``_integer_coboundary`` computes delta(f) from those
+columns for ``Cochain.coboundary``, ``is_cocycle`` and every step and check
+of a solve, and the ladder of :mod:`deform` reads delta(d_k) from its own
+sums of products.  A ``Fraction`` is built only for what is returned: the dim_h
 representatives of ``cohomology``, the values of a coboundary or of a
 solution, the weights and residual of a witness, and the ``Scalar``s of a
 witness.
@@ -67,14 +68,17 @@ class Complex:
     d: GradedMap
 
     def __post_init__(self):
-        if self.d.source != self.module or self.d.target != self.module:
+        """d is an endomorphism of degree +1 or -1 with d^2 = 0, checked
+        column by column from ``_integer_d`` (else NotADifferential)."""
+        d, mod = self.d, self.field.modulus
+        if d.source != self.module or d.target != self.module:
             raise NotADifferential("the differential must be an endomorphism of the module")
-        try:
-            ok = self.d.is_differential()
-        except BadDegree as exc:
-            raise NotADifferential(str(exc)) from None
-        if not ok:
-            raise NotADifferential("d squared is not zero")
+        if d and d.degree not in (1, -1):
+            raise NotADifferential(f"a differential has degree +1 or -1, not {d.degree}")
+        cols = self._integer_d[1]
+        for col in cols.values():
+            if any(v % mod if mod is not None else v for v in _combine(col, cols).values()):
+                raise NotADifferential("d squared is not zero")
 
     # the dataclass would add a hash of the fields, and GradedMap has none
     __hash__ = None
@@ -271,10 +275,10 @@ def _homology_classes(cx: Complex, dual: bool = False, degrees=None):
     With ``dual`` the cycles are functionals lambda_t on the module with
     lambda_t o d = 0, a basis of H(cx)*.  Degree q needs only d between
     degrees q - 1, q and q + 1, so the work is proportional to those.  Two
-    eliminations, each at most as wide as the generators of ``degrees``:
-    the kernel of d, with its canonical vectors v_f, one per free column f
-    (the same vectors as on the whole module), then an echelon pass
-    over the boundaries in free coordinates.  v_f is a boundary modulo the
+    eliminations, each in the module's own indices: the kernel of the rows
+    of d that meet ``degrees``, read at the generators of ``degrees`` as the
+    canonical vectors v_f, one per free column f, then an echelon pass over
+    the boundaries in free coordinates.  v_f is a boundary modulo the
     earlier v_f' exactly when f is the largest free coordinate of some
     boundary, that is a pivot of the boundaries with the free coordinates
     ordered from the largest down; the others are kept, in order, the
@@ -284,41 +288,31 @@ def _homology_classes(cx: Complex, dual: bool = False, degrees=None):
     not from the kernel vectors.
     """
     module, by_degree = cx.module, cx.module._by_degree
+    degrees = by_degree.keys() if degrees is None else degrees
     # the kernel rows are the rows of d (of d^T) that meet degree q, and the
     # boundaries the columns of that matrix: row j of d^T is column j of d,
     # and column k of d^T is row k of d
     d_rows, d_cols = cx._integer_rows, cx._integer_d[1]
-    whole = degrees is None
-    if whole:  # the columns are the module's own indices
-        degrees, index = by_degree.keys(), range(module.dim)
-        below, above = list(d_rows.values()), list(d_cols.values())
-    else:  # local columns: the generators of those degrees, in declaration order
-        index = sorted(j for q in degrees for j in by_degree.get(q, ()))
-        local = {j: c for c, j in enumerate(index)}
-        below = [d_rows[k] for q in degrees for k in by_degree.get(q - 1, ()) if k in d_rows]
-        above = [d_cols[j] for q in degrees for j in by_degree.get(q + 1, ()) if j in d_cols]
+    below = [d_rows[k] for q in degrees for k in by_degree.get(q - 1, ()) if k in d_rows]
+    above = [d_cols[j] for q in degrees for j in by_degree.get(q + 1, ()) if j in d_cols]
     rows, boundaries = (above, below) if dual else (below, above)
-
-    def localized(vec):
-        return vec if whole else {local[j]: v for j, v in vec.items()}
-
-    kernel_system = _System([localized(row) for row in rows], len(index), cx.field)
+    columns = sorted(j for q in degrees for j in by_degree.get(q, ()))
+    kernel_system = _System(rows, module.dim, cx.field)
     kernel_system.reduce()
-    kernel = [vec for _, vec in kernel_system.nullspace()]
+    kernel = [vec for _, vec in kernel_system.nullspace(columns)]
     pivots = {c for c, _ in kernel_system.pivots}
-    free = [f for f in range(len(index)) if f not in pivots]  # of each kernel vector, in order
+    free = [f for f in columns if f not in pivots]  # of each kernel vector, in order
     # a kernel vector is v_f's multiple times its free coordinate f, so a
     # boundary's free coordinates are its coordinates in the kernel basis
     order = {f: s for s, f in enumerate(reversed(free))}
-    image = _System([{order[c]: v for c, v in localized(b).items() if c in order}
-                     for b in boundaries], len(free), cx.field)
+    image = _System([{order[c]: v for c, v in b.items() if c in order} for b in boundaries],
+                    len(free), cx.field)
     image.reduce(echelon=True)
     leads = {free[-1 - s] for s, _ in image.pivots}
     h = {q: 0 for q in degrees if q in by_degree}
     for f in free:
-        h[module.degree_of(index[f])] += f not in leads
-    return [vec if whole else {index[c]: v for c, v in vec.items()}
-            for f, vec in zip(free, kernel) if f not in leads], h
+        h[module.degree_of(f)] += f not in leads
+    return [vec for f, vec in zip(free, kernel) if f not in leads], h
 
 
 def _homotopy_block(cx: Complex, q: int) -> tuple[int, dict, dict]:
@@ -327,22 +321,19 @@ def _homotopy_block(cx: Complex, q: int) -> tuple[int, dict, dict]:
     one denominator L, h[x, y] = rows[x][y] / L = columns[y][x] / L.
 
     h_q is the generalized inverse ``_System.inverse`` of the block
-    d_q: V_q -> V_{q-1}, from one traced elimination of its rows, so
-    d_q h_q d_q = d_q; h is the sum of its blocks, and d h d = d holds on
-    each degree.  Its pivots are the first independent columns of d_q in
-    declaration order.
+    d_q: V_q -> V_{q-1}, from one traced elimination of its rows, in the
+    module's own indices, so d_q h_q d_q = d_q; h is the sum of its blocks,
+    and d h d = d holds on each degree.  Its pivots are the first
+    independent columns of d_q in declaration order.
     """
     blocks = cx._homotopy
     if q not in blocks:
-        by_degree = cx.module._by_degree
-        sources, targets = by_degree.get(q, ()), by_degree.get(q - 1, ())
-        local = {j: c for c, j in enumerate(sources)}
-        d_rows = cx._integer_rows
-        system = _System([{local[l]: v for l, v in d_rows.get(k, {}).items()} for k in targets],
-                         len(sources), cx.field, cx._integer_d[0], trace=True)
+        targets, d_rows = cx.module._by_degree.get(q - 1, ()), cx._integer_rows
+        system = _System([d_rows.get(k, {}) for k in targets], cx.module.dim, cx.field,
+                         cx._integer_d[0], trace=True)
         system.reduce()
         den, inverse = system.inverse()
-        rows = {sources[c]: {targets[i]: v for i, v in row.items()} for c, row in inverse.items()}
+        rows = {x: {targets[i]: v for i, v in row.items()} for x, row in inverse.items()}
         columns: dict[int, dict[int, int]] = {}
         for x, row in rows.items():
             for y, v in row.items():

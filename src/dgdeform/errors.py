@@ -59,10 +59,6 @@ class ZeroCoefficient(DgmError):
     pass
 
 
-class NotEndomorphism(DgmError):
-    pass
-
-
 class BadDegree(DgmError):
     pass
 

@@ -12,11 +12,11 @@ Only ``apply`` wraps a result in a ``Vector``, and ``entries`` yields
 ``Scalar``s.
 
 Every product of maps in the library goes through one sparse kernel,
-``_Products``: ``compose`` (so ``@`` and ``is_differential``), and the
-ladder, the series algebra and the gauge step of :mod:`deform`.  It
-multiplies only entries that meet.  ``_combine`` is the one
-vector-times-columns loop: ``apply``, and in :mod:`cochain` the d_M f half
-of delta, the class coordinates and the witness checks.
+``_Products``: ``compose`` (so ``@``), and the ladder, the series algebra
+and the gauge step of :mod:`deform`.  It multiplies only entries that meet.
+``_combine`` is the one vector-times-columns loop: ``apply``, and in
+:mod:`cochain` the d^2 check of a ``Complex``, the d_M f half of delta, the
+class coordinates and the witness checks.
 
 The public constructor brings any column dict to that normal form and checks
 degrees; ``from_entries`` also checks degrees.  The arithmetic, ``identity``,
@@ -33,11 +33,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import (
-    BadDegree,
     CompositionMismatch,
     DegreeMismatch,
     ModuleMismatch,
-    NotEndomorphism,
     ZeroCoefficient,
 )
 from .field import Scalar
@@ -61,8 +59,8 @@ def _check(source: GradedModule, target: GradedModule, degree: int, columns: dic
 
 def _combine(vec: dict, vectors: dict) -> dict:
     """sum_j vec[j] * vectors[j] for sparse vectors, raw and with zeros
-    kept: a map's image of a vector from its columns, d_M f and d z from
-    the columns of d, lambda o d from its rows, g(z) from g's columns."""
+    kept: a map's image of a vector from its columns, d d x, d_M f and d z
+    from the columns of d, lambda o d from its rows, g(z) from g's columns."""
     out: dict = {}
     for j, c in vec.items():
         for k, e in vectors.get(j, {}).items():
@@ -342,18 +340,6 @@ class GradedMap:
 
     def __rmul__(self, c):
         return self.scale(c)
-
-    # -- predicates -----------------------------------------------------------
-
-    def is_differential(self) -> bool:
-        """True when the map is a square-zero endomorphism of degree +-1."""
-        if self.source != self.target:
-            raise NotEndomorphism("a differential must be an endomorphism")
-        if self.is_zero():
-            return True
-        if self.degree not in (1, -1):
-            raise BadDegree(f"a differential has degree +1 or -1, not {self.degree}")
-        return self.compose(self).is_zero()
 
     # -- rendering ---------------------------------------------------------------
 

@@ -42,13 +42,14 @@ def _render_sum(terms) -> str:
     out = ""
     for c, body in terms:
         # GF(p) values lie in [0, p), so only rationals are ever negative
-        mag = -c if c < 0 else c
-        if mag != 1:
-            body = f"{mag}*{body}"
+        if negative := c < 0:
+            c = -c
+        if c != 1:
+            body = f"{c}*{body}"
         if out:
-            out += f" - {body}" if c < 0 else f" + {body}"
+            out += f" - {body}" if negative else f" + {body}"
         else:
-            out = f"-{body}" if c < 0 else body
+            out = f"-{body}" if negative else body
     return out or "0"
 
 

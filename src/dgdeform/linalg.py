@@ -169,14 +169,15 @@ class _System:
         self.rows = [rows[r] for r in at]
         self.dens = [dens[r] for r in at]
 
-    def nullspace(self) -> list[tuple[int, dict[int, int]]]:
-        """A canonical basis of the kernel, one vector per free column, in
-        increasing free-column order; each is (L, vector) with the integer
-        vector over L holding {f: 1, then the pivot columns in pivot order},
-        L the lcm of the denominators of the rows that hold f (1 over
-        GF(p)).  Needs a full (not echelon) ``reduce``."""
+    def nullspace(self, columns) -> list[tuple[int, dict[int, int]]]:
+        """The canonical kernel vectors of the free columns among
+        ``columns``, one per free column, in the order of ``columns``; each
+        is (L, vector) with the integer vector over L holding {f: 1, then
+        the pivot columns in pivot order}, L the lcm of the denominators of
+        the rows that hold f (1 over GF(p)).  ``range(ncols)`` gives a basis
+        of the kernel.  Needs a full (not echelon) ``reduce``."""
         pivcols = {c for c, _ in self.pivots}
-        free = [f for f in range(self.ncols) if f not in pivcols]
+        free = [f for f in columns if f not in pivcols]
         p, rows, dens = self.modulus, self.rows, self.dens
         scale = dict.fromkeys(free, 1)
         if p is None:  # row r holds its pivot and free columns only, over dens[r]
@@ -256,5 +257,5 @@ def nullspace_sparse(rows: list[Row], ncols: int, field: FieldSpec) -> list[Row]
     sys = _System(_matrix(rows, field)[1], ncols, field)
     sys.reduce()
     if field.modulus is not None:
-        return [vec for _, vec in sys.nullspace()]
-    return [{k: Fraction(v, d) for k, v in vec.items()} for d, vec in sys.nullspace()]
+        return [vec for _, vec in sys.nullspace(range(ncols))]
+    return [{k: Fraction(v, d) for k, v in vec.items()} for d, vec in sys.nullspace(range(ncols))]

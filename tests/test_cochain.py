@@ -131,6 +131,75 @@ def test_complex_requires_square_zero():
         Complex(m, bad)
 
 
+def test_complex_checks_its_differential():
+    # moved here from tests/test_gmap.py with GradedMap.is_differential:
+    # Complex checks d^2 = 0 itself, from its integer columns
+    m5 = base_complex(5, QQ).module
+    assert Complex(m5, base_complex(5, QQ).d).d
+    bad = GradedMap.from_entries(m5, -1, [("x6", "x4", 1), ("x8", "x6", 1)])
+    assert compose(bad, bad) == GradedMap.elementary(m5, "x4", "x8")
+    with pytest.raises(NotADifferential, match="^d squared is not zero$"):
+        Complex(m5, bad)
+    Complex(m5, GradedMap.zero(m5, degree=-1))
+    Complex(m5, GradedMap.zero(m5, degree=-2))  # the zero map has every degree
+    other = base_complex(3, QQ).module
+    with pytest.raises(NotADifferential,
+                       match="^the differential must be an endomorphism of the module$"):
+        Complex(m5, GradedMap(m5, other, -1, {}))
+    with pytest.raises(NotADifferential, match=r"^a differential has degree \+1 or -1, not -2$"):
+        Complex(m5, GradedMap.elementary(m5, "x1", "x5"))
+
+
+@st.composite
+def _endomorphisms(draw):
+    """A map of degree -1 or +1 on a module of 1-7 generators in degrees
+    0-3, over Q, GF(2) or GF(5), with fractional entries: dense enough
+    that d^2 is often not zero.  Some draws are a -> b + c, b -> k x,
+    c -> (5 - k) x: d^2 = 5 x, zero over GF(5) alone."""
+    field = draw(st.sampled_from(FIELDS))
+    if draw(st.integers(0, 5)) == 0:
+        m = GradedModule("F", field, [("a", 2), ("b", 1), ("c", 1), ("x", 0)])
+        k = draw(st.integers(1, 4))
+        d = GradedMap.from_entries(m, -1, [("a", "b", 1), ("a", "c", 1), ("b", "x", k),
+                                           ("c", "x", 5 - k)])
+        return m, d
+    dim = draw(st.integers(1, 7))
+    m = GradedModule("R", field, [(f"e{i}", draw(st.integers(0, 3))) for i in range(dim)])
+    degree = draw(st.sampled_from([-1, 1]))
+    density = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    value = st.builds(Fraction, st.integers(-3, 3), st.sampled_from(
+        [1, 3] if field.modulus == 2 else [1, 2, 3, 4]))
+    cols: dict[int, dict] = {}
+    for j in range(dim):
+        for i in range(dim):
+            if m.degree_of(i) == m.degree_of(j) + degree and draw(st.floats(0, 1)) < density:
+                cols.setdefault(j, {})[i] = draw(value)
+    return m, GradedMap(m, m, degree, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_endomorphisms())
+def test_complex_refuses_exactly_the_maps_whose_square_is_not_zero(case):
+    m, d = case
+    if compose(d, d):
+        with pytest.raises(NotADifferential, match="^d squared is not zero$"):
+            Complex(m, d)
+    else:
+        assert Complex(m, d).d == d
+
+
+def test_complex_checks_d_squared_without_fraction_arithmetic(monkeypatch):
+    # over Q the check runs on the integer columns over one denominator
+    rng = random.Random(27)
+    cx = conjugated(rng, random_complex(rng, QQ, 60))
+    assert any(v.denominator != 1 for col in cx.d.columns.values() for v in col.values())
+    calls = count_fraction_arithmetic(monkeypatch)
+    again = Complex(cx.module, cx.d)
+    monkeypatch.undo()
+    assert calls == []
+    assert again._integer_d == cx._integer_d
+
+
 def test_complex_is_unhashable():
     # equal complexes compare by value, and their maps have no hash
     cx = base_complex(3, QQ)
@@ -297,7 +366,7 @@ def test_cohomology_checks_its_inputs_whenever_either_cochain_space_is_nonempty(
 def test_cohomology_postcondition_is_a_real_check(monkeypatch):
     m = GradedModule("U", QQ, [("a", 0), ("b", 1)])
     cx = Complex(m, GradedMap.zero(m, degree=-1))
-    monkeypatch.setattr(linalg._System, "nullspace", lambda self: [])
+    monkeypatch.setattr(linalg._System, "nullspace", lambda self, columns: [])
     with pytest.raises(PostconditionFailed):
         cohomology(cx, cx, 0)
 
@@ -828,7 +897,10 @@ def test_a_solve_builds_the_blocks_of_the_degrees_it_touches(monkeypatch):
     assert out == Solved(Cochain(0, GradedMap.from_entries(
         cx.module, 0, [("x4", "x3", 1), ("x7", "x8", 1)]), cx))
     assert sorted(cx._homotopy) == [2, 5]
-    assert calls == [2, 2]
+    # each block's rows are the rows of d into degree 1 (into 4), which hold
+    # one column between them: x3 (x9), the one generator of degree 2 (5)
+    # with d x != 0
+    assert calls == [1, 1]
     # the one-shot path reads the class coordinates, then the cached blocks
     built = count_blocks(monkeypatch)
     assert solve_coboundary(g) == out

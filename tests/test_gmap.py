@@ -12,12 +12,10 @@ from dgdeform import (
 )
 from dgdeform.deform import obstruction
 from dgdeform.errors import (
-    BadDegree,
     CompositionMismatch,
     DegreeMismatch,
     FieldMismatch,
     ModuleMismatch,
-    NotEndomorphism,
     ZeroCoefficient,
 )
 from conftest import compose, count_products, random_scalar
@@ -74,19 +72,6 @@ def test_apply_base_differential(m5):
     assert cx.d.apply(m5.basis_vector("x3")) == m5.basis_vector("x1")
     assert cx.d.apply(m5.basis_vector("x5")).is_zero()
     assert cx.d.apply(m5.zero_vector()).is_zero()
-
-
-def test_is_differential(m5):
-    assert base_complex(5, QQ).d.is_differential()
-    bad = GradedMap.from_entries(m5, -1, [("x6", "x4", 1), ("x8", "x6", 1)])
-    assert bad.compose(bad) == GradedMap.elementary(m5, "x4", "x8")
-    assert not bad.is_differential()
-    assert GradedMap.zero(m5, degree=-1).is_differential()
-    with pytest.raises(NotEndomorphism):
-        other = base_complex(3, QQ).module
-        GradedMap(m5, other, -1, {}).is_differential()
-    with pytest.raises(BadDegree):
-        GradedMap.elementary(m5, "x1", "x5").is_differential()  # degree -2
 
 
 def test_constructor_takes_raw_column_dicts(m5):

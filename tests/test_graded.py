@@ -81,3 +81,25 @@ def test_vector_equality_is_structural():
     coeffs = {f"e{i}": rng.randint(0, 4) for i in range(6)}
     assert m.vector(coeffs) == m.vector(dict(coeffs))
     assert m.vector({"e0": 5}) == m.zero_vector()  # 5 = 0 mod 5
+
+
+def test_render_sum_tests_each_sign_once(monkeypatch):
+    # one Fraction comparison per term: the sign picks both the magnitude
+    # and the joining minus
+    from fractions import Fraction
+
+    from dgdeform.graded import _render_sum
+
+    terms = [(Fraction(-1), "a"), (Fraction(3, 2), "b"), (Fraction(1), "c"), (Fraction(-2, 5), "d")]
+    calls = []
+    less = Fraction.__lt__
+
+    def counting(self, other):
+        calls.append(self)
+        return less(self, other)
+
+    monkeypatch.setattr(Fraction, "__lt__", counting)
+    text = _render_sum(terms)
+    monkeypatch.undo()
+    assert text == "-a + 3/2*b + c - 2/5*d"
+    assert len(calls) == len(terms)

@@ -90,9 +90,10 @@ def _reduced(sys):
 
 @st.composite
 def systems(draw, fields=tuple(FIELDS), size=7, num=3, den=3):
-    """(field, matrix, right sides, D) with at most ``size`` rows and
-    columns; rationals have numerators in [-num, num] and denominators in
-    [1, den], and the integer rows of the matrix come over D (1 over GF(p))."""
+    """(field, matrix, right sides, D, columns) with at most ``size`` rows
+    and columns; rationals have numerators in [-num, num] and denominators
+    in [1, den], the integer rows of the matrix come over D (1 over GF(p)),
+    and ``columns`` is a subset of the columns in a drawn order."""
     name = draw(st.sampled_from(sorted(fields)))
     p = FIELDS[name].modulus
     nrows = draw(st.integers(1, size))
@@ -116,8 +117,9 @@ def systems(draw, fields=tuple(FIELDS), size=7, num=3, den=3):
     x = [draw(value) for _ in range(ncols)]
     rhs.append([_canon(sum(a * b for a, b in zip(row, x)), p) for row in mat])  # feasible
     den = draw(st.sampled_from(DENOMINATORS)) if p is None else 1
+    columns = draw(st.lists(st.integers(0, ncols - 1), unique=True))
     # the system stands for a multiple of mat, against which rhs[2] is feasible still
-    return FIELDS[name], mat, rhs, den
+    return FIELDS[name], mat, rhs, den, columns
 
 
 def _assert_canonical(values, p):
@@ -134,10 +136,11 @@ def test_system_matches_dense_rref(case):
     _check_against_oracle(*case)
 
 
-def _check_against_oracle(field, mat, rhs_list, den=1):
+def _check_against_oracle(field, mat, rhs_list, den=1, columns=None):
     """Every result of ``_System`` on the integer rows of ``mat`` over
     ``den`` (see ``_integer_rows``) equals the dense oracle's on the matrix
-    they stand for."""
+    they stand for; the kernel is also read at ``columns`` (by default every
+    other column, from the last down)."""
     p = field.modulus
     ncols = len(mat[0])
     rows, mat = _integer_rows(field, mat, den)
@@ -168,22 +171,27 @@ def _check_against_oracle(field, mat, rhs_list, den=1):
             [_canon(v, p) for v in a_col]
 
     # kernel: {f: 1, then -ref[i][f] at each pivot column, in pivot order}
-    want = []
+    canonical = {}
     for f in (c for c in range(ncols) if c not in pivcols):
         vec = {f: _canon(1, p)}
         for i, c in enumerate(pivcols):
             if ref[i][f]:
                 vec[c] = _canon(-ref[i][f], p)
-        want.append(list(vec.items()))
-    kernel = [_over(vec, d, p) for d, vec in sys.nullspace()]
+        canonical[f] = list(vec.items())
+    want = list(canonical.values())
+    kernel = [_over(vec, d, p) for d, vec in sys.nullspace(range(ncols))]
     assert [list(v.items()) for v in kernel] == want
+    # read at some columns: the canonical vectors of their free ones, in their order
+    columns = range(ncols - 1, -1, -2) if columns is None else columns
+    assert [list(_over(vec, d, p).items()) for d, vec in sys.nullspace(columns)] == \
+        [canonical[f] for f in columns if f in canonical]
 
     # untraced, as _homology_classes reduces d: the same RREF and kernel
     plain = _System(rows, ncols, field)
     plain.reduce()
     assert plain.pivots == sys.pivots
     assert _reduced(plain) == [_sparse(row[:ncols]) for row in ref]
-    assert [list(_over(vec, d, p).items()) for d, vec in plain.nullspace()] == want
+    assert [list(_over(vec, d, p).items()) for d, vec in plain.nullspace(range(ncols))] == want
 
     echelon = _System(rows, ncols, field)
     echelon.reduce(echelon=True)
@@ -217,7 +225,7 @@ def test_raw_value_wrappers_match_the_system(case):
     # rank_sparse and nullspace_sparse take and return raw values, scaling
     # them to integers on the way in (``_check_against_oracle`` checks
     # solve_sparse, the third)
-    field, mat, _, _ = case
+    field, mat, _, _, _ = case
     p = field.modulus
     ncols = len(mat[0])
     raw = [_sparse(row) for row in mat]
@@ -227,7 +235,8 @@ def test_raw_value_wrappers_match_the_system(case):
     sys = _System(rows, ncols, field, den)
     sys.reduce()
     assert rank_sparse(raw, ncols, field) == len(sys.pivots)
-    assert nullspace_sparse(raw, ncols, field) == [_over(vec, d, p) for d, vec in sys.nullspace()]
+    assert nullspace_sparse(raw, ncols, field) == [_over(vec, d, p)
+                                                   for d, vec in sys.nullspace(range(ncols))]
 
 
 # -- integer rows over the rationals ---------------------------------------------------
@@ -265,7 +274,7 @@ def test_echelon_pivots_are_the_greedy_basis(case):
     # the vectors are the columns, as ints, the way cohomology passes class
     # coordinates over Q; column i is a pivot when it raises the dense rank
     # of the vectors up to i
-    field, mat, _, _ = case
+    field, mat, _, _, _ = case
     p = field.modulus
     mat = [[int(x) for x in row] for row in mat]
     ranks = [len(dense_rref(mat[:i + 1], p)[1]) for i in range(len(mat))]
@@ -289,7 +298,8 @@ def test_empty_and_zero_rows(name):
     none = _System([], 3, field, trace=True)
     none.reduce()
     assert none.pivots == [] and none.rows == []
-    assert none.nullspace() == [(1, {f: 1}) for f in range(3)]
+    assert none.nullspace(range(3)) == [(1, {f: 1}) for f in range(3)]
+    assert none.nullspace([2, 0]) == [(1, {2: 1}), (1, {0: 1})]
     assert none.inverse() == (1, {})
     assert solve_sparse([], [], 3, field) == {}
 
@@ -299,7 +309,7 @@ def test_empty_and_zero_rows(name):
 def test_one_reduction_serves_many_right_sides(case):
     # reading the inverse, which serves every right side, leaves the
     # reduction as it was
-    field, mat, _, den = case
+    field, mat, _, den, _ = case
     ncols = len(mat[0])
     rows, _ = _integer_rows(field, mat, den)
     shared = _System(rows, ncols, field, den, trace=True)
