@@ -11,6 +11,11 @@ order n, four variants of an approximation d + t d_1 + ... :
 
 Everything is verified mechanically on a finite truncation; all maps in play
 have degree -1, so any sufficiently large truncation window is exact.
+
+The maps are written straight in index space: x_i is basis index i - 1, and
+each column holds the field's 1 or -1.  A ``FamilySpec`` holds one module;
+``family_lifts`` builds the lifts on it without building a complex, and
+``FamilySpec.cx`` puts d on the same module object.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from functools import cached_property
 
 from .cochain import Cochain, Complex, Infeasible, noncobounding_certificate, solve_coboundary
 from .deform import MapSeries, _Ledger, deform_to_order, first_order_triviality, series_mul
-from .errors import BadTruncation, TruncationTooSmall
+from .errors import BadTruncation, TruncationTooSmall, UnknownBasisName
 from .field import QQ, FieldSpec
-from .gmap import GradedMap
+from .gmap import GradedMap, _check
 from .graded import GradedModule
 
 VARIANTS = ("polynomial", "obstructed", "linear", "infinite")
@@ -80,9 +85,45 @@ class FamilySpec:
             )
 
     @cached_property
+    def _module(self) -> GradedModule:
+        """The truncated module every lift of this member lives on."""
+        return _base_module(self.truncation, self.field)
+
+    @cached_property
     def cx(self) -> Complex:
         """The base complex every lift of this member is a map on."""
-        return base_complex(self.truncation, self.field)
+        return _complex_on(self._module)
+
+
+def _base_module(truncation: int, field: FieldSpec) -> GradedModule:
+    return GradedModule(
+        "V", field, [(f"x{i}", (i + 1) // 2) for i in range(1, 2 * truncation + 1)]
+    )
+
+
+def _family_map(module: GradedModule, terms, degree: int = -1) -> GradedMap:
+    """The map of ``degree`` sending x_s to c * x_t for each (s, t, c) in
+    ``terms``, with c = 1 or -1 and x_i at index i - 1; no pair (s, t)
+    repeats.  Every column is checked to be homogeneous, and a subscript
+    outside 1..dim raises rather than wrapping around as a negative index."""
+    one = module.field.one.value
+    values = {1: one, -1: module.field.norm(-one)}
+    dim = module.dim
+    cols: dict[int, dict] = {}
+    for s, t, c in terms:
+        if not (0 < s <= dim and 0 < t <= dim):
+            bad = t if 0 < s <= dim else s
+            raise UnknownBasisName(f"no basis element 'x{bad}' in module {module.name}")
+        cols.setdefault(s - 1, {})[t - 1] = values[c]
+    _check(module, module, degree, cols)
+    return GradedMap._of(module, module, degree, cols)
+
+
+def _complex_on(module: GradedModule) -> Complex:
+    """``module`` with d = sum x_{6i-5} d/d x_{6i-3} over every x_{6i-3} in it."""
+    top = module.dim
+    return Complex(module, _family_map(
+        module, [(6 * i - 3, 6 * i - 5, 1) for i in range(1, (top + 3) // 6 + 1)]))
 
 
 def base_complex(truncation: int, field: FieldSpec = QQ) -> Complex:
@@ -92,57 +133,41 @@ def base_complex(truncation: int, field: FieldSpec = QQ) -> Complex:
         raise BadTruncation(f"truncation must be >= 1, got {truncation}")
     if truncation > MAX_TRUNCATION:
         raise BadTruncation(f"truncation {truncation} exceeds the cap {MAX_TRUNCATION}")
-    top = 2 * truncation
-    module = GradedModule(
-        "V", field, [(f"x{i}", (i + 1) // 2) for i in range(1, top + 1)]
-    )
-    entries = []
-    i = 1
-    while 6 * i - 3 <= top:
-        entries.append((f"x{6 * i - 3}", f"x{6 * i - 5}", 1))
-        i += 1
-    return Complex(module, GradedMap.from_entries(module, -1, entries))
+    return _complex_on(_base_module(truncation, field))
 
 
 def _poly_d1(module: GradedModule, upto: int) -> GradedMap:
-    entries = [("x4", "x1", 1)]
-    entries += [(f"x{6 * i}", f"x{6 * i - 2}", 1) for i in range(1, upto + 1)]
-    return GradedMap.from_entries(module, -1, entries)
+    return _family_map(module, [(4, 1, 1)] + [(6 * i, 6 * i - 2, 1) for i in range(1, upto + 1)])
 
 
 def _ladder_lift(module: GradedModule, k: int, with_tail: bool) -> GradedMap:
-    entries = [(f"x{6 * k - 6}", f"x{6 * k - 9}", -1)]
+    terms = [(6 * k - 6, 6 * k - 9, -1)]
     if with_tail:
-        entries.append((f"x{6 * k - 2}", f"x{6 * k - 5}", 1))
-    return GradedMap.from_entries(module, -1, entries)
+        terms.append((6 * k - 2, 6 * k - 5, 1))
+    return _family_map(module, terms)
 
 
 def family_lifts(spec: FamilySpec) -> list[GradedMap]:
-    """The lift sequence d_1, d_2, ... for the chosen variant."""
-    module = spec.cx.module
+    """The lift sequence d_1, d_2, ... for the chosen variant, on the module
+    of ``spec.cx`` (which this does not build)."""
+    module = spec._module
     n = spec.n
     if spec.variant == "linear":
-        return [GradedMap.from_entries(module, -1, [("x6", "x4", 1)])]
+        return [_family_map(module, [(6, 4, 1)])]
     if spec.variant == "polynomial":
         lifts = [_poly_d1(module, n - 1)]
         lifts += [_ladder_lift(module, k, with_tail=k < n) for k in range(2, n + 1)]
         return lifts
     if spec.variant == "obstructed":
         if n == 1:
-            return [GradedMap.from_entries(module, -1, [("x6", "x4", 1), ("x8", "x6", 1)])]
+            return [_family_map(module, [(6, 4, 1), (8, 6, 1)])]
         lifts = [_poly_d1(module, n - 1)]
         lifts += [_ladder_lift(module, k, with_tail=True) for k in range(2, n)]
-        lifts.append(
-            GradedMap.from_entries(
-                module, -1,
-                [(f"x{6 * n - 6}", f"x{6 * n - 9}", -1), (f"x{6 * n - 4}", f"x{6 * n - 6}", 1)],
-            )
-        )
+        lifts.append(_family_map(module, [(6 * n - 6, 6 * n - 9, -1), (6 * n - 4, 6 * n - 6, 1)]))
         return lifts
     # infinite: d_1 spans every column the truncation admits; the tail of
     # each later lift is what keeps every obstruction (hence every lift) nonzero.
-    top = 2 * spec.truncation
-    lifts = [_poly_d1(module, top // 6)]
+    lifts = [_poly_d1(module, module.dim // 6)]
     lifts += [_ladder_lift(module, k, with_tail=True) for k in range(2, n + 1)]
     return lifts
 
@@ -246,7 +271,7 @@ def verify_obstructed(n: int, truncation: int | None = None,
 
     o_n = Cochain(2, ledger.obstruction(n), cx)
     lo, hi = (4, 8) if n == 1 else (6 * n - 8, 6 * n - 4)
-    expected = GradedMap.from_entries(cx.module, -2, [(f"x{hi}", f"x{lo}", -1)])
+    expected = _family_map(cx.module, [(hi, lo, -1)], degree=-2)
     entries.append(
         CheckEntry("obstruction value", o_n.mapping == expected, f"O_{n} = {o_n.render()}")
     )

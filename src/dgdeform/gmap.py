@@ -19,10 +19,11 @@ and the gauge step of :mod:`deform`.  It multiplies only entries that meet.
 class coordinates and the witness checks.
 
 The public constructor brings any column dict to that normal form and checks
-degrees; ``from_entries`` also checks degrees.  The arithmetic, ``identity``,
-``zero``, the cochain solver and the .dgm parser (which checks each term's
-degree as it reads it) build their results in normal form already and go
-through the unchecked ``GradedMap._of``.
+degrees; ``from_entries`` and the family generator, which writes its index
+columns in normal form and passes them to ``_check``, also check degrees.
+The arithmetic, ``identity``, ``zero``, the cochain solver and the .dgm parser
+(which checks each term's degree as it reads it) build their results in
+normal form already and go through the unchecked ``GradedMap._of``.
 """
 
 from __future__ import annotations

@@ -82,12 +82,14 @@ class GradedModule:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "basis", tuple((str(n), int(d)) for n, d in basis))
-        for n, _ in self.basis:
-            if not _IDENT.match(n):
-                raise UnknownBasisName(f"{n!r} is not a valid basis name")
+        names = [n for n, _ in self.basis]
+        # one pass in C; the offending name is looked for only on failure
+        if not all(map(_IDENT.match, names)):
+            bad = next(n for n in names if not _IDENT.match(n))
+            raise UnknownBasisName(f"{bad!r} is not a valid basis name")
         if not _IDENT.match(self.name):
             raise UnknownName(f"{self.name!r} is not a valid module name")
-        if len({n for n, _ in self.basis}) != len(self.basis):
+        if len(set(names)) != len(names):
             raise UnknownBasisName(f"duplicate basis names in module {self.name}")
 
     def __eq__(self, other) -> bool:

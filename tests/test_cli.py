@@ -2,6 +2,7 @@
 
 import gc
 import io
+import re
 import time
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
@@ -468,6 +469,24 @@ def _mutations(draw, base: bytes):
     return bytes(data)
 
 
+# one number of a well-formed file, so that the file still parses and the run
+# reaches the command: a term's coefficient, a basis degree or an order
+_TWEAKS = {
+    "coefficient": (r"(?<=-> )-?(?=x\d)",
+                    st.sampled_from(["0", "2", "-1", "-2", "3", "1/2", "-3/4", "5/3"]).map("{}*".format)),
+    "degree": (r"(?<=: )-?\d+(?=[,;])", st.integers(-3, 12).map(str)),
+    "order": (r"(?<=order )\d+", st.integers(0, 6).map(str)),
+}
+
+
+@st.composite
+def _tweaks(draw, base: bytes):
+    text = base.decode()
+    pattern, values = _TWEAKS[draw(st.sampled_from(sorted(_TWEAKS)))]
+    spot = draw(st.sampled_from(list(re.finditer(pattern, text))))
+    return (text[:spot.start()] + draw(values) + text[spot.end():]).encode()
+
+
 @pytest.fixture(scope="module")
 def family_bytes():
     result = CliRunner().invoke(
@@ -571,8 +590,8 @@ def test_every_command_survives_hostile_flags(flag_files, data):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_every_command_survives_hostile_flags_on_hostile_bytes(family_bytes, hostile_path, data):
-    # one mutated family file and one drawn flag set for the same run
-    hostile_path.write_bytes(data.draw(_mutations(family_bytes)))
+    # one mutated or tweaked family file and one drawn flag set for the same run
+    hostile_path.write_bytes(data.draw(st.one_of(_mutations(family_bytes), _tweaks(family_bytes))))
     args = data.draw(_invocations([str(hostile_path)]).filter(
         lambda args: args[0] not in ("paper-family", "verify-paper")))
     start = time.perf_counter()

@@ -628,6 +628,27 @@ def test_trivialize_composes_no_identity(monkeypatch):
     assert callers == []
 
 
+def test_trivialize_checks_each_series_square_once(monkeypatch):
+    # d_t is checked on entry and each later gauged series once, before the
+    # stage that gauges it; the first stage that gauges still holds d_t
+    rng = random.Random(67)
+    cx = random_complex(rng, QQ, 8)
+    d_t = random_gauged(rng, MapSeries.deformation(cx, [], order=6), range(1, 7))
+    checked = []
+    is_square_zero = MapSeries.is_square_zero
+
+    def recording(self):
+        checked.append(self)
+        return is_square_zero(self)
+
+    monkeypatch.setattr(MapSeries, "is_square_zero", recording)
+    report = trivialize(d_t)
+    gauged = sum(map(bool, report.stages))
+    assert report.trivialized and gauged >= 3
+    assert checked[0] is d_t
+    assert len({id(s) for s in checked}) == len(checked) == gauged
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

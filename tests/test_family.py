@@ -6,8 +6,10 @@ from dgdeform import (
     GF,
     QQ,
     Cochain,
+    Complex,
     FamilySpec,
     GradedMap,
+    GradedModule,
     base_complex,
     family_lifts,
     minimal_truncation,
@@ -16,7 +18,7 @@ from dgdeform import (
     verify_polynomial,
 )
 from dgdeform.deform import _Ledger, check_relations, obstruction, series_mul
-from dgdeform.errors import BadTruncation, TruncationTooSmall
+from dgdeform.errors import BadTruncation, DegreeMismatch, TruncationTooSmall, UnknownBasisName
 from dgdeform.family import MAX_TRUNCATION
 from conftest import compose, compose_callers, count_products
 
@@ -158,8 +160,6 @@ def test_corrupted_differential_detected():
         cx.module, -1, [(cx.module.name_of(j), cx.module.name_of(i), c)
                         for j, i, c in cx.d.entries() if cx.module.name_of(j) != "x3"]
     )
-    from dgdeform import Complex
-
     broken = Complex(cx.module, weaker)
     assert not all(check_relations(broken, lifts))
 
@@ -183,6 +183,91 @@ def test_lifts_live_on_the_spec_complex_module():
     for variant in ("polynomial", "obstructed", "linear", "infinite"):
         spec = FamilySpec(3, variant, field=GF(5))
         assert all(m.source is spec.cx.module for m in family_lifts(spec))
+
+
+def _oracle_family(spec):
+    """d and the lifts of ``spec`` from the name-triple formulas, through
+    ``GradedMap.from_entries`` on a module of their own."""
+    top = 2 * spec.truncation
+    module = GradedModule("V", spec.field, [(f"x{i}", (i + 1) // 2) for i in range(1, top + 1)])
+
+    def entries(*triples):
+        return GradedMap.from_entries(module, -1, list(triples))
+
+    def poly_d1(upto):
+        return entries(("x4", "x1", 1), *[(f"x{6 * i}", f"x{6 * i - 2}", 1)
+                                          for i in range(1, upto + 1)])
+
+    def ladder(k, with_tail):
+        tail = [(f"x{6 * k - 2}", f"x{6 * k - 5}", 1)] if with_tail else []
+        return entries((f"x{6 * k - 6}", f"x{6 * k - 9}", -1), *tail)
+
+    d = entries(*[(f"x{6 * i - 3}", f"x{6 * i - 5}", 1) for i in range(1, top + 1) if 6 * i - 3 <= top])
+    n = spec.n
+    if spec.variant == "linear":
+        lifts = [entries(("x6", "x4", 1))]
+    elif spec.variant == "polynomial":
+        lifts = [poly_d1(n - 1)] + [ladder(k, k < n) for k in range(2, n + 1)]
+    elif spec.variant == "obstructed" and n == 1:
+        lifts = [entries(("x6", "x4", 1), ("x8", "x6", 1))]
+    elif spec.variant == "obstructed":
+        lifts = [poly_d1(n - 1)] + [ladder(k, True) for k in range(2, n)]
+        lifts.append(entries((f"x{6 * n - 6}", f"x{6 * n - 9}", -1),
+                             (f"x{6 * n - 4}", f"x{6 * n - 6}", 1)))
+    else:
+        lifts = [poly_d1(top // 6)] + [ladder(k, True) for k in range(2, n + 1)]
+    return module, d, lifts
+
+
+def _columns(maps):
+    """Each map's degree and columns, with the type of every raw value (a
+    Fraction over Q, an int over GF(p))."""
+    return [(m.degree, {j: {i: (type(v), v) for i, v in col.items()} for j, col in m.columns.items()})
+            for m in maps]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("variant", ["polynomial", "obstructed", "linear", "infinite"])
+def test_family_matches_the_name_triple_formulas(variant, field):
+    for n in range(2 if variant == "polynomial" else 1, 25):
+        minimum = minimal_truncation(variant, n)
+        for truncation in (minimum, minimum + 3):
+            spec = FamilySpec(n, variant, truncation, field)
+            module, d, lifts = _oracle_family(spec)
+            cx = base_complex(truncation, field)
+            built = family_lifts(spec)
+            assert cx.module == module == spec.cx.module
+            assert _columns([cx.d, spec.cx.d]) == _columns([d, d])
+            assert _columns(built) == _columns(lifts), (variant, n, truncation)
+
+
+def test_family_lifts_build_no_complex(monkeypatch):
+    built = []
+    post_init = Complex.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Complex, "__post_init__", counting)
+    for variant in ("polynomial", "obstructed", "linear", "infinite"):
+        spec = FamilySpec(3, variant, field=GF(5))
+        assert family_lifts(spec) and built == []
+        assert all(m.source is spec.cx.module for m in family_lifts(spec))
+        assert built == [spec.cx]
+        built.clear()
+
+
+def test_family_map_rejects_subscripts_outside_the_module():
+    from dgdeform.family import _family_map, _ladder_lift
+
+    module = base_complex(3, QQ).module
+    with pytest.raises(UnknownBasisName):
+        _ladder_lift(module, 1, with_tail=False)  # x_{-3} would wrap to index -4
+    with pytest.raises(UnknownBasisName):
+        _family_map(module, [(7, 5, 1)])
+    with pytest.raises(DegreeMismatch):
+        _family_map(module, [(6, 5, 1)])
 
 
 def test_realized_relation_sign_is_recorded():

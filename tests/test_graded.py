@@ -10,6 +10,7 @@ from dgdeform.errors import (
     FieldMismatch,
     ModuleMismatch,
     UnknownBasisName,
+    UnknownName,
     ZeroVectorHasNoDegree,
 )
 
@@ -57,10 +58,15 @@ def test_unknown_and_duplicate_basis_names():
     m = base_complex(2, QQ).module
     with pytest.raises(UnknownBasisName):
         m.index_of("x99")
-    with pytest.raises(UnknownBasisName):
+    with pytest.raises(UnknownBasisName, match="^duplicate basis names in module M$"):
         GradedModule("M", QQ, [("a", 1), ("a", 2)])
-    with pytest.raises(UnknownBasisName):
+    with pytest.raises(UnknownBasisName, match="^'2bad' is not a valid basis name$"):
         GradedModule("M", QQ, [("2bad", 1)])
+    # the first offending name is named, and before a bad module name
+    with pytest.raises(UnknownBasisName, match="^'b-1' is not a valid basis name$"):
+        GradedModule("M-", QQ, [("a", 0), ("b-1", 1), ("2bad", 2), ("a", 3)])
+    with pytest.raises(UnknownName, match="^'M-' is not a valid module name$"):
+        GradedModule("M-", QQ, [("a", 0), ("a", 1)])
 
 
 @given(st.lists(st.integers(-5, 5), min_size=1, max_size=12))
