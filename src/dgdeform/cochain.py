@@ -16,17 +16,18 @@ of d_V and d_M.  The same splitting decides a solve: a cocycle g cobounds
 exactly when its class coordinates lambda(g(z)), for the cycles z of H(V)
 and the functionals lambda of H(M)*, are zero, and a nonzero one is the
 witness z (x) lambda.  A cocycle with a zero class is solved by the
-homotopies h of d_V and d_M (``_homotopy_block``), with d h d = d, one
-elimination per degree block of d.  ``solve_coboundary`` reads the class
-first: about half of its one-shot right sides do not cobound, and those
-build no homotopy.  The ladder's ``_solve_homotopy_first`` tries the
-homotopy first, since its right sides almost always cobound.  Both give
-the same answer, and each order is slower on the other's traffic (the
-README has the numbers).
+homotopies h of d_V and d_M (``Complex._homotopy``), with d h d = d.  Each
+complex reduces the rows of d once, traced (``Complex._elimination``), and
+its kernel vectors and its h both read that record.  ``solve_coboundary``
+reads the class first: about half of its one-shot right sides do not
+cobound, and those read no homotopy.  The ladder's
+``_solve_homotopy_first`` tries the homotopy first, since its right sides
+almost always cobound.  Both give the same answer, and each order is
+slower on the other's traffic (the README has the numbers).
 
 Over Q the work runs in integers, from each complex's differential, kept
 once as integer columns over one denominator (``Complex._integer_d``),
-through the d^2 check, the eliminations, the homotopy blocks and the
+through the d^2 check, the eliminations, the homotopy and the
 homology vectors, to the class coordinates and the solutions.  Every
 elimination of d runs in the module's own indices.  delta has two forms,
 each with its own job: ``_integer_coboundary`` computes delta(f) from those
@@ -112,9 +113,32 @@ class Complex:
         return _homology_classes(self, dual=True)
 
     @cached_property
-    def _homotopy(self) -> dict[int, tuple[int, dict, dict]]:
-        """The blocks of ``_homotopy_block`` built so far, by degree."""
-        return {}
+    def _elimination(self) -> _System:
+        """The one traced elimination of d, built at first use: a full
+        ``reduce`` of its nonzero rows, in increasing index order and the
+        module's own indices.  The kernel vectors of ``_homology_classes``
+        and the homotopy ``_homotopy`` both read it."""
+        rows = self._integer_rows
+        system = _System([rows[k] for k in sorted(rows)], self.module.dim, self.field,
+                         self._integer_d[0], trace=True)
+        system.reduce()
+        return system
+
+    @cached_property
+    def _homotopy(self) -> tuple[int, dict[int, dict[int, int]], dict[int, dict[int, int]]]:
+        """A homotopy h of d with d h d = d, read once from the generalized
+        inverse of ``_elimination``: (L, rows, columns), integers over one
+        denominator L, h[x, y] = rows[x][y] / L = columns[y][x] / L.  Its
+        pivots are the first independent columns of d in declaration order;
+        d is the sum of its degree blocks, so h is the sum of one per block."""
+        targets = sorted(self._integer_rows)
+        den, inverse = self._elimination.inverse()
+        rows = {x: {targets[i]: v for i, v in row.items()} for x, row in inverse.items()}
+        columns: dict[int, dict[int, int]] = {}
+        for x, row in rows.items():
+            for y, v in row.items():
+                columns.setdefault(y, {})[x] = v
+        return den, rows, columns
 
 
 class Cochain:
@@ -274,12 +298,13 @@ def _homology_classes(cx: Complex, dual: bool = False, degrees=None):
 
     With ``dual`` the cycles are functionals lambda_t on the module with
     lambda_t o d = 0, a basis of H(cx)*.  Degree q needs only d between
-    degrees q - 1, q and q + 1, so the work is proportional to those.  Two
-    eliminations, each in the module's own indices: the kernel of the rows
-    of d that meet ``degrees``, read at the generators of ``degrees`` as the
-    canonical vectors v_f, one per free column f, then an echelon pass over
-    the boundaries in free coordinates.  v_f is a boundary modulo the
-    earlier v_f' exactly when f is the largest free coordinate of some
+    degrees q - 1, q and q + 1.  The kernel is read at the generators of
+    ``degrees`` as the canonical vectors v_f, one per free column f: of d
+    from the complex's one elimination ``Complex._elimination``, which the
+    homotopy shares, and of d^T from an elimination of the columns of d that
+    meet ``degrees``, in the module's own indices.  Then an echelon pass
+    runs over the boundaries in free coordinates.  v_f is a boundary modulo
+    the earlier v_f' exactly when f is the largest free coordinate of some
     boundary, that is a pivot of the boundaries with the free coordinates
     ordered from the largest down; the others are kept, in order, the
     vectors an echelon pass over [columns of d | kernel vectors] would keep.
@@ -289,18 +314,18 @@ def _homology_classes(cx: Complex, dual: bool = False, degrees=None):
     """
     module, by_degree = cx.module, cx.module._by_degree
     degrees = by_degree.keys() if degrees is None else degrees
-    # the kernel rows are the rows of d (of d^T) that meet degree q, and the
-    # boundaries the columns of that matrix: row j of d^T is column j of d,
-    # and column k of d^T is row k of d
     d_rows, d_cols = cx._integer_rows, cx._integer_d[1]
-    below = [d_rows[k] for q in degrees for k in by_degree.get(q - 1, ()) if k in d_rows]
-    above = [d_cols[j] for q in degrees for j in by_degree.get(q + 1, ()) if j in d_cols]
-    rows, boundaries = (above, below) if dual else (below, above)
+    if dual:  # row j of d^T is column j of d, and column k of d^T is row k of d
+        kernel_system = _System([d_cols[j] for q in degrees for j in by_degree.get(q + 1, ())
+                                 if j in d_cols], module.dim, cx.field)
+        kernel_system.reduce()
+        boundaries = [d_rows[k] for q in degrees for k in by_degree.get(q - 1, ()) if k in d_rows]
+    else:
+        kernel_system = cx._elimination
+        boundaries = [d_cols[j] for q in degrees for j in by_degree.get(q + 1, ()) if j in d_cols]
     columns = sorted(j for q in degrees for j in by_degree.get(q, ()))
-    kernel_system = _System(rows, module.dim, cx.field)
-    kernel_system.reduce()
     kernel = [vec for _, vec in kernel_system.nullspace(columns)]
-    pivots = {c for c, _ in kernel_system.pivots}
+    pivots = kernel_system.pivot_columns
     free = [f for f in columns if f not in pivots]  # of each kernel vector, in order
     # a kernel vector is v_f's multiple times its free coordinate f, so a
     # boundary's free coordinates are its coordinates in the kernel basis
@@ -313,33 +338,6 @@ def _homology_classes(cx: Complex, dual: bool = False, degrees=None):
     for f in free:
         h[module.degree_of(f)] += f not in leads
     return [vec for f, vec in zip(free, kernel) if f not in leads], h
-
-
-def _homotopy_block(cx: Complex, q: int) -> tuple[int, dict, dict]:
-    """The block h_q: V_{q-1} -> V_q of a homotopy h with d h d = d, built
-    at its first use and cached on ``cx``: (L, rows, columns), integers over
-    one denominator L, h[x, y] = rows[x][y] / L = columns[y][x] / L.
-
-    h_q is the generalized inverse ``_System.inverse`` of the block
-    d_q: V_q -> V_{q-1}, from one traced elimination of its rows, in the
-    module's own indices, so d_q h_q d_q = d_q; h is the sum of its blocks,
-    and d h d = d holds on each degree.  Its pivots are the first
-    independent columns of d_q in declaration order.
-    """
-    blocks = cx._homotopy
-    if q not in blocks:
-        targets, d_rows = cx.module._by_degree.get(q - 1, ()), cx._integer_rows
-        system = _System([d_rows.get(k, {}) for k in targets], cx.module.dim, cx.field,
-                         cx._integer_d[0], trace=True)
-        system.reduce()
-        den, inverse = system.inverse()
-        rows = {x: {targets[i]: v for i, v in row.items()} for x, row in inverse.items()}
-        columns: dict[int, dict[int, int]] = {}
-        for x, row in rows.items():
-            for y, v in row.items():
-                columns.setdefault(y, {})[x] = v
-        blocks[q] = den, rows, columns
-    return blocks[q]
 
 
 @dataclass
@@ -518,38 +516,29 @@ def _homotopy_solution(g: Cochain, cols: dict[int, dict[int, int]], den: int) ->
     g = cols / den, or None when delta(f) != g, which happens exactly when
     the class of g is not zero.
 
-    h is ``_homotopy_block`` on each complex, built only for the degrees g
-    touches: h_M from the degrees g writes to, h_V into the degrees it reads
-    from.  With pi = 1 - d h - h d, delta(h_M g) = g - pi_M g, and r =
-    pi_M g has d_M r = 0 and r d_V = 0, so delta((-1)^{p+1} r h_V) =
-    r h_V d_V = r - r pi_V and delta(f) = g - pi_M g pi_V.  pi vanishes on
-    boundaries and lands in cycles, and g sends cycles to boundaries when
-    its class is zero, so then delta(f) = g.  Every step runs in integers;
-    delta(f) = g is recomputed by ``_integer_coboundary`` before f is
-    returned.
+    h is ``Complex._homotopy`` on each complex.  With pi = 1 - d h - h d,
+    delta(h_M g) = g - pi_M g, and r = pi_M g has d_M r = 0 and r d_V = 0,
+    so delta((-1)^{p+1} r h_V) = r h_V d_V = r - r pi_V and delta(f) = g -
+    pi_M g pi_V.  pi vanishes on boundaries and lands in cycles, and g sends
+    cycles to boundaries when its class is zero, so then delta(f) = g.
+    Every step runs in integers; delta(f) = g is recomputed by
+    ``_integer_coboundary`` before f is returned.
     """
     source, target, p = g.source, g.target, g.p - 1
-    norm, degree = source.field.norm, source.module.degree_of
-    # k = h_M g: column j of g lies in M_{|x_j| - p - 1}, which block |x_j| - p of h_M sends up
-    m_blocks = {j: _homotopy_block(target, degree(j) - p) for j in cols}
-    m_den = lcm(*(block[0] for block in m_blocks.values()))
-    k = {j: _scale_terms(_combine(col, m_blocks[j][2]), m_den // m_blocks[j][0], norm)
-         for j, col in cols.items()}
+    norm = source.field.norm
+    (m_den, _, h_m), (v_den, h_v, _) = target._homotopy, source._homotopy
+    k = {j: _combine(col, h_m) for j, col in cols.items()}  # h_M g, over den * m_den
     delta, r_den = _integer_coboundary(source, target, p, k, den * m_den)
     # r = g - delta(k) = pi_M g, in the columns of g
     r = {j: diff for j, col in cols.items() if (diff := _add_terms(
         _scale_terms(col, r_den // den, norm), _scale_terms(delta.get(j, {}), -1, norm), norm))}
     # f = k + (-1)^{p+1} r h_V, over r_den * v_den: column y of r h_V gets
-    # h_V[x, y] * (column x of r), from the row x of a block of h_V
-    v_blocks = {x: _homotopy_block(source, degree(x)) for x in r}
-    v_den = lcm(*(block[0] for block in v_blocks.values()))
+    # h_V[x, y] * (column x of r), from the row x of h_V
     f = {j: _scale_terms(col, r_den // (den * m_den) * v_den, norm) for j, col in k.items()}
     sign = 1 if p % 2 else -1
     for x, col in r.items():
-        block_den, rows, _ = v_blocks[x]
-        for y, c in rows.get(x, {}).items():
-            f[y] = _add_terms(f.get(y, {}), _scale_terms(col, sign * c * (v_den // block_den), norm),
-                              norm)
+        for y, c in h_v.get(x, {}).items():
+            f[y] = _add_terms(f.get(y, {}), _scale_terms(col, sign * c, norm), norm)
     f, f_den = {j: col for j, col in f.items() if col}, r_den * v_den
     if not _same_columns(*_integer_coboundary(source, target, p, f, f_den), cols, den):
         return None

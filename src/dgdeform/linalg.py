@@ -17,7 +17,9 @@ deterministic for a fixed equation order.  Rows keep their ids while
 between row ids and positions, and the rows and their denominators are put
 into position order when ``reduce`` returns.  An index from each column of A
 to the ids of the rows holding it finds the pivot (the holder with the least
-remaining position) and the rows to clear without scanning the others.
+remaining position) and the rows to clear without scanning the others; kept
+after ``reduce``, it lets ``nullspace`` visit only the rows holding the
+columns it is asked for.
 Full reduced row echelon form is computed (pivots normalized to 1 and
 cleared above and below), which makes the particular solution with free
 variables set to zero canonical.
@@ -29,8 +31,9 @@ candidates and stay out of the column index, so they ride along in the
 same row dicts, and one loop does every row operation on A and T at once.
 T has one reader, ``inverse``: its rows up to the rank, put at the pivot
 columns, are a generalized inverse X of A, with A X A = A.  ``cochain``
-builds the homotopy of a differential from it, one degree block at a time,
-and ``solve_sparse`` reads its solution X b off it.
+reduces the rows of each differential once, traced, and reads both its
+kernel vectors and its homotopy from that one system; ``solve_sparse``
+reads its solution X b off it.
 
 Row r is held as integers ``n_r`` over one positive row denominator
 ``D_r``, at first the input row over 1.  A pivot row is normalized by
@@ -168,6 +171,10 @@ class _System:
             self.pivots.append((col, npiv))
         self.rows = [rows[r] for r in at]
         self.dens = [dens[r] for r in at]
+        # for ``nullspace``: the ids of the rows holding each column of A,
+        # their positions, and the pivot columns
+        self.where, self.pos = where, pos
+        self.pivot_columns = {c for c, _ in self.pivots}
 
     def nullspace(self, columns) -> list[tuple[int, dict[int, int]]]:
         """The canonical kernel vectors of the free columns among
@@ -176,24 +183,20 @@ class _System:
         the pivot columns in pivot order}, L the lcm of the denominators of
         the rows that hold f (1 over GF(p)).  ``range(ncols)`` gives a basis
         of the kernel.  Needs a full (not echelon) ``reduce``."""
-        pivcols = {c for c, _ in self.pivots}
-        free = [f for f in columns if f not in pivcols]
-        p, rows, dens = self.modulus, self.rows, self.dens
-        scale = dict.fromkeys(free, 1)
-        if p is None:  # row r holds its pivot and free columns only, over dens[r]
-            for _, r in self.pivots:
-                d = dens[r]
-                if d != 1:
-                    for f in rows[r]:
-                        if f in scale and scale[f] % d:
-                            scale[f] = lcm(scale[f], d)
-        basis = {f: {f: scale[f]} for f in free}
-        for col, r in self.pivots:
-            d = dens[r]
-            for f, c in rows[r].items():
-                if f in basis:
-                    basis[f][col] = -c * (scale[f] // d) if p is None else p - c
-        return [(scale[f], basis[f]) for f in free]
+        p, rows, dens, pivots, pos = self.modulus, self.rows, self.dens, self.pivots, self.pos
+        out = []
+        for f in columns:
+            if f in self.pivot_columns:
+                continue
+            # the pivot rows holding the free column f, in pivot order
+            held = sorted(pos[r] for r in self.where.get(f, ()))
+            scale = 1 if p is not None else lcm(*(dens[r] for r in held))
+            vec = {f: scale}
+            for r in held:
+                c = rows[r][f]
+                vec[pivots[r][0]] = -c * (scale // dens[r]) if p is None else p - c
+            out.append((scale, vec))
+        return out
 
     def inverse(self) -> tuple[int, dict[int, dict[int, int]]]:
         """A generalized inverse X of A, with A X A = A, after a traced full

@@ -213,20 +213,24 @@ def count_reductions(monkeypatch) -> list[int]:
     return calls
 
 
-def count_blocks(monkeypatch) -> list[tuple[int, int]]:
-    """Record (id of the complex, degree q) for every homotopy block h_q
-    built from now on; a block read from the cache is not recorded."""
+def count_eliminations(monkeypatch) -> list[int]:
+    """Record the id of the complex for every traced elimination of the rows
+    of d (``Complex._elimination``) built from now on; one read from the
+    cache is not recorded."""
+    from functools import cached_property
+
     from dgdeform import cochain
 
     built = []
-    block = cochain._homotopy_block
+    build = cochain.Complex._elimination.func
 
-    def counting(cx, q):
-        if q not in cx._homotopy:
-            built.append((id(cx), q))
-        return block(cx, q)
+    def counting(cx):
+        built.append(id(cx))
+        return build(cx)
 
-    monkeypatch.setattr(cochain, "_homotopy_block", counting)
+    prop = cached_property(counting)
+    prop.__set_name__(cochain.Complex, "_elimination")
+    monkeypatch.setattr(cochain.Complex, "_elimination", prop)
     return built
 
 

@@ -20,6 +20,7 @@ from dgdeform import (
     base_complex,
     cochain_basis,
     cohomology,
+    deform_to_order,
     family_lifts,
     noncobounding_certificate,
     solve_coboundary,
@@ -36,7 +37,7 @@ from conftest import (
     _delta_matrix,
     compose,
     conjugated,
-    count_blocks,
+    count_eliminations,
     count_fraction_arithmetic,
     count_reductions,
     dense_delta_matrix,
@@ -565,10 +566,8 @@ def test_solver_postcondition_is_a_real_check():
     # (homotopy first)
     cx = base_complex(5, QQ)
     g = Cochain(2, GradedMap.from_entries(cx.module, -2, [("x6", "x1", -1)]), cx)
-    assert isinstance(_solve_homotopy_first(g), Solved)  # builds and caches the blocks g touches
-    assert cx._homotopy
-    for q in cx._homotopy:
-        cx._homotopy[q] = (1, {}, {})
+    assert isinstance(_solve_homotopy_first(g), Solved)  # builds and caches h
+    cx.__dict__["_homotopy"] = (1, {}, {})
     with pytest.raises(PostconditionFailed, match="does not satisfy"):
         solve_coboundary(g)
     with pytest.raises(PostconditionFailed, match="does not satisfy"):
@@ -701,11 +700,14 @@ def test_solver_checks_read_the_differentials():
     cx = base_complex(5, QQ)
     g = Cochain(2, GradedMap.from_entries(cx.module, -2, [("x6", "x1", -1)]), cx)
     assert isinstance(solve_coboundary(g), Solved)
-    for q, (den, rows, columns) in cx._homotopy.items():
-        assert _dhd_defect(cx, q) == {}
-        cx._homotopy[q] = den, {x: {y: 2 * v for y, v in row.items()} for x, row in rows.items()}, \
-            {y: {x: 2 * v for x, v in col.items()} for y, col in columns.items()}
-        assert _dhd_defect(cx, q) != {}
+    den, rows, columns = cx._homotopy
+    assert _dhd_defect(cx) == {}
+
+    def doubled(vectors):
+        return {a: {b: 2 * v for b, v in vec.items()} for a, vec in vectors.items()}
+
+    cx.__dict__["_homotopy"] = den, doubled(rows), doubled(columns)
+    assert _dhd_defect(cx) != {}
     with pytest.raises(PostconditionFailed):
         solve_coboundary(g)
 
@@ -797,7 +799,7 @@ def test_coboundary_matches_the_dense_oracle(case):
 def test_an_infeasible_solve_on_a_large_conjugated_pair_builds_no_delta(monkeypatch):
     # 76/64 generators in four degrees, filled in and shuffled: C^0 has
     # over a thousand pairs; a nonzero class is read off H(V) and H(M)*,
-    # and no homotopy block is built either
+    # and no homotopy is read either
     rng = random.Random(7)
     v = shuffled(rng, conjugated(rng, random_complex(rng, QQ, 76, name="V", top=1)))
     m = shuffled(rng, conjugated(rng, random_complex(rng, QQ, 64, name="M", top=1)))
@@ -809,21 +811,21 @@ def test_an_infeasible_solve_on_a_large_conjugated_pair_builds_no_delta(monkeypa
     monkeypatch.undo()
     assert isinstance(out, Infeasible)
     assert calls and max(calls) <= 2 * max(v.module.dim, m.module.dim)
-    assert v._homotopy == m._homotopy == {}  # nor a homotopy block
+    assert "_homotopy" not in v.__dict__ and "_homotopy" not in m.__dict__  # nor a homotopy
     assert out.witness.residual
 
 
-def _dhd_defect(cx: Complex, q: int) -> dict:
-    """{z: (d h d - d)(z)} for the generators z of degree q where the cached
-    block h_q of cx breaks d h d = d, by plain loops over the raw values;
-    the block's rows must be its columns transposed."""
-    den, rows, columns = cx._homotopy[q]
+def _dhd_defect(cx: Complex) -> dict:
+    """{z: (d h d - d)(z)} for the generators z where the homotopy h of cx
+    breaks d h d = d, by plain loops over the raw values; its rows must be
+    its columns transposed."""
+    den, rows, columns = cx._homotopy
     assert rows == {x: {y: col[x] for y, col in columns.items() if x in col}
                     for x in {x for col in columns.values() for x in col}}
     field, d = cx.field, cx.d.columns
     h = {y: {x: field.scalar(v, den).value for x, v in col.items()} for y, col in columns.items()}
     defect = {}
-    for z in cx.module._by_degree.get(q, ()):
+    for z in range(cx.module.dim):
         dz, hdz, dhdz = d.get(z, {}), {}, {}
         for y, a in dz.items():
             for x, b in h.get(y, {}).items():
@@ -840,8 +842,8 @@ def _dhd_defect(cx: Complex, q: int) -> dict:
 @settings(max_examples=100, deadline=None)
 @given(_solve_pairs())
 def test_homotopy_blocks_satisfy_dhd_and_a_mutated_one_is_caught(case):
-    # every block the solves build has d h d = d; then one entry of a block
-    # of M is changed by 1 at (x, y), y in the support of d x, and a solve
+    # the homotopy of each complex has d h d = d; then one entry of h_M is
+    # changed by 1 at (x, y), y in the support of d x, and a solve
     # of g = d o E_{x <- u} from a one-generator complex U, a coboundary,
     # must fail its postcondition in both orders: delta(f) - g is then
     # (d E + E d) g = (d x)_y * d x, which is not zero
@@ -853,8 +855,7 @@ def test_homotopy_blocks_satisfy_dhd_and_a_mutated_one_is_caught(case):
         for g in (f.coboundary(), f.coboundary() + z):
             assert _solve_homotopy_first(g) == solve_coboundary(g)
     for cx in (v, m):
-        for q in cx._homotopy:
-            assert _dhd_defect(cx, q) == {}
+        assert _dhd_defect(cx) == {}
     if not m.d:
         return
     x = rng.choice(sorted(m.d.columns))
@@ -865,7 +866,7 @@ def test_homotopy_blocks_satisfy_dhd_and_a_mutated_one_is_caught(case):
     phi = GradedMap.from_entries(point, 0, [("u", m.module.name_of(x), 1)], target=m.module)
     g = Cochain(0, phi, u, m).coboundary()
     assert isinstance(_solve_homotopy_first(g), Solved)
-    den, rows, columns = m._homotopy[q]
+    den, rows, columns = m._homotopy
     value = rows.get(x, {}).get(y, 0) + den
     if field.modulus is not None:
         value %= field.modulus
@@ -876,32 +877,49 @@ def test_homotopy_blocks_satisfy_dhd_and_a_mutated_one_is_caught(case):
             del vec[key]
         return {k: w for k, w in {**vectors, at: vec}.items() if w}
 
-    m._homotopy[q] = den, mutated(rows, x, y), mutated(columns, y, x)
-    assert _dhd_defect(m, q) != {}
+    m.__dict__["_homotopy"] = den, mutated(rows, x, y), mutated(columns, y, x)
+    assert _dhd_defect(m) != {}
     with pytest.raises(PostconditionFailed):
         solve_coboundary(g)
     with pytest.raises(PostconditionFailed):
         _solve_homotopy_first(g)
 
 
-def test_a_solve_builds_the_blocks_of_the_degrees_it_touches(monkeypatch):
-    # base_complex(12) has generators in degrees 1-12 and d = x1 d/d x3 +
-    # x7 d/d x9 + ...; g = x1 d/d x4 - x8 d/d x9 = delta(x3 d/d x4 + x8 d/d x7)
-    # reads from degrees 2 and 5 and writes to 1 and 4: h_M is needed from
-    # there into degrees 2 and 5, h_V at most into 2 and 5, and no other
-    # block is built
-    cx = base_complex(12, QQ)
-    g = Cochain(1, GradedMap.from_entries(cx.module, -1, [("x4", "x1", 1), ("x9", "x8", -1)]), cx)
-    calls = count_reductions(monkeypatch)
-    out = _solve_homotopy_first(g)  # no class is read
-    assert out == Solved(Cochain(0, GradedMap.from_entries(
-        cx.module, 0, [("x4", "x3", 1), ("x7", "x8", 1)]), cx))
-    assert sorted(cx._homotopy) == [2, 5]
-    # each block's rows are the rows of d into degree 1 (into 4), which hold
-    # one column between them: x3 (x9), the one generator of degree 2 (5)
-    # with d x != 0
-    assert calls == [1, 1]
-    # the one-shot path reads the class coordinates, then the cached blocks
-    built = count_blocks(monkeypatch)
-    assert solve_coboundary(g) == out
-    assert built == []
+def test_one_complex_reduces_the_rows_of_d_once(monkeypatch):
+    # a zero-class solve, cohomology and a canonical ladder on one complex:
+    # the kernel vectors of the class test and of H(cx), and the homotopy
+    # of every solve, all read the complex's one traced elimination of d
+    rng = random.Random(29)
+    for field in FIELDS:
+        cx = conjugated(rng, random_complex(rng, field, 14))
+        g = Cochain(0, random_cochain(rng, cx, 0, 0.6), cx).coboundary()
+        d1 = random_cocycle(rng, cx)
+        built = count_eliminations(monkeypatch)
+        assert isinstance(solve_coboundary(g), Solved)
+        cohomology(cx, cx, 1)
+        deform_to_order(cx, d1, 4)
+        assert built == [id(cx)]
+        monkeypatch.undo()
+
+
+def test_an_infeasible_solve_inverts_nothing(monkeypatch):
+    # a nonzero class is read from the kernel vectors of the traced
+    # elimination of d_V, whose row transform is never read: no generalized
+    # inverse is formed, and neither complex holds a homotopy
+    rng = random.Random(32)
+    for field in FIELDS:
+        v = conjugated(rng, random_complex(rng, field, 12, name="V"))
+        m = conjugated(rng, random_complex(rng, field, 12, name="M"))
+        reps = cohomology(v, m, 1).representatives
+        assert reps
+        v, m = (Complex(cx.module, cx.d) for cx in (v, m))  # nothing cached
+        g = Cochain(1, reps[-1].mapping, v, m)
+        built = count_eliminations(monkeypatch)
+        inverted = []
+        inverse = linalg._System.inverse
+        monkeypatch.setattr(linalg._System, "inverse",
+                            lambda self: inverted.append(1) or inverse(self))
+        assert isinstance(solve_coboundary(g), Infeasible)
+        monkeypatch.undo()
+        assert built == [id(v)] and inverted == []
+        assert "_homotopy" not in v.__dict__ and "_homotopy" not in m.__dict__

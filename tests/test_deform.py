@@ -50,7 +50,7 @@ from dgdeform.gmap import _Products
 from conftest import (
     compose_callers,
     conjugated,
-    count_blocks,
+    count_eliminations,
     count_reductions,
     gauge_factor,
     oracle_obstruction,
@@ -565,21 +565,20 @@ def test_first_order_computes_delta_of_d1_once(poly4, monkeypatch):
 
 
 def test_canonical_ladder_reduces_each_block_of_d_once(monkeypatch):
-    # no delta^1: the rungs solve with the homotopy of d, one elimination
-    # per degree block of d that an obstruction touches, at most once each
-    # on the complex and none wider than the widest degree of the module
+    # no delta^1: the rungs solve with the homotopy of d, read from the one
+    # traced elimination of the rows of d, which reduces each degree block
+    # once and holds the columns of d, the generators x with d x != 0
     spec = FamilySpec(6, "infinite")
     cx = base_complex(spec.truncation, QQ)
     lifts = family_lifts(spec)
     calls = count_reductions(monkeypatch)
-    built = count_blocks(monkeypatch)
+    built = count_eliminations(monkeypatch)
     report = deform_to_order(cx, lifts[0], 6)
     assert report.extended and len(report.lifts) == 6
     assert all(report.relation_checks)
-    widest = max(len(gens) for gens in cx.module._by_degree.values())
-    assert calls and max(calls) <= widest
-    assert len(calls) == len(built) == len(set(built))
-    # a second ladder on the same complex reads every block from its cache,
+    assert built == [id(cx)]
+    assert calls == [len(cx.d.columns)]
+    # a second ladder on the same complex reads the homotopy from its cache,
     # and with every lift supplied no rung runs
     calls.clear()
     assert deform_to_order(cx, lifts[0], 6).lifts == report.lifts
@@ -593,12 +592,12 @@ def test_trivialize_reduces_each_block_of_d_at_most_once(monkeypatch):
     factor = gauge_factor(phi, 1, 3)
     d_t = gauge_transform(MapSeries.deformation(cx, [], order=3), factor)
     calls = count_reductions(monkeypatch)
-    built = count_blocks(monkeypatch)
+    built = count_eliminations(monkeypatch)
     report = trivialize(d_t)
     assert report.trivialized
-    widest = max(len(gens) for gens in cx.module._by_degree.values())
-    assert calls and max(calls) <= widest
-    assert len(calls) == len(built) == len(set(built))
+    # every stage solves on one complex, which reduces the rows of d once
+    assert len(built) == 1
+    assert calls == [len(cx.d.columns)]
 
 
 def test_trivialize_composes_no_identity(monkeypatch):
