@@ -298,19 +298,23 @@ def _homology_classes(cx: Complex, dual: bool = False, degrees=None):
 
     With ``dual`` the cycles are functionals lambda_t on the module with
     lambda_t o d = 0, a basis of H(cx)*.  Degree q needs only d between
-    degrees q - 1, q and q + 1.  The kernel is read at the generators of
-    ``degrees`` as the canonical vectors v_f, one per free column f: of d
-    from the complex's one elimination ``Complex._elimination``, which the
+    degrees q - 1, q and q + 1.  The free columns f at the generators of
+    ``degrees`` index the canonical kernel vectors v_f: of d from the
+    complex's one elimination ``Complex._elimination``, which the
     homotopy shares, and of d^T from an elimination of the columns of d that
     meet ``degrees``, in the module's own indices.  Then an echelon pass
-    runs over the boundaries in free coordinates.  v_f is a boundary modulo
-    the earlier v_f' exactly when f is the largest free coordinate of some
-    boundary, that is a pivot of the boundaries with the free coordinates
-    ordered from the largest down; the others are kept, in order, the
-    vectors an echelon pass over [columns of d | kernel vectors] would keep.
-    h_q is the number of free columns of degree q less the number of those
-    pivots there: dim_q - rank d_q - rank d_{q+1}, read from the pivots,
-    not from the kernel vectors.
+    runs over a basis of the boundaries in free coordinates: the columns of
+    d at the pivot columns of its elimination, and the rows of d at the
+    pivot columns of the d^T system, or every nonzero row into a degree that
+    system does not hold.  v_f is a boundary modulo the earlier v_f' exactly
+    when f is the largest free coordinate of some boundary, that is a pivot
+    of the boundaries with the free coordinates ordered from the largest
+    down; the others are kept, in order, the vectors an echelon pass over
+    [columns of d | kernel vectors] would keep.  The pivot columns of an
+    echelon form are an invariant of its row space, so a basis of the
+    boundaries gives the pivots all of them would.  v_f is formed only for
+    the kept f, and h_q is their number in degree q: dim_q - rank d_q -
+    rank d_{q+1}.
     """
     module, by_degree = cx.module, cx.module._by_degree
     degrees = by_degree.keys() if degrees is None else degrees
@@ -319,14 +323,17 @@ def _homology_classes(cx: Complex, dual: bool = False, degrees=None):
         kernel_system = _System([d_cols[j] for q in degrees for j in by_degree.get(q + 1, ())
                                  if j in d_cols], module.dim, cx.field)
         kernel_system.reduce()
-        boundaries = [d_rows[k] for q in degrees for k in by_degree.get(q - 1, ()) if k in d_rows]
+        pivots = kernel_system.pivot_columns
+        # with q - 1 asked for, the system holds the columns of d from
+        # degree q, and its pivots pick a basis of the rows of d into q - 1
+        boundaries = [d_rows[k] for q in degrees for k in by_degree.get(q - 1, ())
+                      if (k in pivots if q - 1 in degrees else k in d_rows)]
     else:
         kernel_system = cx._elimination
-        boundaries = [d_cols[j] for q in degrees for j in by_degree.get(q + 1, ()) if j in d_cols]
+        pivots = kernel_system.pivot_columns  # the greedy basis of the columns of d
+        boundaries = [d_cols[j] for q in degrees for j in by_degree.get(q + 1, ()) if j in pivots]
     columns = sorted(j for q in degrees for j in by_degree.get(q, ()))
-    kernel = [vec for _, vec in kernel_system.nullspace(columns)]
-    pivots = kernel_system.pivot_columns
-    free = [f for f in columns if f not in pivots]  # of each kernel vector, in order
+    free = [f for f in columns if f not in pivots]
     # a kernel vector is v_f's multiple times its free coordinate f, so a
     # boundary's free coordinates are its coordinates in the kernel basis
     order = {f: s for s, f in enumerate(reversed(free))}
@@ -334,10 +341,11 @@ def _homology_classes(cx: Complex, dual: bool = False, degrees=None):
                     len(free), cx.field)
     image.reduce(echelon=True)
     leads = {free[-1 - s] for s, _ in image.pivots}
+    kept = [f for f in free if f not in leads]
     h = {q: 0 for q in degrees if q in by_degree}
-    for f in free:
-        h[module.degree_of(f)] += f not in leads
-    return [vec for f, vec in zip(free, kernel) if f not in leads], h
+    for f in kept:
+        h[module.degree_of(f)] += 1
+    return [vec for _, vec in kernel_system.nullspace(kept)], h
 
 
 @dataclass

@@ -197,6 +197,59 @@ def oracle_cohomology_representatives(source: Complex, target: Complex, p: int) 
     return reps
 
 
+def oracle_homology_classes(cx: Complex, dual: bool = False, degrees=None):
+    """``cochain._homology_classes`` the long way: a canonical kernel
+    vector for every free column, and an echelon pass over every nonzero
+    boundary in free coordinates, whose pivots are the kernel vectors that
+    are boundaries modulo the earlier ones."""
+    module, by_degree = cx.module, cx.module._by_degree
+    degrees = by_degree.keys() if degrees is None else degrees
+    d_rows, d_cols = cx._integer_rows, cx._integer_d[1]
+    if dual:
+        kernel_system = linalg._System([d_cols[j] for q in degrees for j in by_degree.get(q + 1, ())
+                                        if j in d_cols], module.dim, cx.field)
+        kernel_system.reduce()
+        boundaries = [d_rows[k] for q in degrees for k in by_degree.get(q - 1, ()) if k in d_rows]
+    else:
+        kernel_system = cx._elimination
+        boundaries = [d_cols[j] for q in degrees for j in by_degree.get(q + 1, ()) if j in d_cols]
+    columns = sorted(j for q in degrees for j in by_degree.get(q, ()))
+    kernel = [vec for _, vec in kernel_system.nullspace(columns)]
+    free = [f for f in columns if f not in kernel_system.pivot_columns]
+    order = {f: s for s, f in enumerate(reversed(free))}
+    image = linalg._System([{order[c]: v for c, v in b.items() if c in order} for b in boundaries],
+                           len(free), cx.field)
+    image.reduce(echelon=True)
+    leads = {free[-1 - s] for s, _ in image.pivots}
+    h = {q: 0 for q in degrees if q in by_degree}
+    for f in free:
+        h[module.degree_of(f)] += f not in leads
+    return [vec for f, vec in zip(free, kernel) if f not in leads], h
+
+
+def count_class_reads(monkeypatch) -> tuple[list[int], list[int]]:
+    """Record, from now on, the number of columns every
+    ``_System.nullspace`` is asked for, and the number of rows every echelon
+    ``_System.reduce`` holds: the pass of ``_homology_classes`` over the
+    boundaries, the library's one echelon reduce."""
+    asked, held = [], []
+    nullspace, reduce = linalg._System.nullspace, linalg._System.reduce
+
+    def counting_nullspace(self, columns):
+        columns = list(columns)
+        asked.append(len(columns))
+        return nullspace(self, columns)
+
+    def counting_reduce(self, echelon=False):
+        if echelon:
+            held.append(len(self.rows))
+        reduce(self, echelon)
+
+    monkeypatch.setattr(linalg._System, "nullspace", counting_nullspace)
+    monkeypatch.setattr(linalg._System, "reduce", counting_reduce)
+    return asked, held
+
+
 def count_reductions(monkeypatch) -> list[int]:
     """Record the width of every ``_System.reduce`` from now on: the number
     of distinct matrix columns (below ``ncols``) that its rows hold.  The

@@ -37,6 +37,7 @@ from conftest import (
     _delta_matrix,
     compose,
     conjugated,
+    count_class_reads,
     count_eliminations,
     count_fraction_arithmetic,
     count_reductions,
@@ -45,6 +46,7 @@ from conftest import (
     dense_witness_defect,
     oracle_cohomology_dims,
     oracle_cohomology_representatives,
+    oracle_homology_classes,
     random_cochain,
     random_cocycle,
     random_complex,
@@ -442,6 +444,92 @@ def test_homology_on_some_degrees_is_the_whole_homology_there(field):
                 found, h_some = cochain._homology_classes(cx, dual, degrees)
                 assert found == [v for v in everything if degree_of(max(v)) in degrees]
                 assert h_some == {q: n for q, n in h.items() if q in degrees}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_homology_classes_match_the_pass_over_every_boundary(field):
+    # the echelon pass over a basis of the boundaries has the pivots of the
+    # pass over all of them, so the kept vectors and h are the oracle's, on
+    # the whole module and on random sets of degrees; a set holding q but
+    # not q - 1 reads every row of d into q - 1 on the dual side
+    rng = random.Random(211)
+    fallback = 0
+    for k in range(24):
+        cx = random_complex(rng, field, rng.randint(1, 18), top=3)
+        if k % 3:
+            cx = conjugated(rng, cx)
+        if k % 3 == 2:
+            cx = shuffled(rng, cx)
+        by_degree, d_rows = cx.module._by_degree, cx._integer_rows
+        pool = list(range(-3, 5))
+        subsets = [None, {-1, 1, 3}, {0, 2}] + [
+            set(rng.sample(pool, rng.randint(0, len(pool)))) for _ in range(6)]
+        for degrees in subsets:
+            for dual in (False, True):
+                assert (cochain._homology_classes(cx, dual, degrees)
+                        == oracle_homology_classes(cx, dual, degrees))
+            fallback += degrees is not None and any(
+                q - 1 not in degrees and any(r in d_rows for r in by_degree.get(q - 1, ()))
+                for q in degrees)
+    assert fallback
+
+
+def _rank_from(cx: Complex, q: int) -> int:
+    """The rank of d from degree q, by the dense oracle."""
+    by_degree, coeffs = cx.module._by_degree, raw_d_coefficients(cx)
+    return dense_rank([[coeffs.get((i, j), 0) for j in by_degree.get(q, ())]
+                       for i in by_degree.get(q - 1, ())], cx.field.modulus)
+
+
+def _class_reads(cx: Complex, dual: bool, degrees) -> tuple[int, int]:
+    """(sum of h_q, rows of the echelon pass) that ``_homology_classes``
+    should read on ``degrees``: h_q = dim_q - rank d_q - rank d_{q+1}, and a
+    basis of the boundaries, rank d_q rows into q - 1 on the dual side when
+    q - 1 is among the degrees (else every nonzero row), rank d_{q+1}
+    columns from q + 1 on d."""
+    by_degree, d_rows = cx.module._by_degree, cx._integer_rows
+    h = rows = 0
+    for q in degrees:
+        if q not in by_degree:
+            continue
+        h += len(by_degree[q]) - _rank_from(cx, q) - _rank_from(cx, q + 1)
+        if not dual:
+            rows += _rank_from(cx, q + 1)
+        elif q - 1 in degrees:
+            rows += _rank_from(cx, q)
+        else:
+            rows += sum(k in d_rows for k in by_degree.get(q - 1, ()))
+    return h, rows
+
+
+def test_class_reads_form_one_kernel_vector_per_class(monkeypatch):
+    # cohomology and a class witness on a conjugated pair ask nullspace for
+    # the kept free columns only, sum_q h_q of them, and each echelon pass
+    # holds a basis of the boundaries, rank d rows, not every nonzero one
+    rng = random.Random(43)
+    for field in FIELDS:
+        v = shuffled(rng, conjugated(rng, random_complex(rng, field, 30, name="V", top=2)))
+        m = shuffled(rng, conjugated(rng, random_complex(rng, field, 26, name="M", top=2)))
+        f = Cochain(0, random_cochain(rng, v, 0, 0.3, target=m), v, m)
+        g = f.coboundary() + cohomology(v, m, 1).representatives[-1]
+        v, m = (Complex(cx.module, cx.d) for cx in (v, m))  # nothing cached
+        g = Cochain(1, g.mapping, v, m)
+        (v_h, v_rows), (m_h, m_rows) = (_class_reads(v, True, v.module.degrees()),
+                                        _class_reads(m, False, m.module.degrees()))
+        assert v_rows == sum(_rank_from(v, q) for q in v.module.degrees())
+        asked, held = count_class_reads(monkeypatch)
+        cohomology(v, m, 1)
+        monkeypatch.undo()
+        assert asked == [v_h, m_h] and held == [v_rows, m_rows]
+        den, cols = cochain._cocycle_columns(g)
+        v_degrees = {v.module.degree_of(j) for j in cols}
+        (m_h, m_rows), (v_h, v_rows) = (_class_reads(m, True, {q - 1 for q in v_degrees}),
+                                        _class_reads(v, False, v_degrees))
+        asked, held = count_class_reads(monkeypatch)
+        assert cochain._class_witness(g, cols, den) is not None
+        monkeypatch.undo()
+        assert asked == [m_h, v_h] and held == [m_rows, v_rows]
+        assert len(v_degrees) > 1 and v_h and m_h
 
 
 @st.composite
