@@ -14,9 +14,7 @@ from .cochain import (
     InfeasibilityWitness,
     Solved,
     cochain_basis,
-    coboundary,
     cohomology,
-    is_cocycle,
     noncobounding_certificate,
     solve_coboundary,
 )
@@ -50,7 +48,7 @@ from .family import (
 )
 from .field import GF, QQ, FieldSpec, Scalar
 from .gmap import GradedMap
-from .graded import MIXED, GradedModule, Vector
+from .graded import GradedModule
 
 __version__ = "0.1.0"
 
@@ -68,7 +66,6 @@ __all__ = [
     "GradedModule",
     "Infeasible",
     "InfeasibilityWitness",
-    "MIXED",
     "MapSeries",
     "NextLift",
     "ObstructionHit",
@@ -76,11 +73,9 @@ __all__ = [
     "Scalar",
     "Solved",
     "TrivializationReport",
-    "Vector",
     "VerificationReport",
     "base_complex",
     "check_relations",
-    "coboundary",
     "cochain_basis",
     "cohomology",
     "deform_to_order",
@@ -88,7 +83,6 @@ __all__ = [
     "family_lifts",
     "first_order_triviality",
     "gauge_transform",
-    "is_cocycle",
     "load_complex",
     "minimal_truncation",
     "noncobounding_certificate",

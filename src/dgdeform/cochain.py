@@ -31,12 +31,11 @@ through the d^2 check, the eliminations, the homotopy and the
 homology vectors, to the class coordinates and the solutions.  Every
 elimination of d runs in the module's own indices.  delta has two forms,
 each with its own job: ``_integer_coboundary`` computes delta(f) from those
-columns for ``Cochain.coboundary``, ``is_cocycle`` and every step and check
-of a solve, and the ladder of :mod:`deform` reads delta(d_k) from its own
-sums of products.  A ``Fraction`` is built only for what is returned: the dim_h
-representatives of ``cohomology``, the values of a coboundary or of a
-solution, the weights and residual of a witness, and the ``Scalar``s of a
-witness.
+columns for ``Cochain.coboundary`` and every step and check of a solve, and
+the ladder of :mod:`deform` reads delta(d_k) from its own sums of products.
+A ``Fraction`` is built only for what is returned: the dim_h representatives
+of ``cohomology``, the values of a coboundary or of a solution, the weights
+and residual of a witness, and the ``Scalar``s of a witness.
 """
 
 from __future__ import annotations
@@ -273,14 +272,6 @@ def _check_pair(source: Complex, target: Complex) -> None:
     if source.field != target.field:
         raise ModuleMismatch("source and target complexes have different fields")
     _check_differentials(source, target)
-
-
-def coboundary(f: Cochain) -> Cochain:
-    return f.coboundary()
-
-
-def is_cocycle(f: Cochain) -> bool:
-    return f.is_cocycle()
 
 
 def cochain_basis(v: GradedModule, m: GradedModule, p: int) -> list[tuple[int, int]]:

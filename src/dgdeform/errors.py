@@ -31,17 +31,13 @@ class ModulusTooLarge(NonPrimeModulus):
     """The modulus lies beyond the range where primality is decided exactly."""
 
 
-# -- graded modules and vectors --------------------------------------------
+# -- graded modules --------------------------------------------------------
 
 class ModuleMismatch(DgmError):
     pass
 
 
 class UnknownBasisName(DgmError):
-    pass
-
-
-class ZeroVectorHasNoDegree(DgmError):
     pass
 
 
@@ -52,10 +48,6 @@ class DegreeMismatch(DgmError):
 
 
 class CompositionMismatch(DgmError):
-    pass
-
-
-class ZeroCoefficient(DgmError):
     pass
 
 

@@ -118,11 +118,6 @@ class FieldSpec:
             raise FieldMismatch(f"coefficient field {c.field} != {self}")
         return c.value
 
-    def from_string(self, text: str) -> "Scalar":
-        """Parse ``a`` or ``a/b`` with an optional leading minus."""
-        num, slash, den = text.strip().partition("/")
-        return self.scalar(int(num), int(den) if slash else 1)
-
     def __str__(self) -> str:
         return "Q" if self.modulus is None else f"GF({self.modulus})"
 
@@ -144,10 +139,14 @@ class Scalar:
     value: Fraction | int
 
     def __post_init__(self):
+        value = self.value
         if self.field.modulus is None:
-            object.__setattr__(self, "value", Fraction(self.value))
-        else:
-            object.__setattr__(self, "value", int(self.value) % self.field.modulus)
+            object.__setattr__(self, "value", Fraction(value))
+        elif isinstance(value, int):
+            object.__setattr__(self, "value", int(value) % self.field.modulus)
+        else:  # a Fraction is num * den^-1 mod p, not its integer part
+            object.__setattr__(self, "value",
+                               self.field.scalar(value.numerator, value.denominator).value)
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):

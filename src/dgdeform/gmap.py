@@ -8,8 +8,7 @@ equality of maps is equality of normal forms.
 
 Column values are raw field values (see :mod:`field`); the arithmetic binds
 the field's ``norm`` once per call and reads and writes the dicts directly.
-Only ``apply`` wraps a result in a ``Vector``, and ``entries`` yields
-``Scalar``s.
+Only ``entries`` yields ``Scalar``s.
 
 Every product of maps in the library goes through one sparse kernel,
 ``_Products``: ``compose`` (so ``@``), and the ladder, the series algebra
@@ -33,14 +32,9 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import (
-    CompositionMismatch,
-    DegreeMismatch,
-    ModuleMismatch,
-    ZeroCoefficient,
-)
+from .errors import CompositionMismatch, DegreeMismatch, ModuleMismatch
 from .field import Scalar
-from .graded import GradedModule, Vector, _add_terms, _render_sum, _scale_terms
+from .graded import GradedModule, _add_terms, _render_sum, _scale_terms
 
 
 def _check(source: GradedModule, target: GradedModule, degree: int, columns: dict) -> None:
@@ -197,25 +191,6 @@ class GradedMap:
         return cls._of(module, module, 0, {i: {i: one} for i in range(module.dim)})
 
     @classmethod
-    def elementary(
-        cls,
-        module: GradedModule,
-        i: str,
-        j: str,
-        coeff: Scalar | int = 1,
-        target: GradedModule | None = None,
-    ) -> "GradedMap":
-        """The map sending x_j to coeff * x_i and every other generator to 0."""
-        target = target if target is not None else module
-        coeff = module.field._raw(coeff)
-        if not coeff:
-            raise ZeroCoefficient("elementary operator needs a nonzero coefficient")
-        ti = target.index_of(i)
-        sj = module.index_of(j)
-        degree = target.degree_of(ti) - module.degree_of(sj)
-        return cls(module, target, degree, {sj: {ti: coeff}})
-
-    @classmethod
     def from_entries(
         cls,
         source: GradedModule,
@@ -270,15 +245,11 @@ class GradedMap:
 
     # -- algebra ----------------------------------------------------------------
 
-    def apply(self, v: Vector) -> Vector:
-        if v.module != self.source:
-            raise ModuleMismatch("vector does not live in the source module")
+    def apply(self, terms: dict) -> dict:
+        """The image of the raw terms {source index: value}, as raw terms
+        {target index: value}, normalized and with zeros dropped."""
         norm = self.target.field.norm
-        image = _combine(v.terms, self.columns)
-        return Vector._of(self.target, {i: r for i, s in image.items() if (r := norm(s))})
-
-    def __call__(self, v: Vector) -> Vector:
-        return self.apply(v)
+        return {i: r for i, s in _combine(terms, self.columns).items() if (r := norm(s))}
 
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self after other."""

@@ -3,10 +3,9 @@
 A module is a truncation of a locally finite graded module; the declaration
 order of the basis is the canonical order used by every deterministic output.
 
-A vector's ``terms`` map basis indices to raw, nonzero field values (see
-:mod:`field`); ``Vector.coefficient`` returns a ``Scalar``.  A ``GradedMap``
-column is such a dict, unwrapped: ``_add_terms`` and ``_scale_terms`` are the
-one sum and scale of both.
+A ``GradedMap`` column maps basis indices to raw, nonzero field values (see
+:mod:`field`); ``_add_terms`` and ``_scale_terms`` are the one sum and scale
+of such dicts.
 """
 
 from __future__ import annotations
@@ -15,25 +14,10 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (
-    ModuleMismatch,
-    UnknownBasisName,
-    UnknownName,
-    ZeroVectorHasNoDegree,
-)
-from .field import FieldSpec, Scalar
+from .errors import UnknownBasisName, UnknownName
+from .field import FieldSpec
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
-class _MixedDegree:
-    """Marker returned by ``Vector.degree()`` for inhomogeneous vectors."""
-
-    def __repr__(self):
-        return "Mixed"
-
-
-MIXED = _MixedDegree()
 
 
 def _render_sum(terms) -> str:
@@ -93,7 +77,7 @@ class GradedModule:
             raise UnknownBasisName(f"duplicate basis names in module {self.name}")
 
     def __eq__(self, other) -> bool:
-        # maps and vectors compare their modules on every operation, and the
+        # maps and cochains compare their modules on every operation, and the
         # two sides are nearly always the same object
         if self is other:
             return True
@@ -118,10 +102,6 @@ class GradedModule:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def basis_names(self) -> list[str]:
-        return [n for n, _ in self.basis]
-
     def index_of(self, name: str) -> int:
         try:
             return self._index[name]
@@ -134,99 +114,5 @@ class GradedModule:
     def degree_of(self, index: int) -> int:
         return self.basis[index][1]
 
-    def degree_of_name(self, name: str) -> int:
-        return self.basis[self.index_of(name)][1]
-
     def degrees(self) -> set[int]:
         return {d for _, d in self.basis}
-
-    def degree_component(self, p: int) -> list[str]:
-        """All basis names of degree exactly p, in declaration order."""
-        return [n for n, d in self.basis if d == p]
-
-    def vector(self, coeffs: dict[str, Scalar | int]) -> "Vector":
-        """Build a vector from a name -> coefficient mapping."""
-        return Vector(self, {self.index_of(name): c for name, c in coeffs.items()})
-
-    def basis_vector(self, name: str) -> "Vector":
-        return Vector._of(self, {self.index_of(name): self.field.one.value})
-
-    def zero_vector(self) -> "Vector":
-        return Vector._of(self, {})
-
-
-class Vector:
-    """A sparse element of a graded module.  The constructor takes Scalars of
-    the module's field or ints; ``terms`` maps basis index -> raw field value,
-    and zero coefficients are never stored."""
-
-    __slots__ = ("module", "terms")
-
-    def __init__(self, module: GradedModule, terms: dict[int, Scalar | int]):
-        raw = module.field._raw
-        self.module = module
-        self.terms = {i: v for i, c in terms.items() if (v := raw(c))}
-
-    @classmethod
-    def _of(cls, module: GradedModule, terms: dict) -> "Vector":
-        """The vector with the raw, nonzero values ``terms``."""
-        v = object.__new__(cls)
-        v.module = module
-        v.terms = terms
-        return v
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def coefficient(self, name: str) -> Scalar:
-        c = self.terms.get(self.module.index_of(name))
-        return self.module.field.zero if c is None else Scalar(self.module.field, c)
-
-    def degree(self):
-        """The common degree of the terms, MIXED if inhomogeneous."""
-        if not self.terms:
-            raise ZeroVectorHasNoDegree("the zero vector has no degree")
-        degs = {self.module.degree_of(i) for i in self.terms}
-        return degs.pop() if len(degs) == 1 else MIXED
-
-    def _check(self, other: "Vector"):
-        if not isinstance(other, Vector) or other.module != self.module:
-            raise ModuleMismatch("vectors live in different modules")
-
-    def __add__(self, other: "Vector") -> "Vector":
-        self._check(other)
-        return Vector._of(self.module, _add_terms(self.terms, other.terms, self.module.field.norm))
-
-    def __neg__(self) -> "Vector":
-        return Vector._of(self.module, _scale_terms(self.terms, -1, self.module.field.norm))
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        return self + (-other)
-
-    def scale(self, c: Scalar | int) -> "Vector":
-        field = self.module.field
-        return Vector._of(self.module, _scale_terms(self.terms, field._raw(c), field.norm))
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Vector)
-            and self.module == other.module
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def render(self) -> str:
-        return _render_sum((self.terms[i], self.module.name_of(i)) for i in sorted(self.terms))
-
-    def __str__(self):
-        return self.render()
-
-    def __repr__(self):
-        return f"Vector({self.render()} in {self.module.name})"

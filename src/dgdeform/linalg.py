@@ -54,6 +54,11 @@ This is the library's one elimination loop.  The pivot columns of an
 echelon ``reduce`` are the columns independent of all earlier ones, the
 greedy basis of the column span; ``cochain`` chooses homology classes that
 way.
+
+Nothing in the library calls ``solve_sparse``, ``rank_sparse``,
+``nullspace_sparse`` or their helper ``_matrix``.  They stay only because
+the benchmark's tracer resolves the three by name, and they go once the
+tracer reads counters instead (ROADMAP item 1).
 """
 
 from __future__ import annotations

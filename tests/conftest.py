@@ -363,6 +363,14 @@ def oracle_series_mul(a, b):
     return MapSeries(out)
 
 
+def elementary(module: GradedModule, i: str, j: str, c=1, target=None) -> GradedMap:
+    """The map sending x_j to c * y_i, y_i in ``target`` (``module`` by
+    default), and every other generator to 0."""
+    target = module if target is None else target
+    degree = target.degree_of(target.index_of(i)) - module.degree_of(module.index_of(j))
+    return GradedMap.from_entries(module, degree, [(j, i, c)], target)
+
+
 def gauge_factor(phi: GradedMap, stage: int, order: int):
     """The automorphism Id - t^stage phi (stage >= 1) as a series,
     truncated at ``order``."""
@@ -467,11 +475,12 @@ def conjugated(rng: random.Random, cx: Complex) -> Complex:
     an isomorphic complex whose differential and cycles fill in."""
     module, d = cx.module, cx.d
     for _ in range(2 * module.dim):
-        names = module.degree_component(rng.choice(sorted(module.degrees())))
+        q = rng.choice(sorted(module.degrees()))
+        names = [n for n, p in module.basis if p == q]
         if len(names) < 2:
             continue
         a, b = rng.sample(names, 2)
-        e = GradedMap.elementary(module, a, b, random_scalar(rng, cx.field, nonzero=True))
+        e = elementary(module, a, b, random_scalar(rng, cx.field, nonzero=True))
         one = GradedMap.identity(module)
         d = compose(compose(one + e, d), one - e)
     return Complex(module, d)

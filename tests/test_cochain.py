@@ -44,6 +44,7 @@ from conftest import (
     dense_delta_matrix,
     dense_rank,
     dense_witness_defect,
+    elementary,
     oracle_cohomology_dims,
     oracle_cohomology_representatives,
     oracle_homology_classes,
@@ -93,10 +94,10 @@ def test_sign_law_on_fixed_examples():
 def test_is_cocycle_zero_degree_examples():
     # x3 d/d x4 fails: (d o f)(x4) = d(x3) = x1; its transpose x4 d/d x3 is a cocycle.
     cx = base_complex(5, QQ)
-    not_cocycle = Cochain(0, GradedMap.elementary(cx.module, "x3", "x4"), cx)
+    not_cocycle = Cochain(0, elementary(cx.module, "x3", "x4"), cx)
     assert not not_cocycle.is_cocycle()
-    assert not_cocycle.coboundary().mapping == GradedMap.elementary(cx.module, "x1", "x4")
-    cocycle = Cochain(0, GradedMap.elementary(cx.module, "x4", "x3"), cx)
+    assert not_cocycle.coboundary().mapping == elementary(cx.module, "x1", "x4")
+    cocycle = Cochain(0, elementary(cx.module, "x4", "x3"), cx)
     assert cocycle.is_cocycle()
 
 
@@ -140,7 +141,7 @@ def test_complex_checks_its_differential():
     m5 = base_complex(5, QQ).module
     assert Complex(m5, base_complex(5, QQ).d).d
     bad = GradedMap.from_entries(m5, -1, [("x6", "x4", 1), ("x8", "x6", 1)])
-    assert compose(bad, bad) == GradedMap.elementary(m5, "x4", "x8")
+    assert compose(bad, bad) == elementary(m5, "x4", "x8")
     with pytest.raises(NotADifferential, match="^d squared is not zero$"):
         Complex(m5, bad)
     Complex(m5, GradedMap.zero(m5, degree=-1))
@@ -150,7 +151,7 @@ def test_complex_checks_its_differential():
                        match="^the differential must be an endomorphism of the module$"):
         Complex(m5, GradedMap(m5, other, -1, {}))
     with pytest.raises(NotADifferential, match=r"^a differential has degree \+1 or -1, not -2$"):
-        Complex(m5, GradedMap.elementary(m5, "x1", "x5"))
+        Complex(m5, elementary(m5, "x1", "x5"))
 
 
 @st.composite
@@ -242,7 +243,7 @@ def test_delta_matrix_columns_match_composition(field):
             assert list(cod_index) == cochain_basis(v.module, m.module, p + 1)
             assert list(cod_index.values()) == list(range(len(cod_index)))
             for c, (j, i) in enumerate(dom):
-                e = GradedMap.elementary(
+                e = elementary(
                     v.module, m.module.name_of(i), v.module.name_of(j), target=m.module
                 )
                 d_e, e_d = compose(m.d, e), compose(e, v.d)
@@ -317,7 +318,7 @@ def _homology_dims(cx):
         return dense_rank([[dcoef.get((i, j), 0) for j in src] for i in tgt], q)
 
     return {
-        deg: len(module.degree_component(deg)) - rank_from(deg) - rank_from(deg + 1)
+        deg: sum(q == deg for _, q in module.basis) - rank_from(deg) - rank_from(deg + 1)
         for deg in module.degrees()
     }
 

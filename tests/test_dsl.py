@@ -20,7 +20,7 @@ from dgdeform.errors import (
     UnknownName,
 )
 from dgdeform.graded import _IDENT
-from conftest import compose
+from conftest import compose, elementary
 
 MINIMAL = """\
 field Q
@@ -37,7 +37,7 @@ def test_parse_minimal_document():
     doc = parse(MINIMAL)
     assert doc.field == QQ
     assert doc.module.basis == (("x1", 1), ("x3", 2))
-    assert doc.maps["d"] == GradedMap.elementary(doc.module, "x1", "x3")
+    assert doc.maps["d"] == elementary(doc.module, "x1", "x3")
 
 
 def test_parse_degree_mismatch_positioned():
@@ -172,12 +172,12 @@ def test_parse_errors_carry_position():
 def test_spec_grammar_plus_negative_coefficient_accepted():
     text = MINIMAL.replace("x3 -> x1;", "x3 -> 2*x1 + -1*x1;")
     doc = parse(text)
-    assert doc.maps["d"] == GradedMap.elementary(doc.module, "x1", "x3")
+    assert doc.maps["d"] == elementary(doc.module, "x1", "x3")
 
 
 def test_repeated_terms_are_summed():
     doc = parse(MINIMAL.replace("x3 -> x1;", "x3 -> x1 + 2*x1;"))
-    assert doc.maps["d"] == GradedMap.elementary(doc.module, "x1", "x3", 3)
+    assert doc.maps["d"] == elementary(doc.module, "x1", "x3", 3)
     assert "x3 -> 3*x1;" in render(doc)
 
 

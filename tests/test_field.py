@@ -29,6 +29,18 @@ def test_make_inverts_denominator_mod_p():
     assert GF(5).scalar(1, 2).value == 3  # 2 * 3 = 1 mod 5
 
 
+def test_scalar_of_a_fraction_over_gf_p_inverts_its_denominator():
+    # num * den^-1 mod p, as FieldSpec.scalar gives, not the integer part
+    f5 = GF(5)
+    assert Scalar(f5, Fraction(1, 2)) == f5.scalar(1, 2) == Scalar(f5, 3)
+    assert Scalar(f5, Fraction(-7, 3)).value == f5.scalar(-7, 3).value == 1
+    assert Scalar(f5, Fraction(12, 1)).value == 2
+    with pytest.raises(DenominatorDivisibleByP):
+        Scalar(f5, Fraction(1, 5))
+    # ints take the plain residue, as before
+    assert Scalar(f5, -1).value == 4 and type(Scalar(f5, 7).value) is int
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDenominator):
         QQ.scalar(1, 0)
@@ -134,8 +146,6 @@ def test_text_form():
     assert str(QQ.scalar(-3, 4)) == "-3/4"
     assert str(QQ.scalar(2)) == "2"
     assert str(GF(5).scalar(-1)) == "4"
-    assert QQ.from_string("-3/4") == QQ.scalar(-3, 4)
-    assert GF(5).from_string("7") == GF(5).scalar(2)
 
 
 _FIELDS = [QQ, GF(2), GF(5), GF(101)]
