@@ -25,23 +25,23 @@ cobound, and those read no homotopy.  The ladder's
 almost always cobound.  Both give the same answer, and each order is
 slower on the other's traffic (the README has the numbers).
 
-Over Q the work runs in integers, from each complex's differential, kept
-once as integer columns over one denominator (``Complex._integer_d``),
-through the d^2 check, the eliminations, the homotopy and the
-homology vectors, to the class coordinates and the solutions.  Every
-elimination of d runs in the module's own indices.  delta has two forms,
-each with its own job: ``_integer_coboundary`` computes delta(f) from those
-columns for ``Cochain.coboundary`` and every step and check of a solve, and
-the ladder of :mod:`deform` reads delta(d_k) from its own sums of products.
-A ``Fraction`` is built only for what is returned: the dim_h representatives
-of ``cohomology``, the values of a coboundary or of a solution, the weights
-and residual of a witness, and the ``Scalar``s of a witness.
+The work runs in integers over one denominator, from each complex's
+differential, kept once as integer columns (``Complex._integer_d``),
+through the d^2 check, the eliminations, the homotopy and the homology
+vectors, to the class coordinates and the solutions.  Every elimination of
+d runs in the module's own indices.  delta has two forms, each with its own
+job: ``_integer_coboundary`` computes delta(f) from those columns for
+``Cochain.coboundary`` and every step and check of a solve, and the ladder
+of :mod:`deform` reads delta(d_k) from its own sums of products.  This
+module never asks which field it runs over: ``linalg._integral`` reads
+values in, ``linalg._rational`` reads a coboundary, a solution and the
+representatives of ``cohomology`` back out, ``FieldSpec.norm`` is the zero
+test on integers, and ``FieldSpec.scalar`` gives the values of a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
@@ -57,7 +57,7 @@ from .errors import (
 from .field import Scalar
 from .gmap import GradedMap, _combine
 from .graded import GradedModule, _add_terms, _scale_terms
-from .linalg import _integral, _System
+from .linalg import _integral, _rational, _System
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,14 @@ class Complex:
     def __post_init__(self):
         """d is an endomorphism of degree +1 or -1 with d^2 = 0, checked
         column by column from ``_integer_d`` (else NotADifferential)."""
-        d, mod = self.d, self.field.modulus
+        d, norm = self.d, self.field.norm
         if d.source != self.module or d.target != self.module:
             raise NotADifferential("the differential must be an endomorphism of the module")
         if d and d.degree not in (1, -1):
             raise NotADifferential(f"a differential has degree +1 or -1, not {d.degree}")
         cols = self._integer_d[1]
         for col in cols.values():
-            if any(v % mod if mod is not None else v for v in _combine(col, cols).values()):
+            if any(map(norm, _combine(col, cols).values())):
                 raise NotADifferential("d squared is not zero")
 
     # the dataclass would add a hash of the fields, and GradedMap has none
@@ -91,16 +91,12 @@ class Complex:
     def _integer_d(self) -> tuple[int, dict[int, dict[int, int]]]:
         """d as integer columns over one denominator: (D, {j: {k: n}}) with
         d[k, j] = n / D; over GF(p) D is 1 and the columns are d's own."""
-        return _integer_columns(self.d)
+        return _integral(self.d.columns, self.field)
 
     @cached_property
     def _integer_rows(self) -> dict[int, dict[int, int]]:
         """The rows of ``_integer_d``: {j: {l: n}} with d[j, l] = n / D."""
-        rows: dict[int, dict[int, int]] = {}
-        for l, col in self._integer_d[1].items():
-            for j, coeff in col.items():
-                rows.setdefault(j, {})[l] = coeff
-        return rows
+        return _transpose(self._integer_d[1])
 
     # H(V)* and H(M) serve every p, so each complex computes them once
     @cached_property
@@ -133,11 +129,7 @@ class Complex:
         targets = sorted(self._integer_rows)
         den, inverse = self._elimination.inverse()
         rows = {x: {targets[i]: v for i, v in row.items()} for x, row in inverse.items()}
-        columns: dict[int, dict[int, int]] = {}
-        for x, row in rows.items():
-            for y, v in row.items():
-                columns.setdefault(y, {})[x] = v
-        return den, rows, columns
+        return den, rows, _transpose(rows)
 
 
 class Cochain:
@@ -160,14 +152,12 @@ class Cochain:
 
     def coboundary(self) -> "Cochain":
         """delta(f) = d_M f - (-1)^p f d_V, a (p+1)-cochain, computed in
-        integers by ``_integer_coboundary``; over Q its values become
-        ``Fraction``s once, at the end."""
-        source, target, p = self.source, self.target, self.p
-        den, cols = _integer_columns(self.mapping)
+        integers by ``_integer_coboundary`` and read back once, at the end."""
+        source, target, p, field = self.source, self.target, self.p, self.source.field
+        den, cols = _integral(self.mapping.columns, field)
         cols, den = _integer_coboundary(source, target, p, cols, den)
-        if source.field.modulus is None:
-            cols = {j: {i: Fraction(v, den) for i, v in col.items()} for j, col in cols.items()}
-        return Cochain(p + 1, GradedMap._of(source.module, target.module, -p - 1, cols),
+        return Cochain(p + 1, GradedMap._of(source.module, target.module, -p - 1,
+                                            _rational(cols, den, field)),
                        source, target)
 
     def is_cocycle(self) -> bool:
@@ -215,12 +205,13 @@ def _check_differentials(source: Complex, target: Complex) -> None:
             )
 
 
-def _integer_columns(m: GradedMap) -> tuple[int, dict[int, dict[int, int]]]:
-    """The columns of ``m`` as integers over one denominator (1 over GF(p))."""
-    if m.source.field.modulus is not None:
-        return 1, m.columns
-    den, cols = _integral(list(m.columns.values()))
-    return den, dict(zip(m.columns, cols))
+def _transpose(vectors: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """{k: {j: v}} for the sparse vectors {j: {k: v}}: the rows of columns."""
+    out: dict[int, dict[int, int]] = {}
+    for j, vec in vectors.items():
+        for k, v in vec.items():
+            out.setdefault(k, {})[j] = v
+    return out
 
 
 def _integer_coboundary(source: Complex, target: Complex, p: int,
@@ -230,7 +221,6 @@ def _integer_coboundary(source: Complex, target: Complex, p: int,
     integer columns and rows; only f's columns and the entries of d_V in
     their rows are visited, and zeros are not stored."""
     _check_differentials(source, target)
-    mod = source.field.modulus
     # scale * delta(f) = a N_M f + b f N_V, with N = D d the integer columns of d_M
     # and the integer rows of d_V, scale = lcm(D_V, D_M), a = scale / D_M and
     # b = -(-1)^p scale / D_V
@@ -248,11 +238,9 @@ def _integer_coboundary(source: Complex, target: Complex, p: int,
             acc = out.setdefault(l, {})
             for i, c in col.items():
                 acc[i] = acc.get(i, 0) + e * c
-    if mod is None:
-        out = {j: kept for j, col in out.items() if (kept := {k: v for k, v in col.items() if v})}
-    else:
-        out = {j: kept for j, col in out.items()
-               if (kept := {k: w for k, v in col.items() if (w := v % mod)})}
+    norm = source.field.norm
+    out = {j: kept for j, col in out.items()
+           if (kept := {k: w for k, v in col.items() if (w := norm(v))})}
     return out, den * scale
 
 
@@ -391,7 +379,8 @@ def cohomology(source: Complex, target: Complex | None = None, p: int = 0) -> Co
     dim_h = sum(h * h_m.get(q - p, 0) for q, h in h_v.items())
     dim_coboundaries = (sum(r * len(dim_m.get(q - p, ())) for q, r in pi_v.items())
                         + sum(h * pi_m.get(q - p + 1, 0) for q, h in h_v.items()))
-    mod, degree_of = source.field.modulus, target.module.degree_of
+    field, degree_of = source.field, target.module.degree_of
+    norm = field.norm
     by_degree: dict[int, list[tuple[int, dict[int, int]]]] = {}
     for w in cycles:
         top = max(w)
@@ -400,12 +389,8 @@ def cohomology(source: Complex, target: Complex | None = None, p: int = 0) -> Co
     for mu in functionals:
         top = max(mu)
         for w_top, w in by_degree.get(source.module.degree_of(top) - p, ()):
-            lead = mu[top] * w_top
-            if mod is None:
-                cols = {j: {i: Fraction(c * e, lead) for i, e in w.items()} for j, c in mu.items()}
-            else:
-                inv = pow(lead, -1, mod)
-                cols = {j: {i: c * inv * e % mod for i, e in w.items()} for j, c in mu.items()}
+            cols = _rational({j: _scale_terms(w, c, norm) for j, c in mu.items()},
+                             mu[top] * w_top, field)
             representatives.append(Cochain(
                 p, GradedMap._of(source.module, target.module, -p, cols), source, target))
     if len(representatives) != dim_h:
@@ -456,7 +441,7 @@ class Infeasible:
 def _cocycle_columns(g: Cochain) -> tuple[int, dict[int, dict[int, int]]]:
     """g as integer columns over one denominator, once delta(g) = 0 is checked
     in integers from the differentials (else NotACocycle)."""
-    den, cols = _integer_columns(g.mapping)
+    den, cols = _integral(g.mapping.columns, g.source.field)
     if _integer_coboundary(g.source, g.target, g.p, cols, den)[0]:
         raise NotACocycle("right-hand side is not a cocycle")
     return den, cols
@@ -476,7 +461,7 @@ def _class_witness(g: Cochain, cols: dict[int, dict[int, int]],
     Before it is returned, z is checked to be a cycle and lambda o d_M to be
     zero, in integers from the differentials (else PostconditionFailed).
     """
-    source, target, mod = g.source, g.target, g.source.field.modulus
+    source, target, norm = g.source, g.target, g.source.field.norm
     v_degrees = {source.module.degree_of(j) for j in cols}
     functionals: dict[int, list[dict[int, int]]] = {}
     for lam in _homology_classes(target, True, {q - g.p for q in v_degrees})[0]:
@@ -488,7 +473,7 @@ def _class_witness(g: Cochain, cols: dict[int, dict[int, int]],
         gz = _combine(z, cols)  # g(z) as integers over den
         for lam in shelf if gz else ():
             s = sum(c * lam[i] for i, c in gz.items() if i in lam)
-            if s if mod is None else s % mod:
+            if norm(s):
                 _check_classes(source, target, z, lam)
                 lead = z[max(z)] * lam[max(lam)]
                 field, name_of, target_name = source.field, source.module.name_of, target.module.name_of
@@ -503,10 +488,10 @@ def _check_classes(source: Complex, target: Complex,
                    z: dict[int, int], lam: dict[int, int]) -> None:
     """d_V z = 0 and lambda o d_M = 0, in integers from the differentials'
     integer columns and rows, or PostconditionFailed."""
-    mod = source.field.modulus
+    norm = source.field.norm
     for what, values in (("z is not a cycle of d_V", _combine(z, source._integer_d[1])),
                          ("lambda o d_M is not zero", _combine(lam, target._integer_rows))):
-        if any(v % mod if mod is not None else v for v in values.values()):
+        if any(map(norm, values.values())):
             raise PostconditionFailed(f"the class witness is wrong: {what}")
 
 
@@ -541,8 +526,7 @@ def _homotopy_solution(g: Cochain, cols: dict[int, dict[int, int]], den: int) ->
     f, f_den = {j: col for j, col in f.items() if col}, r_den * v_den
     if not _same_columns(*_integer_coboundary(source, target, p, f, f_den), cols, den):
         return None
-    if source.field.modulus is None:
-        f = {j: {i: Fraction(v, f_den) for i, v in col.items()} for j, col in f.items()}
+    f = _rational(f, f_den, source.field)
     return Solved(Cochain(p, GradedMap._of(source.module, target.module, -p, f), source, target))
 
 

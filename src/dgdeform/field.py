@@ -6,7 +6,8 @@ their stored representations coincide.  There is no floating point anywhere.
 
 Inside the library, vectors, maps and matrices hold these canonical values
 raw, without the ``Scalar`` wrapper: a ``Fraction`` over the rationals, an
-``int`` in [0, p) over GF(p).  ``FieldSpec.norm`` brings a raw sum or
+``int`` in [0, p) over GF(p).  ``FieldSpec._raw`` is the one rule that turns
+a number into such a value, and ``FieldSpec.norm`` brings a raw sum or
 product back to canonical form.
 """
 
@@ -76,17 +77,16 @@ class FieldSpec:
             raise NonPrimeModulus(f"modulus {self.modulus} is not prime")
 
     def scalar(self, num: int, den: int = 1) -> "Scalar":
-        """The canonical representative of num/den in this field."""
+        """The canonical representative of num/den in this field; the
+        denominator is checked as given, so 5/5 over GF(5) raises."""
         if den == 0:
             raise ZeroDenominator(f"denominator of {num}/{den} is zero")
-        if self.modulus is None:
-            return Scalar(self, Fraction(num, den))
         p = self.modulus
+        if p is None:
+            return Scalar(self, Fraction(num, den))
         if den % p == 0:
-            raise DenominatorDivisibleByP(
-                f"denominator {den} is divisible by the modulus {p}"
-            )
-        return Scalar(self, num * self.inv(den) % p)
+            raise DenominatorDivisibleByP(f"denominator {den} is divisible by the modulus {p}")
+        return Scalar(self, num * self.inv(den))
 
     @cached_property
     def zero(self) -> "Scalar":
@@ -108,15 +108,18 @@ class FieldSpec:
         return partial(truediv, 1) if p is None else partial(pow, exp=-1, mod=p)
 
     def _raw(self, c: "Scalar | Fraction | int") -> Fraction | int:
-        """The raw value of a coefficient given as a Scalar of this field, a
-        Fraction or an int."""
+        """The raw value of a number given as an int, a Fraction or a Scalar
+        of this field: the library's one rule for turning a number into a
+        value.  Anything else, a float or a str, raises FieldMismatch."""
         if isinstance(c, int):  # already canonical as a Fraction, or once reduced mod p
             return Fraction(c) if self.modulus is None else c % self.modulus
-        if not isinstance(c, Scalar):
-            return self.scalar(c.numerator, c.denominator).value
-        if c.field is not self and c.field != self:
-            raise FieldMismatch(f"coefficient field {c.field} != {self}")
-        return c.value
+        if isinstance(c, Fraction):  # over GF(p), num * den^-1 mod p, not its integer part
+            return c if self.modulus is None else self.scalar(c.numerator, c.denominator).value
+        if isinstance(c, Scalar):
+            if c.field is not self and c.field != self:
+                raise FieldMismatch(f"coefficient field {c.field} != {self}")
+            return c.value
+        raise FieldMismatch(f"{c!r} is not an int, a Fraction or a Scalar of {self}")
 
     def __str__(self) -> str:
         return "Q" if self.modulus is None else f"GF({self.modulus})"
@@ -139,29 +142,17 @@ class Scalar:
     value: Fraction | int
 
     def __post_init__(self):
-        value = self.value
-        if self.field.modulus is None:
-            object.__setattr__(self, "value", Fraction(value))
-        elif isinstance(value, int):
-            object.__setattr__(self, "value", int(value) % self.field.modulus)
-        else:  # a Fraction is num * den^-1 mod p, not its integer part
-            object.__setattr__(self, "value",
-                               self.field.scalar(value.numerator, value.denominator).value)
+        object.__setattr__(self, "value", self.field._raw(self.value))
 
-    def _coerce(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
-            return other
-        if isinstance(other, int):
-            return Scalar(self.field, other)
-        return NotImplemented
+    def _coerce(self, other):
+        """The raw value of an int or a Scalar of this field, else NotImplemented."""
+        return self.field._raw(other) if isinstance(other, (Scalar, int)) else NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(self.field, self.value + other.value)
+        return Scalar(self.field, self.value + other)
 
     __radd__ = __add__
 
@@ -169,7 +160,7 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(self.field, self.value - other.value)
+        return Scalar(self.field, self.value - other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -178,7 +169,7 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(self.field, self.value * other.value)
+        return Scalar(self.field, self.value * other)
 
     __rmul__ = __mul__
 
@@ -194,7 +185,7 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self * other.inv()
+        return self * Scalar(self.field, other).inv()
 
     def __bool__(self) -> bool:
         return self.value != 0

@@ -17,9 +17,10 @@ and the gauge step of :mod:`deform`.  It multiplies only entries that meet.
 :mod:`cochain` the d^2 check of a ``Complex``, the d_M f half of delta, the
 class coordinates and the witness checks.
 
-The public constructor brings any column dict to that normal form and checks
-degrees; ``from_entries`` and the family generator, which writes its index
-columns in normal form and passes them to ``_check``, also check degrees.
+The public constructor brings any column dict to that normal form, each
+value through ``FieldSpec._raw``, and checks degrees; ``from_entries`` sums
+its raw values and hands them to it.  The family generator writes its index
+columns in normal form and passes them to ``_check``.
 The arithmetic, ``identity``, ``zero``, the cochain solver and the .dgm parser
 (which checks each term's degree as it reads it) build their results in
 normal form already and go through the unchecked ``GradedMap._of``.
@@ -200,15 +201,13 @@ class GradedMap:
     ) -> "GradedMap":
         """Build a map from (source name, target name, coefficient) triples."""
         target = target if target is not None else source
-        raw, norm = source.field._raw, source.field.norm
+        raw = source.field._raw
         cols: dict[int, dict] = {}
         for src, tgt, c in entries:
             col = cols.setdefault(source.index_of(src), {})
             i = target.index_of(tgt)
-            col[i] = norm(col[i] + raw(c)) if i in col else raw(c)
-        cols = {j: nz for j, col in cols.items() if (nz := {i: c for i, c in col.items() if c})}
-        _check(source, target, degree, cols)
-        return cls._of(source, target, degree, cols)
+            col[i] = col[i] + raw(c) if i in col else raw(c)
+        return cls(source, target, degree, cols)
 
     # -- structure -----------------------------------------------------------
 

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import UnknownBasisName, UnknownName
+from .errors import BadDegree, UnknownBasisName, UnknownName
 from .field import FieldSpec
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -63,18 +63,23 @@ class GradedModule:
     basis: tuple[tuple[str, int], ...]
 
     def __init__(self, name, field, basis):
+        # one pass checks the given (str, int) pairs, which are kept as they are
+        basis = tuple(basis)
+        for item in basis:
+            if not (isinstance(item, tuple) and len(item) == 2):
+                raise UnknownBasisName(f"{item!r} is not a (name, degree) pair")
+            n, d = item
+            if not (isinstance(n, str) and _IDENT.match(n)):
+                raise UnknownBasisName(f"{n!r} is not a valid basis name")
+            if type(d) is not int:
+                raise BadDegree(f"the degree of {n} is {d!r}, not an int")
+        if not (isinstance(name, str) and _IDENT.match(name)):
+            raise UnknownName(f"{name!r} is not a valid module name")
+        if len({n for n, _ in basis}) != len(basis):
+            raise UnknownBasisName(f"duplicate basis names in module {name}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "basis", tuple((str(n), int(d)) for n, d in basis))
-        names = [n for n, _ in self.basis]
-        # one pass in C; the offending name is looked for only on failure
-        if not all(map(_IDENT.match, names)):
-            bad = next(n for n in names if not _IDENT.match(n))
-            raise UnknownBasisName(f"{bad!r} is not a valid basis name")
-        if not _IDENT.match(self.name):
-            raise UnknownName(f"{self.name!r} is not a valid module name")
-        if len(set(names)) != len(names):
-            raise UnknownBasisName(f"duplicate basis names in module {self.name}")
+        object.__setattr__(self, "basis", basis)
 
     def __eq__(self, other) -> bool:
         # maps and cochains compare their modules on every operation, and the

@@ -2,13 +2,13 @@
 
 A matrix comes in as integer rows over one matrix denominator ``den``: dicts
 column-index -> nonzero ``int``, any integer over Q, a residue in [0, p)
-over GF(p), where ``den`` is 1.  Callers that hold raw field values (a
-``Fraction`` over Q) scale them with ``_integral`` first.  Reduced rows stay
-integers over their row denominators, and kernel vectors and a generalized
-inverse come out as integers over one denominator each.  A ``Fraction`` is
-built only in the raw-value wrappers ``solve_sparse``, ``rank_sparse`` and
-``nullspace_sparse``.  Field arithmetic is written inline: ``% p`` after
-every sum and product over GF(p), nothing over Q.
+over GF(p), where ``den`` is 1.  Reduced rows stay integers over their
+row denominators, and kernel vectors and a generalized inverse come out as
+integers over one denominator each.  The field enters and leaves in two
+helpers: ``_integral`` reads raw values in as integers over one
+denominator, and ``_rational`` reads an integer result back out as raw
+values.  Field arithmetic is written inline: ``% p`` after every sum and
+product over GF(p), nothing over Q.
 
 Elimination processes columns in increasing order and always picks the first
 remaining row with a nonzero entry as the pivot, so every result is
@@ -55,8 +55,8 @@ echelon ``reduce`` are the columns independent of all earlier ones, the
 greedy basis of the column span; ``cochain`` chooses homology classes that
 way.
 
-Nothing in the library calls ``solve_sparse``, ``rank_sparse``,
-``nullspace_sparse`` or their helper ``_matrix``.  They stay only because
+Nothing in the library calls ``solve_sparse``, ``rank_sparse`` or
+``nullspace_sparse``.  They stay only because
 the benchmark's tracer resolves the three by name, and they go once the
 tracer reads counters instead (ROADMAP item 1).
 """
@@ -71,11 +71,26 @@ from .field import FieldSpec
 Row = dict[int, "Fraction | int"]
 
 
-def _integral(rows: list[Row]) -> tuple[int, list[dict[int, int]]]:
-    """(L, L * rows) for rows over Q, with L the lcm of all their denominators."""
-    scale = lcm(*[v.denominator for row in rows for v in row.values()])
-    return scale, [{k: v.numerator * (scale // v.denominator) for k, v in row.items()}
-                   for row in rows]
+def _integral(vectors: dict[int, Row], field: FieldSpec) -> tuple[int, dict[int, dict[int, int]]]:
+    """Sparse vectors of raw values as (L, L * vectors): L is the lcm of
+    their denominators over Q, and 1 over GF(p), where they are returned."""
+    if field.modulus is not None:
+        return 1, vectors
+    scale = lcm(*[v.denominator for vec in vectors.values() for v in vec.values()])
+    return scale, {j: {k: v.numerator * (scale // v.denominator) for k, v in vec.items()}
+                   for j, vec in vectors.items()}
+
+
+def _rational(vectors: dict[int, dict[int, int]], den: int, field: FieldSpec) -> dict[int, Row]:
+    """The raw values of integer vectors over ``den``: n / den over Q, and
+    n * den^-1 mod p over GF(p), where vectors over 1 are already residues."""
+    p = field.modulus
+    if p is None:
+        return {j: {k: Fraction(n, den) for k, n in vec.items()} for j, vec in vectors.items()}
+    if den == 1:
+        return vectors
+    inv = pow(den, -1, p)
+    return {j: {k: n * inv % p for k, n in vec.items()} for j, vec in vectors.items()}
 
 
 class _System:
@@ -225,27 +240,19 @@ class _System:
         return scale, out
 
 
-def _matrix(rows: list[Row], field: FieldSpec) -> tuple[int, list[dict[int, int]]]:
-    """Rows of raw values as (denominator, integer rows), the input of ``_System``."""
-    return (1, rows) if field.modulus is not None else _integral(rows)
-
-
 def solve_sparse(rows: list[Row], rhs: list, ncols: int,
                  field: FieldSpec) -> dict[int, Fraction | int] | None:
     """Solve the sparse system rows * x = rhs exactly, raw values in and
     out: x = X rhs, for the generalized inverse X of ``_System.inverse``,
     which is the canonical solution (free variables zero), or None when
     A x != rhs, that is when the system is inconsistent."""
-    den, ints = _matrix(rows, field)
-    sys = _System(ints, ncols, field, den, trace=True)
+    den, ints = _integral(dict(enumerate(rows)), field)
+    sys = _System(ints.values(), ncols, field, den, trace=True)
     sys.reduce()
     scale, inverse = sys.inverse()
-    p, x = field.modulus, {}
-    for c, row in inverse.items():
-        s = sum(n * rhs[i] for i, n in row.items())
-        if v := (Fraction(s, scale) if p is None else s % p):
-            x[c] = v
     norm = field.norm
+    x = _rational({0: {c: v for c, row in inverse.items()
+                       if (v := norm(sum(n * rhs[i] for i, n in row.items())))}}, scale, field)[0]
     if any(norm(sum(v * x[k] for k, v in row.items() if k in x) - b)
            for row, b in zip(rows, rhs)):
         return None
@@ -254,7 +261,7 @@ def solve_sparse(rows: list[Row], rhs: list, ncols: int,
 
 def rank_sparse(rows: list[Row], ncols: int, field: FieldSpec) -> int:
     """The rank of the sparse matrix ``rows`` of raw values."""
-    sys = _System(_matrix(rows, field)[1], ncols, field)
+    sys = _System(_integral(dict(enumerate(rows)), field)[1].values(), ncols, field)
     sys.reduce()
     return len(sys.pivots)
 
@@ -262,8 +269,6 @@ def rank_sparse(rows: list[Row], ncols: int, field: FieldSpec) -> int:
 def nullspace_sparse(rows: list[Row], ncols: int, field: FieldSpec) -> list[Row]:
     """A canonical basis of the kernel, one vector per free column, in
     increasing free-column order; raw values in and out."""
-    sys = _System(_matrix(rows, field)[1], ncols, field)
+    sys = _System(_integral(dict(enumerate(rows)), field)[1].values(), ncols, field)
     sys.reduce()
-    if field.modulus is not None:
-        return [vec for _, vec in sys.nullspace(range(ncols))]
-    return [{k: Fraction(v, d) for k, v in vec.items()} for d, vec in sys.nullspace(range(ncols))]
+    return [_rational({0: vec}, den, field)[0] for den, vec in sys.nullspace(range(ncols))]

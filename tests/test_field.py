@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dgdeform import GF, QQ, FieldSpec, Scalar
+from dgdeform import GF, QQ, FieldSpec, GradedMap, GradedModule, Scalar
 from dgdeform.errors import (
     DenominatorDivisibleByP,
     DivisionByZero,
@@ -49,6 +49,8 @@ def test_zero_denominator_rejected():
 def test_denominator_divisible_by_p_rejected():
     with pytest.raises(DenominatorDivisibleByP):
         GF(5).scalar(1, 10)
+    with pytest.raises(DenominatorDivisibleByP):
+        GF(5).scalar(5, 5)  # the denominator is checked as given, not reduced
 
 
 def test_non_prime_modulus_rejected():
@@ -134,6 +136,23 @@ def test_field_mismatch():
         QQ.scalar(1) + GF(5).scalar(1)
     with pytest.raises(FieldMismatch):
         GF(5).scalar(1) * GF(7).scalar(1)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+@pytest.mark.parametrize("c", [0.5, 0.1, "3", None], ids=repr)
+def test_non_exact_coefficients_raise_field_mismatch(field, c):
+    # the one number-to-value rule, FieldSpec._raw, takes an int, a Fraction
+    # or a Scalar of the field, and nothing else: no float rounds silently
+    m = GradedModule("M", field, [("a", 0), ("b", 0)])
+    one = GradedMap.identity(m)
+    builds = [lambda: Scalar(field, c),
+              lambda: GradedMap(m, m, 0, {0: {1: c}}),
+              lambda: GradedMap.from_entries(m, 0, [("a", "b", c)]),
+              lambda: GradedMap.from_entries(m, 0, [("a", "b", 1), ("a", "b", c)]),
+              lambda: one.scale(c)]
+    for build in builds:
+        with pytest.raises(FieldMismatch, match="is not an int, a Fraction or a Scalar"):
+            build()
 
 
 def test_is_zero_via_reduction():

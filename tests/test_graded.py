@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from dgdeform import GF, QQ, GradedMap, GradedModule, base_complex
 from dgdeform.errors import (
+    BadDegree,
     FieldMismatch,
     ModuleMismatch,
     UnknownBasisName,
@@ -45,6 +46,29 @@ def test_unknown_and_duplicate_basis_names():
         GradedModule("M-", QQ, [("a", 0), ("b-1", 1), ("2bad", 2), ("a", 3)])
     with pytest.raises(UnknownName, match="^'M-' is not a valid module name$"):
         GradedModule("M-", QQ, [("a", 0), ("a", 1)])
+
+
+@pytest.mark.parametrize("degree", [1.5, "2", -0.0, None, True], ids=repr)
+def test_a_degree_that_is_not_an_int_raises_bad_degree(degree):
+    # nothing is coerced: 1.5 does not become 1, nor "2" become 2
+    with pytest.raises(BadDegree, match=r"^the degree of b is .*, not an int$"):
+        GradedModule("M", QQ, [("a", 0), ("b", degree)])
+
+
+def test_module_input_is_validated_not_coerced():
+    for name in (5, None, b"M"):
+        with pytest.raises(UnknownName, match="is not a valid module name$"):
+            GradedModule(name, QQ, [("a", 0)])
+    for item in (("a",), ("a", 0, 1), ["a", 0], "a0", None):
+        with pytest.raises(UnknownBasisName, match=r"is not a \(name, degree\) pair$"):
+            GradedModule("M", QQ, [("x", 0), item])
+    for name in (5, None, b"a"):
+        with pytest.raises(UnknownBasisName, match="is not a valid basis name$"):
+            GradedModule("M", QQ, [(name, 0)])
+    # the given pairs are kept as they are
+    pairs = [("a", 0), ("b", -1)]
+    m = GradedModule("M", QQ, iter(pairs))
+    assert m.basis == tuple(pairs) and all(x is y for x, y in zip(m.basis, pairs))
 
 
 @given(st.lists(st.integers(-5, 5), min_size=1, max_size=12))

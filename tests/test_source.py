@@ -52,3 +52,21 @@ def test_the_benchmark_tracer_resolves_every_target(monkeypatch):
     missing = [t for t in targets + [("dgdeform.cochain", "cochain_basis")]
                if trace._resolve(*t) is None]
     assert missing == []
+
+
+def test_the_field_is_decided_in_field_linalg_and_the_file_format():
+    # a number becomes a value in field.py, and integer results are read in
+    # and out in linalg.py; dsl.py writes the modulus into a file's header
+    from dgdeform import cochain, linalg
+
+    paths = sorted(Path(dgdeform.__file__).parent.glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    reads = sorted(name for name, tree in trees.items() for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "modulus")
+    assert set(reads) <= {"field.py", "linalg.py", "dsl.py"}
+    imported = [alias.name for node in ast.walk(trees["cochain.py"])
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module for node in ast.walk(trees["cochain.py"])
+                 if isinstance(node, ast.ImportFrom)]
+    assert "fractions" not in imported
+    assert not hasattr(linalg, "_matrix") and not hasattr(cochain, "_integer_columns")
