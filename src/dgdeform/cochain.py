@@ -160,9 +160,6 @@ class Cochain:
                                             _rational(cols, den, field)),
                        source, target)
 
-    def is_cocycle(self) -> bool:
-        return self.coboundary().mapping.is_zero()
-
     def is_zero(self) -> bool:
         return self.mapping.is_zero()
 

@@ -10,9 +10,9 @@ gauges away the lowest nonzero coefficient by solving delta(phi) = -coeff.
 Every product of maps here goes through the sparse kernel of
 :mod:`gmap`, ``_Products``: the ledger, which holds d as order 0 and adds
 each lift's products into sums by order as the lift enters, the series
-product and inverse, and the gauge step.  It multiplies only entries that
-meet, so a ladder costs in proportion to its nonzero products, not to the
-square of its order.
+product and inverse, and trivialization, which sums G d_t - d G for its
+automorphism G.  It multiplies only entries that meet, so a ladder costs
+in proportion to its nonzero products, not to the square of its order.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .errors import (
     ModuleMismatch,
     NotACocycle,
     NotSquareZero,
+    PostconditionFailed,
     RelationsViolated,
     TruncationMismatch,
 )
@@ -74,7 +75,7 @@ class MapSeries:
             raise TruncationMismatch("a series needs at least its order-0 coefficient")
         module = coeffs[0].source
         degrees = set()
-        for m in coeffs:
+        for m in {id(m): m for m in coeffs}.values():  # a shared zero is checked once
             if m.source != module or m.target != module:
                 raise ModuleMismatch("series coefficients must share one module")
             if m:
@@ -112,9 +113,6 @@ class MapSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> GradedMap:
-        return self.coeffs[k]
 
     @property
     def degree(self) -> int:
@@ -156,7 +154,7 @@ def series_mul(a: MapSeries, b: MapSeries) -> MapSeries:
     for i, ai in enumerate(a.coeffs):
         if ai:
             products.left(i, ai.columns)
-    return MapSeries([products.read(k, module, degree) for k in range(n + 1)])
+    return MapSeries(products.read_all(module, degree))
 
 
 def series_inverse(a: MapSeries) -> MapSeries:
@@ -171,9 +169,9 @@ def series_inverse(a: MapSeries) -> MapSeries:
         if i and ai:
             products.hold_left(i, ai.columns)
             products.add(i, ai.columns)
-    inv = [a.coeffs[0]]
+    inv, zero = [a.coeffs[0]], GradedMap.zero(module, degree=a.degree)
     for k in range(1, a.order + 1):
-        m = -products.read(k, module, a.degree)
+        m = -products.read(k, module, a.degree) if k in products.sums else zero
         if m:
             products.right(k, m.columns)
         inv.append(m)
@@ -425,93 +423,89 @@ class TrivializationReport:
         return "\n".join(lines)
 
 
-def _gauge_step(
-    d_t: MapSeries, g: MapSeries, phi: GradedMap, r: int
-) -> tuple[MapSeries, MapSeries]:
-    """One gauge stage, 1 <= r <= order: ``gauge_transform(d_t, F)`` and
-    ``series_mul(F, g)`` for F = Id - t^r phi, where g_0 = Id.  The square-zero
-    check of ``gauge_transform`` is left to the caller.
-
-    F^-1 is the geometric series sum_k t^{rk} phi^k, so the conjugate has
-    coefficients E_j - phi o E_{j-r} with E = d_t o F^-1, and F o g has
-    g_j - phi o g_{j-r}.  Each power phi^k (rk <= order) is formed once, every
-    product goes through ``_Products``, so only entries that meet are
-    multiplied, and no product has the identity as an operand: phi^0 and g_0
-    enter as plain copies.
-    """
-    n, module = d_t.order, d_t.module
-    chain = _Products(n // r)  # phi^k o phi at order k + 1, while r(k + 1) <= n
-    chain.hold_right(1, phi.columns)
-    gauged = _Products(n)  # E = d_t o F^-1 (c_i and c_i o phi^k at order i + rk), then F o E
-    power, k = phi, 1
-    while power:
-        gauged.hold_right(r * k, power.columns)
-        chain.left(k, power.columns)
-        k += 1
-        power = chain.read(k, module, phi.degree)
-    for i, c in enumerate(d_t.coeffs):
-        if c:
-            gauged.add(i, c.columns)
-            gauged.left(i, c.columns)
-    composed = _Products(n)  # g_j, j >= 1
-    for j, m in enumerate(g.coeffs[1:], start=1):
-        composed.add(j, m.columns)
-    minus_phi = -phi
-    for products in (gauged, composed):
-        # m_j - phi o m_{j-r} in place: from the top order down, so that each
-        # m_j is multiplied before anything lands on it; raw sums multiply
-        # as well as normalized ones
-        products.hold_left(r, minus_phi.columns)
-        for j in sorted(products.sums, reverse=True):
-            products.right(j, products.sums[j])
-    composed.add(r, minus_phi.columns)  # -phi o g_0, with g_0 = Id
-    return (
-        MapSeries([gauged.read(j, module, d_t.degree) for j in range(n + 1)]),
-        MapSeries([g.coeffs[0]] + [composed.read(j, module, g.degree) for j in range(1, n + 1)]),
-    )
+def _commutator(d_t: MapSeries) -> _Products:
+    """Sums that become G d_t - d G as each g_i enters by ``left(i, g_i)``
+    and ``right(i, g_i)``: the d_j are held on the right, -d on the left,
+    and g_0 = Id enters as copies of the d_j, never as a product."""
+    products = _Products(d_t.order)
+    products.hold_left(0, (-d_t.coeffs[0]).columns)
+    for j, m in enumerate(d_t.coeffs):
+        if m:
+            products.hold_right(j, m.columns)
+            if j:
+                products.add(j, m.columns)
+    return products
 
 
 def trivialize(d_t: MapSeries) -> TrivializationReport:
-    """Run the inductive gauge loop: at stage r solve delta(phi) = -coefficient
-    and conjugate by Id - t^r phi, until every coefficient through the
-    truncation order dies.
+    """Run the inductive gauge loop: at stage r solve delta(phi) = -c_r and
+    compose Id - t^r phi into the automorphism G, until every coefficient
+    through the truncation order dies.
+
+    With G d_t G^-1 = d below order r, c_r = (G d_t - d G)_r, so each stage
+    reads c_r from G and d_t, with each product g_i d_j formed once, and no
+    series is conjugated or squared.  At the end a second pass forms P = G
+    d_t - d G: P_1..P_{r-1} must vanish and P_r be the unsolved cocycle when
+    stuck at r, else PostconditionFailed.  The residual G d_t G^-1 is then
+    d, or d + P G^-1 when stuck, the only case that inverts G.
 
     Stops with ``stuck_at = r`` if the stage-r cocycle fails to cobound;
     failure at r = 1 is a genuine non-triviality certificate, later failures
     are relative to the gauges already chosen.
     """
-    n = d_t.order
+    n, module, degree = d_t.order, d_t.module, d_t.degree
     if not d_t.is_square_zero():
         raise NotSquareZero("series does not square to zero through the truncation order")
-    cx = Complex(d_t.module, d_t.coeffs[0])
-    current = d_t
+    cx = Complex(module, d_t.coeffs[0])
+    running = _commutator(d_t)  # g_r enters as stage r reads c_r, and -phi once solved
+    g: dict[int, GradedMap] = {}  # the nonzero g_j, j >= 1
+    zero = GradedMap.zero(module, degree=0)
     stages: list[GradedMap] = []
-    composed = MapSeries.identity(d_t.module, n)
+    stuck_at = unsolved = witness = None
     for r in range(1, n + 1):
-        c = current.coeffs[r]
-        if c.is_zero():
-            stages.append(GradedMap.zero(d_t.module, degree=0))
+        if r in g:
+            running.left(r, g[r].columns)
+            running.right(r, g[r].columns)
+        c = running.read(r, module, degree) if r in running.sums else None
+        if not c:
+            stages.append(zero)
             continue
-        outcome = _solve_homotopy_first(Cochain(1, -c, cx))
+        try:
+            outcome = _solve_homotopy_first(Cochain(1, -c, cx))
+        except NotACocycle:  # c_r is a cocycle when d_t^2 = 0 and the orders below r vanish
+            raise PostconditionFailed(f"the order-{r} coefficient of the gauged series "
+                                      "is not a cocycle") from None
         if isinstance(outcome, Infeasible):
-            return TrivializationReport(
-                order=n,
-                stages=stages,
-                automorphism=composed,
-                residual=current,
-                stuck_at=r,
-                unsolved=Cochain(1, c, cx),
-                witness=outcome.witness,
-            )
-        phi = outcome.cochain.mapping
-        # d_t itself was checked on entry
-        if current is not d_t and not current.is_square_zero():
-            raise NotSquareZero("series to be gauged must square to zero")
-        current, composed = _gauge_step(current, composed, phi, r)
-        stages.append(phi)
-    return TrivializationReport(
-        order=n, stages=stages, automorphism=composed, residual=current
-    )
+            stuck_at, unsolved, witness = r, c, outcome.witness
+            break
+        minus_phi = (-outcome.cochain.mapping).columns
+        running.left(r, minus_phi)
+        running.right(r, minus_phi)
+        update = _Products(n)  # G <- (Id - t^r phi) G: g_j - phi g_{j-r}, g_0 = Id
+        update.hold_left(r, minus_phi)
+        update.add(r, minus_phi)
+        for j, m in g.items():
+            update.add(j, m.columns)
+            update.right(j, m.columns)
+        g = {j: gj for j in update.sums if (gj := update.read(j, module, 0))}
+        stages.append(outcome.cochain.mapping)
+    automorphism = MapSeries([GradedMap.identity(module)]
+                             + [g.get(j, zero) for j in range(1, n + 1)])
+    check = _commutator(d_t)  # P = G d_t - d G afresh, from the final G
+    for j, m in sorted(g.items()):
+        check.left(j, m.columns)
+        check.right(j, m.columns)
+    p = check.read_all(module, degree)
+    if any(p[:stuck_at]) or stuck_at and p[stuck_at] != unsolved:
+        raise PostconditionFailed(
+            f"G d_t - d G is not zero below order {stuck_at} and the unsolved cocycle at it"
+            if stuck_at else f"G d_t - d G is not zero through order {n}")
+    if stuck_at is None:
+        return TrivializationReport(order=n, stages=stages, automorphism=automorphism,
+                                    residual=MapSeries.deformation(cx, [], n))
+    residual = series_mul(MapSeries(p), series_inverse(automorphism))
+    return TrivializationReport(n, stages, automorphism, MapSeries([cx.d, *residual.coeffs[1:]]),
+                                stuck_at, Cochain(1, unsolved, cx), witness)
 
 
 def first_order_triviality(cx: Complex, d1: GradedMap) -> Solved | Infeasible:

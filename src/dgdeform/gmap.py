@@ -12,7 +12,7 @@ Only ``entries`` yields ``Scalar``s.
 
 Every product of maps in the library goes through one sparse kernel,
 ``_Products``: ``compose`` (so ``@``), and the ladder, the series algebra
-and the gauge step of :mod:`deform`.  It multiplies only entries that meet.
+and trivialization in :mod:`deform`.  It multiplies only entries that meet.
 ``_combine`` is the one vector-times-columns loop: ``apply``, and in
 :mod:`cochain` the d^2 check of a ``Complex``, the d_M f half of delta, the
 class coordinates and the witness checks.
@@ -66,8 +66,8 @@ def _combine(vec: dict, vectors: dict) -> dict:
 
 class _Products:
     """Sums, by order, of products of graded maps: the sparse product kernel
-    of ``GradedMap.compose``, the ladder, the series algebra and the gauge
-    step.
+    of ``GradedMap.compose``, the ladder, the series algebra and the sums
+    G d_t - d G of trivialization.
 
     An operand is a map's columns {source: {target: raw value}}, held at an
     order as a left or as a right operand.  ``left(i, a)`` adds a o b into
@@ -136,6 +136,14 @@ class _Products:
         cols = {s: kept for s, col in self.sums.get(k, {}).items()
                 if (kept := {l: w for l, v in col.items() if (w := norm(v))})}
         return GradedMap._of(module, module if target is None else target, degree, cols)
+
+    def read_all(self, module: GradedModule, degree: int) -> list["GradedMap"]:
+        """The sums of orders 0..limit as ``read`` gives them, with one
+        shared zero map at every order that holds no sum."""
+        out = [GradedMap.zero(module, degree=degree)] * (self.limit + 1)
+        for k in self.sums:
+            out[k] = self.read(k, module, degree)
+        return out
 
 
 class GradedMap:

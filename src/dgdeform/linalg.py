@@ -82,15 +82,14 @@ def _integral(vectors: dict[int, Row], field: FieldSpec) -> tuple[int, dict[int,
 
 
 def _rational(vectors: dict[int, dict[int, int]], den: int, field: FieldSpec) -> dict[int, Row]:
-    """The raw values of integer vectors over ``den``: n / den over Q, and
-    n * den^-1 mod p over GF(p), where vectors over 1 are already residues."""
-    p = field.modulus
-    if p is None:
-        return {j: {k: Fraction(n, den) for k, n in vec.items()} for j, vec in vectors.items()}
-    if den == 1:
+    """The raw values of integer vectors over ``den``: n / den over Q.  Over
+    GF(p) every integer result is over 1 (``_integral``,
+    ``_integer_coboundary``, ``_System.inverse`` and ``nullspace`` give 1,
+    and a ``cohomology`` representative's lead is 1), so the vectors are
+    already residues and are returned as they are."""
+    if field.modulus is not None:
         return vectors
-    inv = pow(den, -1, p)
-    return {j: {k: n * inv % p for k, n in vec.items()} for j, vec in vectors.items()}
+    return {j: {k: Fraction(n, den) for k, n in vec.items()} for j, vec in vectors.items()}
 
 
 class _System:

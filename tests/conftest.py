@@ -382,6 +382,35 @@ def gauge_factor(phi: GradedMap, stage: int, order: int):
     return MapSeries(series)
 
 
+def oracle_trivialize(d_t):
+    """The gauge loop by whole-series conjugation: at stage r, solve
+    delta(phi) = -c_r for the order-r coefficient c_r of the current series,
+    conjugate that series by F = Id - t^r phi with ``gauge_transform`` and
+    compose F into the automorphism with ``series_mul``.  It solves with the
+    library's ``_solve_homotopy_first``, so its gauges are the library's."""
+    from dgdeform import MapSeries, TrivializationReport, gauge_transform, series_mul
+    from dgdeform.cochain import Infeasible, _solve_homotopy_first
+
+    n, module = d_t.order, d_t.module
+    cx = Complex(module, d_t.coeffs[0])
+    current, automorphism, stages = d_t, MapSeries.identity(module, n), []
+    for r in range(1, n + 1):
+        c = current.coeffs[r]
+        if not c:
+            stages.append(GradedMap.zero(module))
+            continue
+        outcome = _solve_homotopy_first(Cochain(1, -c, cx))
+        if isinstance(outcome, Infeasible):
+            return TrivializationReport(n, stages, automorphism, current, r,
+                                        Cochain(1, c, cx), outcome.witness)
+        phi = outcome.cochain.mapping
+        factor = gauge_factor(phi, r, n)
+        current = gauge_transform(current, factor)
+        automorphism = series_mul(factor, automorphism)
+        stages.append(phi)
+    return TrivializationReport(n, stages, automorphism, current)
+
+
 def count_products(monkeypatch) -> list[int]:
     """Record, for every ``_Products.left`` and ``.right`` call from now on,
     the number of entry products it forms: an entry of the new operand times

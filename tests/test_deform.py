@@ -30,19 +30,21 @@ from dgdeform import (
     series_mul,
     trivialize,
 )
-from dgdeform import cochain
+from dgdeform import cochain, deform
 from dgdeform.deform import (
     MAX_ORDER,
     NextLift,
     ObstructionHit,
-    _gauge_step,
     _Ledger,
 )
 from dgdeform.errors import (
     BadDegree,
     ConstantTermNotIdentity,
+    DegreeMismatch,
     InfinitesimalNotCocycle,
+    ModuleMismatch,
     NotSquareZero,
+    PostconditionFailed,
     RelationsViolated,
     TruncationMismatch,
 )
@@ -51,11 +53,13 @@ from conftest import (
     compose_callers,
     conjugated,
     count_eliminations,
+    count_products,
     count_reductions,
     gauge_factor,
     oracle_obstruction,
     oracle_relations,
     oracle_series_mul,
+    oracle_trivialize,
     random_cochain,
     random_cocycle,
     random_complex,
@@ -105,7 +109,7 @@ def test_obstruction_cocycle_law(poly4):
     cx, lifts = poly4
     rng = random.Random(2)
     for k in range(1, len(lifts) + 1):
-        assert obstruction(cx, lifts[:k]).is_cocycle()
+        assert obstruction(cx, lifts[:k]).coboundary().is_zero()
     # random valid extensions keep the law
     for _ in range(6):
         rcx = random_complex(rng, QQ, 8, singleton_degrees=[0, 1])
@@ -113,7 +117,7 @@ def test_obstruction_cocycle_law(poly4):
         report = deform_to_order(rcx, d1, 4)
         if report.extended:
             for k in range(1, 5):
-                assert obstruction(rcx, report.lifts[:k]).is_cocycle()
+                assert obstruction(rcx, report.lifts[:k]).coboundary().is_zero()
 
 
 # -- relations -------------------------------------------------------------------
@@ -337,7 +341,7 @@ def test_series_inverse_geometric():
     inv = series_inverse(MapSeries(coeffs))
     power = GradedMap.identity(cx.module)
     for k in range(n + 1):
-        assert inv.coeff(k) == power
+        assert inv.coeffs[k] == power
         power = power.compose(phi)
 
 
@@ -366,6 +370,18 @@ def test_series_inverse_requires_identity_constant(poly4):
     cx, lifts = poly4
     with pytest.raises(ConstantTermNotIdentity):
         series_inverse(MapSeries.deformation(cx, lifts))
+
+
+def test_series_coefficients_share_one_module_and_degree(poly4):
+    # each distinct coefficient is checked once, however often it repeats
+    cx, lifts = poly4
+    zero = GradedMap.zero(cx.module, degree=-1)
+    other = base_complex(5, QQ)
+    assert MapSeries([cx.d, zero, zero, lifts[0], zero]).order == 4
+    with pytest.raises(ModuleMismatch):
+        MapSeries([cx.d, zero, zero, GradedMap.zero(other.module)])
+    with pytest.raises(DegreeMismatch):
+        MapSeries([cx.d, zero, zero, GradedMap.identity(cx.module)])
 
 
 def test_series_truncation_mismatch(poly4):
@@ -409,8 +425,8 @@ def test_gauge_kills_first_order_when_solvable():
     assert series_mul(d_t, d_t).is_zero()
     factor = gauge_factor(phi, 1, 2)
     gauged = gauge_transform(d_t, factor)
-    assert gauged.coeff(0) == cx.d
-    assert gauged.coeff(1).is_zero()
+    assert gauged.coeffs[0] == cx.d
+    assert gauged.coeffs[1].is_zero()
 
 
 def test_gauge_preserves_square_zero_and_constant_term(poly4):
@@ -420,7 +436,7 @@ def test_gauge_preserves_square_zero_and_constant_term(poly4):
     phi = random_cochain(rng, cx, 0, density=0.3)
     phi_t = gauge_factor(phi, 2, 4)
     gauged = gauge_transform(d_t, phi_t)
-    assert gauged.coeff(0) == cx.d
+    assert gauged.coeffs[0] == cx.d
     assert series_mul(gauged, gauged).is_zero()
 
 
@@ -437,7 +453,7 @@ def test_gauge_moves_infinitesimal_by_coboundary():
                           + [GradedMap.zero(cx.module, degree=0)] * 2)
         gauged = gauge_transform(d_t, phi_t)
         delta_phi = Cochain(0, phi, cx).coboundary().mapping
-        assert gauged.coeff(1) - d_t.coeff(1) == -delta_phi
+        assert gauged.coeffs[1] - d_t.coeffs[1] == -delta_phi
 
 
 def test_gauge_requires_identity_and_square_zero(poly4):
@@ -500,8 +516,8 @@ def test_trivialize_when_h1_vanishes():
         gauged = gauge_transform(d_t, report.automorphism)
         assert gauged == report.residual
         for k in range(1, 5):
-            assert gauged.coeff(k).is_zero()
-        assert gauged.coeff(0) == cx.d
+            assert gauged.coeffs[k].is_zero()
+        assert gauged.coeffs[0] == cx.d
 
 
 def test_trivialize_rejects_non_square_zero(poly4):
@@ -620,16 +636,30 @@ def test_trivialize_composes_no_identity(monkeypatch):
         return compose(self, other)
 
     monkeypatch.setattr(GradedMap, "compose", recording_compose)
-    callers = compose_callers(monkeypatch, [_gauge_step, series_mul, series_inverse])
+    callers = compose_callers(monkeypatch, [series_mul, series_inverse])
     report = trivialize(d_t)
     assert report.trivialized and sum(map(bool, report.stages)) >= 3
     assert operands and not any(operands)
     assert callers == []
 
 
-def test_trivialize_checks_each_series_square_once(monkeypatch):
-    # d_t is checked on entry and each later gauged series once, before the
-    # stage that gauges it; the first stage that gauges still holds d_t
+def _perturbed_solver(monkeypatch, cx, stage, psi):
+    """Make the ``stage``-th solve of ``trivialize`` return its gauge plus
+    the 0-cochain ``psi``."""
+    solve = deform._solve_homotopy_first
+    calls = []
+
+    def perturbed(g):
+        out = solve(g)
+        calls.append(g)
+        return Solved(out.cochain + Cochain(0, psi, cx)) if len(calls) == stage else out
+
+    monkeypatch.setattr(deform, "_solve_homotopy_first", perturbed)
+
+
+def test_trivialize_squares_only_d_t_and_checks_each_stage(monkeypatch):
+    # d_t is checked to square to zero once, on entry: the loop conjugates
+    # no series, and the end check on G d_t - d G catches a wrong stage
     rng = random.Random(67)
     cx = random_complex(rng, QQ, 8)
     d_t = random_gauged(rng, MapSeries.deformation(cx, [], order=6), range(1, 7))
@@ -642,42 +672,115 @@ def test_trivialize_checks_each_series_square_once(monkeypatch):
 
     monkeypatch.setattr(MapSeries, "is_square_zero", recording)
     report = trivialize(d_t)
-    gauged = sum(map(bool, report.stages))
-    assert report.trivialized and gauged >= 3
-    assert checked[0] is d_t
-    assert len({id(s) for s in checked}) == len(checked) == gauged
+    assert report.trivialized and sum(map(bool, report.stages)) >= 3
+    assert len(checked) == 1 and checked[0] is d_t
+    # a gauge off by a non-cocycle psi leaves delta(psi) at its order, and
+    # the series stays square-zero
+    psi = GradedMap.from_entries(cx.module, 0, [("e0", "e0", 1)])
+    assert Cochain(0, psi, cx).coboundary().mapping
+    _perturbed_solver(monkeypatch, cx, 2, psi)
+    with pytest.raises(PostconditionFailed, match="G d_t - d G is not zero through order 6"):
+        trivialize(d_t)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    field=st.sampled_from([QQ, GF(2), GF(5)]),
-    stage=st.sampled_from(["one", "late", "any"]),
-)
-def test_gauge_step_matches_series_oracle(seed, field, stage):
-    # a square-zero series: a canonical ladder with t -> t^s (zero gaps for
-    # s > 1), sometimes gauged once more to fill the gaps
+@pytest.mark.parametrize("seed", [0, 9])
+def test_trivialize_reports_a_wrong_stage_that_breaks_a_later_cocycle(monkeypatch, seed):
+    # once a stage leaves delta(psi) at its order, a later c_r read from
+    # G d_t - d G need not be a cocycle: that is the same failed
+    # postcondition, not a bad input
     rng = random.Random(seed)
+    cx = random_complex(rng, QQ, 8)
+    d_t = random_gauged(rng, MapSeries.deformation(cx, [], order=4), range(1, 5))
+    psi = random_cochain(rng, cx, 0, 0.3)
+    assert Cochain(0, psi, cx).coboundary().mapping
+    _perturbed_solver(monkeypatch, cx, 1, psi)
+    with pytest.raises(PostconditionFailed, match="is not a cocycle"):
+        trivialize(d_t)
+
+
+def test_trivialize_checks_the_order_it_sticks_at(monkeypatch):
+    # d + t^2 x4 d/d x6, gauged at stage 1, sticks at order 2; with stage
+    # 1's gauge off by a non-cocycle psi, the end check on the stuck path
+    # finds delta(psi) at order 1
+    spec = FamilySpec(1, "linear")
+    cx = spec.cx
+    zero = GradedMap.zero(cx.module, degree=-1)
+    rng = random.Random(0)
+    d_t = random_gauged(rng, MapSeries.deformation(cx, [zero, *family_lifts(spec)], order=4), [1])
+    assert trivialize(d_t).stuck_at == 2
+    psi = random_cochain(rng, cx, 0, 0.3)
+    assert Cochain(0, psi, cx).coboundary().mapping
+    _perturbed_solver(monkeypatch, cx, 1, psi)
+    with pytest.raises(PostconditionFailed, match="not zero below order 2"):
+        trivialize(d_t)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_trivialize_product_calls_do_not_grow_with_the_order(monkeypatch, field):
+    # d + t d on <a, b> is trivialized by stage 1 alone, with phi = -a d/da,
+    # whose powers never vanish: no later stage may multiply anything
+    module = GradedModule("V", field, [("a", 1), ("b", 0)])
+    cx = Complex(module, GradedMap.from_entries(module, -1, [("a", "b", 1)]))
+    counts = count_products(monkeypatch)
+    made = []
+    for n in (2_000, 20_000):
+        counts.clear()
+        report = trivialize(MapSeries.deformation(cx, [cx.d], n))
+        assert report.trivialized and report.residual == MapSeries.deformation(cx, [], n)
+        made.append((len(counts), sum(counts)))
+    assert made[0] == made[1]
+
+
+def _ladder_series(rng, field, conjugate):
+    """A square-zero series that ``trivialize`` can stick on at order s: a
+    canonical ladder spread by t -> t^s, s in 1..3 (so with zero gaps), on a
+    plain or conjugated complex, then gauged at random stages."""
     cx = random_complex(rng, field, rng.randint(3, 8), singleton_degrees=[0, 1])
+    if conjugate:
+        cx = conjugated(rng, cx)
     lifts = deform_to_order(cx, random_cocycle(rng, cx), rng.randint(1, 4)).lifts
     s = rng.randint(1, 3)
     zero = GradedMap.zero(cx.module, degree=-1)
     spread = [lifts[k // s - 1] if k % s == 0 else zero for k in range(1, s * len(lifts) + 1)]
     n = len(spread)
     d_t = MapSeries.deformation(cx, spread, order=n)
-    if rng.random() < 0.3:
-        d_t = gauge_transform(d_t, gauge_factor(random_cochain(rng, cx, 0), 1, n))
-    # r = 1 takes many powers phi^k; r > n/2 takes none beyond phi
-    r = {"one": 1, "late": rng.randint(n // 2 + 1, n), "any": rng.randint(1, n)}[stage]
-    phi = random_cochain(rng, cx, 0, rng.choice([0.3, 0.7]))
-    g = MapSeries([GradedMap.identity(cx.module)] + [
-        random_cochain(rng, cx, 0, 0.4) if rng.random() < 0.5 else GradedMap.zero(cx.module)
-        for _ in range(n)
-    ])
-    factor = gauge_factor(phi, r, n)
-    gauged, composed = _gauge_step(d_t, g, phi, r)
-    assert gauged == gauge_transform(d_t, factor)
-    assert composed == series_mul(factor, g)
+    return random_gauged(rng, d_t, rng.sample(range(1, n + 1), rng.randint(0, n)))
+
+
+def _assert_same_report(report, oracle):
+    assert report.order == oracle.order
+    assert report.stages == oracle.stages
+    assert report.automorphism == oracle.automorphism
+    assert report.residual == oracle.residual
+    assert report.stuck_at == oracle.stuck_at
+    assert (report.unsolved and report.unsolved.mapping) == \
+        (oracle.unsolved and oracle.unsolved.mapping)
+    assert report.witness == oracle.witness
+    assert report.render() == oracle.render()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    field=st.sampled_from([QQ, GF(2), GF(5)]),
+    conjugate=st.booleans(),
+)
+def test_trivialize_matches_conjugation_oracle(seed, field, conjugate):
+    d_t = _ladder_series(random.Random(seed), field, conjugate)
+    _assert_same_report(trivialize(d_t), oracle_trivialize(d_t))
+
+
+def test_trivialize_oracle_series_stick_at_two_and_three():
+    # the series of the oracle test reach the stuck path past order 1,
+    # where the residual is d + P G^-1
+    stuck = set()
+    for seed in range(120):
+        field, conjugate = [QQ, GF(2), GF(5)][seed % 3], seed % 2 == 1
+        d_t = _ladder_series(random.Random(seed), field, conjugate)
+        report = trivialize(d_t)
+        _assert_same_report(report, oracle_trivialize(d_t))
+        stuck.add(report.stuck_at)
+    assert {2, 3} <= stuck
 
 
 def _random_series(rng, cx, p, n, head=None):
@@ -721,15 +824,3 @@ def test_series_products_match_quadratic_oracle(seed, field):
     phi_t = _random_series(rng, cx, 0, d_t.order, head=identity)
     gauged = gauge_transform(d_t, phi_t)
     assert oracle_series_mul(gauged, phi_t) == oracle_series_mul(phi_t, d_t)
-    # one gauge step by F = Id - t^r phi, on the ladder padded with a zero
-    # tail (the step does not need a square-zero series) and an automorphism
-    # g with gaps
-    order = len(spread) + rng.randint(0, 2)
-    d_t = MapSeries.deformation(cx, spread, order=order)
-    r = rng.randint(1, order)
-    phi = random_cochain(rng, cx, 0, rng.choice([0.3, 0.7]))
-    g = _random_series(rng, cx, 0, order, head=identity)
-    factor = gauge_factor(phi, r, order)
-    gauged, composed = _gauge_step(d_t, g, phi, r)
-    assert oracle_series_mul(gauged, factor) == oracle_series_mul(factor, d_t)
-    assert composed == oracle_series_mul(factor, g)
