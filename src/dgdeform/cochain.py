@@ -17,10 +17,10 @@ exactly when its class coordinates lambda(g(z)), for the cycles z of H(V)
 and the functionals lambda of H(M)*, are zero, and a nonzero one is the
 witness z (x) lambda.  A cocycle with a zero class is solved by the
 homotopies h of d_V and d_M (``Complex._homotopy``), with d h d = d.  Each
-complex reduces the rows of d once, traced (``Complex._elimination``), and
-its kernel vectors and its h both read that record.  ``solve_coboundary``
-reads the class first: about half of its one-shot right sides do not
-cobound, and those read no homotopy.  The ladder's
+complex reduces the rows of d once (``Complex._elimination``), and its
+kernel vectors and its h both read that record; h alone replays its row
+operations.  ``solve_coboundary`` reads the class first: about half of its
+one-shot right sides do not cobound, and those read no homotopy.  The ladder's
 ``_solve_homotopy_first`` tries the homotopy first, since its right sides
 almost always cobound.  Both give the same answer, and each order is
 slower on the other's traffic (the README has the numbers).
@@ -56,7 +56,7 @@ from .errors import (
 )
 from .field import Scalar
 from .gmap import GradedMap, _combine
-from .graded import GradedModule, _add_terms, _scale_terms
+from .graded import GradedModule, _scale_terms
 from .linalg import _integral, _rational, _System
 
 
@@ -109,13 +109,12 @@ class Complex:
 
     @cached_property
     def _elimination(self) -> _System:
-        """The one traced elimination of d, built at first use: a full
-        ``reduce`` of its nonzero rows, in increasing index order and the
-        module's own indices.  The kernel vectors of ``_homology_classes``
-        and the homotopy ``_homotopy`` both read it."""
+        """The one elimination of d, built at first use: a full ``reduce``
+        of its nonzero rows, in increasing index order and the module's own
+        indices.  The kernel vectors of ``_homology_classes`` and the
+        homotopy ``_homotopy`` both read it."""
         rows = self._integer_rows
-        system = _System([rows[k] for k in sorted(rows)], self.module.dim, self.field,
-                         self._integer_d[0], trace=True)
+        system = _System([rows[k] for k in sorted(rows)], self.field, self._integer_d[0])
         system.reduce()
         return system
 
@@ -297,7 +296,7 @@ def _homology_classes(cx: Complex, dual: bool = False, degrees=None):
     d_rows, d_cols = cx._integer_rows, cx._integer_d[1]
     if dual:  # row j of d^T is column j of d, and column k of d^T is row k of d
         kernel_system = _System([d_cols[j] for q in degrees for j in by_degree.get(q + 1, ())
-                                 if j in d_cols], module.dim, cx.field)
+                                 if j in d_cols], cx.field)
         kernel_system.reduce()
         pivots = kernel_system.pivot_columns
         # with q - 1 asked for, the system holds the columns of d from
@@ -314,7 +313,7 @@ def _homology_classes(cx: Complex, dual: bool = False, degrees=None):
     # boundary's free coordinates are its coordinates in the kernel basis
     order = {f: s for s, f in enumerate(reversed(free))}
     image = _System([{order[c]: v for c, v in b.items() if c in order} for b in boundaries],
-                    len(free), cx.field)
+                    cx.field)
     image.reduce(echelon=True)
     leads = {free[-1 - s] for s, _ in image.pivots}
     kept = [f for f in free if f not in leads]
@@ -502,7 +501,8 @@ def _homotopy_solution(g: Cochain, cols: dict[int, dict[int, int]], den: int) ->
     so delta((-1)^{p+1} r h_V) = r h_V d_V = r - r pi_V and delta(f) = g -
     pi_M g pi_V.  pi vanishes on boundaries and lands in cycles, and g sends
     cycles to boundaries when its class is zero, so then delta(f) = g.
-    Every step runs in integers; delta(f) = g is recomputed by
+    Every step runs in integers, summed raw into one dict per column of f
+    and normalized once; delta(f) = g is recomputed by
     ``_integer_coboundary`` before f is returned.
     """
     source, target, p = g.source, g.target, g.p - 1
@@ -510,17 +510,25 @@ def _homotopy_solution(g: Cochain, cols: dict[int, dict[int, int]], den: int) ->
     (m_den, _, h_m), (v_den, h_v, _) = target._homotopy, source._homotopy
     k = {j: _combine(col, h_m) for j, col in cols.items()}  # h_M g, over den * m_den
     delta, r_den = _integer_coboundary(source, target, p, k, den * m_den)
-    # r = g - delta(k) = pi_M g, in the columns of g
-    r = {j: diff for j, col in cols.items() if (diff := _add_terms(
-        _scale_terms(col, r_den // den, norm), _scale_terms(delta.get(j, {}), -1, norm), norm))}
-    # f = k + (-1)^{p+1} r h_V, over r_den * v_den: column y of r h_V gets
-    # h_V[x, y] * (column x of r), from the row x of h_V
-    f = {j: _scale_terms(col, r_den // (den * m_den) * v_den, norm) for j, col in k.items()}
-    sign = 1 if p % 2 else -1
-    for x, col in r.items():
-        for y, c in h_v.get(x, {}).items():
-            f[y] = _add_terms(f.get(y, {}), _scale_terms(col, sign * c, norm), norm)
-    f, f_den = {j: col for j, col in f.items() if col}, r_den * v_den
+    # f = k + (-1)^{p+1} r h_V over r_den * v_den, for r = g - delta(k) =
+    # pi_M g in the columns of g: column y of r h_V gets h_V[x, y] * (column
+    # x of r), from the row x of h_V
+    sign, k_scale, g_scale = (1 if p % 2 else -1), r_den // (den * m_den) * v_den, r_den // den
+    f = {j: {i: k_scale * v for i, v in col.items()} for j, col in k.items()}
+    for x, col in cols.items():
+        h_x = h_v.get(x)
+        if h_x is None:
+            continue
+        r = {i: g_scale * v for i, v in col.items()}
+        for i, v in delta.get(x, {}).items():
+            r[i] = r.get(i, 0) - v
+        for y, c in h_x.items():
+            c *= sign
+            acc = f.setdefault(y, {})
+            for i, v in r.items():
+                acc[i] = acc.get(i, 0) + c * v
+    f = {j: kept for j, col in f.items() if (kept := {i: w for i, v in col.items() if (w := norm(v))})}
+    f_den = r_den * v_den
     if not _same_columns(*_integer_coboundary(source, target, p, f, f_den), cols, den):
         return None
     f = _rational(f, f_den, source.field)

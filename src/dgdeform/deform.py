@@ -101,11 +101,6 @@ class MapSeries:
         coeffs.extend([zero] * (n + 1 - len(coeffs)))
         return cls(coeffs)
 
-    @classmethod
-    def identity(cls, module, order: int) -> "MapSeries":
-        zero = GradedMap.zero(module, degree=0)
-        return cls([GradedMap.identity(module)] + [zero] * order)
-
     @property
     def module(self):
         return self.coeffs[0].source

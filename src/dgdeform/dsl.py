@@ -322,7 +322,8 @@ class _Parser:
 
     def name(self, what: str):
         """The next token as a module, basis or map name: an IDENT that is
-        also ASCII, which for an IDENT is what ``graded._IDENT`` accepts."""
+        also ASCII, which for an IDENT is what ``GradedModule`` accepts: an
+        ASCII identifier."""
         tok = self.expect("IDENT", f"a {what}")
         if not tok[1].isascii():
             raise self.error(tok[2], f"{tok[1]!r} is not a valid {what}")

@@ -10,14 +10,11 @@ of such dicts.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BadDegree, UnknownBasisName, UnknownName
 from .field import FieldSpec
-
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 def _render_sum(terms) -> str:
@@ -69,11 +66,11 @@ class GradedModule:
             if not (isinstance(item, tuple) and len(item) == 2):
                 raise UnknownBasisName(f"{item!r} is not a (name, degree) pair")
             n, d = item
-            if not (isinstance(n, str) and _IDENT.match(n)):
+            if not (isinstance(n, str) and n.isascii() and n.isidentifier()):
                 raise UnknownBasisName(f"{n!r} is not a valid basis name")
             if type(d) is not int:
                 raise BadDegree(f"the degree of {n} is {d!r}, not an int")
-        if not (isinstance(name, str) and _IDENT.match(name)):
+        if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
             raise UnknownName(f"{name!r} is not a valid module name")
         if len({n for n, _ in basis}) != len(basis):
             raise UnknownBasisName(f"duplicate basis names in module {name}")

@@ -177,7 +177,7 @@ def oracle_cohomology_representatives(source: Complex, target: Complex, p: int) 
     field = source.field
     dom_p, _, rows_p, _ = _delta_matrix(source, target, p)
     dom_prev, _, rows_prev, _ = _delta_matrix(source, target, p - 1)
-    delta_p = linalg._System(rows_p, len(dom_p), field)
+    delta_p = linalg._System(rows_p, field)
     delta_p.reduce()
     kernel = delta_p.nullspace(range(len(dom_p)))
     offset = len(dom_prev)
@@ -185,7 +185,7 @@ def oracle_cohomology_representatives(source: Complex, target: Complex, p: int) 
     for k, (_, vec) in enumerate(kernel):
         for r, coeff in vec.items():
             rows_prev[r][offset + k] = coeff
-    image = linalg._System(rows_prev, offset + len(kernel), field)
+    image = linalg._System(rows_prev, field)
     image.reduce()
     reps = []
     for c, _ in image.pivots:
@@ -207,7 +207,7 @@ def oracle_homology_classes(cx: Complex, dual: bool = False, degrees=None):
     d_rows, d_cols = cx._integer_rows, cx._integer_d[1]
     if dual:
         kernel_system = linalg._System([d_cols[j] for q in degrees for j in by_degree.get(q + 1, ())
-                                        if j in d_cols], module.dim, cx.field)
+                                        if j in d_cols], cx.field)
         kernel_system.reduce()
         boundaries = [d_rows[k] for q in degrees for k in by_degree.get(q - 1, ()) if k in d_rows]
     else:
@@ -218,7 +218,7 @@ def oracle_homology_classes(cx: Complex, dual: bool = False, degrees=None):
     free = [f for f in columns if f not in kernel_system.pivot_columns]
     order = {f: s for s, f in enumerate(reversed(free))}
     image = linalg._System([{order[c]: v for c, v in b.items() if c in order} for b in boundaries],
-                           len(free), cx.field)
+                           cx.field)
     image.reduce(echelon=True)
     leads = {free[-1 - s] for s, _ in image.pivots}
     h = {q: 0 for q in degrees if q in by_degree}
@@ -252,14 +252,14 @@ def count_class_reads(monkeypatch) -> tuple[list[int], list[int]]:
 
 def count_reductions(monkeypatch) -> list[int]:
     """Record the width of every ``_System.reduce`` from now on: the number
-    of distinct matrix columns (below ``ncols``) that its rows hold.  The
-    eliminations of d run in the module's own indices, so ``ncols`` is the
-    module's dim whatever part of d a system holds."""
+    of distinct columns that its rows hold.  The eliminations of d run in
+    the module's own indices, so each column is a generator of the module,
+    whatever part of d a system holds."""
     calls = []
     reduce = linalg._System.reduce
 
     def counting(self, *args, **kwargs):
-        calls.append(len({k for row in self.rows for k in row if k < self.ncols}))
+        calls.append(len({k for row in self.rows for k in row}))
         reduce(self, *args, **kwargs)
 
     monkeypatch.setattr(linalg._System, "reduce", counting)
@@ -267,7 +267,7 @@ def count_reductions(monkeypatch) -> list[int]:
 
 
 def count_eliminations(monkeypatch) -> list[int]:
-    """Record the id of the complex for every traced elimination of the rows
+    """Record the id of the complex for every elimination of the rows
     of d (``Complex._elimination``) built from now on; one read from the
     cache is not recorded."""
     from functools import cached_property
@@ -371,6 +371,14 @@ def elementary(module: GradedModule, i: str, j: str, c=1, target=None) -> Graded
     return GradedMap.from_entries(module, degree, [(j, i, c)], target)
 
 
+def identity_series(module, order: int):
+    """The identity automorphism as a series truncated at ``order``."""
+    from dgdeform import MapSeries
+
+    zero = GradedMap.zero(module, degree=0)
+    return MapSeries([GradedMap.identity(module)] + [zero] * order)
+
+
 def gauge_factor(phi: GradedMap, stage: int, order: int):
     """The automorphism Id - t^stage phi (stage >= 1) as a series,
     truncated at ``order``."""
@@ -388,12 +396,12 @@ def oracle_trivialize(d_t):
     conjugate that series by F = Id - t^r phi with ``gauge_transform`` and
     compose F into the automorphism with ``series_mul``.  It solves with the
     library's ``_solve_homotopy_first``, so its gauges are the library's."""
-    from dgdeform import MapSeries, TrivializationReport, gauge_transform, series_mul
+    from dgdeform import TrivializationReport, gauge_transform, series_mul
     from dgdeform.cochain import Infeasible, _solve_homotopy_first
 
     n, module = d_t.order, d_t.module
     cx = Complex(module, d_t.coeffs[0])
-    current, automorphism, stages = d_t, MapSeries.identity(module, n), []
+    current, automorphism, stages = d_t, identity_series(module, n), []
     for r in range(1, n + 1):
         c = current.coeffs[r]
         if not c:
@@ -547,7 +555,7 @@ def random_cocycle(rng: random.Random, cx: Complex, p: int = 1, target: Complex 
     complex or on the pair (cx, target)."""
     target = target if target is not None else cx
     dom, _, rows, _ = _delta_matrix(cx, target, p)
-    kernel = linalg._System(rows, len(dom), cx.field)
+    kernel = linalg._System(rows, cx.field)
     kernel.reduce()
     entries = []
     for den, vec in kernel.nullspace(range(len(dom))):

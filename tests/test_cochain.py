@@ -977,7 +977,7 @@ def test_homotopy_blocks_satisfy_dhd_and_a_mutated_one_is_caught(case):
 def test_one_complex_reduces_the_rows_of_d_once(monkeypatch):
     # a zero-class solve, cohomology and a canonical ladder on one complex:
     # the kernel vectors of the class test and of H(cx), and the homotopy
-    # of every solve, all read the complex's one traced elimination of d
+    # of every solve, all read the complex's one elimination of d
     rng = random.Random(29)
     for field in FIELDS:
         cx = conjugated(rng, random_complex(rng, field, 14))
@@ -992,9 +992,9 @@ def test_one_complex_reduces_the_rows_of_d_once(monkeypatch):
 
 
 def test_an_infeasible_solve_inverts_nothing(monkeypatch):
-    # a nonzero class is read from the kernel vectors of the traced
-    # elimination of d_V, whose row transform is never read: no generalized
-    # inverse is formed, and neither complex holds a homotopy
+    # a nonzero class is read from the kernel vectors of the elimination of
+    # d_V, whose row operations are never replayed: no generalized inverse
+    # is formed, and neither complex holds a homotopy
     rng = random.Random(32)
     for field in FIELDS:
         v = conjugated(rng, random_complex(rng, field, 12, name="V"))
@@ -1012,6 +1012,28 @@ def test_an_infeasible_solve_inverts_nothing(monkeypatch):
         monkeypatch.undo()
         assert built == [id(v)] and inverted == []
         assert "_homotopy" not in v.__dict__ and "_homotopy" not in m.__dict__
+
+
+def test_only_the_homotopy_replays_the_row_operations(monkeypatch):
+    # cohomology reads kernel vectors alone and forms no inverse; a zero
+    # class forms one per complex, once, and a second solve reads the cache
+    rng = random.Random(33)
+    for field in FIELDS:
+        v = conjugated(rng, random_complex(rng, field, 12, name="V"))
+        m = conjugated(rng, random_complex(rng, field, 10, name="M"))
+        inverted = []
+        inverse = linalg._System.inverse
+        monkeypatch.setattr(linalg._System, "inverse",
+                            lambda self: inverted.append(id(self)) or inverse(self))
+        for p in (0, 1):
+            cohomology(v, m, p)
+        assert "_cycles" in m.__dict__ and "_functionals" in v.__dict__
+        assert inverted == []
+        for _ in range(2):
+            g = Cochain(0, random_cochain(rng, v, 0, 0.6, target=m), v, m).coboundary()
+            assert isinstance(solve_coboundary(g), Solved)
+        monkeypatch.undo()
+        assert sorted(inverted) == sorted([id(v._elimination), id(m._elimination)])
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(5)], ids=str)

@@ -56,6 +56,7 @@ from conftest import (
     count_products,
     count_reductions,
     gauge_factor,
+    identity_series,
     oracle_obstruction,
     oracle_relations,
     oracle_series_mul,
@@ -318,7 +319,7 @@ def test_deform_to_order_extends_when_h2_vanishes():
 def test_series_identity_unit(poly4):
     cx, lifts = poly4
     d_t = MapSeries.deformation(cx, lifts, order=5)
-    ident = MapSeries.identity(cx.module, 5)
+    ident = identity_series(cx.module, 5)
     assert series_mul(ident, d_t) == d_t
     assert series_mul(d_t, ident) == d_t
 
@@ -347,7 +348,7 @@ def test_series_inverse_geometric():
 
 def test_series_inverse_of_identity(poly4):
     cx, _ = poly4
-    ident = MapSeries.identity(cx.module, 3)
+    ident = identity_series(cx.module, 3)
     assert series_inverse(ident) == ident
 
 
@@ -361,7 +362,7 @@ def test_series_inverse_two_sided_random():
         ]
         a = MapSeries(coeffs)
         b = series_inverse(a)
-        ident = MapSeries.identity(cx.module, n)
+        ident = identity_series(cx.module, n)
         assert series_mul(a, b) == ident
         assert series_mul(b, a) == ident
 
@@ -412,7 +413,7 @@ def test_orders_outside_the_bounds_raise_before_allocating(poly4):
 def test_gauge_by_identity_fixes_series(poly4):
     cx, lifts = poly4
     d_t = MapSeries.deformation(cx, lifts, order=4)
-    assert gauge_transform(d_t, MapSeries.identity(cx.module, 4)) == d_t
+    assert gauge_transform(d_t, identity_series(cx.module, 4)) == d_t
 
 
 def test_gauge_kills_first_order_when_solvable():
@@ -464,7 +465,7 @@ def test_gauge_requires_identity_and_square_zero(poly4):
         gauge_transform(d_t, bad_phi)
     broken = MapSeries.deformation(cx, [lifts[1]], order=4)  # delta(d_2) != 0
     with pytest.raises(NotSquareZero):
-        gauge_transform(broken, MapSeries.identity(cx.module, 4))
+        gauge_transform(broken, identity_series(cx.module, 4))
 
 
 # -- trivialization -----------------------------------------------------------------------
@@ -582,7 +583,7 @@ def test_first_order_computes_delta_of_d1_once(poly4, monkeypatch):
 
 def test_canonical_ladder_reduces_each_block_of_d_once(monkeypatch):
     # no delta^1: the rungs solve with the homotopy of d, read from the one
-    # traced elimination of the rows of d, which reduces each degree block
+    # elimination of the rows of d, which reduces each degree block
     # once and holds the columns of d, the generators x with d x != 0
     spec = FamilySpec(6, "infinite")
     cx = base_complex(spec.truncation, QQ)
@@ -731,6 +732,25 @@ def test_trivialize_product_calls_do_not_grow_with_the_order(monkeypatch, field)
     assert made[0] == made[1]
 
 
+
+def test_stuck_trivialize_reads_do_not_grow_with_the_order(monkeypatch):
+    # the polynomial member n = 3 sticks at order 1, so its residual is
+    # d + P G^-1: the series products and the inverse may read only the
+    # orders that hold a sum, however far the series is truncated
+    spec = FamilySpec(3, "polynomial")
+    cx, lifts = spec.cx, family_lifts(spec)
+    reads = []
+    read = _Products.read
+    monkeypatch.setattr(_Products, "read",
+                        lambda self, *args: reads.append(1) or read(self, *args))
+    made = []
+    for n in (1_000, 100_000):
+        reads.clear()
+        report = trivialize(MapSeries.deformation(cx, lifts, n))
+        assert report.stuck_at == 1 and report.residual.order == n
+        made.append(len(reads))
+    assert made[0] == made[1]
+
 def _ladder_series(rng, field, conjugate):
     """A square-zero series that ``trivialize`` can stick on at order s: a
     canonical ladder spread by t -> t^s, s in 1..3 (so with zero gaps), on a
@@ -812,7 +832,7 @@ def test_series_products_match_quadratic_oracle(seed, field):
     assert series_mul(b, a) == oracle_series_mul(b, a)
     assert series_mul(a, a) == oracle_series_mul(a, a)
     phi_t = _random_series(rng, cx, 0, n, head=identity)
-    assert oracle_series_mul(phi_t, series_inverse(phi_t)) == MapSeries.identity(cx.module, n)
+    assert oracle_series_mul(phi_t, series_inverse(phi_t)) == identity_series(cx.module, n)
     # a square-zero series: a canonical ladder with t -> t^s, so with gaps
     lifts = deform_to_order(cx, random_cocycle(rng, cx), rng.randint(1, 3)).lifts
     s = rng.randint(1, 2)

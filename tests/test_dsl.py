@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgdeform import (
-    GF, QQ, Document, FamilySpec, GradedMap, Scalar, base_complex, family_lifts,
+    GF, QQ, Document, FamilySpec, GradedMap, GradedModule, Scalar, base_complex,
+    family_lifts,
 )
 from dgdeform.dsl import MAX_GENERATORS, _Parser, load_complex, parse, render
 from dgdeform.errors import (
@@ -19,7 +20,6 @@ from dgdeform.errors import (
     UnknownBasisName,
     UnknownName,
 )
-from dgdeform.graded import _IDENT
 from conftest import compose, elementary
 
 MINIMAL = """\
@@ -124,13 +124,18 @@ def test_non_ascii_names_are_parse_errors_at_their_tokens(old, new, where, messa
 @given(st.text(st.sampled_from("aZ_09\u00e9\u00b2\u0663\u03a9x"), min_size=1, max_size=6))
 def test_an_identifier_is_a_valid_name_exactly_when_it_is_ascii(word):
     # the parser checks names with str.isascii; for a word the scanner reads
-    # as one identifier, that is the rule of graded._IDENT
+    # as one identifier, that is the rule GradedModule applies to a name
     try:
         kind, text, _ = _Parser(word).tokens[0]
     except ParseError:
         return
     if kind == "IDENT" and text == word:
-        assert word.isascii() == bool(_IDENT.match(word))
+        try:
+            GradedModule(word, QQ, [(word, 0)])
+        except (UnknownName, UnknownBasisName):
+            assert not word.isascii()
+        else:
+            assert word.isascii()
 
 
 @pytest.mark.parametrize("blocks", [

@@ -1,5 +1,7 @@
 """Graded modules: names, degrees and the canonical sum text."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -46,6 +48,27 @@ def test_unknown_and_duplicate_basis_names():
         GradedModule("M-", QQ, [("a", 0), ("b-1", 1), ("2bad", 2), ("a", 3)])
     with pytest.raises(UnknownName, match="^'M-' is not a valid module name$"):
         GradedModule("M-", QQ, [("a", 0), ("a", 1)])
+    # a name is an ASCII identifier, keywords included
+    for bad in ("\u00e9", "x\u00b2", "x\n", "", "1", "a b"):
+        with pytest.raises(UnknownBasisName, match="is not a valid basis name$"):
+            GradedModule("M", QQ, [(bad, 0)])
+        with pytest.raises(UnknownName, match="is not a valid module name$"):
+            GradedModule(bad, QQ, [])
+    assert GradedModule("if", QQ, [("if", 0), ("_", 1), ("a1", 2)]).basis[0] == ("if", 0)
+
+
+def test_names_are_the_ascii_identifiers():
+    # the language of [A-Za-z_][A-Za-z0-9_]*, over every ASCII string of
+    # length at most 2
+    ident = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+    chars = [chr(c) for c in range(128)]
+    for word in chars + [a + b for a in chars for b in chars]:
+        try:
+            GradedModule(word, QQ, [])
+        except UnknownName:
+            assert not ident.match(word), word
+        else:
+            assert ident.match(word), word
 
 
 @pytest.mark.parametrize("degree", [1.5, "2", -0.0, None, True], ids=repr)

@@ -7,12 +7,12 @@ particular solution with free variables zero must all agree exactly.
 
 ``_System`` takes integer rows over one denominator D and returns integer
 rows and kernel vectors over their own denominators; the oracle runs on
-rows / D, with D in {1, 2, 6, 35} over Q and 1 over GF(p).  A traced system
-reduces [A | I], so its rows hold T in the columns from ncols on; the tests
-read the matrix part through ``_reduced``, and T through ``inverse``, its one
-reader: the generalized inverse must be T's rows up to the rank, put at the
-pivot columns, with A X A = A.  ``solve_sparse`` must give the oracle's
-particular solution, or None for an inconsistent system.
+rows / D, with D in {1, 2, 6, 35} over Q and 1 over GF(p).  The oracle
+reduces [A | I], the textbook way to the row transform T; ``_System`` never
+holds T in its rows, but records its row operations, and ``inverse`` replays
+them: the generalized inverse must be the oracle's rows of T up to the rank,
+put at the pivot columns, with A X A = A.  ``solve_sparse`` must give the
+oracle's particular solution, or None for an inconsistent system.
 """
 
 import random
@@ -82,10 +82,8 @@ def _over(vec, d, p):
 
 
 def _reduced(sys):
-    """The matrix part (columns < ncols) of each reduced row of ``sys`` as raw
-    values; a traced system holds T in the columns from ncols on."""
-    return [_over({k: v for k, v in row.items() if k < sys.ncols}, d, sys.modulus)
-            for row, d in zip(sys.rows, sys.dens)]
+    """Each reduced row of ``sys`` as raw values."""
+    return [_over(row, d, sys.modulus) for row, d in zip(sys.rows, sys.dens)]
 
 
 @st.composite
@@ -145,30 +143,13 @@ def _check_against_oracle(field, mat, rhs_list, den=1, columns=None):
     ncols = len(mat[0])
     rows, mat = _integer_rows(field, mat, den)
     given = [dict(r) for r in rows]
-    sys = _System(rows, ncols, field, den, trace=True)
-    sys.reduce()
-    # [A | I] reduced with the same row operations gives [RREF | T]
-    eye = [[int(i == r) for i in range(len(mat))] for r in range(len(mat))]
-    ref, pivcols = dense_rref([row + e for row, e in zip(mat, eye)], p, ncols)
+    sys, ref, pivcols = _check_inverse(field, rows, mat, ncols, den)
     rank = len(pivcols)
 
     assert sys.pivots == [(c, r) for r, c in enumerate(pivcols)]
     # the reduced rows stay integers, over their row denominators
     assert _reduced(sys) == [_sparse(row[:ncols]) for row in ref]
     assert rows == given  # the input is not modified
-
-    # the generalized inverse: rows of T up to the rank at the pivot
-    # columns, in integers over one denominator, with A X A = A
-    scale, inverse = sys.inverse()
-    assert type(scale) is int and scale > 0 and (p is None or scale == 1)
-    assert all(type(v) is int and v for row in inverse.values() for v in row.values())
-    x = {c: {i: _canon(Fraction(v, scale), p) for i, v in row.items()} for c, row in inverse.items()}
-    assert x == {c: _sparse(ref[r][ncols:]) for r, c in enumerate(pivcols)}
-    for k in range(ncols):
-        a_col = [row[k] for row in mat]
-        x_a = {c: sum(v * a_col[i] for i, v in row.items()) for c, row in x.items()}
-        assert [_canon(sum(row[c] * v for c, v in x_a.items()), p) for row in mat] == \
-            [_canon(v, p) for v in a_col]
 
     # kernel: {f: 1, then -ref[i][f] at each pivot column, in pivot order}
     canonical = {}
@@ -186,14 +167,7 @@ def _check_against_oracle(field, mat, rhs_list, den=1, columns=None):
     assert [list(_over(vec, d, p).items()) for d, vec in sys.nullspace(columns)] == \
         [canonical[f] for f in columns if f in canonical]
 
-    # untraced, as _homology_classes reduces d: the same RREF and kernel
-    plain = _System(rows, ncols, field)
-    plain.reduce()
-    assert plain.pivots == sys.pivots
-    assert _reduced(plain) == [_sparse(row[:ncols]) for row in ref]
-    assert [list(_over(vec, d, p).items()) for d, vec in plain.nullspace(range(ncols))] == want
-
-    echelon = _System(rows, ncols, field)
+    echelon = _System(rows, field)
     echelon.reduce(echelon=True)
     assert echelon.pivots == sys.pivots
 
@@ -209,6 +183,45 @@ def _check_against_oracle(field, mat, rhs_list, den=1, columns=None):
             want = [(c, aug[i][ncols]) for i, c in enumerate(augpiv) if aug[i][ncols]]
             assert list(out.items()) == want
             assert rank == len(augpiv)
+
+
+def _check_inverse(field, rows, mat, ncols, den=1):
+    """(system, reference, pivot columns): ``_System`` reduced on the integer
+    ``rows`` standing for ``mat``, and the oracle's reduction of [A | I],
+    whose T part up to the rank, put at the pivot columns, must be the
+    replayed generalized inverse, in integers over one denominator, with
+    A X A = A.  The system's rows never hold T."""
+    p = field.modulus
+    sys = _System(rows, field, den)
+    sys.reduce()
+    assert all(0 <= k < ncols for row in sys.rows for k in row)
+    eye = [[int(i == r) for i in range(len(mat))] for r in range(len(mat))]
+    ref, pivcols = dense_rref([row + e for row, e in zip(mat, eye)], p, ncols)
+    scale, inverse = sys.inverse()
+    assert type(scale) is int and scale > 0 and (p is None or scale == 1)
+    assert all(type(v) is int and v for row in inverse.values() for v in row.values())
+    x = {c: {i: _canon(Fraction(v, scale), p) for i, v in row.items()} for c, row in inverse.items()}
+    assert x == {c: _sparse(ref[r][ncols:]) for r, c in enumerate(pivcols)}
+    for k in range(ncols):
+        a_col = [row[k] for row in mat]
+        x_a = {c: sum(v * a_col[i] for i, v in row.items()) for c, row in x.items()}
+        assert [_canon(sum(row[c] * v for c, v in x_a.items()), p) for row in mat] == \
+            [_canon(v, p) for v in a_col]
+    return sys, ref, pivcols
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(), st.lists(st.integers(0, 7), max_size=3))
+def test_replayed_inverse_is_the_textbook_transform(case, zeros):
+    # the drawn system, two zero rows, no rows at all, and the drawn system
+    # with zero rows put in at drawn places
+    field, mat, _, den, _ = case
+    ncols = len(mat[0])
+    for system in (mat, [], [[_canon(0, field.modulus)] * ncols] * 2):
+        _check_inverse(field, *_integer_rows(field, system, den), ncols, den)
+    for at in zeros:
+        mat.insert(min(at, len(mat)), [_canon(0, field.modulus)] * ncols)
+    _check_inverse(field, *_integer_rows(field, mat, den), ncols, den)
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,7 +245,7 @@ def test_raw_value_wrappers_match_the_system(case):
     den = 1 if p is not None else lcm(*[x.denominator for row in mat for x in row])
     rows, exact = _integer_rows(field, mat, den)
     assert exact == mat  # the integer rows over den stand for mat itself
-    sys = _System(rows, ncols, field, den)
+    sys = _System(rows, field, den)
     sys.reduce()
     assert rank_sparse(raw, ncols, field) == len(sys.pivots)
     assert nullspace_sparse(raw, ncols, field) == [_over(vec, d, p)
@@ -259,7 +272,7 @@ def test_hilbert_matrix():
                           [[Fraction(1)] * n + [Fraction(36)],  # 36 = 1 + ... + 8: feasible
                            [Fraction(1)] * (n + 1), [Fraction(0)] * n + [Fraction(1, 7)]])
     rows, _ = _integer_rows(QQ, hilbert)
-    sys = _System(rows, n, QQ, lcm(*range(1, 2 * n)), trace=True)
+    sys = _System(rows, QQ, lcm(*range(1, 2 * n)))
     sys.reduce()
     assert _reduced(sys) == [{i: Fraction(1)} for i in range(n)]
     # X is the inverse of the Hilbert matrix, which has integer entries
@@ -280,7 +293,7 @@ def test_echelon_pivots_are_the_greedy_basis(case):
     ranks = [len(dense_rref(mat[:i + 1], p)[1]) for i in range(len(mat))]
     want = [i for i, r in enumerate(ranks) if r > (ranks[i - 1] if i else 0)]
     rows = [{i: vec[k] for i, vec in enumerate(mat) if vec[k]} for k in range(len(mat[0]))]
-    system = _System(rows, len(mat), field)
+    system = _System(rows, field)
     system.reduce(echelon=True)
     assert [c for c, _ in system.pivots] == want
 
@@ -295,7 +308,7 @@ def test_empty_and_zero_rows(name):
     _check_against_oracle(field, mat, [[zero, one, zero, two, zero], [one] * 5])
     _check_against_oracle(field, [[zero] * 3] * 3, [[zero] * 3, [zero, one, zero]])
 
-    none = _System([], 3, field, trace=True)
+    none = _System([], field)
     none.reduce()
     assert none.pivots == [] and none.rows == []
     assert none.nullspace(range(3)) == [(1, {f: 1}) for f in range(3)]
@@ -308,37 +321,52 @@ def test_empty_and_zero_rows(name):
 @given(systems())
 def test_one_reduction_serves_many_right_sides(case):
     # reading the inverse, which serves every right side, leaves the
-    # reduction as it was
+    # reduction and its records as they were
     field, mat, _, den, _ = case
     ncols = len(mat[0])
     rows, _ = _integer_rows(field, mat, den)
-    shared = _System(rows, ncols, field, den, trace=True)
+    shared = _System(rows, field, den)
     shared.reduce()
-    reduced = [dict(row) for row in shared.rows]  # the matrix part and T
+    reduced, ops = [dict(row) for row in shared.rows], list(shared.ops)
     for _ in range(3):
-        fresh = _System(rows, ncols, field, den, trace=True)
+        fresh = _System(rows, field, den)
         fresh.reduce()
         assert shared.inverse() == fresh.inverse()
-        assert shared.rows == reduced
+        assert shared.rows == reduced and shared.ops == ops
 
 
-@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("deficient", [False, True])
 @pytest.mark.parametrize("echelon", [False, True])
-def test_rational_reduce_does_no_fraction_arithmetic(monkeypatch, traced, echelon):
+def test_rational_reduce_does_no_fraction_arithmetic(monkeypatch, deficient, echelon):
+    # nor does the replay of its records in ``inverse``, after a full reduce;
+    # ``deficient`` makes the last three rows combinations of the others, so
+    # the replay skips the records of rows that never pivot
     rng = random.Random(12)
     mat = [[Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(12)]
            for _ in range(12)]
+    if deficient:
+        for r in range(9, 12):
+            coeffs = [rng.randint(-3, 3) for _ in range(9)]
+            mat[r] = [sum(c * row[k] for c, row in zip(coeffs, mat)) for k in range(12)]
+    rank = 9 if deficient else 12
     rows, _ = _integer_rows(QQ, mat, 35)
-    sys = _System(rows, 12, QQ, 35, trace=traced)
+    sys = _System(rows, QQ, 35)
     calls = count_fraction_arithmetic(monkeypatch)
     sys.reduce(echelon=echelon)
+    scale, inverse = (1, {}) if echelon else sys.inverse()
     monkeypatch.undo()
     assert calls == []
-    assert len(sys.pivots) == 12
-    # rows come out as integers over their denominators, not as Fractions
+    assert len(sys.pivots) == rank
+    # rows and the inverse come out as integers over their denominators,
+    # not as Fractions
     assert all(type(v) is int for row in sys.rows for v in row.values())
+    assert type(scale) is int and all(type(v) is int for row in inverse.values()
+                                      for v in row.values())
+    assert sys.rows[rank:] == [{}] * (12 - rank)
     if not echelon:
-        assert _reduced(sys) == [{i: 1} for i in range(12)]
+        assert len(inverse) == rank and scale > 1
+        if not deficient:
+            assert _reduced(sys) == [{i: 1} for i in range(12)]
 
 
 def test_rational_solve_does_no_fraction_arithmetic(monkeypatch):
@@ -355,7 +383,7 @@ def test_rational_solve_does_no_fraction_arithmetic(monkeypatch):
     infeasible = feasible[:-1] + [feasible[-1] + Fraction(1, 11)]
     assert len({b.denominator for b in feasible}) > 2  # mixed denominators
     rows, exact = _integer_rows(QQ, mat, 6)
-    sys = _System(rows, 10, QQ, 6, trace=True)
+    sys = _System(rows, QQ, 6)
     sys.reduce()
     calls = count_fraction_arithmetic(monkeypatch)
     scale, inverse = sys.inverse()
