@@ -21,7 +21,6 @@ from .cochain import (
 from .deform import (
     DeformationReport,
     MapSeries,
-    NextLift,
     ObstructionHit,
     TrivializationReport,
     check_relations,
@@ -67,7 +66,6 @@ __all__ = [
     "Infeasible",
     "InfeasibilityWitness",
     "MapSeries",
-    "NextLift",
     "ObstructionHit",
     "QQ",
     "Scalar",

@@ -249,21 +249,17 @@ def check_relations(cx: Complex, lifts: Sequence[GradedMap]) -> list[bool]:
 
 
 @dataclass
-class NextLift:
-    lift: GradedMap
-
-
-@dataclass
 class ObstructionHit:
     order: int
     obstruction: Cochain
     witness: InfeasibilityWitness
-    certificate: bool
     certificate_degree: int | None
 
 
-def extend_step(cx: Complex, lifts: Sequence[GradedMap]) -> NextLift | ObstructionHit:
-    """One rung of the ladder: solve delta(d_{n+1}) = O_n or report failure."""
+def extend_step(cx: Complex, lifts: Sequence[GradedMap]) -> GradedMap | ObstructionHit:
+    """One rung of the ladder: the lift d_{n+1} solving delta(d_{n+1}) = O_n,
+    or the ``ObstructionHit`` where it fails.  The lift may be the zero map,
+    so tell the two apart with ``isinstance``, not truthiness."""
     ledger = _Ledger(cx, lifts)
     checks = ledger.relations()
     if not all(checks):
@@ -271,34 +267,31 @@ def extend_step(cx: Complex, lifts: Sequence[GradedMap]) -> NextLift | Obstructi
     return _rung(ledger)
 
 
-def _rung(ledger: _Ledger) -> NextLift | ObstructionHit:
+def _rung(ledger: _Ledger) -> GradedMap | ObstructionHit:
     """extend_step on a ledger whose lifts already satisfy the relations."""
     cx, n = ledger.cx, len(ledger.lifts)
     o_n = Cochain(2, ledger.obstruction(n), cx)
     outcome = _solve_homotopy_first(o_n)
     if isinstance(outcome, Solved):
-        return NextLift(outcome.cochain.mapping)
-    degree = _certificate_degree(cx.d, o_n.mapping)
-    return ObstructionHit(n, o_n, outcome.witness, degree is not None, degree)
+        return outcome.cochain.mapping
+    return ObstructionHit(n, o_n, outcome.witness, _certificate_degree(cx.d, o_n.mapping))
 
 
 @dataclass
 class DeformationReport:
-    """Outcome of the inductive extension of an infinitesimal deformation."""
+    """Outcome of the inductive extension of an infinitesimal deformation:
+    ``stop`` is the ``ObstructionHit`` of the rung where the ladder stopped,
+    or None when it extended to ``order``."""
 
     cx: Complex
     order: int
     lifts: list[GradedMap]
     relation_checks: list[bool]
-    obstructed_at: int | None = None
-    obstruction: Cochain | None = None
-    witness: InfeasibilityWitness | None = None
-    certificate: bool | None = None
-    certificate_degree: int | None = None
+    stop: ObstructionHit | None = None
 
     @property
     def extended(self) -> bool:
-        return self.obstructed_at is None
+        return self.stop is None
 
     def render(self) -> str:
         lines = [f"deformation of {self.cx.module.name} over {self.cx.field} "
@@ -311,16 +304,17 @@ class DeformationReport:
                 break
             ok_through = k
         lines.append(f"relations: ok through order {ok_through}")
-        if self.extended:
+        stop = self.stop
+        if stop is None:
             lines.append(f"status: extended to order {self.order}")
         else:
-            lines.append(f"status: obstructed at order {self.obstructed_at}")
-            lines.append(f"obstruction O_{self.obstructed_at} = {self.obstruction.render()}")
-            lines.append(f"witness: {self.witness.render()}")
-            if self.certificate:
+            lines.append(f"status: obstructed at order {stop.order}")
+            lines.append(f"obstruction O_{stop.order} = {stop.obstruction.render()}")
+            lines.append(f"witness: {stop.witness.render()}")
+            if stop.certificate_degree is not None:
                 lines.append(
                     "degree-support certificate: obstruction block at source degree "
-                    f"{self.certificate_degree} cannot cobound on any truncation"
+                    f"{stop.certificate_degree} cannot cobound on any truncation"
                 )
             else:
                 lines.append("degree-support certificate: not applicable")
@@ -362,19 +356,9 @@ def deform_to_order(
     while len(chain) < order:
         step = _rung(ledger)
         if isinstance(step, ObstructionHit):
-            return DeformationReport(
-                cx=cx,
-                order=order,
-                lifts=chain,
-                relation_checks=ledger.relations(),
-                obstructed_at=step.order,
-                obstruction=step.obstruction,
-                witness=step.witness,
-                certificate=step.certificate,
-                certificate_degree=step.certificate_degree,
-            )
-        ledger.append(step.lift)
-    return DeformationReport(cx=cx, order=order, lifts=chain, relation_checks=ledger.relations())
+            return DeformationReport(cx, order, chain, ledger.relations(), step)
+        ledger.append(step)
+    return DeformationReport(cx, order, chain, ledger.relations())
 
 
 # -- equivalence and trivialization -----------------------------------------------

@@ -314,8 +314,7 @@ class _System:
         return scale, out
 
 
-def solve_sparse(rows: list[Row], rhs: list, ncols: int,
-                 field: FieldSpec) -> dict[int, Fraction | int] | None:
+def solve_sparse(rows: list[Row], rhs: list, field: FieldSpec) -> dict[int, Fraction | int] | None:
     """Solve the sparse system rows * x = rhs exactly, raw values in and
     out: x = X rhs, for the generalized inverse X of ``_System.inverse``,
     which is the canonical solution (free variables zero), or None when
@@ -333,7 +332,7 @@ def solve_sparse(rows: list[Row], rhs: list, ncols: int,
     return x
 
 
-def rank_sparse(rows: list[Row], ncols: int, field: FieldSpec) -> int:
+def rank_sparse(rows: list[Row], field: FieldSpec) -> int:
     """The rank of the sparse matrix ``rows`` of raw values."""
     sys = _System(_integral(dict(enumerate(rows)), field)[1].values(), field)
     sys.reduce()

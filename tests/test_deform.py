@@ -33,7 +33,6 @@ from dgdeform import (
 from dgdeform import cochain, deform
 from dgdeform.deform import (
     MAX_ORDER,
-    NextLift,
     ObstructionHit,
     _Ledger,
 )
@@ -246,9 +245,9 @@ def test_ledger_deltas_are_coboundaries(seed, field):
 def test_extend_step_produces_valid_lift(poly4):
     cx, lifts = poly4
     step = extend_step(cx, lifts[:2])
-    assert isinstance(step, NextLift)
+    assert isinstance(step, GradedMap)
     o2 = obstruction(cx, lifts[:2])
-    assert Cochain(1, step.lift, cx).coboundary() == o2
+    assert Cochain(1, step, cx).coboundary() == o2
 
 
 def test_extend_step_hits_obstruction():
@@ -261,14 +260,14 @@ def test_extend_step_hits_obstruction():
     assert step.obstruction.mapping == GradedMap.from_entries(
         cx.module, -2, [("x14", "x10", -1)]
     )
-    assert step.certificate
+    assert step.certificate_degree is not None
 
 
 def test_extend_step_zero_infinitesimal(poly4):
     cx, _ = poly4
     step = extend_step(cx, [GradedMap.zero(cx.module, degree=-1)])
-    assert isinstance(step, NextLift)
-    assert step.lift.is_zero()
+    assert isinstance(step, GradedMap)
+    assert step.is_zero()
 
 
 def test_extend_step_rejects_broken_relations(poly4):
@@ -284,8 +283,47 @@ def test_deform_to_order_obstructed_family():
         lifts = family_lifts(spec)
         report = deform_to_order(cx, lifts[0], 6, lifts=lifts[1:])
         assert not report.extended
-        assert report.obstructed_at == n
-        assert report.certificate
+        assert report.stop.order == n
+        assert report.stop.certificate_degree is not None
+
+
+def _check_stop_is_one_record(cx, report):
+    assert report.extended is (report.stop is None)
+    if report.stop is None:
+        return
+    step = extend_step(cx, report.lifts)
+    assert isinstance(step, ObstructionHit)
+    assert step.order == report.stop.order == len(report.lifts)
+    assert step.obstruction == report.stop.obstruction
+    assert step.witness == report.stop.witness
+    assert step.certificate_degree == report.stop.certificate_degree
+    lines = report.render().splitlines()
+    certified = [ln for ln in lines if ln.startswith("degree-support certificate: obstruction block")]
+    if report.stop.certificate_degree is None:
+        assert certified == [] and "degree-support certificate: not applicable" in lines
+    else:
+        assert certified == ["degree-support certificate: obstruction block at source degree "
+                             f"{report.stop.certificate_degree} cannot cobound on any truncation"]
+        assert "degree-support certificate: not applicable" not in lines
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=str)
+def test_the_stop_is_the_rung_record(field):
+    for n in range(1, 9):
+        spec = FamilySpec(n, "obstructed", field=field)
+        lifts = family_lifts(spec)
+        report = deform_to_order(spec.cx, lifts[0], n + 1, lifts=lifts[1:])
+        assert report.stop.order == n
+        _check_stop_is_one_record(spec.cx, report)
+    rng = random.Random(35)
+    stops = set()
+    for _ in range(100):
+        cx = random_complex(rng, field, rng.randint(6, 12), singleton_degrees=[0, 1, 2], top=3)
+        report = deform_to_order(cx, random_cocycle(rng, cx), 4)
+        _check_stop_is_one_record(cx, report)
+        if report.stop is not None:
+            stops.add(report.stop.certificate_degree is not None)
+    assert stops == {False, True}  # both kinds of stop occur
 
 
 def test_deform_to_order_rejects_non_cocycle(poly4):

@@ -175,7 +175,7 @@ def _check_against_oracle(field, mat, rhs_list, den=1, columns=None):
     raw = [_sparse(row) for row in mat]
     for rhs in rhs_list:
         aug, augpiv = dense_rref([row + [b] for row, b in zip(mat, rhs)], p)
-        out = solve_sparse(raw, rhs, ncols, field)
+        out = solve_sparse(raw, rhs, field)
         if augpiv and augpiv[-1] == ncols:  # a pivot in the right side: inconsistent
             assert out is None
         else:
@@ -247,7 +247,7 @@ def test_raw_value_wrappers_match_the_system(case):
     assert exact == mat  # the integer rows over den stand for mat itself
     sys = _System(rows, field, den)
     sys.reduce()
-    assert rank_sparse(raw, ncols, field) == len(sys.pivots)
+    assert rank_sparse(raw, field) == len(sys.pivots)
     assert nullspace_sparse(raw, ncols, field) == [_over(vec, d, p)
                                                    for d, vec in sys.nullspace(range(ncols))]
 
@@ -314,7 +314,7 @@ def test_empty_and_zero_rows(name):
     assert none.nullspace(range(3)) == [(1, {f: 1}) for f in range(3)]
     assert none.nullspace([2, 0]) == [(1, {2: 1}), (1, {0: 1})]
     assert none.inverse() == (1, {})
-    assert solve_sparse([], [], 3, field) == {}
+    assert solve_sparse([], [], field) == {}
 
 
 @settings(max_examples=100, deadline=None)
@@ -394,5 +394,5 @@ def test_rational_solve_does_no_fraction_arithmetic(monkeypatch):
     # exact, by the dense oracle on the matrix the rows stand for
     _check_against_oracle(QQ, exact, [feasible, infeasible])
     raw = [_sparse(row) for row in mat]
-    assert solve_sparse(raw, feasible, 10, QQ) is not None
-    assert solve_sparse(raw, infeasible, 10, QQ) is None
+    assert solve_sparse(raw, feasible, QQ) is not None
+    assert solve_sparse(raw, infeasible, QQ) is None
