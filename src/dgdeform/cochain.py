@@ -23,7 +23,11 @@ operations.  ``solve_coboundary`` reads the class first: about half of its
 one-shot right sides do not cobound, and those read no homotopy.  The ladder's
 ``_solve_homotopy_first`` tries the homotopy first, since its right sides
 almost always cobound.  Both give the same answer, and each order is
-slower on the other's traffic (the README has the numbers).
+slower on the other's traffic (the README has the numbers).  A solve pays
+only for the checks that prove its answer: a zero right side is answered
+f = 0 with no delta, a verified delta(f) = g needs no check that g is a
+cocycle (d^2 = 0 on both complexes gives delta(g) = delta^2(f) = 0), and
+delta(g) = 0 is checked only where a solve ends without such an f.
 
 The work runs in integers over one denominator, from each complex's
 differential, kept once as integer columns (``Complex._integer_d``),
@@ -434,15 +438,6 @@ class Infeasible:
     witness: InfeasibilityWitness
 
 
-def _cocycle_columns(g: Cochain) -> tuple[int, dict[int, dict[int, int]]]:
-    """g as integer columns over one denominator, once delta(g) = 0 is checked
-    in integers from the differentials (else NotACocycle)."""
-    den, cols = _integral(g.mapping.columns, g.source.field)
-    if _integer_coboundary(g.source, g.target, g.p, cols, den)[0]:
-        raise NotACocycle("right-hand side is not a cocycle")
-    return den, cols
-
-
 def _class_witness(g: Cochain, cols: dict[int, dict[int, int]],
                    den: int) -> InfeasibilityWitness | None:
     """The witness z_s (x) lambda_t of the first nonzero class coordinate
@@ -492,17 +487,17 @@ def _check_classes(source: Complex, target: Complex,
 
 
 def _homotopy_solution(g: Cochain, cols: dict[int, dict[int, int]], den: int) -> Solved | None:
-    """f = h_M g + (-1)^{p+1} (g - delta(h_M g)) h_V for the (p+1)-cocycle
-    g = cols / den, or None when delta(f) != g, which happens exactly when
-    the class of g is not zero.
+    """f = h_M g + (-1)^{p+1} (g - delta(h_M g)) h_V for the (p+1)-cochain
+    g = cols / den, or None when delta(f) != g, which happens exactly when g
+    does not cobound: when it is not a cocycle, or its class is not zero.
 
     h is ``Complex._homotopy`` on each complex.  With pi = 1 - d h - h d,
-    delta(h_M g) = g - pi_M g, and r = pi_M g has d_M r = 0 and r d_V = 0,
-    so delta((-1)^{p+1} r h_V) = r h_V d_V = r - r pi_V and delta(f) = g -
-    pi_M g pi_V.  pi vanishes on boundaries and lands in cycles, and g sends
-    cycles to boundaries when its class is zero, so then delta(f) = g.
-    Every step runs in integers, summed raw into one dict per column of f
-    and normalized once; delta(f) = g is recomputed by
+    delta(h_M g) = g - pi_M g, and for a cocycle g, r = pi_M g has d_M r = 0
+    and r d_V = 0, so delta((-1)^{p+1} r h_V) = r h_V d_V = r - r pi_V and
+    delta(f) = g - pi_M g pi_V.  pi vanishes on boundaries and lands in
+    cycles, and g sends cycles to boundaries when its class is zero, so then
+    delta(f) = g.  Every step runs in integers, summed raw into one dict per
+    column of f and normalized once; delta(f) = g is recomputed by
     ``_integer_coboundary`` before f is returned.
     """
     source, target, p = g.source, g.target, g.p - 1
@@ -531,50 +526,79 @@ def _homotopy_solution(g: Cochain, cols: dict[int, dict[int, int]], den: int) ->
     f_den = r_den * v_den
     if not _same_columns(*_integer_coboundary(source, target, p, f, f_den), cols, den):
         return None
-    f = _rational(f, f_den, source.field)
-    return Solved(Cochain(p, GradedMap._of(source.module, target.module, -p, f), source, target))
+    return _solved(g, _rational(f, f_den, source.field))
+
+
+def _solved(g: Cochain, columns: dict) -> Solved:
+    """The answer f of degree -(p - 1) with raw ``columns`` to the p-cochain g."""
+    p = g.p - 1
+    return Solved(Cochain(p, GradedMap._of(g.source.module, g.target.module, -p, columns),
+                          g.source, g.target))
 
 
 _WRONG_ZERO_CLASS = "the solver's answer f does not satisfy delta(f) = g, yet g has a zero class"
 
 
-def _solve_homotopy_first(g: Cochain) -> Solved | Infeasible:
-    """:func:`solve_coboundary` in the ladder's order.  A ladder's right
-    sides almost always cobound, so the homotopy is tried first, and the
-    class coordinates are read only when delta(f) != g, for the same
-    witness; both orders give the same answer."""
-    den, cols = _cocycle_columns(g)
-    solved = _homotopy_solution(g, cols, den)
-    if solved is not None:
-        return solved
-    witness = _class_witness(g, cols, den)
+def _unsolved(g: Cochain, cols: dict[int, dict[int, int]], den: int,
+              witness: InfeasibilityWitness | None) -> Infeasible:
+    """The end of a solve that found no f with delta(f) = g = cols / den: g
+    is checked to be a cocycle, in integers from the differentials (else
+    NotACocycle), and answered Infeasible with its class ``witness``, or,
+    with none, PostconditionFailed.
+
+    Only this end checks delta(g) = 0.  A verified delta(f) = g proves it,
+    since both complexes are checked to have d^2 = 0 and so delta(g) =
+    delta^2(f) = 0; a non-cocycle never cobounds, so every one ends here."""
+    if _integer_coboundary(g.source, g.target, g.p, cols, den)[0]:
+        raise NotACocycle("right-hand side is not a cocycle")
     if witness is None:
         raise PostconditionFailed(_WRONG_ZERO_CLASS)
     return Infeasible(witness)
 
 
+def _solve_homotopy_first(g: Cochain) -> Solved | Infeasible:
+    """:func:`solve_coboundary` in the ladder's order.  A ladder's right
+    sides almost always cobound, so the homotopy is tried first, and only
+    when delta(f) != g are the class coordinates read, for the same
+    witness, and g checked to be a cocycle; both orders give the same
+    answer.  A zero right side, as on every rung of a ladder whose lifts
+    vanish, is answered f = 0 at once."""
+    _check_differentials(g.source, g.target)
+    if not g.mapping:
+        return _solved(g, {})
+    den, cols = _integral(g.mapping.columns, g.source.field)
+    solved = _homotopy_solution(g, cols, den)
+    if solved is not None:
+        return solved
+    return _unsolved(g, cols, den, _class_witness(g, cols, den))
+
+
 def solve_coboundary(g: Cochain) -> Solved | Infeasible:
     """Find f with delta(f) = g exactly, or certify that none exists.
 
-    g must be a cocycle; non-cocycles are rejected outright.  Over a field g
-    cobounds exactly when its class coordinates lambda_t(g(z_s)) are all
-    zero, for the cycles z_s of H(V) and the functionals lambda_t of H(M)*
-    in the degrees g touches.  A nonzero coordinate is answered at once
+    g must be a cocycle; a non-cocycle raises NotACocycle.  Over a field a
+    cocycle g cobounds exactly when its class coordinates lambda_t(g(z_s))
+    are all zero, for the cycles z_s of H(V) and the functionals lambda_t
+    of H(M)* in the degrees g touches.  A nonzero coordinate is answered
     with its witness (``_class_witness``), and no homotopy is built.  A zero
     class is solved by the homotopy (``_homotopy_solution``): the canonical
-    solution.  Every check, delta(g) = 0 on the way in, delta(f) = g on the
-    way out and the check of the witness, recomputes delta in integers from
-    the differentials' integer columns; a zero class whose f fails delta(f)
-    = g raises PostconditionFailed.
+    solution.  A zero g is answered f = 0 at once, with no delta.
+
+    Every check recomputes delta in integers from the differentials'
+    integer columns: delta(f) = g on the way out, the check of the witness,
+    and delta(g) = 0 only where no f was verified (``_unsolved``), before
+    an Infeasible is returned and before a zero class whose f fails delta(f)
+    = g raises PostconditionFailed.  So a feasible solve computes delta
+    twice, delta(h_M g) and delta(f), and an infeasible one once.
     """
-    den, cols = _cocycle_columns(g)
+    _check_differentials(g.source, g.target)
+    if not g.mapping:
+        return _solved(g, {})
+    den, cols = _integral(g.mapping.columns, g.source.field)
     witness = _class_witness(g, cols, den)
-    if witness is not None:
-        return Infeasible(witness)
-    solved = _homotopy_solution(g, cols, den)
-    if solved is None:
-        raise PostconditionFailed(_WRONG_ZERO_CLASS)
-    return solved
+    if witness is None and (solved := _homotopy_solution(g, cols, den)) is not None:
+        return solved
+    return _unsolved(g, cols, den, witness)
 
 
 def noncobounding_certificate(d: GradedMap, g: Cochain | GradedMap) -> bool:

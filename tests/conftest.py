@@ -266,6 +266,22 @@ def count_reductions(monkeypatch) -> list[int]:
     return calls
 
 
+def count_coboundaries(monkeypatch) -> list[int]:
+    """Record the cochain degree p of every ``cochain._integer_coboundary``
+    call from now on: each delta a solve or ``Cochain.coboundary`` computes."""
+    from dgdeform import cochain
+
+    calls = []
+    integer_coboundary = cochain._integer_coboundary
+
+    def counting(source, target, p, cols, den):
+        calls.append(p)
+        return integer_coboundary(source, target, p, cols, den)
+
+    monkeypatch.setattr(cochain, "_integer_coboundary", counting)
+    return calls
+
+
 def count_eliminations(monkeypatch) -> list[int]:
     """Record the id of the complex for every elimination of the rows
     of d (``Complex._elimination``) built from now on; one read from the

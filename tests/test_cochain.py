@@ -38,6 +38,7 @@ from conftest import (
     compose,
     conjugated,
     count_class_reads,
+    count_coboundaries,
     count_eliminations,
     count_fraction_arithmetic,
     count_reductions,
@@ -522,7 +523,7 @@ def test_class_reads_form_one_kernel_vector_per_class(monkeypatch):
         cohomology(v, m, 1)
         monkeypatch.undo()
         assert asked == [v_h, m_h] and held == [v_rows, m_rows]
-        den, cols = cochain._cocycle_columns(g)
+        den, cols = linalg._integral(g.mapping.columns, g.source.field)
         v_degrees = {v.module.degree_of(j) for j in cols}
         (m_h, m_rows), (v_h, v_rows) = (_class_reads(m, True, {q - 1 for q in v_degrees}),
                                         _class_reads(v, False, v_degrees))
@@ -709,6 +710,91 @@ def test_solver_with_a_wrong_class_witness_fails_its_postcondition(monkeypatch, 
     assert isinstance(solve_coboundary(g), Infeasible)
 
 
+def _class_coordinates_vanish(g: Cochain) -> bool:
+    """Whether lambda(g(z)) = 0 for every cycle z of V and functional lambda
+    on M of ``oracle_homology_classes``: g's class coordinates, read without
+    the solver."""
+    v, m, norm = g.source, g.target, g.source.field.norm
+    cols = linalg._integral(g.mapping.columns, v.field)[1]
+    functionals = oracle_homology_classes(m, dual=True)[0]
+    for z in oracle_homology_classes(v)[0]:
+        gz = {}
+        for j, c in z.items():
+            for i, e in cols.get(j, {}).items():
+                gz[i] = gz.get(i, 0) + c * e
+        if any(norm(sum(c * lam.get(i, 0) for i, c in gz.items())) for lam in functionals):
+            return False
+    return True
+
+
+def test_every_non_cocycle_is_refused_through_both_orders():
+    # g = d_M k + k' d_V has zero class coordinates, since lambda o d_M = 0
+    # and d_V z = 0, and is no cocycle for most k, k'; a representative of
+    # a nonzero class added makes them nonzero.  Neither order may answer,
+    # nor take g for a zero class whose f fails delta(f) = g
+    kinds = set()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_cohomology_pairs(), st.integers(0, 2**32 - 1))
+    def refused(pair, seed):
+        v, m = pair
+        rng = random.Random(seed)
+        gaps = sorted({q - r for q in v.module.degrees() for r in m.module.degrees()})
+        classes = {p: cohomology(v, m, p + 1).representatives for p in gaps}
+        degrees = [p for p in gaps if classes[p]] or gaps
+        for _ in range(8):  # d_M k d_V is often zero
+            p = rng.choice(degrees)
+            zero = GradedMap.zero(v.module, m.module, -p - 1)
+            k, k2 = (random_cochain(rng, v, p, 0.6, target=m) for _ in range(2))
+            g = Cochain(p + 1, (compose(m.d, k) if m.d else zero) + (compose(k2, v.d) if v.d else zero),
+                        v, m)
+            if not g.coboundary().is_zero():
+                break
+        else:
+            return
+        cases = [(g, True)]
+        if classes[p]:
+            cases.append((g + Cochain(p + 1, rng.choice(classes[p]).mapping, v, m), False))
+        for g, zero_class in cases:
+            assert _class_coordinates_vanish(g) == zero_class
+            for solve in (solve_coboundary, _solve_homotopy_first):
+                with pytest.raises(NotACocycle):
+                    solve(g)
+            kinds.add(zero_class)
+
+    refused()
+    assert kinds == {True, False}
+
+
+def test_each_solve_order_computes_delta_only_for_its_answer(monkeypatch):
+    # a feasible solve computes delta(h_M g) and checks delta(f) = g, which
+    # proves delta(g) = 0 too; an infeasible one checks delta(g) = 0 once
+    # the class has answered, after the homotopy's two in the ladder's
+    # order; a zero g computes no delta and reduces nothing
+    rng = random.Random(108)
+    for field in FIELDS:
+        # singletons in degrees 1 and 0 give H^1 a class
+        v = conjugated(rng, random_complex(rng, field, 14, singleton_degrees=[1], name="V", top=2))
+        m = conjugated(rng, random_complex(rng, field, 12, singleton_degrees=[0], name="M", top=2))
+        f = Cochain(0, random_cochain(rng, v, 0, 0.5, target=m), v, m)
+        feasible = f.coboundary()
+        infeasible = feasible + cohomology(v, m, 1).representatives[0]
+        assert not feasible.is_zero()
+        for solve, infeasible_calls in ((solve_coboundary, [1]), (_solve_homotopy_first, [0, 0, 1])):
+            for g, want, outcome in ((feasible, [0, 0], Solved), (infeasible, infeasible_calls, Infeasible)):
+                calls = count_coboundaries(monkeypatch)
+                assert isinstance(solve(g), outcome)
+                monkeypatch.undo()
+                assert calls == want
+            fresh = [Complex(cx.module, cx.d) for cx in (v, m)]  # nothing cached
+            zero = Cochain(1, GradedMap.zero(v.module, m.module, -1), *fresh)
+            calls, built = count_coboundaries(monkeypatch), count_eliminations(monkeypatch)
+            out = solve(zero)
+            monkeypatch.undo()
+            assert calls == [] and built == []
+            assert out == Solved(Cochain(0, GradedMap.zero(v.module, m.module, 0), *fresh))
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_integer_differential_is_d(field):
     # the cache every integer path reads: d[k, j] = cols[j][k] / den, entry by entry
@@ -756,8 +842,8 @@ def test_rational_cohomology_does_no_fraction_arithmetic(monkeypatch):
 
 
 def test_rational_solver_checks_do_no_fraction_arithmetic(monkeypatch):
-    # delta(g) = 0 on the way in and delta(f) = g on the way out run in
-    # integers on the differentials; so does the rest of solve
+    # delta(f) = g on the way out and delta(g) = 0 where no f is found run
+    # in integers on the differentials; so does the rest of solve
     v, m = _rational_pair()
     rng = random.Random(97)
     outcomes = set()

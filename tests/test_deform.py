@@ -51,6 +51,7 @@ from dgdeform.gmap import _Products
 from conftest import (
     compose_callers,
     conjugated,
+    count_coboundaries,
     count_eliminations,
     count_products,
     count_reductions,
@@ -617,6 +618,32 @@ def test_first_order_computes_delta_of_d1_once(poly4, monkeypatch):
     monkeypatch.setattr(Cochain, "coboundary", lambda self: deltas.append("Cochain"))
     assert isinstance(first_order_triviality(cx, lifts[0]), Infeasible)
     assert deltas == [1]
+
+
+def test_canonical_ladder_computes_delta_only_on_its_one_nonzero_rung(monkeypatch):
+    # the infinite member's canonical lifts vanish past order 2, so every
+    # rung past the first solves delta(d_{k+1}) = 0, answered f = 0 with no
+    # delta; the first computes delta(h_M O_1) and checks delta(d_2) = O_1
+    spec = FamilySpec(8, "infinite")
+    cx = base_complex(spec.truncation, QQ)
+    calls = count_coboundaries(monkeypatch)
+    report = deform_to_order(cx, family_lifts(spec)[0], 8)
+    assert report.extended and all(report.relation_checks)
+    assert report.lifts[1] and not any(report.lifts[2:])
+    assert calls == [1, 1]
+
+
+def test_trivialize_computes_two_deltas_per_solved_stage(monkeypatch):
+    rng = random.Random(67)
+    for field in (QQ, GF(2), GF(5)):
+        cx = conjugated(rng, random_complex(rng, field, 10))
+        d_t = random_gauged(rng, MapSeries.deformation(cx, [], order=5), range(1, 6))
+        calls = count_coboundaries(monkeypatch)
+        report = trivialize(d_t)
+        monkeypatch.undo()
+        solved = sum(map(bool, report.stages))
+        assert report.trivialized and solved >= 2
+        assert calls == [0] * 2 * solved
 
 
 def test_canonical_ladder_reduces_each_block_of_d_once(monkeypatch):
